@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import ContractError, DomainError
-from .simplicial import SimplicialSet, monotone_maps, simplicial_operator
+from .simplicial import Key, SimplicialSet, _dimension_tag, _search, monotone_maps, simplicial_operator
 
 Obj = str
 Arr = str
@@ -151,6 +151,13 @@ class CatFunctor:
         arr = ",".join(f"{f}>{g}" for f, g in self.arrows.items())
         return obj + "/" + arr
 
+    def assignments(self) -> Iterator[tuple[Key, Key]]:
+        """Each cell key, ``(0, object)`` or ``(1, arrow)``, with the key of its image."""
+        for a, b in self.objects.items():
+            yield (0, a), (0, b)
+        for f, g in self.arrows.items():
+            yield (1, f), (1, g)
+
     def __repr__(self) -> str:
         return f"CatFunctor({self.source!r} -> {self.target!r})"
 
@@ -201,46 +208,6 @@ def compose_functors(G: CatFunctor, F: CatFunctor) -> CatFunctor:
 # ---------------------------------------------------------------------------
 # small constructors
 # ---------------------------------------------------------------------------
-
-def category_from_graph(
-    objects: Iterable[Obj],
-    generators: Mapping[Arr, tuple[Obj, Obj]],
-    compose_rule: Callable[[Arr, Arr], Arr],
-) -> FinCat:
-    """Build a category whose arrows are closed under a given composition rule.
-
-    ``compose_rule(g, f)`` must return the name of ``g . f``; the arrow set
-    is the closure of generators plus identities under the rule.
-    """
-    ids = {a: f"id_{a}" for a in objects}
-    src = {ids[a]: a for a in objects}
-    dst = {ids[a]: a for a in objects}
-    for f, (a, b) in generators.items():
-        src[f] = a
-        dst[f] = b
-    arrows = set(src)
-    compose: dict[tuple[Arr, Arr], Arr] = {}
-    changed = True
-    while changed:
-        changed = False
-        for f in list(arrows):
-            for g in list(arrows):
-                if dst[f] != src[g] or (g, f) in compose:
-                    continue
-                if f == ids[src[f]]:
-                    gf = g
-                elif g == ids[dst[f]]:
-                    gf = f
-                else:
-                    gf = compose_rule(g, f)
-                compose[(g, f)] = gf
-                if gf not in arrows:
-                    arrows.add(gf)
-                    src[gf] = src[f]
-                    dst[gf] = dst[g]
-                    changed = True
-    return FinCat(objects, arrows, src, dst, compose, ids)
-
 
 def terminal_category() -> FinCat:
     return FinCat(["*"], ["id_*"], {"id_*": "*"}, {"id_*": "*"}, {("id_*", "id_*"): "id_*"}, {"*": "id_*"})
@@ -390,20 +357,6 @@ def nerve(C: FinCat, D: int) -> SimplicialSet:
     return SimplicialSet(D, cells, face, degeneracy)
 
 
-def nerve_functor(F: CatFunctor, D: int) -> "tuple[SimplicialSet, SimplicialSet, dict]":
-    """The induced map of nerves as level dictionaries (chain-wise image)."""
-    NA = nerve(F.source, D)
-    NB = nerve(F.target, D)
-    levels: dict[int, dict[str, str]] = {0: {f"<{a}>": f"<{F.objects[a]}>" for a in F.source.objects}}
-    for n in range(1, D + 1):
-        lvl = {}
-        for cid in NA.cells[n]:
-            chain = tuple(cid.split("|"))
-            lvl[cid] = "|".join(F.arrows[f] for f in chain)
-        levels[n] = lvl
-    return NA, NB, levels
-
-
 # ---------------------------------------------------------------------------
 # slices, final objects, category of elements
 # ---------------------------------------------------------------------------
@@ -548,83 +501,76 @@ def category_of_elements(X: SimplicialSet, D: int) -> FinCat:
 # functor enumeration and isomorphism search
 # ---------------------------------------------------------------------------
 
+def _functor_problem(A: FinCat, B: FinCat) -> tuple:
+    """Compile the search for functors A -> B for the shared kernel.
+
+    Objects are branched on first, then identities are forced, then the
+    other arrows range over the arrows of B between the images of their
+    endpoints; each composition triangle is checked once its last arrow is
+    set.
+    """
+    keys = [(0, a) for a in A.objects]
+    keys += [(1, A.identity[a]) for a in A.objects]
+    keys += [(1, f) for f in A.arrows if not A.is_identity(f)]
+    index = {key: k for k, key in enumerate(keys)}
+    between: dict[tuple[Obj, Obj], list[Arr]] = {}
+    for g in B.arrows:
+        between.setdefault((B.src[g], B.dst[g]), []).append(g)
+    triangles: dict[int, list[tuple[int, int, int]]] = {}
+    for (g, f), gf in A.compose.items():
+        inst = (index[(1, g)], index[(1, f)], index[(1, gf)])
+        triangles.setdefault(max(inst), []).append(inst)
+
+    def objects(val: list) -> tuple[Obj, ...]:
+        return B.objects
+
+    def identity(j: int) -> Callable[[list], tuple[Arr, ...]]:
+        return lambda val: (B.identity[val[j]],)
+
+    def arrows(s: int, d: int) -> Callable[[list], list[Arr]]:
+        return lambda val: between.get((val[s], val[d]), [])
+
+    def preserved(insts: list[tuple[int, int, int]]) -> Callable[[list], bool]:
+        def check(val: list) -> bool:
+            for g, f, gf in insts:
+                if B.compose.get((val[g], val[f])) != val[gf]:
+                    return False
+            return True
+        return check
+
+    options: list = []
+    for dim, x in keys:
+        if dim == 0:
+            options.append(objects)
+        elif A.is_identity(x):
+            options.append(identity(index[(0, A.src[x])]))
+        else:
+            options.append(arrows(index[(0, A.src[x])], index[(0, A.dst[x])]))
+    checks = [preserved(triangles[k]) if k in triangles else None for k in range(len(keys))]
+
+    def emit(val: list) -> CatFunctor:
+        objs = {x: v for (dim, x), v in zip(keys, val) if dim == 0}
+        arrs = {x: v for (dim, x), v in zip(keys, val) if dim == 1}
+        return CatFunctor(A, B, objs, arrs, check=False)
+
+    return keys, options, checks, _dimension_tag, emit
+
+
 def enumerate_functors(
     A: FinCat,
     B: FinCat,
-    pin_objects: Optional[Mapping[Obj, Obj]] = None,
-    pin_arrows: Optional[Mapping[Arr, Arr]] = None,
-    arrow_filter: Optional[Callable[[Arr, Arr], bool]] = None,
-    object_filter: Optional[Callable[[Obj, Obj], bool]] = None,
+    pin: Optional[Mapping[Key, Key]] = None,
+    allow: Optional[Callable[[Key, Key], bool]] = None,
+    limit: Optional[int] = None,
 ) -> Iterator[CatFunctor]:
     """All functors A -> B in canonical order (objects, then arrows).
 
-    ``pin_*`` fix parts of the assignment; the filters restrict candidate
-    images (this is how the lifting engine plants its fiber conditions).
+    Cells are keyed ``(0, object)`` and ``(1, arrow)``: ``pin`` fixes parts
+    of the assignment, ``allow(cell_key, image_key)`` restricts candidate
+    images and ``limit`` caps the number of functors (this is how the
+    lifting engine plants its fiber conditions).
     """
-    pin_objects = dict(pin_objects or {})
-    pin_arrows = dict(pin_arrows or {})
-    objs = list(A.objects)
-    nonid = [f for f in A.arrows if not A.is_identity(f)]
-    obj_map: dict[Obj, Obj] = {}
-    arr_map: dict[Arr, Arr] = {}
-
-    def arrows_done() -> Iterator[CatFunctor]:
-        yield CatFunctor(A, B, dict(obj_map), dict(arr_map), check=False)
-
-    def composition_consistent() -> bool:
-        # identities are pre-assigned, so any fully-assigned triangle
-        # (f, g, g.f) is checkable; triangles with an unassigned composite
-        # are re-examined once that composite gets its image
-        for f in arr_map:
-            for g in arr_map:
-                if A.dst[f] != A.src[g]:
-                    continue
-                img = arr_map.get(A.compose[(g, f)])
-                if img is not None and img != B.compose[(arr_map[g], arr_map[f])]:
-                    return False
-        return True
-
-    def assign_arrow(idx: int) -> Iterator[CatFunctor]:
-        if idx == len(nonid):
-            yield from arrows_done()
-            return
-        f = nonid[idx]
-        want_src = obj_map[A.src[f]]
-        want_dst = obj_map[A.dst[f]]
-        if f in pin_arrows:
-            cands = [pin_arrows[f]]
-        else:
-            cands = [g for g in B.arrows if B.src[g] == want_src and B.dst[g] == want_dst]
-        for g in cands:
-            if B.src[g] != want_src or B.dst[g] != want_dst:
-                continue
-            if arrow_filter is not None and not arrow_filter(f, g):
-                continue
-            arr_map[f] = g
-            if composition_consistent():
-                yield from assign_arrow(idx + 1)
-            del arr_map[f]
-
-    def assign_obj(idx: int) -> Iterator[CatFunctor]:
-        if idx == len(objs):
-            for a in objs:
-                arr_map[A.identity[a]] = B.identity[obj_map[a]]
-            yield from assign_arrow(0)
-            for a in objs:
-                del arr_map[A.identity[a]]
-            return
-        a = objs[idx]
-        cands = [pin_objects[a]] if a in pin_objects else list(B.objects)
-        for b in cands:
-            if b not in set(B.objects):
-                continue
-            if object_filter is not None and not object_filter(a, b):
-                continue
-            obj_map[a] = b
-            yield from assign_obj(idx + 1)
-            del obj_map[a]
-
-    yield from assign_obj(0)
+    yield from _search(*_functor_problem(A, B), pin, allow, limit)
 
 
 def count_functors(A: FinCat, B: FinCat) -> int:
@@ -635,9 +581,4 @@ def find_cat_iso(A: FinCat, B: FinCat) -> Optional[CatFunctor]:
     """Search for an isomorphism of categories (bijective on objects and arrows)."""
     if len(A.objects) != len(B.objects) or len(A.arrows) != len(B.arrows):
         return None
-    for F in enumerate_functors(A, B):
-        if len(set(F.objects.values())) == len(A.objects) and len(
-            set(F.arrows.values())
-        ) == len(A.arrows):
-            return F
-    return None
+    return next(_search(*_functor_problem(A, B), limit=1, distinct=True), None)

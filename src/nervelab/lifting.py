@@ -13,7 +13,7 @@ records the bound alongside its residual problems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .cat import CatFunctor, compose_functors, enumerate_functors
 from .errors import BudgetError, ContractError
@@ -33,12 +33,17 @@ from .twocat import TwoFunctor, compose_two_functors, enumerate_two_functors
 Map = Union[SimplicialMap, CatFunctor, TwoFunctor]
 
 
+def _ambient(m: Map) -> tuple[Callable[..., Iterator[Map]], Callable[[Map, Map], Map]]:
+    """The map enumerator and the composition of the ambient ``m`` lives in."""
+    if isinstance(m, SimplicialMap):
+        return enumerate_simplicial_maps, compose_maps
+    if isinstance(m, CatFunctor):
+        return enumerate_functors, compose_functors
+    return enumerate_two_functors, compose_two_functors
+
+
 def _compose(g: Map, f: Map) -> Map:
-    if isinstance(f, SimplicialMap):
-        return compose_maps(g, f)
-    if isinstance(f, CatFunctor):
-        return compose_functors(g, f)
-    return compose_two_functors(g, f)
+    return _ambient(f)[1](g, f)
 
 
 @dataclass
@@ -59,174 +64,45 @@ class LiftingProblem:
             raise ContractError("the square does not commute")
 
 
-def _find_simplicial_lift(P: LiftingProblem) -> Optional[SimplicialMap]:
-    i, p, u, v = P.i, P.p, P.top, P.bottom
-    B, X = i.target, p.source
-    pin: dict[tuple[int, str], str] = {}
-    for n in range(i.bound + 1):
-        for a, b_cell in i.levels[n].items():
-            want = u.levels[n][a]
-            prev = pin.get((n, b_cell))
-            if prev is not None and prev != want:
-                return None  # i identifies cells that u separates
-            pin[(n, b_cell)] = want
-
-    fibers: dict[tuple[int, str], list[str]] = {}
-    for n in range(min(B.dim_bound, X.dim_bound) + 1):
-        for b_cell in B.cells[n]:
-            target = v.levels[n][b_cell]
-            fibers[(n, b_cell)] = [x for x in X.cells[n] if p.levels[n][x] == target]
-
-    for h in enumerate_simplicial_maps(
-        B, X, pin=pin, candidates=lambda n, c: fibers[(n, c)], limit=1
-    ):
-        return h
-    return None
-
-
-def _find_cat_lift(P: LiftingProblem) -> Optional[CatFunctor]:
-    i, p, u, v = P.i, P.p, P.top, P.bottom
-    B, X = i.target, p.source
-    pin_obj: dict[str, str] = {}
-    for a, b in i.objects.items():
-        want = u.objects[a]
-        if pin_obj.get(b, want) != want:
+def _pins(i: Map, top: Map) -> Optional[dict]:
+    """The pins ``i(a) -> top(a)`` on the cells of i's target, or None when
+    i identifies two cells that ``top`` separates."""
+    image = dict(top.assignments())
+    pin: dict = {}
+    for a, b in i.assignments():
+        if pin.setdefault(b, image[a]) != image[a]:
             return None
-        pin_obj[b] = want
-    pin_arr: dict[str, str] = {}
-    for f, g in i.arrows.items():
-        want = u.arrows[f]
-        if pin_arr.get(g, want) != want:
-            return None
-        pin_arr[g] = want
-    for h in enumerate_functors(
-        B,
-        X,
-        pin_objects=pin_obj,
-        pin_arrows=pin_arr,
-        object_filter=lambda b, x: p.objects[x] == v.objects[b],
-        arrow_filter=lambda g, x: p.arrows[x] == v.arrows[g],
-    ):
-        return h
-    return None
-
-
-def _find_two_lift(P: LiftingProblem) -> Optional[TwoFunctor]:
-    i, p, u, v = P.i, P.p, P.top, P.bottom
-    B, X = i.target, p.source
-    pin_obj: dict[str, str] = {}
-    for a, b in i.objects.items():
-        want = u.objects[a]
-        if pin_obj.get(b, want) != want:
-            return None
-        pin_obj[b] = want
-    pin_one: dict[tuple, str] = {}
-    for (a1, a2, f), g in i.on1.items():
-        key = (i.objects[a1], i.objects[a2], g)
-        want = u.on1[(a1, a2, f)]
-        if pin_one.get(key, want) != want:
-            return None
-        pin_one[key] = want
-    pin_two: dict[tuple, str] = {}
-    for (a1, a2, al), be in i.on2.items():
-        key = (i.objects[a1], i.objects[a2], be)
-        want = u.on2[(a1, a2, al)]
-        if pin_two.get(key, want) != want:
-            return None
-        pin_two[key] = want
-    for h in enumerate_two_functors(
-        B,
-        X,
-        pin_objects=pin_obj,
-        pin_one=pin_one,
-        pin_two=pin_two,
-        object_filter=lambda b, x: p.objects[x] == v.objects[b],
-        one_filter=lambda key, x, im: p.on1[(im[0], im[1], x)] == v.on1[key],
-        two_filter=lambda key, x, im: p.on2[(im[0], im[1], x)] == v.on2[key],
-        limit=1,
-    ):
-        return h
-    return None
+    return pin
 
 
 def find_lift(P: LiftingProblem) -> Optional[Map]:
     """A filler ``h: B -> X`` with ``h.i = top`` and ``p.h = bottom``,
     found by canonical-order backtracking; None only after exhaustion."""
-    if isinstance(P.i, SimplicialMap):
-        return _find_simplicial_lift(P)
-    if isinstance(P.i, CatFunctor):
-        return _find_cat_lift(P)
-    return _find_two_lift(P)
+    pin = _pins(P.i, P.top)
+    if pin is None:
+        return None
+    over = dict(P.p.assignments())
+    under = dict(P.bottom.assignments())
+    lifts = _ambient(P.i)[0](
+        P.i.target, P.p.source, pin=pin, allow=lambda b, x: over[x] == under[b], limit=1
+    )
+    return next(lifts, None)
 
 
 # ---------------------------------------------------------------------------
 # RLP tests
 # ---------------------------------------------------------------------------
 
-def _enumerate(A, B) -> Iterator[Map]:
-    if isinstance(A, SimplicialSet):
-        yield from enumerate_simplicial_maps(A, B)
-    else:
-        from .cat import FinCat
-
-        if isinstance(A, FinCat):
-            yield from enumerate_functors(A, B)
-        else:
-            yield from enumerate_two_functors(A, B)
-
-
-def _source(m: Map):
-    return m.source
-
-
-def _target(m: Map):
-    return m.target
-
-
 def generator_squares(p: Map, i: Map) -> Iterator[LiftingProblem]:
     """All commuting squares from the generator i to p, in canonical order."""
-    A, B = _source(i), _target(i)
-    X, Y = _source(p), _target(p)
-    for u in _enumerate(A, X):
-        want = _compose(p, u)
-        if isinstance(i, SimplicialMap):
-            pin = {}
-            ok = True
-            for n in range(i.bound + 1):
-                for a, b_cell in i.levels[n].items():
-                    val = want.levels[n][a]
-                    if pin.get((n, b_cell), val) != val:
-                        ok = False
-                        break
-                    pin[(n, b_cell)] = val
-                if not ok:
-                    break
-            if not ok:
-                continue
-            vs = enumerate_simplicial_maps(B, Y, pin=pin)
-        elif isinstance(i, CatFunctor):
-            pin_obj = {i.objects[a]: want.objects[a] for a in A.objects}
-            pin_arr = {i.arrows[f]: want.arrows[f] for f in A.arrows}
-            if any(
-                want.objects[a] != pin_obj[i.objects[a]] for a in A.objects
-            ) or any(want.arrows[f] != pin_arr[i.arrows[f]] for f in A.arrows):
-                continue
-            vs = enumerate_functors(B, Y, pin_objects=pin_obj, pin_arrows=pin_arr)
-        else:
-            pin_obj = {i.objects[a]: want.objects[a] for a in A.objects}
-            pin_one = {
-                (i.objects[a], i.objects[b], i.on1[(a, b, f)]): want.on1[(a, b, f)]
-                for (a, b, f) in i.on1
-            }
-            pin_two = {
-                (i.objects[a], i.objects[b], i.on2[(a, b, t)]): want.on2[(a, b, t)]
-                for (a, b, t) in i.on2
-            }
-            vs = enumerate_two_functors(
-                B, Y, pin_objects=pin_obj, pin_one=pin_one, pin_two=pin_two
-            )
-        for v in vs:
-            if _compose(v, i) == want:
+    enumerate_maps, compose = _ambient(i)
+    for u in enumerate_maps(i.source, p.source):
+        want = compose(p, u)
+        pin = _pins(i, want)
+        if pin is None:
+            continue
+        for v in enumerate_maps(i.target, p.target, pin=pin):
+            if compose(v, i) == want:
                 yield LiftingProblem(i, p, u, v)
 
 
@@ -350,6 +226,22 @@ def cylinder_inclusions(A: SimplicialSet, D: int) -> tuple[SimplicialSet, Simpli
     return Cyl, ends[0], ends[1], proj_a
 
 
+def _double_cylinder(f: SimplicialMap, g: SimplicialMap) -> tuple:
+    """Glue the cylinder on ``A`` to X along ``f`` at its 0 end, then Y
+    along ``g`` at its 1 end.
+
+    Returns ``(P1, X -> P1, Cyl -> P1, P, Y -> P, P1 -> P, Cyl -> A)``.
+    """
+    if f.source != g.source:
+        raise ContractError("span legs must share their source")
+    A = f.source
+    D = min(f.target.dim_bound, g.target.dim_bound, A.dim_bound)
+    Cyl, i0, i1, proj = cylinder_inclusions(A, D)
+    P1, jx, jcyl = pushout(f, i0)
+    P, jy, jp1 = pushout(g, compose_maps(jcyl, i1))
+    return P1, jx, jcyl, P, jy, jp1, proj
+
+
 def homotopy_pushout(
     f: SimplicialMap, g: SimplicialMap
 ) -> tuple[SimplicialSet, SimplicialMap, SimplicialMap, SimplicialMap]:
@@ -359,13 +251,7 @@ def homotopy_pushout(
     last component records how the cylinder part projects (used to induce
     comparison maps).
     """
-    if f.source != g.source:
-        raise ContractError("span legs must share their source")
-    A = f.source
-    D = min(f.target.dim_bound, g.target.dim_bound, A.dim_bound)
-    Cyl, i0, i1, proj = cylinder_inclusions(A, D)
-    P1, jx, jcyl = pushout(f, i0)
-    P, jy, jp1 = pushout(g, compose_maps(jcyl, i1))
+    P1, jx, jcyl, P, jy, jp1, _ = _double_cylinder(f, g)
     return P, compose_maps(jp1, jx), jy, compose_maps(jp1, jcyl)
 
 
@@ -380,12 +266,7 @@ def is_homotopy_cocartesian(
     double mapping cylinder of the span to the square's corner."""
     if _compose(x, f) != _compose(y, g):
         raise ContractError("the square does not commute")
-    A = f.source
-    W = x.target
-    D = min(f.target.dim_bound, g.target.dim_bound, A.dim_bound)
-    Cyl, i0, i1, proj = cylinder_inclusions(A, D)
-    P1, jx, jcyl = pushout(f, i0)
-    P, jy, jp1 = pushout(g, compose_maps(jcyl, i1))
+    P1, jx, jcyl, P, jy, jp1, proj = _double_cylinder(f, g)
     h = compose_maps(x, f)  # = y . g
     q_cyl = compose_maps(h, proj)
     c1 = pushout_induced(P1, jx, jcyl, x, q_cyl)

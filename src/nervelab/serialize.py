@@ -28,7 +28,6 @@ from .lifting import FactorizationReport, LiftingProblem
 from .localizer import DiagramUniverse, MarkedClass, UniverseEdge
 from .presentations import (
     CatPresentation,
-    PresentedMap,
     RealizeResult,
     TwoCatPresentation,
     WhiskerStep,
@@ -315,16 +314,6 @@ def pres_from_doc(doc: dict, where: str = "pres"):
             tuple(two_generators), two_src, two_dst, two_anchor, tuple(relations),
         )
     raise SchemaError(f"{where}.kind: unknown presentation kind {kind!r}")
-
-
-def presented_map_to_doc(m: PresentedMap) -> dict:
-    return {
-        "source": pres_to_doc(m.source),
-        "target": pres_to_doc(m.target),
-        "objects": dict(sorted(m.object_map.items())),
-        "generators": dict(sorted(m.generator_map.items())),
-        "two_generators": dict(sorted(m.two_generator_map.items())),
-    }
 
 
 def realize_result_to_doc(r: RealizeResult) -> dict:

@@ -432,6 +432,12 @@ class SimplicialMap:
                 parts.append(f"{n}:{c}>{v}")
         return ";".join(parts)
 
+    def assignments(self) -> Iterator[tuple[tuple[int, Cell], tuple[int, Cell]]]:
+        """Each cell key ``(n, c)`` with the key of its image."""
+        for n, level in self.levels.items():
+            for c, v in level.items():
+                yield (n, c), (n, v)
+
 
 def validate_map(f: SimplicialMap) -> list[str]:
     """Report levelwise totality and operator-commutation failures."""
@@ -693,99 +699,177 @@ def product_projections(X: SimplicialSet, Y: SimplicialSet) -> tuple[SimplicialM
 
 
 # ---------------------------------------------------------------------------
-# enumeration of simplicial maps (shared constrained-backtracking kernel)
+# the backtracking kernel shared by every map search
 # ---------------------------------------------------------------------------
+
+# Every search (simplicial maps, functors, 2-functors, and the isomorphism
+# searches) is compiled to the same finite constraint problem: a fixed
+# order of source-cell variables, each with a candidates function and the
+# check of the constraints it completes.  Cells are named by
+# dimension-tagged keys whose last component is the cell itself: ``(n, c)``
+# for simplicial sets, ``(0, obj)``/``(1, arrow)`` for categories and
+# ``(0, obj)``/``(1, a, b, cell)``/``(2, a, b, cell)`` for 2-categories.
+
+Key = tuple
+
+
+def _dimension_tag(key: Key, value: str, val: list) -> Key:
+    """The target key of ``value`` when a cell's dimension is all it needs."""
+    return (key[0], value)
+
+
+def _search(
+    keys: Sequence[Key],
+    options: Sequence[Callable[[list], Sequence[str]]],
+    checks: Sequence[Optional[Callable[[list], bool]]],
+    tag: Callable[[Key, str, list], Key],
+    emit: Callable[[list], object],
+    pin: Optional[Mapping[Key, Key]] = None,
+    allow: Optional[Callable[[Key, Key], bool]] = None,
+    limit: Optional[int] = None,
+    distinct: bool = False,
+) -> Iterator:
+    """Depth-first search over the variables ``0..len(keys)-1``, in order.
+
+    Variable ``i`` is the source cell ``keys[i]``.  Given the values
+    ``val[:i]`` chosen so far, ``options[i](val)`` lists its candidate
+    values in enumeration order (a forced variable gets one candidate, or
+    none on a conflict) and ``checks[i](val)``, if set, tests every
+    constraint whose last variable is ``i``.  ``tag(key, value, val)`` is
+    the target key of a candidate.
+
+    ``pin`` maps source keys to the one target key each may take;
+    ``allow(source_key, target_key)`` vetoes candidates; ``distinct`` asks
+    for pairwise different target keys; ``limit`` caps the solutions.
+    Yields ``emit(val)`` for every complete assignment.
+    """
+    if limit is not None and limit <= 0:
+        return
+    n = len(keys)
+    val: list = [None] * n
+    if n == 0:
+        yield emit(val)
+        return
+    pins = [(pin or {}).get(key) for key in keys]
+    tags: list = [None] * n
+    used: set = set()
+    branches: list = [None] * n
+
+    def domain(i: int) -> Iterator[str]:
+        cands = options[i](val)
+        want = pins[i]
+        if want is not None:
+            ok = want[-1] in cands and tag(keys[i], want[-1], val) == want
+            cands = (want[-1],) if ok else ()
+        return iter(cands)
+
+    count = 0
+    i = 0
+    branches[0] = domain(0)
+    while i >= 0:
+        check = checks[i]
+        for v in branches[i]:
+            val[i] = v
+            if check is not None and not check(val):
+                continue
+            if allow is not None or distinct:
+                t = tag(keys[i], v, val)
+                if allow is not None and not allow(keys[i], t):
+                    continue
+                if distinct:
+                    if t in used:
+                        continue
+                    used.add(t)
+                    tags[i] = t
+            break
+        else:
+            i -= 1
+            if distinct and i >= 0:
+                used.discard(tags[i])
+            continue
+        if i + 1 < n:
+            i += 1
+            branches[i] = domain(i)
+            continue
+        yield emit(val)
+        count += 1
+        if count == limit:
+            return
+        if distinct:
+            used.discard(tags[i])
+
+
+# ---------------------------------------------------------------------------
+# enumeration of simplicial maps
+# ---------------------------------------------------------------------------
+
+def _simplicial_problem(X: SimplicialSet, Y: SimplicialSet) -> tuple:
+    """Compile the search for maps X -> Y for :func:`_search`.
+
+    Levels go up in order.  Inside a level, degenerate cells come first:
+    each is forced to one degeneracy lookup in Y on the image of the cell
+    it degenerates from, one level down.  Nondegenerate cells then range
+    over the level of Y and must commute with all faces.
+    """
+    bound = min(X.dim_bound, Y.dim_bound)
+    keys: list[Key] = []
+    for n in range(bound + 1):
+        keys += [(n, c) for c in X.cells[n] if X.is_degenerate(n, c)]
+        keys += [(n, c) for c in X.nondegenerate(n)]
+    index = {key: k for k, key in enumerate(keys)}
+
+    def degenerate(n: int, i: int, j: int) -> Callable[[list], Sequence[Cell]]:
+        return lambda val: (Y.degeneracy[(n, i, val[j])],)
+
+    def level(cells: tuple[Cell, ...]) -> Callable[[list], Sequence[Cell]]:
+        return lambda val: cells
+
+    def faces_commute(n: int, k: int, faces: list[tuple[int, int]]) -> Callable[[list], bool]:
+        def check(val: list) -> bool:
+            img = val[k]
+            for i, j in faces:
+                if Y.face[(n, i, img)] != val[j]:
+                    return False
+            return True
+        return check
+
+    options: list = []
+    checks: list = []
+    for k, (n, c) in enumerate(keys):
+        if X.is_degenerate(n, c):
+            i, lower = X._deg_of[(n, c)]
+            options.append(degenerate(n - 1, i, index[(n - 1, lower)]))
+            checks.append(None)
+        else:
+            options.append(level(Y.cells[n]))
+            faces = [(i, index[(n - 1, X.d(n, i, c))]) for i in range(n + 1)] if n else []
+            checks.append(faces_commute(n, k, faces) if faces else None)
+
+    def emit(val: list) -> SimplicialMap:
+        levels: dict[int, dict[Cell, Cell]] = {n: {} for n in range(bound + 1)}
+        for (n, c), v in zip(keys, val):
+            levels[n][c] = v
+        return SimplicialMap(X, Y, levels, check=False)
+
+    return keys, options, checks, _dimension_tag, emit
+
 
 def enumerate_simplicial_maps(
     X: SimplicialSet,
     Y: SimplicialSet,
-    pin: Optional[Mapping[tuple[int, Cell], Cell]] = None,
-    candidates: Optional[Callable[[int, Cell], Iterable[Cell]]] = None,
+    pin: Optional[Mapping[Key, Key]] = None,
+    allow: Optional[Callable[[Key, Key], bool]] = None,
     limit: Optional[int] = None,
 ) -> Iterator[SimplicialMap]:
     """Yield all simplicial maps X -> Y in canonical order.
 
-    The search assigns nondegenerate cells level by level; degenerate cells
-    are forced by naturality.  ``pin`` fixes images of specific cells and
-    ``candidates`` restricts the image choices of a cell (both are how the
-    lifting engine plants its boundary conditions).
+    The search assigns cells level by level; degenerate cells are forced
+    by naturality.  Cells are keyed ``(n, cell)``: ``pin`` fixes the images
+    of specific cells, ``allow(cell_key, image_key)`` restricts the image
+    choices, and ``limit`` caps the number of maps (this is how the
+    lifting engine plants its boundary and fiber conditions).
     """
-    bound = min(X.dim_bound, Y.dim_bound)
-    pin = dict(pin or {})
-    count = 0
-    assignment: dict[tuple[int, Cell], Cell] = {}
-    nondeg = [X.nondegenerate(n) for n in range(bound + 1)]
-
-    def force_degenerates(n: int) -> Optional[list[tuple[int, Cell]]]:
-        """Set images of degenerate level-n cells; None on pin conflict.
-
-        Safe at level entry: a degenerate cell's nondegenerate core lives
-        strictly below n, so its image is already known.
-        """
-        added = []
-        for c in X.cells[n]:
-            if not X.is_degenerate(n, c):
-                continue
-            epi, lvl, y = X.eilenberg_zilber(n, c)
-            img = simplicial_operator(Y, epi, lvl, assignment[(lvl, y)])
-            if (n, c) in pin and pin[(n, c)] != img:
-                for key in added:
-                    del assignment[key]
-                return None
-            assignment[(n, c)] = img
-            added.append((n, c))
-        return added
-
-    def options(n: int, c: Cell) -> list[Cell]:
-        if (n, c) in pin:
-            return [pin[(n, c)]]
-        if candidates is not None:
-            return sorted(set(candidates(n, c)) & set(Y.cells[n]))
-        return list(Y.cells[n])
-
-    def consistent(n: int, c: Cell, img: Cell) -> bool:
-        if n == 0:
-            return True
-        for i in range(n + 1):
-            want = assignment.get((n - 1, X.d(n, i, c)))
-            if want is None or Y.d(n, i, img) != want:
-                return False
-        return True
-
-    def emit() -> SimplicialMap:
-        levels: dict[int, dict[Cell, Cell]] = {n: {} for n in range(bound + 1)}
-        for (n, c), v in assignment.items():
-            levels[n][c] = v
-        return SimplicialMap(X, Y, levels, check=False)
-
-    def search_cell(n: int, idx: int) -> Iterator[SimplicialMap]:
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
-        if idx == len(nondeg[n]):
-            yield from search_level(n + 1)
-            return
-        c = nondeg[n][idx]
-        for img in options(n, c):
-            if consistent(n, c, img):
-                assignment[(n, c)] = img
-                yield from search_cell(n, idx + 1)
-                del assignment[(n, c)]
-
-    def search_level(n: int) -> Iterator[SimplicialMap]:
-        nonlocal count
-        if n > bound:
-            count += 1
-            yield emit()
-            return
-        added = force_degenerates(n)
-        if added is None:
-            return
-        yield from search_cell(n, 0)
-        for key in added:
-            del assignment[key]
-
-    yield from search_level(0)
+    yield from _search(*_simplicial_problem(X, Y), pin, allow, limit)
 
 
 def count_maps(X: SimplicialSet, Y: SimplicialSet) -> int:
@@ -795,56 +879,20 @@ def count_maps(X: SimplicialSet, Y: SimplicialSet) -> int:
 def find_simplicial_iso(X: SimplicialSet, Y: SimplicialSet) -> Optional[SimplicialMap]:
     """Search for a levelwise bijection commuting with all operators.
 
-    Backtracks over per-level bijections of nondegenerate cells; the
-    induced map on degenerate cells is then automatically bijective.
+    Nondegenerate cells go bijectively to nondegenerate cells; the induced
+    map on degenerate cells is then automatically bijective.
     """
     if X.dim_bound != Y.dim_bound:
         return None
     if X.nondegenerate_counts() != Y.nondegenerate_counts():
         return None
-    D = X.dim_bound
-    nX = [X.nondegenerate(n) for n in range(D + 1)]
-    nY = [Y.nondegenerate(n) for n in range(D + 1)]
-    assignment: dict[tuple[int, Cell], Cell] = {}
 
-    def extended_image(n: int, c: Cell) -> Cell:
-        epi, lvl, y = X.eilenberg_zilber(n, c)
-        return simplicial_operator(Y, epi, lvl, assignment[(lvl, y)])
+    def nondegenerate_to_nondegenerate(key: Key, image: Key) -> bool:
+        return X.is_degenerate(*key) or not Y.is_degenerate(*image)
 
-    def ok(n: int, c: Cell, img: Cell) -> bool:
-        if n == 0:
-            return True
-        return all(
-            Y.d(n, i, img) == extended_image(n - 1, X.d(n, i, c)) for i in range(n + 1)
-        )
-
-    def search(n: int, idx: int, used: set[Cell]) -> bool:
-        if n > D:
-            return True
-        if idx == len(nX[n]):
-            return search(n + 1, 0, set())
-        c = nX[n][idx]
-        for img in nY[n]:
-            if img in used or not ok(n, c, img):
-                continue
-            assignment[(n, c)] = img
-            used.add(img)
-            if search(n, idx + 1, used):
-                return True
-            used.discard(img)
-            del assignment[(n, c)]
-        return False
-
-    if not search(0, 0, set()):
-        return None
-    levels: dict[int, dict[Cell, Cell]] = {n: {} for n in range(D + 1)}
-    for n in range(D + 1):
-        for c in X.cells[n]:
-            if (n, c) in assignment:
-                levels[n][c] = assignment[(n, c)]
-            else:
-                levels[n][c] = extended_image(n, c)
-    return SimplicialMap(X, Y, levels, check=False)
+    maps = _search(*_simplicial_problem(X, Y), allow=nondegenerate_to_nondegenerate,
+                   limit=1, distinct=True)
+    return next(maps, None)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,20 @@ tables are keyed by the surrounding objects.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cat import CatFunctor, FinCat, discrete_category, has_final_object, validate_category
 from .errors import ContractError, DomainError
-from .simplicial import Monotone, SimplicialSet, coface, codegeneracy, is_monotone
+from .simplicial import (
+    Key,
+    Monotone,
+    SimplicialSet,
+    _search,
+    _UnionFind,
+    coface,
+    codegeneracy,
+    is_monotone,
+)
 
 Obj = str
 One = str  # a 1-cell (an object of a hom-category)
@@ -220,6 +229,15 @@ class TwoFunctor:
         c1 = ",".join(f"{a}!{b}!{f}>{v}" for (a, b, f), v in self.on1.items())
         c2 = ",".join(f"{a}!{b}!{t}>{v}" for (a, b, t), v in self.on2.items())
         return o + "/" + c1 + "/" + c2
+
+    def assignments(self) -> Iterator[tuple[Key, Key]]:
+        """Each cell key, ``(0, object)``, ``(1, a, b, one_cell)`` or
+        ``(2, a, b, two_cell)``, with the key of its image."""
+        for a, b in self.objects.items():
+            yield (0, a), (0, b)
+        for dim, cells in ((1, self.on1), (2, self.on2)):
+            for (a, b, x), v in cells.items():
+                yield (dim, a, b, x), (dim, self.objects[a], self.objects[b], v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TwoFunctor):
@@ -479,21 +497,12 @@ def as_two_functor(F: CatFunctor) -> TwoFunctor:
 
 def _hom_components(H: FinCat) -> dict[One, One]:
     """Map each 1-cell to the least 1-cell of its zig-zag component."""
-    parent = {f: f for f in H.objects}
-
-    def find(x: One) -> One:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind()
+    for f in H.objects:
+        uf.add(f)
     for al in H.arrows:
-        ra, rb = find(H.src[al]), find(H.dst[al])
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-    return {f: find(f) for f in H.objects}
+        uf.union(H.src[al], H.dst[al])
+    return {f: uf.find(f) for f in H.objects}
 
 
 def component_category(C: Fin2Cat) -> FinCat:
@@ -596,46 +605,26 @@ def inclusion_transpose(G: CatFunctor, A: Fin2Cat) -> TwoFunctor:
 # enumeration of strict 2-functors (constrained backtracking)
 # ---------------------------------------------------------------------------
 
-def enumerate_two_functors(
-    A: Fin2Cat,
-    B: Fin2Cat,
-    pin_objects: Optional[Mapping[Obj, Obj]] = None,
-    pin_one: Optional[Mapping[tuple[Obj, Obj, One], One]] = None,
-    pin_two: Optional[Mapping[tuple[Obj, Obj, Two], Two]] = None,
-    one_filter: Optional[Callable[[tuple[Obj, Obj, One], One], bool]] = None,
-    two_filter: Optional[Callable[[tuple[Obj, Obj, Two], Two], bool]] = None,
-    object_filter: Optional[Callable[[Obj, Obj], bool]] = None,
-    limit: Optional[int] = None,
-) -> Iterator[TwoFunctor]:
-    """All strict 2-functors A -> B, deterministically ordered.
+def _two_functor_problem(A: Fin2Cat, B: Fin2Cat) -> tuple:
+    """Compile the search for strict 2-functors A -> B for the shared kernel.
 
-    Branches on objects, then 1-cells, then 2-cells.  Unit cells and any
-    cell expressible as a horizontal or vertical composite of already
-    assigned cells are forced rather than branched on, which keeps the
-    search shallow on simplex-shaped sources.
+    Branches on objects, then 1-cells, then 2-cells.  Unit 1-cells and
+    identity 2-cells are forced, and so is any cell expressible as a
+    horizontal or vertical composite of cells placed before it, which keeps
+    the search shallow on simplex-shaped sources.
     """
-    pin_objects = dict(pin_objects or {})
-    pin_one = dict(pin_one or {})
-    pin_two = dict(pin_two or {})
-
-    obj_vars = list(A.objects)
-    one_vars: list[tuple[Obj, Obj, One]] = []
+    ones: list[Key] = []
     for (a, b), H in sorted(A.hom.items()):
         for f in H.objects:
             if not (a == b and f == A.unit[a]):
-                one_vars.append((a, b, f))
-    two_vars: list[tuple[Obj, Obj, Two]] = []
-    for (a, b), H in sorted(A.hom.items()):
-        for al in H.arrows:
-            if not H.is_identity(al):
-                two_vars.append((a, b, al))
+                ones.append((1, a, b, f))
 
     # decompositions of 1-cells as horizontal composites
-    one_decomp: dict[tuple[Obj, Obj, One], list] = {v: [] for v in one_vars}
+    one_decomp: dict[Key, list[tuple[Key, Key]]] = {v: [] for v in ones}
     for (a, b, c, f, g), h in A.hcompose1.items():
-        key = (a, c, h)
-        if key in one_decomp and (a, b, f) != key and (b, c, g) != key:
-            one_decomp[key].append(((a, b, f), (b, c, g)))
+        key = (1, a, c, h)
+        if key in one_decomp and (1, a, b, f) != key and (1, b, c, g) != key:
+            one_decomp[key].append(((1, a, b, f), (1, b, c, g)))
 
     # Variable order: homs sorted by dependency rank (a hom holding composites
     # comes after the homs its parts live in), and inside a hom the forced
@@ -646,240 +635,197 @@ def enumerate_two_functors(
         changed = False
         for v, decs in one_decomp.items():
             for (k1, k2) in decs:
-                want = max(hom_rank[(k1[0], k1[1])], hom_rank[(k2[0], k2[1])]) + 1
-                if hom_rank[(v[0], v[1])] < want:
-                    hom_rank[(v[0], v[1])] = want
+                want = max(hom_rank[k1[1:3]], hom_rank[k2[1:3]]) + 1
+                if hom_rank[v[1:3]] < want:
+                    hom_rank[v[1:3]] = want
                     changed = True
         if not changed:
             break
-    one_vars.sort(
-        key=lambda v: (
-            hom_rank[(v[0], v[1])],
-            (v[0], v[1]),
-            0 if one_decomp[v] else 1,
-            v[2],
-        )
-    )
-    # decompositions of 2-cells: horizontal and vertical
-    two_decomp_h: dict[tuple[Obj, Obj, Two], list] = {v: [] for v in two_vars}
-    for (a, b, c, al, be), ga in A.hcompose2.items():
-        key = (a, c, ga)
-        if key in two_decomp_h and (a, b, al) != key and (b, c, be) != key:
-            two_decomp_h[key].append(((a, b, al), (b, c, be)))
-    two_decomp_v: dict[tuple[Obj, Obj, Two], list] = {v: [] for v in two_vars}
+    ones.sort(key=lambda v: (hom_rank[v[1:3]], v[1:3], 0 if one_decomp[v] else 1, v[3]))
+
+    # decompositions of 2-cells: vertical and horizontal
+    two_decomp_v: dict[Key, list[tuple[Key, Key]]] = {}
     for (a, b), H in A.hom.items():
         for (be, al), ga in H.compose.items():
-            key = (a, b, ga)
-            if key in two_decomp_v and al != ga and be != ga:
-                two_decomp_v[key].append(((a, b, al), (a, b, be)))
+            if al != ga and be != ga:
+                two_decomp_v.setdefault((2, a, b, ga), []).append(((2, a, b, al), (2, a, b, be)))
+    two_decomp_h: dict[Key, list[tuple[Key, Key]]] = {}
+    for (a, b, c, al, be), ga in A.hcompose2.items():
+        key = (2, a, c, ga)
+        if (2, a, b, al) != key and (2, b, c, be) != key:
+            two_decomp_h.setdefault(key, []).append(((2, a, b, al), (2, b, c, be)))
 
-    # constraint instances indexed by participating variable
-    one_constraints: dict[tuple[Obj, Obj, One], list] = {}
+    keys: list[Key] = [(0, a) for a in A.objects]
+    keys += [(1, a, a, A.unit[a]) for a in A.objects]
+    keys += ones
+    keys += [(2, a, b, H.identity[f]) for (a, b), H in A.hom.items() for f in H.objects]
+    keys += [(2, a, b, al) for (a, b), H in sorted(A.hom.items())
+             for al in H.arrows if not H.is_identity(al)]
+    index = {key: k for k, key in enumerate(keys)}
+    obj = {a: index[(0, a)] for a in A.objects}
+
+    def placed(k1: Key, k2: Key, k: int) -> bool:
+        return index[k1] < k and index[k2] < k
+
+    # constraint instances, each filed under its last variable
+    homs_inhabited: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), H in A.hom.items():
+        if H.objects:
+            homs_inhabited.setdefault(max(obj[a], obj[b]), []).append((obj[a], obj[b]))
+    one_h: dict[int, list] = {}
     for (a, b, c, f, g), h in A.hcompose1.items():
-        inst = ((a, b, f), (b, c, g), (a, c, h), (a, b, c))
-        for key in inst[:3]:
-            one_constraints.setdefault(key, []).append(inst)
-
+        i1, i2, ih = index[(1, a, b, f)], index[(1, b, c, g)], index[(1, a, c, h)]
+        one_h.setdefault(max(i1, i2, ih), []).append((i1, i2, ih, obj[a], obj[b], obj[c]))
     # hom-arrow compatibility: if hom_A has an arrow f -> g, the images must
     # admit an arrow in hom_B; prunes hard when hom_B is thin or discrete
-    hom_arrow_pairs: dict[tuple[Obj, Obj, One], list] = {}
+    one_rel: dict[int, set] = {}
     for (a, b), H in A.hom.items():
         for al in H.arrows:
-            f, g = H.src[al], H.dst[al]
-            if f == g:
-                continue
-            pair = ((a, b, f), (a, b, g))
-            hom_arrow_pairs.setdefault(pair[0], []).append(pair)
-            hom_arrow_pairs.setdefault(pair[1], []).append(pair)
-    b_rel: dict[tuple[Obj, Obj], set] = {}
-    for (x, y), K in B.hom.items():
-        b_rel[(x, y)] = {(K.src[al], K.dst[al]) for al in K.arrows}
-    two_constraints: dict[tuple[Obj, Obj, Two], list] = {}
+            if H.src[al] != H.dst[al]:
+                i1, i2 = index[(1, a, b, H.src[al])], index[(1, a, b, H.dst[al])]
+                one_rel.setdefault(max(i1, i2), set()).add((i1, i2, obj[a], obj[b]))
+    two_v: dict[int, list] = {}
     for (a, b), H in A.hom.items():
         for (be, al), ga in H.compose.items():
-            inst = ("v", (a, b, al), (a, b, be), (a, b, ga), (a, b))
-            for key in inst[1:4]:
-                two_constraints.setdefault(key, []).append(inst)
+            i1, i2, ig = index[(2, a, b, al)], index[(2, a, b, be)], index[(2, a, b, ga)]
+            two_v.setdefault(max(i1, i2, ig), []).append((i1, i2, ig, obj[a], obj[b]))
+    two_h: dict[int, list] = {}
     for (a, b, c, al, be), ga in A.hcompose2.items():
-        inst = ("h", (a, b, al), (b, c, be), (a, c, ga), (a, b, c))
-        for key in inst[1:4]:
-            two_constraints.setdefault(key, []).append(inst)
+        i1, i2, ig = index[(2, a, b, al)], index[(2, b, c, be)], index[(2, a, c, ga)]
+        two_h.setdefault(max(i1, i2, ig), []).append((i1, i2, ig, obj[a], obj[b], obj[c]))
 
-    fobj: dict[Obj, Obj] = {}
-    fone: dict[tuple[Obj, Obj, One], One] = {}
-    ftwo: dict[tuple[Obj, Obj, Two], Two] = {}
-    count = 0
+    b_inhabited = {xy for xy, K in B.hom.items() if K.objects}
+    b_rel = {xy: {(K.src[t], K.dst[t]) for t in K.arrows} for xy, K in B.hom.items()}
+    parallel: dict[tuple[Obj, Obj], dict[tuple[One, One], list[Two]]] = {}
+    for xy, K in B.hom.items():
+        par = parallel.setdefault(xy, {})
+        for t in K.arrows:
+            par.setdefault((K.src[t], K.dst[t]), []).append(t)
+    hc1, hc2 = B.hcompose1, B.hcompose2
 
-    def unit_images_ok() -> bool:
-        for a in A.objects:
-            key = (a, a, A.unit[a])
-            img = B.unit[fobj[a]]
-            if key in pin_one and pin_one[key] != img:
-                return False
-            fone[key] = img
-        return True
+    def objects(val: list) -> tuple[Obj, ...]:
+        return B.objects
 
-    def one_candidates(var: tuple[Obj, Obj, One]) -> list[One]:
-        a, b, f = var
-        hom_b = B.hom[(fobj[a], fobj[b])]
-        forced: Optional[One] = None
-        for (k1, k2) in one_decomp[var]:
-            v1, v2 = fone.get(k1), fone.get(k2)
-            if v1 is None or v2 is None:
-                continue
-            val = B.hcompose1.get((fobj[k1[0]], fobj[k1[1]], fobj[k2[1]], v1, v2))
-            if val is None or (forced is not None and forced != val):
-                return []
-            forced = val
-        if var in pin_one:
-            if forced is not None and forced != pin_one[var]:
-                return []
-            forced = pin_one[var]
-        cands = [forced] if forced is not None else list(hom_b.objects)
-        if forced is not None and forced not in set(hom_b.objects):
-            return []
-        if one_filter is not None:
-            cands = [c for c in cands if one_filter(var, c, (fobj[a], fobj[b]))]
-        return cands
+    def unit(x: int) -> Callable[[list], tuple[One]]:
+        return lambda val: (B.unit[val[x]],)
 
-    def one_consistent(var: tuple[Obj, Obj, One]) -> bool:
-        # verify every fully-assigned horizontal composite involving var
-        for k1, k2, kh, (a2, b2, c2) in one_constraints.get(var, ()):
-            v1, v2, vh = fone.get(k1), fone.get(k2), fone.get(kh)
-            if None in (v1, v2, vh):
-                continue
-            if B.hcompose1.get((fobj[a2], fobj[b2], fobj[c2], v1, v2)) != vh:
-                return False
-        for kf, kg in hom_arrow_pairs.get(var, ()):
-            vf, vg = fone.get(kf), fone.get(kg)
-            if vf is None or vg is None:
-                continue
-            if (vf, vg) not in b_rel[(fobj[kf[0]], fobj[kf[1]])]:
-                return False
-        return True
+    def one_cells(x: int, y: int, decs: list) -> Callable[[list], Sequence[One]]:
+        def options(val: list) -> Sequence[One]:
+            forced = None
+            for i1, i2, p, q, r in decs:
+                v = hc1.get((val[p], val[q], val[r], val[i1], val[i2]))
+                if v is None or (forced is not None and forced != v):
+                    return ()
+                forced = v
+            cells = B.hom[(val[x], val[y])].objects
+            if forced is None:
+                return cells
+            return (forced,) if forced in cells else ()
+        return options
 
-    def two_candidates(var: tuple[Obj, Obj, Two]) -> list[Two]:
-        a, b, al = var
+    def identity(x: int, y: int, i: int) -> Callable[[list], tuple[Two]]:
+        return lambda val: (B.hom[(val[x], val[y])].identity[val[i]],)
+
+    def two_cells(x: int, y: int, s: int, d: int, vdecs: list, hdecs: list) -> Callable[[list], Sequence[Two]]:
+        def options(val: list) -> Sequence[Two]:
+            K = B.hom[(val[x], val[y])]
+            forced = None
+            for i1, i2 in vdecs:
+                v = K.compose.get((val[i2], val[i1]))
+                if v is None or (forced is not None and forced != v):
+                    return ()
+                forced = v
+            for i1, i2, p, q, r in hdecs:
+                v = hc2.get((val[p], val[q], val[r], val[i1], val[i2]))
+                if v is None or (forced is not None and forced != v):
+                    return ()
+                forced = v
+            if forced is None:
+                return parallel[(val[x], val[y])].get((val[s], val[d]), ())
+            ok = K.src.get(forced) == val[s] and K.dst.get(forced) == val[d]
+            return (forced,) if ok else ()
+        return options
+
+    def check(k: int) -> Optional[Callable[[list], bool]]:
+        inhabited, h1, rel = homs_inhabited.get(k, ()), one_h.get(k, ()), one_rel.get(k, ())
+        v2, h2 = two_v.get(k, ()), two_h.get(k, ())
+        if not (inhabited or h1 or rel or v2 or h2):
+            return None
+
+        def holds(val: list) -> bool:
+            for p, q in inhabited:
+                if (val[p], val[q]) not in b_inhabited:
+                    return False
+            for i1, i2, ih, p, q, r in h1:
+                if hc1.get((val[p], val[q], val[r], val[i1], val[i2])) != val[ih]:
+                    return False
+            for i1, i2, p, q in rel:
+                if (val[i1], val[i2]) not in b_rel[(val[p], val[q])]:
+                    return False
+            for i1, i2, ig, p, q in v2:
+                if B.hom[(val[p], val[q])].compose.get((val[i2], val[i1])) != val[ig]:
+                    return False
+            for i1, i2, ig, p, q, r in h2:
+                if hc2.get((val[p], val[q], val[r], val[i1], val[i2])) != val[ig]:
+                    return False
+            return True
+        return holds
+
+    options: list = []
+    for k, key in enumerate(keys):
+        if key[0] == 0:
+            options.append(objects)
+            continue
+        _, a, b, cell = key
         H = A.hom[(a, b)]
-        K = B.hom[(fobj[a], fobj[b])]
-        want_src = fone[(a, b, H.src[al])]
-        want_dst = fone[(a, b, H.dst[al])]
-        forced: Optional[Two] = None
-        for (k1, k2) in two_decomp_v[var]:
-            v1, v2 = ftwo.get(k1), ftwo.get(k2)
-            if v1 is None or v2 is None:
-                continue
-            val = K.compose.get((v2, v1))
-            if val is None or (forced is not None and forced != val):
-                return []
-            forced = val
-        for (k1, k2) in two_decomp_h[var]:
-            v1, v2 = ftwo.get(k1), ftwo.get(k2)
-            if v1 is None or v2 is None:
-                continue
-            val = B.hcompose2.get((fobj[k1[0]], fobj[k1[1]], fobj[k2[1]], v1, v2))
-            if val is None or (forced is not None and forced != val):
-                return []
-            forced = val
-        if var in pin_two:
-            if forced is not None and forced != pin_two[var]:
-                return []
-            forced = pin_two[var]
-        if forced is not None:
-            cands = [forced]
+        if key[0] == 1 and a == b and cell == A.unit[a]:
+            options.append(unit(obj[a]))
+        elif key[0] == 1:
+            decs = [(index[k1], index[k2], obj[k1[1]], obj[k1[2]], obj[k2[2]])
+                    for k1, k2 in one_decomp[key] if placed(k1, k2, k)]
+            options.append(one_cells(obj[a], obj[b], decs))
+        elif H.is_identity(cell):
+            options.append(identity(obj[a], obj[b], index[(1, a, b, H.src[cell])]))
         else:
-            cands = [t for t in K.arrows if K.src[t] == want_src and K.dst[t] == want_dst]
-        cands = [t for t in cands if K.src.get(t) == want_src and K.dst.get(t) == want_dst]
-        if two_filter is not None:
-            cands = [t for t in cands if two_filter(var, t, (fobj[a], fobj[b]))]
-        return cands
+            vdecs = [(index[k1], index[k2])
+                     for k1, k2 in two_decomp_v.get(key, ()) if placed(k1, k2, k)]
+            hdecs = [(index[k1], index[k2], obj[k1[1]], obj[k1[2]], obj[k2[2]])
+                     for k1, k2 in two_decomp_h.get(key, ()) if placed(k1, k2, k)]
+            options.append(two_cells(obj[a], obj[b], index[(1, a, b, H.src[cell])],
+                                     index[(1, a, b, H.dst[cell])], vdecs, hdecs))
+    checks = [check(k) for k in range(len(keys))]
 
-    def two_consistent(var: tuple[Obj, Obj, Two]) -> bool:
-        for inst in two_constraints.get(var, ()):
-            kind, k1, k2, kg, ctx = inst
-            v1, v2, vg = ftwo.get(k1), ftwo.get(k2), ftwo.get(kg)
-            if None in (v1, v2, vg):
-                continue
-            if kind == "v":
-                K = B.hom[(fobj[ctx[0]], fobj[ctx[1]])]
-                if K.compose.get((v2, v1)) != vg:
-                    return False
-            else:
-                a2, b2, c2 = ctx
-                if B.hcompose2.get((fobj[a2], fobj[b2], fobj[c2], v1, v2)) != vg:
-                    return False
-        return True
+    def tag(key: Key, value: str, val: list) -> Key:
+        if key[0] == 0:
+            return (0, value)
+        return (key[0], val[obj[key[1]]], val[obj[key[2]]], value)
 
-    def fill_identity_two_cells() -> bool:
-        for (a, b), H in A.hom.items():
-            K = B.hom[(fobj[a], fobj[b])]
-            for f in H.objects:
-                key = (a, b, H.identity[f])
-                img = K.identity[fone[(a, b, f)]]
-                if key in pin_two and pin_two[key] != img:
-                    return False
-                ftwo[key] = img
-        return True
+    names = [key[1] if key[0] == 0 else key[1:] for key in keys]
 
-    def emit() -> TwoFunctor:
-        return TwoFunctor(A, B, dict(fobj), dict(fone), dict(ftwo), check=False)
+    def emit(val: list) -> TwoFunctor:
+        parts: tuple[dict, dict, dict] = ({}, {}, {})
+        for key, name, v in zip(keys, names, val):
+            parts[key[0]][name] = v
+        return TwoFunctor(A, B, *parts, check=False)
 
-    def assign_two(idx: int) -> Iterator[TwoFunctor]:
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
-        if idx == len(two_vars):
-            count += 1
-            yield emit()
-            return
-        var = two_vars[idx]
-        for val in two_candidates(var):
-            ftwo[var] = val
-            if two_consistent(var):
-                yield from assign_two(idx + 1)
-            del ftwo[var]
+    return keys, options, checks, tag, emit
 
-    def assign_one(idx: int) -> Iterator[TwoFunctor]:
-        if idx == len(one_vars):
-            if fill_identity_two_cells():
-                yield from assign_two(0)
-            for (a, b), H in A.hom.items():
-                for f in H.objects:
-                    ftwo.pop((a, b, H.identity[f]), None)
-            return
-        var = one_vars[idx]
-        for val in one_candidates(var):
-            fone[var] = val
-            if one_consistent(var):
-                yield from assign_one(idx + 1)
-            del fone[var]
 
-    def assign_obj(idx: int) -> Iterator[TwoFunctor]:
-        if idx == len(obj_vars):
-            if unit_images_ok():
-                yield from assign_one(0)
-            for a in A.objects:
-                fone.pop((a, a, A.unit[a]), None)
-            return
-        a = obj_vars[idx]
-        cands = [pin_objects[a]] if a in pin_objects else list(B.objects)
-        for b in cands:
-            if b not in set(B.objects):
-                continue
-            if object_filter is not None and not object_filter(a, b):
-                continue
-            fobj[a] = b
-            ok = all(
-                not A.hom[(x, y)].objects or B.hom[(fobj[x], fobj[y])].objects
-                for x in fobj
-                for y in fobj
-                if (x, y) in A.hom
-            )
-            if ok:
-                yield from assign_obj(idx + 1)
-            del fobj[a]
+def enumerate_two_functors(
+    A: Fin2Cat,
+    B: Fin2Cat,
+    pin: Optional[Mapping[Key, Key]] = None,
+    allow: Optional[Callable[[Key, Key], bool]] = None,
+    limit: Optional[int] = None,
+) -> Iterator[TwoFunctor]:
+    """All strict 2-functors A -> B, deterministically ordered.
 
-    yield from assign_obj(0)
+    Cells are keyed ``(0, object)``, ``(1, a, b, one_cell)`` and
+    ``(2, a, b, two_cell)``, the 1- and 2-cells with their hom: ``pin``
+    fixes parts of the assignment, ``allow(cell_key, image_key)`` restricts
+    candidate images and ``limit`` caps the number of 2-functors.
+    """
+    yield from _search(*_two_functor_problem(A, B), pin, allow, limit)
 
 
 def count_two_functors(A: Fin2Cat, B: Fin2Cat) -> int:
@@ -894,20 +840,7 @@ def find_2cat_iso(A: Fin2Cat, B: Fin2Cat) -> Optional[TwoFunctor]:
     sizes_b = sorted((len(H.objects), len(H.arrows)) for H in B.hom.values())
     if sizes_a != sizes_b:
         return None
-    for F in enumerate_two_functors(A, B):
-        if len(set(F.objects.values())) != len(A.objects):
-            continue
-        ok = True
-        for (a, b), H in A.hom.items():
-            K = B.hom[(F.objects[a], F.objects[b])]
-            img1 = {F.on1[(a, b, f)] for f in H.objects}
-            img2 = {F.on2[(a, b, al)] for al in H.arrows}
-            if len(img1) != len(K.objects) or len(img2) != len(K.arrows):
-                ok = False
-                break
-        if ok:
-            return F
-    return None
+    return next(_search(*_two_functor_problem(A, B), limit=1, distinct=True), None)
 
 
 # ---------------------------------------------------------------------------
