@@ -25,7 +25,6 @@ from .homology import (
 )
 from .lifting import find_lift, has_rlp, homotopy_pushout, small_object_factorize
 from .localizer import (
-    MarkedClass,
     available_slice_triangles,
     check_final_collapse,
     check_slice_triangle,
@@ -36,7 +35,6 @@ from .presentations import cat_of, realize, twocat_of
 from .simplicial import SimplicialMap, boundary, standard_simplex, validate
 from .subdivision import alpha, beta, ex, sd
 from .twocat import delta_tilde, geometric_nerve, identity_two_functor, slice_2category
-from .localizer import DiagramUniverse
 
 
 def _load(path: str) -> dict:

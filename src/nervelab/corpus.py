@@ -27,7 +27,6 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     boundary,
-    constant_map,
     horn,
     pushout,
     standard_simplex,

@@ -13,7 +13,7 @@ degree n-1 (rows indexed by the lower basis).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BoundError, DomainError
 from .simplicial import SimplicialMap, SimplicialSet, components

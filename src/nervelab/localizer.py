@@ -16,7 +16,7 @@ synthesized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .cat import CatFunctor, FinCat, compose_functors, has_final_object, identity_functor, slice_functor

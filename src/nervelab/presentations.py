@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cat import FinCat
 from .errors import ContractError
-from .simplicial import SimplicialMap, SimplicialSet, simplicial_operator
+from .simplicial import SimplicialMap, SimplicialSet, _UnionFind, simplicial_operator
 from .twocat import Fin2Cat
 
 Path = tuple[str, ...]
@@ -552,45 +552,33 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
                         gen_pairs[(a, b)].append((il, ir))
 
     # union-find on parallel edge-paths, closed under inner substitution
-    finders: dict[tuple[str, str], dict] = {}
+    finders: dict[tuple[str, str], _UnionFind] = {}
     for (a, b), collected in hom_paths.items():
-        parent: dict[tuple[Path, tuple[Edge, ...]], tuple] = {k: k for k in collected}
-
-        def find(x, parent=parent):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y, parent=parent, find=find):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                if ry < rx:
-                    rx, ry = ry, rx
-                parent[ry] = rx
-
+        uf = _UnionFind()
+        for k in collected:
+            uf.add(k)
         pairs = gen_pairs[(a, b)]
         changed = True
         while changed:
             changed = False
-            for (V, q) in list(parent):
+            for (V, q) in list(uf.parent):
                 for s1, s2 in pairs:
                     for before, after in ((s1, s2), (s2, s1)):
                         n = len(before)
                         for i in range(len(q) - n + 1):
                             if q[i:i + n] == before:
                                 other = (V, q[:i] + after + q[i + n:])
-                                if other in parent and find(other) != find((V, q)):
-                                    union(other, (V, q))
+                                if other in uf.parent and uf.find(other) != uf.find((V, q)):
+                                    uf.union(other, (V, q))
                                     changed = True
-        finders[(a, b)] = {"find": find, "endpoints": collected}
+        finders[(a, b)] = uf
 
     # hom categories
     hom: dict[tuple[str, str], FinCat] = {}
     class_name: dict[tuple[str, str], dict] = {}
-    for (a, b), data in finders.items():
-        find = data["find"]
-        endpoints = data["endpoints"]
+    for (a, b), uf in finders.items():
+        find = uf.find
+        endpoints = hom_paths[(a, b)]
         reps = sorted({find(k) for k in endpoints})
         names = {r: f"<{i}>" for i, r in enumerate(reps)}
         class_name[(a, b)] = names
@@ -624,11 +612,8 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
             for w1 in ps1:
                 for w2 in ps2:
                     hcompose1[(a, b, c, _word_id(a, w1), _word_id(b, w2))] = _word_id(a, w1 + w2)
-            find_ab = finders[(a, b)]["find"]
-            ends_ab = finders[(a, b)]["endpoints"]
-            find_bc = finders[(b, c)]["find"]
-            ends_bc = finders[(b, c)]["endpoints"]
-            find_ac = finders[(a, c)]["find"]
+            ends_ab = hom_paths[(a, b)]
+            find_ac = finders[(a, c)].find
             names_ab = class_name[(a, b)]
             names_bc = class_name[(b, c)]
             names_ac = class_name[(a, c)]

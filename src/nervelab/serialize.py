@@ -208,23 +208,24 @@ def tfun_to_doc(F: TwoFunctor) -> dict:
     }
 
 
+def _cell_table(doc: dict, key: str, where: str) -> dict[tuple[str, str, str], str]:
+    """Parse an ``on1``/``on2`` list of ``[a, b, cell, image]`` entries."""
+    table = {}
+    for entry in _need(doc, key, list, where):
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise SchemaError(f"{where}.{key}: entries must be [a, b, cell, image]")
+        a, b, f, v = (str(x) for x in entry)
+        table[(a, b, f)] = v
+    return table
+
+
 def tfun_from_doc(doc: dict, where: str = "tfun") -> TwoFunctor:
     source = fin2cat_from_doc(_need(doc, "source", dict, where), where + ".source")
     target = fin2cat_from_doc(_need(doc, "target", dict, where), where + ".target")
     objects = {str(k): str(v) for k, v in _need(doc, "objects", dict, where).items()}
-    on1 = {}
-    for entry in _need(doc, "on1", list, where):
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise SchemaError(f"{where}.on1: entries must be [a, b, cell, image]")
-        a, b, f, v = (str(x) for x in entry)
-        on1[(a, b, f)] = v
-    on2 = {}
-    for entry in _need(doc, "on2", list, where):
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise SchemaError(f"{where}.on2: entries must be [a, b, cell, image]")
-        a, b, f, v = (str(x) for x in entry)
-        on2[(a, b, f)] = v
-    return TwoFunctor(source, target, objects, on1, on2)
+    return TwoFunctor(
+        source, target, objects, _cell_table(doc, "on1", where), _cell_table(doc, "on2", where)
+    )
 
 
 # -- presentations --------------------------------------------------------------------
@@ -366,25 +367,15 @@ def universe_from_doc(doc: dict, where: str = "universe") -> DiagramUniverse:
         fun = _need(entry, "functor", dict, where + ".edges[]")
         if src not in nodes or dst not in nodes:
             raise SchemaError(f"{where}.edges[{name}]: unknown endpoint node")
+        fwhere = f"{where}.edges[{name}].functor"
+        objects = {str(k): str(v) for k, v in _need(fun, "objects", dict, fwhere).items()}
         if level == 1:
-            functor = CatFunctor(
-                nodes[src], nodes[dst],
-                {str(k): str(v) for k, v in _need(fun, "objects", dict, name).items()},
-                {str(k): str(v) for k, v in _need(fun, "arrows", dict, name).items()},
-            )
+            arrows = {str(k): str(v) for k, v in _need(fun, "arrows", dict, fwhere).items()}
+            functor = CatFunctor(nodes[src], nodes[dst], objects, arrows)
         else:
-            on1 = {}
-            for item in _need(fun, "on1", list, name):
-                a, b, f, v = (str(x) for x in item)
-                on1[(a, b, f)] = v
-            on2 = {}
-            for item in _need(fun, "on2", list, name):
-                a, b, f, v = (str(x) for x in item)
-                on2[(a, b, f)] = v
             functor = TwoFunctor(
-                nodes[src], nodes[dst],
-                {str(k): str(v) for k, v in _need(fun, "objects", dict, name).items()},
-                on1, on2,
+                nodes[src], nodes[dst], objects,
+                _cell_table(fun, "on1", fwhere), _cell_table(fun, "on2", fwhere),
             )
         edges[name] = UniverseEdge(name, src, dst, functor)
     return DiagramUniverse(level, nodes, edges)

@@ -20,7 +20,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BoundError, ContractError, DomainError
 
@@ -518,22 +518,22 @@ def simplex_map(X: SimplicialSet, n: int, c: Cell, D: Optional[int] = None) -> S
 
 class _UnionFind:
     def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
+        self.parent: dict[Hashable, Hashable] = {}
 
-    def add(self, x: str) -> None:
+    def add(self, x: Hashable) -> None:
         self.parent.setdefault(x, x)
 
-    def find(self, x: str) -> str:
+    def find(self, x: Hashable) -> Hashable:
         p = self.parent
         while p[x] != x:
             p[x] = p[p[x]]
             x = p[x]
         return x
 
-    def union(self, a: str, b: str) -> None:
+    def union(self, a: Hashable, b: Hashable) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            # keep the lexicographically least id as root
+            # keep the least key as root
             if rb < ra:
                 ra, rb = rb, ra
             self.parent[rb] = ra
@@ -893,6 +893,57 @@ def find_simplicial_iso(X: SimplicialSet, Y: SimplicialSet) -> Optional[Simplici
     maps = _search(*_simplicial_problem(X, Y), allow=nondegenerate_to_nondegenerate,
                    limit=1, distinct=True)
     return next(maps, None)
+
+
+# ---------------------------------------------------------------------------
+# singular complexes: level n is the maps K(n) -> X
+# ---------------------------------------------------------------------------
+
+def _singular(
+    D: int,
+    maps: Callable[[int], Iterable],
+    operator: Callable[[Monotone, int], object],
+) -> tuple[SimplicialSet, dict[tuple[int, Cell], object]]:
+    """The simplicial set with the maps ``maps(n)``: K(n) -> X at level n.
+
+    This is the common shape of the geometric nerve (K = delta_tilde) and
+    of the extension (K = sd of the simplex).  Returns it with the
+    ``(n, id) -> map`` table; a map's id is its ``encode()``.  Every map of
+    a level lists the same source keys in ``assignments()``, so a map is
+    recorded as the tuple of its image cells in that order.  ``phi`` acts
+    by precomposition with ``operator(phi, n)``: K(m) -> K(n), which is
+    re-indexing that tuple at the positions of the operator's image keys.
+    """
+    table: dict[tuple[int, Cell], object] = {}
+    named: dict[int, dict[tuple, Cell]] = {}
+    places: dict[int, dict[Key, int]] = {}
+    for n in range(D + 1):
+        level = named[n] = {}
+        for F in maps(n):
+            pairs = list(F.assignments())
+            if n not in places:
+                places[n] = {s: k for k, (s, _) in enumerate(pairs)}
+            cid = F.encode()
+            level[tuple(t[-1] for _, t in pairs)] = cid
+            table[(n, cid)] = F
+
+    def act(phi: Monotone, n: int, i: int, out: dict) -> None:
+        at = places[n]
+        pick = [at[t] for _, t in operator(phi, n).assignments()]
+        target = named[len(phi) - 1]
+        for image, cid in named[n].items():
+            out[(n, i, cid)] = target[tuple(image[k] for k in pick)]
+
+    face: dict[tuple[int, int, Cell], Cell] = {}
+    degeneracy: dict[tuple[int, int, Cell], Cell] = {}
+    for n in places:
+        for i in range(n + 1):
+            if n > 0:
+                act(coface(n, i), n, i, face)
+            if n < D:
+                act(codegeneracy(n, i), n, i, degeneracy)
+    cells = {n: level.values() for n, level in named.items()}
+    return SimplicialSet(D, cells, face, degeneracy), table
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from .simplicial import (
     Monotone,
     SimplicialMap,
     SimplicialSet,
+    _singular,
     _UnionFind,
     coface,
-    codegeneracy,
     compose_maps,
     enumerate_simplicial_maps,
     simplicial_operator,
@@ -244,28 +244,10 @@ def ex_cells(X: SimplicialSet, D: int) -> tuple[SimplicialSet, dict[tuple[int, s
     """
     if D > X.dim_bound:
         raise BoundError(f"extension bound {D} exceeds the bound of X ({X.dim_bound})")
-    table: dict[tuple[int, str], SimplicialMap] = {}
-    cells: dict[int, list[str]] = {}
-    for n in range(D + 1):
-        level = {}
-        for f in enumerate_simplicial_maps(sd_simplex(n, X.dim_bound), X):
-            level[f.encode()] = f
-        cells[n] = sorted(level)
-        for cid, f in level.items():
-            table[(n, cid)] = f
-    face = {}
-    degeneracy = {}
-    for n in range(1, D + 1):
-        ops = {i: sd_operator_map(coface(n, i), n, X.dim_bound) for i in range(n + 1)}
-        for cid in cells[n]:
-            for i in range(n + 1):
-                face[(n, i, cid)] = compose_maps(table[(n, cid)], ops[i]).encode()
-    for n in range(D):
-        ops = {i: sd_operator_map(codegeneracy(n, i), n, X.dim_bound) for i in range(n + 1)}
-        for cid in cells[n]:
-            for i in range(n + 1):
-                degeneracy[(n, i, cid)] = compose_maps(table[(n, cid)], ops[i]).encode()
-    return SimplicialSet(D, cells, face, degeneracy), table
+    return _singular(
+        D, lambda n: enumerate_simplicial_maps(sd_simplex(n, X.dim_bound), X),
+        lambda phi, n: sd_operator_map(phi, n, X.dim_bound),
+    )
 
 
 def ex(X: SimplicialSet, D: int) -> SimplicialSet:

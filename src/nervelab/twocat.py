@@ -25,9 +25,8 @@ from .simplicial import (
     Monotone,
     SimplicialSet,
     _search,
+    _singular,
     _UnionFind,
-    coface,
-    codegeneracy,
     is_monotone,
 )
 
@@ -448,8 +447,7 @@ def cosimplicial_operator(phi: Monotone, n: int) -> TwoFunctor:
 
 
 def terminal_2category() -> Fin2Cat:
-    T = discrete_category(["*"])
-    # hom(*, *) is the terminal category; rename for clarity
+    # hom(*, *) is the terminal category
     H = FinCat(["1"], ["id_1"], {"id_1": "1"}, {"id_1": "1"}, {("id_1", "id_1"): "id_1"}, {"1": "id_1"})
     return Fin2Cat(
         ["*"],
@@ -853,30 +851,7 @@ def geometric_nerve_cells(C: Fin2Cat, D: int) -> tuple[SimplicialSet, dict[tuple
     Level n holds all strict 2-functors ``delta_tilde(n) -> C``; operators
     act by precomposition with :func:`cosimplicial_operator`.
     """
-    table: dict[tuple[int, str], TwoFunctor] = {}
-    cells: dict[int, list[str]] = {}
-    for n in range(D + 1):
-        level = {}
-        for F in enumerate_two_functors(delta_tilde(n), C):
-            level[F.encode()] = F
-        cells[n] = sorted(level)
-        for cid, F in level.items():
-            table[(n, cid)] = F
-    face = {}
-    degeneracy = {}
-    for n in range(1, D + 1):
-        ops = {i: cosimplicial_operator(coface(n, i), n) for i in range(n + 1)}
-        for cid in cells[n]:
-            F = table[(n, cid)]
-            for i in range(n + 1):
-                face[(n, i, cid)] = compose_two_functors(F, ops[i]).encode()
-    for n in range(D):
-        ops = {i: cosimplicial_operator(codegeneracy(n, i), n) for i in range(n + 1)}
-        for cid in cells[n]:
-            F = table[(n, cid)]
-            for i in range(n + 1):
-                degeneracy[(n, i, cid)] = compose_two_functors(F, ops[i]).encode()
-    return SimplicialSet(D, cells, face, degeneracy), table
+    return _singular(D, lambda n: enumerate_two_functors(delta_tilde(n), C), cosimplicial_operator)
 
 
 def geometric_nerve(C: Fin2Cat, D: int) -> SimplicialSet:

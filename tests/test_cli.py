@@ -10,6 +10,7 @@ from cli_cases import CASES, DATA, GOLDEN, sample
 from nervelab import serialize as ser
 from nervelab.cat import nerve
 from nervelab.cli import main
+from nervelab.corpus import localizer_universe_2
 from nervelab.simplicial import boundary
 
 
@@ -76,6 +77,19 @@ def test_missing_key_is_named(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "face" in err
+
+
+def test_malformed_level2_universe_names_file_and_key(tmp_path, capsys):
+    doc = ser.universe_to_doc(localizer_universe_2())
+    edge = next(e for e in doc["edges"] if e["functor"]["on1"])
+    edge["functor"]["on1"][0] = edge["functor"]["on1"][0][:3]
+    bad = tmp_path / "universe2.json"
+    bad.write_text(json.dumps(doc))
+    marked = tmp_path / "marked.json"
+    marked.write_text(json.dumps({"marked": []}))
+    assert main(["localizer-check", str(bad), str(marked)]) == 2
+    err = capsys.readouterr().err
+    assert "universe2.json" in err and f"edges[{edge['name']}].functor.on1" in err
 
 
 def test_missing_file_is_diagnosed(capsys):
