@@ -361,53 +361,52 @@ def nerve(C: FinCat, D: int) -> SimplicialSet:
 # slices, final objects, category of elements
 # ---------------------------------------------------------------------------
 
+def _slice_name(*parts: str) -> str:
+    """The name of a slice cell, written from the data it is made of:
+    ``(a|f)`` for an object, ``(g|f1|f2)`` for an arrow and ``(g|alpha)``
+    for a 1-cell of a 2-categorical slice.  Names are never parsed back."""
+    return "(" + "|".join(parts) + ")"
+
+
+def _slice_category(
+    v: CatFunctor, c: Obj
+) -> tuple[FinCat, dict[Obj, tuple[Obj, Arr]], dict[Arr, tuple[Arr, Arr, Arr]]]:
+    """The comma category A/c with each cell's data: ``(a, f)`` per object
+    and ``(g, f1, f2)`` per arrow."""
+    A, C = v.source, v.target
+    if c not in set(C.objects):
+        raise DomainError(f"object {c!r} not in the target category")
+    objects = {_slice_name(a, f): (a, f) for a in A.objects for f in C.hom(v.objects[a], c)}
+    arrows: dict[Arr, tuple[Arr, Arr, Arr]] = {}
+    src = {}
+    dst = {}
+    for o1, (a1, f1) in objects.items():
+        for o2, (a2, f2) in objects.items():
+            for g in A.hom(a1, a2):
+                if C.compose[(f2, v.arrows[g])] == f1:
+                    name = _slice_name(g, f1, f2)
+                    arrows[name] = (g, f1, f2)
+                    src[name] = o1
+                    dst[name] = o2
+    compose = {}
+    for n1, (g1, f_lo, _) in arrows.items():
+        for n2, (g2, _, f_hi) in arrows.items():
+            if dst[n1] == src[n2]:
+                compose[(n2, n1)] = _slice_name(A.compose[(g2, g1)], f_lo, f_hi)
+    identity = {o: _slice_name(A.identity[a], f, f) for o, (a, f) in objects.items()}
+    return FinCat(objects, arrows, src, dst, compose, identity), objects, arrows
+
+
 def slice_category(v: CatFunctor, c: Obj) -> tuple[FinCat, CatFunctor]:
     """The comma category A/c of ``v: A -> C`` over ``c`` with its projection.
 
     Objects are pairs ``(a, f: v(a) -> c)``; an arrow ``(a, f) -> (a', f')``
     is ``g: a -> a'`` in A with ``f' . v(g) = f``.
     """
-    A, C = v.source, v.target
-    if c not in set(C.objects):
-        raise DomainError(f"object {c!r} not in the target category")
-    objects = []
-    obj_data = {}
-    for a in A.objects:
-        for f in C.hom(v.objects[a], c):
-            name = f"({a}|{f})"
-            objects.append(name)
-            obj_data[name] = (a, f)
-    arrows = []
-    src = {}
-    dst = {}
-    arr_data = {}
-    for o1 in objects:
-        a1, f1 = obj_data[o1]
-        for o2 in objects:
-            a2, f2 = obj_data[o2]
-            for g in A.hom(a1, a2):
-                if C.compose[(f2, v.arrows[g])] == f1:
-                    name = f"({g}|{f1}|{f2})"
-                    arrows.append(name)
-                    src[name] = o1
-                    dst[name] = o2
-                    arr_data[name] = g
-    compose = {}
-    for n1 in arrows:
-        for n2 in arrows:
-            if dst[n1] != src[n2]:
-                continue
-            g = A.compose[(arr_data[n2], arr_data[n1])]
-            f_lo = obj_data[src[n1]][1]
-            f_hi = obj_data[dst[n2]][1]
-            compose[(n2, n1)] = f"({g}|{f_lo}|{f_hi})"
-    identity = {}
-    for o in objects:
-        a, f = obj_data[o]
-        identity[o] = f"({A.identity[a]}|{f}|{f})"
-    S = FinCat(objects, arrows, src, dst, compose, identity)
+    S, objects, arrows = _slice_category(v, c)
     proj = CatFunctor(
-        S, A, {o: obj_data[o][0] for o in objects}, {n: arr_data[n] for n in arrows}, check=False
+        S, v.source, {o: a for o, (a, _) in objects.items()},
+        {n: g for n, (g, _, _) in arrows.items()}, check=False,
     )
     return S, proj
 
@@ -417,27 +416,18 @@ def slice_functor(
 ) -> CatFunctor:
     """For a commuting triangle ``q . u = p`` over C, the induced A/c -> B/c.
 
-    The assignments are rebuilt from the defining data (not parsed from
-    names, which may nest when slices are sliced again).
+    Each cell of A/c is mapped through u from the data it was made of.
     """
     if compose_functors(q, u) != p:
         raise ContractError("triangle does not commute: q . u != p")
-    A, C = p.source, p.target
-    Ac, _ = slice_category(p, c)
-    Bc, _ = slice_category(q, c)
-    objects = {}
-    for a in A.objects:
-        for f in C.hom(p.objects[a], c):
-            objects[f"({a}|{f})"] = f"({u.objects[a]}|{f})"
-    arrows = {}
-    for a1 in A.objects:
-        for f1 in C.hom(p.objects[a1], c):
-            for a2 in A.objects:
-                for f2 in C.hom(p.objects[a2], c):
-                    for g in A.hom(a1, a2):
-                        if C.compose[(f2, p.arrows[g])] == f1:
-                            arrows[f"({g}|{f1}|{f2})"] = f"({u.arrows[g]}|{f1}|{f2})"
-    return CatFunctor(Ac, Bc, objects, arrows, check=False)
+    Ac, objects, arrows = _slice_category(p, c)
+    Bc, _, _ = _slice_category(q, c)
+    return CatFunctor(
+        Ac, Bc,
+        {o: _slice_name(u.objects[a], f) for o, (a, f) in objects.items()},
+        {n: _slice_name(u.arrows[g], f1, f2) for n, (g, f1, f2) in arrows.items()},
+        check=False,
+    )
 
 
 def has_final_object(C: FinCat) -> Optional[Obj]:

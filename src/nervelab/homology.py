@@ -627,8 +627,6 @@ def _pi1_compare(f: SimplicialMap) -> tuple[str, object]:
 def weak_equivalence_evidence2(u: TwoFunctor, D: int, k: int) -> EvidenceReport:
     """Evidence for a 2-functor: apply the geometric nerve at bound D, then
     the simplicial evidence through degree k."""
-    NA, NB, levels = geometric_nerve_functor(u, D)
-    f = SimplicialMap(NA, NB, levels, check=False)
-    report = weak_equivalence_evidence(f, k)
+    report = weak_equivalence_evidence(geometric_nerve_functor(u, D), k)
     report.bound = D
     return report

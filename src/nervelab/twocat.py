@@ -18,11 +18,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cat import CatFunctor, FinCat, discrete_category, has_final_object, validate_category
+from .cat import CatFunctor, FinCat, _slice_name, discrete_category, has_final_object, validate_category
 from .errors import ContractError, DomainError
 from .simplicial import (
     Key,
     Monotone,
+    SimplicialMap,
     SimplicialSet,
     _search,
     _singular,
@@ -420,9 +421,14 @@ def delta_tilde(n: int) -> Fin2Cat:
     return Fin2Cat(objects, hom, hcompose1, hcompose2, unit)
 
 
+@lru_cache(maxsize=None)
 def cosimplicial_operator(phi: Monotone, n: int) -> TwoFunctor:
     """The 2-functor ``delta_tilde(m) -> delta_tilde(n)`` induced by a
-    monotone ``phi: [m] -> [n]`` (image of subsets on 1- and 2-cells)."""
+    monotone ``phi: [m] -> [n]`` (image of subsets on 1- and 2-cells).
+
+    Cached like :func:`delta_tilde`: callers share one instance per
+    ``(phi, n)`` and must not modify it.
+    """
     if not is_monotone(phi):
         raise ContractError(f"{phi} is not monotone")
     if any(v < 0 or v > n for v in phi):
@@ -441,8 +447,7 @@ def cosimplicial_operator(phi: Monotone, n: int) -> TwoFunctor:
         for S in H.objects:
             on1[(a, b, S)] = image(S)
         for al in H.arrows:
-            S, T = al.split(">")
-            on2[(a, b, al)] = f"{image(S)}>{image(T)}"
+            on2[(a, b, al)] = f"{image(H.src[al])}>{image(H.dst[al])}"
     return TwoFunctor(A, B, objects, on1, on2, check=False)
 
 
@@ -503,6 +508,32 @@ def _hom_components(H: FinCat) -> dict[One, One]:
     return {f: uf.find(f) for f in H.objects}
 
 
+def _component_name(a: Obj, b: Obj, rep: One) -> str:
+    """The name of the component arrow ``a -> b`` whose least 1-cell is ``rep``."""
+    return f"[{a}>{b}:{rep}]"
+
+
+def _component_category(C: Fin2Cat) -> tuple[
+    FinCat, dict[str, tuple[Obj, Obj, One]], dict[tuple[Obj, Obj], dict[One, One]]
+]:
+    """:func:`component_category` with the data ``(a, b, rep)`` of each
+    arrow and the component map of each hom."""
+    comp = {(a, b): _hom_components(H) for (a, b), H in C.hom.items()}
+    arrows = {
+        _component_name(a, b, rep): (a, b, rep)
+        for (a, b), m in comp.items() for rep in sorted(set(m.values()))
+    }
+    src = {name: a for name, (a, _, _) in arrows.items()}
+    dst = {name: b for name, (_, b, _) in arrows.items()}
+    compose = {}
+    for n1, (a, b, r1) in arrows.items():
+        for n2, (b2, c, r2) in arrows.items():
+            if b == b2:
+                compose[(n2, n1)] = _component_name(a, c, comp[(a, c)][C.hc1(a, b, c, r1, r2)])
+    identity = {a: _component_name(a, a, comp[(a, a)][C.unit[a]]) for a in C.objects}
+    return FinCat(C.objects, arrows, src, dst, compose, identity), arrows, comp
+
+
 def component_category(C: Fin2Cat) -> FinCat:
     """Collapse each hom-category to its set of connected components.
 
@@ -510,63 +541,28 @@ def component_category(C: Fin2Cat) -> FinCat:
     induced on components (well defined by functoriality of horizontal
     composition).
     """
-    comp: dict[tuple[Obj, Obj], dict[One, One]] = {}
-    for (a, b), H in C.hom.items():
-        comp[(a, b)] = _hom_components(H)
-
-    def arrow_name(a: Obj, b: Obj, rep: One) -> str:
-        return f"[{a}>{b}:{rep}]"
-
-    arrows = []
-    src = {}
-    dst = {}
-    for (a, b), m in comp.items():
-        for rep in sorted(set(m.values())):
-            name = arrow_name(a, b, rep)
-            arrows.append(name)
-            src[name] = a
-            dst[name] = b
-    compose = {}
-    for (a, b), m1 in comp.items():
-        for (b2, c), m2 in comp.items():
-            if b != b2:
-                continue
-            for r1 in sorted(set(m1.values())):
-                for r2 in sorted(set(m2.values())):
-                    r12 = comp[(a, c)][C.hc1(a, b, c, r1, r2)]
-                    compose[(arrow_name(b, c, r2), arrow_name(a, b, r1))] = arrow_name(a, c, r12)
-    identity = {a: arrow_name(a, a, comp[(a, a)][C.unit[a]]) for a in C.objects}
-    return FinCat(C.objects, arrows, src, dst, compose, identity)
+    return _component_category(C)[0]
 
 
 def component_functor(u: TwoFunctor) -> CatFunctor:
     """The functor between component categories induced by a 2-functor."""
-    A, B = component_category(u.source), component_category(u.target)
-    comp_b = {(a, b): _hom_components(H) for (a, b), H in u.target.hom.items()}
-    objects = dict(u.objects)
+    A, arrows_a, _ = _component_category(u.source)
+    B, _, comp_b = _component_category(u.target)
     arrows = {}
-    for name in A.arrows:
-        inner = name[1:-1]
-        ab, rep = inner.split(":", 1)
-        a, b = ab.split(">")
+    for name, (a, b, rep) in arrows_a.items():
         ua, ub = u.objects[a], u.objects[b]
-        arrows[name] = f"[{ua}>{ub}:{comp_b[(ua, ub)][u.on1[(a, b, rep)]]}]"
-    return CatFunctor(A, B, objects, arrows, check=False)
+        arrows[name] = _component_name(ua, ub, comp_b[(ua, ub)][u.on1[(a, b, rep)]])
+    return CatFunctor(A, B, dict(u.objects), arrows, check=False)
 
 
 def component_transpose(F: TwoFunctor) -> CatFunctor:
     """Transpose ``A -> as_two_category(D)`` to ``component_category(A) -> D``."""
-    A = component_category(F.source)
+    A, arrows_a, _ = _component_category(F.source)
     # the target of F must have discrete homs; its 1-cells are D's arrows
     D_objects = F.target.objects
     D_arrows = sorted({f for (_, _), H in F.target.hom.items() for f in H.objects})
     objects = dict(F.objects)
-    arrows = {}
-    for name in A.arrows:
-        inner = name[1:-1]
-        ab, rep = inner.split(":", 1)
-        a, b = ab.split(">")
-        arrows[name] = F.on1[(a, b, rep)]
+    arrows = {name: F.on1[(a, b, rep)] for name, (a, b, rep) in arrows_a.items()}
     # reconstruct D from the discrete-hom 2-category
     src = {}
     dst = {}
@@ -593,7 +589,7 @@ def inclusion_transpose(G: CatFunctor, A: Fin2Cat) -> TwoFunctor:
     on2 = {}
     for (a, b), H in A.hom.items():
         for f in H.objects:
-            on1[(a, b, f)] = G.arrows[f"[{a}>{b}:{comp[(a, b)][f]}]"]
+            on1[(a, b, f)] = G.arrows[_component_name(a, b, comp[(a, b)][f])]
         for al in H.arrows:
             on2[(a, b, al)] = f"id_{on1[(a, b, H.src[al])]}"
     return TwoFunctor(A, D2, objects, on1, on2, check=False)
@@ -858,20 +854,15 @@ def geometric_nerve(C: Fin2Cat, D: int) -> SimplicialSet:
     return geometric_nerve_cells(C, D)[0]
 
 
-def geometric_nerve_functor(u: TwoFunctor, D: int):
-    """The simplicial map of geometric nerves induced by a 2-functor.
-
-    Returns ``(N2(source), N2(target), levels)`` where levels are plain
-    dictionaries (postcomposition with u on each cell).
-    """
+def geometric_nerve_functor(u: TwoFunctor, D: int) -> SimplicialMap:
+    """The simplicial map of geometric nerves induced by a 2-functor
+    (postcomposition with u on each cell)."""
     NA, table = geometric_nerve_cells(u.source, D)
-    NB = geometric_nerve(u.target, D)
-    levels: dict[int, dict[str, str]] = {}
-    for n in range(D + 1):
-        levels[n] = {
-            cid: compose_two_functors(u, table[(n, cid)]).encode() for cid in NA.cells[n]
-        }
-    return NA, NB, levels
+    levels = {
+        n: {cid: compose_two_functors(u, table[(n, cid)]).encode() for cid in NA.cells[n]}
+        for n in range(D + 1)
+    }
+    return SimplicialMap(NA, geometric_nerve(u.target, D), levels, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -896,6 +887,86 @@ def object_admits_final(C: Fin2Cat, z: Obj) -> tuple[bool, dict[Obj, Optional[On
     return ok, witnesses
 
 
+def _slice_two_name(be: Two, al: Two, al2: Two) -> Two:
+    """The name of a 2-cell ``beta: (g, alpha) -> (g', alpha')`` of a slice."""
+    return f"[{be}|{al}|{al2}]"
+
+
+def _slice_2category(v: TwoFunctor, c: Obj) -> tuple[
+    Fin2Cat,
+    dict[Obj, tuple[Obj, One]],
+    dict[tuple[Obj, Obj], dict[One, tuple[One, Two]]],
+    dict[tuple[Obj, Obj], dict[Two, tuple[Two, Two, Two]]],
+]:
+    """:func:`slice_2category` with each cell's data: ``(a, f)`` per
+    object, and per hom ``(g, alpha)`` per 1-cell and
+    ``(beta, alpha, alpha')`` per 2-cell."""
+    A, C = v.source, v.target
+    if c not in set(C.objects):
+        raise DomainError(f"object {c!r} not in the target 2-category")
+    vo = v.objects
+    objects = {_slice_name(a, f): (a, f) for a in A.objects for f in C.hom[(vo[a], c)].objects}
+    ones: dict[tuple[Obj, Obj], dict[One, tuple[One, Two]]] = {}
+    twos: dict[tuple[Obj, Obj], dict[Two, tuple[Two, Two, Two]]] = {}
+    hom = {}
+    for o1, (a1, f1) in objects.items():
+        H_c = C.hom[(vo[a1], c)]
+        for o2, (a2, f2) in objects.items():
+            H_a = A.hom[(a1, a2)]
+            cells = ones[(o1, o2)] = {}
+            for g in H_a.objects:
+                composite = C.hc1(vo[a1], vo[a2], c, v.on1[(a1, a2, g)], f2)
+                for al in H_c.arrows:
+                    if H_c.src[al] == composite and H_c.dst[al] == f1:
+                        cells[_slice_name(g, al)] = (g, al)
+            idf2 = C.hom[(vo[a2], c)].identity[f2]
+            arrows = twos[(o1, o2)] = {}
+            src = {}
+            dst = {}
+            for x, (g, al) in cells.items():
+                for y, (g2, al2) in cells.items():
+                    for be in H_a.arrows:
+                        if H_a.src[be] != g or H_a.dst[be] != g2:
+                            continue
+                        whisker = C.hc2(vo[a1], vo[a2], c, v.on2[(a1, a2, be)], idf2)
+                        if H_c.compose[(al2, whisker)] == al:
+                            name = _slice_two_name(be, al, al2)
+                            arrows[name] = (be, al, al2)
+                            src[name] = x
+                            dst[name] = y
+            compose = {}
+            for n1, (be1, al, _) in arrows.items():
+                for n2, (be2, _, al2) in arrows.items():
+                    if dst[n1] == src[n2]:
+                        compose[(n2, n1)] = _slice_two_name(H_a.compose[(be2, be1)], al, al2)
+            identity = {x: _slice_two_name(H_a.identity[g], al, al) for x, (g, al) in cells.items()}
+            hom[(o1, o2)] = FinCat(cells, arrows, src, dst, compose, identity)
+
+    hcompose1 = {}
+    hcompose2 = {}
+    for o1, (a1, _) in objects.items():
+        H_c = C.hom[(vo[a1], c)]
+        for o2, (a2, _) in objects.items():
+            H_12 = hom[(o1, o2)]
+            for o3, (a3, _) in objects.items():
+                H_23 = hom[(o2, o3)]
+                for x, (g, al) in ones[(o1, o2)].items():
+                    idvg = C.hom[(vo[a1], vo[a2])].identity[v.on1[(a1, a2, g)]]
+                    for y, (h, ga) in ones[(o2, o3)].items():
+                        paste = H_c.compose[(al, C.hc2(vo[a1], vo[a2], c, idvg, ga))]
+                        hcompose1[(o1, o2, o3, x, y)] = _slice_name(A.hc1(a1, a2, a3, g, h), paste)
+                pasted = ones[(o1, o3)]
+                for n1, (be1, _, _) in twos[(o1, o2)].items():
+                    for n2, (be2, _, _) in twos[(o2, o3)].items():
+                        s = hcompose1[(o1, o2, o3, H_12.src[n1], H_23.src[n2])]
+                        d = hcompose1[(o1, o2, o3, H_12.dst[n1], H_23.dst[n2])]
+                        hcompose2[(o1, o2, o3, n1, n2)] = _slice_two_name(
+                            A.hc2(a1, a2, a3, be1, be2), pasted[s][1], pasted[d][1]
+                        )
+    unit = {o: _slice_name(A.unit[a], C.hom[(vo[a], c)].identity[f]) for o, (a, f) in objects.items()}
+    return Fin2Cat(objects, hom, hcompose1, hcompose2, unit), objects, ones, twos
+
+
 def slice_2category(v: TwoFunctor, c: Obj) -> Fin2Cat:
     """The 2-categorical slice of ``v: A -> C`` over the object ``c``.
 
@@ -915,118 +986,7 @@ def slice_2category(v: TwoFunctor, c: Obj) -> Fin2Cat:
     * vertical composition of 2-cells is vertical composition in A;
     * horizontal composition of 2-cells is horizontal composition in A.
     """
-    A, C = v.source, v.target
-    if c not in set(C.objects):
-        raise DomainError(f"object {c!r} not in the target 2-category")
-
-    def vo(a: Obj) -> Obj:
-        return v.objects[a]
-
-    slice_objects = []
-    obj_data = {}
-    for a in A.objects:
-        for f in C.hom[(vo(a), c)].objects:
-            name = f"({a}|{f})"
-            slice_objects.append(name)
-            obj_data[name] = (a, f)
-
-    # 1-cells of the slice, per pair of slice objects
-    one_data: dict[tuple[str, str], list[tuple[One, Two]]] = {}
-    for o1 in slice_objects:
-        a1, f1 = obj_data[o1]
-        for o2 in slice_objects:
-            a2, f2 = obj_data[o2]
-            pairs = []
-            H_c = C.hom[(vo(a1), c)]
-            for g in A.hom[(a1, a2)].objects:
-                vg = v.on1[(a1, a2, g)]
-                composite = C.hc1(vo(a1), vo(a2), c, vg, f2)
-                for al in H_c.arrows:
-                    if H_c.src[al] == composite and H_c.dst[al] == f1:
-                        pairs.append((g, al))
-            one_data[(o1, o2)] = sorted(pairs)
-
-    def one_name(g: One, al: Two) -> str:
-        return f"({g}|{al})"
-
-    hom = {}
-    hom_arrow_data: dict[tuple[str, str], dict[str, tuple]] = {}
-    for o1 in slice_objects:
-        a1, f1 = obj_data[o1]
-        for o2 in slice_objects:
-            a2, f2 = obj_data[o2]
-            H_a = A.hom[(a1, a2)]
-            H_c1 = C.hom[(vo(a1), c)]
-            cells = [one_name(g, al) for g, al in one_data[(o1, o2)]]
-            arrows = {}
-            src = {}
-            dst = {}
-            adata = {}
-            for g, al in one_data[(o1, o2)]:
-                for g2, al2 in one_data[(o1, o2)]:
-                    for be in H_a.arrows:
-                        if H_a.src[be] != g or H_a.dst[be] != g2:
-                            continue
-                        vbe = v.on2[(a1, a2, be)]
-                        idf2 = C.hom[(vo(a2), c)].identity[f2]
-                        whisker = C.hc2(vo(a1), vo(a2), c, vbe, idf2)
-                        if H_c1.compose[(al2, whisker)] != al:
-                            continue
-                        name = f"[{be}|{al}|{al2}]"
-                        arrows[name] = True
-                        src[name] = one_name(g, al)
-                        dst[name] = one_name(g2, al2)
-                        adata[name] = (be, al, al2)
-            compose = {}
-            for n1, (be1, x1, y1) in adata.items():
-                for n2, (be2, x2, y2) in adata.items():
-                    if dst[n1] != src[n2]:
-                        continue
-                    be = H_a.compose[(be2, be1)]
-                    compose[(n2, n1)] = f"[{be}|{x1}|{y2}]"
-            identity = {}
-            for g, al in one_data[(o1, o2)]:
-                identity[one_name(g, al)] = f"[{H_a.identity[g]}|{al}|{al}]"
-            hom[(o1, o2)] = FinCat(cells, arrows, src, dst, compose, identity)
-            hom_arrow_data[(o1, o2)] = adata
-
-    hcompose1 = {}
-    hcompose2 = {}
-    for o1 in slice_objects:
-        a1, f1 = obj_data[o1]
-        for o2 in slice_objects:
-            a2, f2 = obj_data[o2]
-            for o3 in slice_objects:
-                a3, f3 = obj_data[o3]
-                for g, al in one_data[(o1, o2)]:
-                    vg = v.on1[(a1, a2, g)]
-                    for h, ga in one_data[(o2, o3)]:
-                        hg = A.hc1(a1, a2, a3, g, h)
-                        idvg = C.hom[(vo(a1), vo(a2))].identity[vg]
-                        whisker = C.hc2(vo(a1), vo(a2), c, idvg, ga)
-                        paste = C.hom[(vo(a1), c)].compose[(al, whisker)]
-                        hcompose1[(o1, o2, o3, one_name(g, al), one_name(h, ga))] = one_name(hg, paste)
-                for n1, (be1, x1, y1) in hom_arrow_data[(o1, o2)].items():
-                    for n2, (be2, x2, y2) in hom_arrow_data[(o2, o3)].items():
-                        be = A.hc2(a1, a2, a3, be1, be2)
-                        s1 = hcompose1[(o1, o2, o3, hom[(o1, o2)].src[n1], hom[(o2, o3)].src[n2])]
-                        d1 = hcompose1[(o1, o2, o3, hom[(o1, o2)].dst[n1], hom[(o2, o3)].dst[n2])]
-                        _, sal = obj_and_two(s1)
-                        _, dal = obj_and_two(d1)
-                        hcompose2[(o1, o2, o3, n1, n2)] = f"[{be}|{sal}|{dal}]"
-    unit = {}
-    for o in slice_objects:
-        a, f = obj_data[o]
-        idf = C.hom[(vo(a), c)].identity[f]
-        unit[o] = one_name(A.unit[a], idf)
-    return Fin2Cat(slice_objects, hom, hcompose1, hcompose2, unit)
-
-
-def obj_and_two(one_cell_name: str) -> tuple[str, str]:
-    """Split a slice 1-cell name ``(g|alpha)`` into its components."""
-    inner = one_cell_name[1:-1]
-    g, al = inner.split("|", 1)
-    return g, al
+    return _slice_2category(v, c)[0]
 
 
 def slice_2functor(
@@ -1035,46 +995,22 @@ def slice_2functor(
     """For a commuting triangle ``q . u = p`` of 2-functors over C, the
     induced 2-functor between the slices over ``c``.
 
-    Assignments are rebuilt from the defining data (names may nest)."""
+    Each cell of the slice of p is mapped through u from the data it was
+    made of."""
     if compose_two_functors(q, u) != p:
         raise ContractError("triangle does not commute: q . u != p")
-    A, C = p.source, p.target
-    S_a = slice_2category(p, c)
+    S_a, objects, ones, twos = _slice_2category(p, c)
     S_b = slice_2category(q, c)
-    objects = {}
-    obj_pairs = []
-    for a in A.objects:
-        for f in C.hom[(p.objects[a], c)].objects:
-            obj_pairs.append((a, f))
-            objects[f"({a}|{f})"] = f"({u.objects[a]}|{f})"
     on1 = {}
     on2 = {}
-    for (a1, f1) in obj_pairs:
-        o1 = f"({a1}|{f1})"
-        for (a2, f2) in obj_pairs:
-            o2 = f"({a2}|{f2})"
-            H = S_a.hom[(o1, o2)]
-            H_a = A.hom[(a1, a2)]
-            H_c = C.hom[(p.objects[a1], c)]
-            for g in H_a.objects:
-                vg = p.on1[(a1, a2, g)]
-                composite = C.hc1(p.objects[a1], p.objects[a2], c, vg, f2)
-                for al in H_c.arrows:
-                    if H_c.src[al] == composite and H_c.dst[al] == f1:
-                        cell = f"({g}|{al})"
-                        if cell in set(H.objects):
-                            on1[(o1, o2, cell)] = f"({u.on1[(a1, a2, g)]}|{al})"
-            for g in H_a.objects:
-                for g2 in H_a.objects:
-                    for be in H_a.arrows:
-                        if H_a.src[be] != g or H_a.dst[be] != g2:
-                            continue
-                        for al in H_c.arrows:
-                            for al2 in H_c.arrows:
-                                name = f"[{be}|{al}|{al2}]"
-                                if name in set(H.arrows):
-                                    on2[(o1, o2, name)] = f"[{u.on2[(a1, a2, be)]}|{al}|{al2}]"
-    return TwoFunctor(S_a, S_b, objects, on1, on2, check=False)
+    for (o1, o2), cells in ones.items():
+        a1, a2 = objects[o1][0], objects[o2][0]
+        for x, (g, al) in cells.items():
+            on1[(o1, o2, x)] = _slice_name(u.on1[(a1, a2, g)], al)
+        for n, (be, al, al2) in twos[(o1, o2)].items():
+            on2[(o1, o2, n)] = _slice_two_name(u.on2[(a1, a2, be)], al, al2)
+    images = {o: _slice_name(u.objects[a], f) for o, (a, f) in objects.items()}
+    return TwoFunctor(S_a, S_b, images, on1, on2, check=False)
 
 
 def two_functor_to_terminal(C: Fin2Cat) -> TwoFunctor:

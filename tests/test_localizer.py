@@ -5,12 +5,24 @@ import pytest
 from nervelab.corpus import localizer_universe, localizer_universe_2
 from nervelab.errors import DomainError
 from nervelab.localizer import (
+    DiagramUniverse,
     MarkedClass,
+    UniverseEdge,
     available_slice_triangles,
     check_final_collapse,
     check_slice_triangle,
     check_weak_saturation,
     closure,
+)
+from nervelab.twocat import (
+    compose_two_functors,
+    cosimplicial_operator,
+    delta_tilde,
+    identity_two_functor,
+    slice_2category,
+    slice_2functor,
+    validate_2category,
+    validate_two_functor,
 )
 
 
@@ -113,3 +125,44 @@ def test_level_two_universe():
     assert "fold_iota_discrete2" not in W
     assert check_weak_saturation(U2, W) == []
     assert check_final_collapse(U2, W) == []
+
+
+def simplex_triangle_universe():
+    """The level-2 triangle delta_tilde(1) -u-> delta_tilde(2) -q-> delta_tilde(1),
+    whose composite p is the identity, with the slices of u over both objects."""
+    u = cosimplicial_operator((0, 2), 2)
+    q = cosimplicial_operator((0, 0, 1), 1)
+    p = compose_two_functors(q, u)
+    nodes = {"simplex2_1": delta_tilde(1), "simplex2_2": delta_tilde(2)}
+    edges = {}
+
+    def add(name, src, dst, functor):
+        edges[name] = UniverseEdge(name, src, dst, functor)
+
+    add("u", "simplex2_1", "simplex2_2", u)
+    add("q", "simplex2_2", "simplex2_1", q)
+    for c in p.target.objects:
+        nodes[f"sliceA{c}"] = slice_2category(p, c)
+        nodes[f"sliceB{c}"] = slice_2category(q, c)
+        add(f"u_slice{c}", f"sliceA{c}", f"sliceB{c}", slice_2functor(u, p, q, c))
+    for name, C in nodes.items():
+        add(f"id_{name}", name, name, identity_two_functor(C))
+    return DiagramUniverse(2, nodes, edges)
+
+
+def test_level_two_slice_criterion():
+    U = simplex_triangle_universe()
+    assert ("u", "id_simplex2_1", "q") in available_slice_triangles(U)
+    for name in ("sliceA0", "sliceA1", "sliceB0", "sliceB1"):
+        assert validate_2category(U.nodes[name]) == []
+    for name in ("u_slice0", "u_slice1"):
+        assert validate_two_functor(U.edges[name].functor) == []
+    slices = MarkedClass(frozenset({"u_slice0", "u_slice1"}))
+    violations = check_slice_triangle(U, "u", "id_simplex2_1", "q", slices)
+    assert [v.witness["edge"] for v in violations] == ["u"]
+    # the slice criterion marks u, then two-out-of-three marks q
+    W = closure(U, slices)
+    assert "u" in W and "q" in W
+    assert check_slice_triangle(U, "u", "id_simplex2_1", "q", W) == []
+    # one marked slice is not enough
+    assert "u" not in closure(U, MarkedClass(frozenset({"u_slice0"})))

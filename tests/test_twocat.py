@@ -1,5 +1,6 @@
 """Strict 2-categories: simplices, geometric nerve, adjunction with Cat, slices."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -17,9 +18,12 @@ from nervelab.cat import (
     monoid_category,
     nerve,
     parallel_pair_category,
+    poset_category,
     terminal_category,
     validate_functor,
 )
+from nervelab.corpus import two_categories
+from nervelab.serialize import canonical_json, tfun_to_doc
 from nervelab.simplicial import find_simplicial_iso, validate
 from nervelab.twocat import (
     as_two_category,
@@ -337,6 +341,74 @@ def test_slice_2functor_of_identity_triangle():
     assert F.objects == {o: o for o in F.source.objects}
 
 
+@pytest.mark.parametrize("name", sorted(two_categories()))
+def test_slice_of_a_slice_is_a_2category(name):
+    # the 1-cells of a slice of a slice have nested names like ((g|al)|al2)
+    C = two_categories()[name]
+    for c in C.objects:
+        S = slice_2category(identity_two_functor(C), c)
+        for c2 in S.objects:
+            assert validate_2category(slice_2category(identity_two_functor(S), c2)) == [], (c, c2)
+
+
+def digest(F):
+    """A fingerprint of the canonical JSON of a 2-functor."""
+    return hashlib.sha256(canonical_json(tfun_to_doc(F)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("terminal2", ["a46f1329d098e9af"]),
+    ("simplex2_0", ["0711c78dadcda21f"]),
+    ("simplex2_1", ["0711c78dadcda21f", "ee5a02063bbb499d"]),
+    ("simplex2_2", ["0711c78dadcda21f", "ee5a02063bbb499d", "f6c43a1552054990"]),
+    ("simplex2_3", ["0711c78dadcda21f", "ee5a02063bbb499d", "f6c43a1552054990", "c0300e289f99dbd5"]),
+    ("iota_terminal", ["0d90ecd75f99657a"]),
+    ("iota_arrow", ["57ab114d6b417b2b", "2b45ef46ca4b4980"]),
+    ("iota_chain2", ["57ab114d6b417b2b", "2b45ef46ca4b4980", "cdffea79d5777d93"]),
+    ("iota_discrete2", ["34e419dd51e37b81", "0d58e71bce3effd0"]),
+    ("iota_parallel", ["57ab114d6b417b2b", "6ddf73312856d8f4"]),
+    ("iota_z2", ["9d7ddfff47162c7e"]),
+    ("single2cell", ["874499d7dab6e1cc", "af600936591839e6"]),
+])
+def test_slice_2functor_of_identity_triangle_is_pinned(name, expected):
+    C = two_categories()[name]
+    u = identity_two_functor(C)
+    assert [digest(slice_2functor(u, u, u, c)) for c in C.objects] == expected
+
+
+def test_slice_2functor_of_simplex_triangle_is_pinned():
+    # delta_tilde(1) -> delta_tilde(2) -> delta_tilde(1), composing to the identity
+    u = cosimplicial_operator((0, 2), 2)
+    q = cosimplicial_operator((0, 0, 1), 1)
+    p = compose_two_functors(q, u)
+    slices = [slice_2functor(u, p, q, c) for c in p.target.objects]
+    assert [digest(F) for F in slices] == ["c640f53b0c117835", "b5994cbbc93eff8e"]
+    for F in slices:
+        assert validate_two_functor(F) == []
+
+
+def object_named_with_separator():
+    return as_two_category(poset_category(["p>q", "r"], lambda a, b: a == b or (a, b) == ("p>q", "r")))
+
+
+def slice_of_slice_of_simplex2():
+    S = slice_2category(identity_two_functor(delta_tilde(2)), "2")
+    return slice_2category(identity_two_functor(S), "(2|2)")
+
+
+@pytest.mark.parametrize("builder", [object_named_with_separator, slice_of_slice_of_simplex2])
+def test_component_functors_on_object_names_containing_the_separator(builder):
+    A = builder()
+    assert any(">" in a for a in A.objects)
+    K = component_category(A)
+    F = component_functor(identity_two_functor(A))
+    assert validate_functor(F) == []
+    assert F == identity_functor(K)
+    G = component_transpose(inclusion_transpose(identity_functor(K), A))
+    assert validate_functor(G) == []
+    assert G.encode() == identity_functor(K).encode()
+
+
 def test_two_functor_to_terminal_and_nerve_functor():
     C = delta_tilde(2)
     t = two_functor_to_terminal(C)
@@ -345,9 +417,9 @@ def test_two_functor_to_terminal_and_nerve_functor():
 
 def test_geometric_nerve_functor_shim():
     from nervelab.twocat import geometric_nerve_functor
-    from nervelab.simplicial import SimplicialMap
+    from nervelab.simplicial import validate_map
 
     u = two_functor_to_terminal(as_two_category(arrow_category()))
-    NA, NB, levels = geometric_nerve_functor(u, 2)
-    f = SimplicialMap(NA, NB, levels)  # constructor validates commutation
+    f = geometric_nerve_functor(u, 2)
+    assert validate_map(f) == []
     assert f.levels[0]
