@@ -368,6 +368,15 @@ def _slice_name(*parts: str) -> str:
     return "(" + "|".join(parts) + ")"
 
 
+def _claim(cells: dict, name: str, data: tuple) -> None:
+    """Record the cell ``name`` made from ``data``.  A name that other data
+    already holds raises :class:`DomainError`, so that two distinct cells
+    never silently become one."""
+    held = cells.setdefault(name, data)
+    if held != data:
+        raise DomainError(f"slice cells {held!r} and {data!r} share the name {name!r}")
+
+
 def _slice_category(
     v: CatFunctor, c: Obj
 ) -> tuple[FinCat, dict[Obj, tuple[Obj, Arr]], dict[Arr, tuple[Arr, Arr, Arr]]]:
@@ -376,7 +385,10 @@ def _slice_category(
     A, C = v.source, v.target
     if c not in set(C.objects):
         raise DomainError(f"object {c!r} not in the target category")
-    objects = {_slice_name(a, f): (a, f) for a in A.objects for f in C.hom(v.objects[a], c)}
+    objects: dict[Obj, tuple[Obj, Arr]] = {}
+    for a in A.objects:
+        for f in C.hom(v.objects[a], c):
+            _claim(objects, _slice_name(a, f), (a, f))
     arrows: dict[Arr, tuple[Arr, Arr, Arr]] = {}
     src = {}
     dst = {}
@@ -385,7 +397,7 @@ def _slice_category(
             for g in A.hom(a1, a2):
                 if C.compose[(f2, v.arrows[g])] == f1:
                     name = _slice_name(g, f1, f2)
-                    arrows[name] = (g, f1, f2)
+                    _claim(arrows, name, (g, f1, f2))
                     src[name] = o1
                     dst[name] = o2
     compose = {}

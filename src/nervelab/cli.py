@@ -32,7 +32,7 @@ from .localizer import (
     closure,
 )
 from .presentations import cat_of, realize, twocat_of
-from .simplicial import SimplicialMap, boundary, standard_simplex, validate
+from .simplicial import SimplicialMap, SimplicialSet, boundary, standard_simplex, validate
 from .subdivision import alpha, beta, ex, sd
 from .twocat import delta_tilde, geometric_nerve, identity_two_functor, slice_2category
 
@@ -46,6 +46,19 @@ def _load(path: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def _load_valid_sset(path: str) -> SimplicialSet:
+    """An sset.v1 document that satisfies the simplicial identities."""
+    X = ser.sset_from_doc(_load(path), path)
+    violations = validate(X)
+    if violations:
+        v = violations[0]
+        raise SchemaError(
+            f"{path}: level {v.level}, cell {v.cell!r}: {v.identity} {list(v.indices)}: "
+            f"{v.detail} (the first of {len(violations)} violations)"
+        )
+    return X
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
@@ -269,10 +282,10 @@ def run(args: argparse.Namespace) -> dict:
         P, _, _, _ = homotopy_pushout(f, g)
         return ser.sset_to_doc(P)
     if cmd == "homology":
-        X = ser.sset_from_doc(_load(args.input), args.input)
+        X = _load_valid_sset(args.input)
         return ser.homology_to_doc(homology(X, args.degree))
     if cmd == "pi1":
-        X = ser.sset_from_doc(_load(args.input), args.input)
+        X = _load_valid_sset(args.input)
         base = args.basepoint if args.basepoint is not None else (X.cells[0][0] if X.cells[0] else None)
         if base is None:
             raise SchemaError(f"{args.input}: the simplicial set has no vertices")

@@ -27,46 +27,64 @@ Matrix = list[list[int]]
 # ---------------------------------------------------------------------------
 
 def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(out):
+        row[i] = 1
+    return out
+
+
+def _add_multiple(dst: list[int], q: int, src: list[int], support: Sequence[int]) -> None:
+    """``dst += q * src`` in place; ``support`` lists the positions where src is nonzero."""
+    for j in support:
+        dst[j] += q * src[j]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     if not A or not B:
         return [[0] * (len(B[0]) if B else 0) for _ in A]
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for t in range(inner):
-            a = Ai[t]
+    supports = [[j for j, b in enumerate(row) if b] for row in B]
+    out = [[0] * len(B[0]) for _ in A]
+    for Ai, row in zip(A, out):
+        for a, Bt, support in zip(Ai, B, supports):
             if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(cols):
-                    row[j] += a * Bt[j]
+                _add_multiple(row, a, Bt, support)
     return out
 
 
 def integer_det(M: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(M)
-    if n == 0:
-        return 1
-    a = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
+    """Exact determinant by Euclidean row reduction.
+
+    Each column is cleared below the diagonal by subtracting integer
+    multiples of the row that holds its least nonzero entry, until no
+    remainder is left; these operations keep the determinant, and row swaps
+    flip its sign.  The result is the signed product of the diagonal.  Only
+    the pivot row's nonzero entries are touched, so sparse matrices (such as
+    Smith certificates) are cheap.
+    """
+    a = [list(row) for row in M]
+    n = len(a)
+    det = 1
+    for k in range(n):
+        while True:
+            below = [i for i in range(k, n) if a[i][k]]
+            if not below:
                 return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            p = min(below, key=lambda i: abs(a[i][k]))
+            if p != k:
+                a[k], a[p] = a[p], a[k]
+                det = -det
+            pivot = a[k]
+            support = [j for j in range(k, n) if pivot[j]]
+            cleared = True
+            for i in range(k + 1, n):
+                row = a[i]
+                if row[k]:
+                    _add_multiple(row, -(row[k] // pivot[k]), pivot, support)
+                    cleared = cleared and not row[k]
+            if cleared:
+                break
+        det *= a[k][k]
+    return det
 
 
 @dataclass
@@ -99,6 +117,47 @@ class SmithNormalForm:
         return all(inv[i + 1] % inv[i] == 0 for i in range(len(inv) - 1))
 
 
+def _pivot(A: Matrix, t: int) -> Optional[tuple[int, int]]:
+    """Position of the least nonzero |entry| in the rows and columns from t
+    on, the first in row-major order.  Rows from t on are zero left of
+    column t, so whole rows are searched for a unit, and the first unit ends
+    the scan."""
+    best = None
+    for i in range(t, len(A)):
+        row = A[i]
+        if 1 in row or -1 in row:
+            return i, min(row.index(u) for u in (1, -1) if u in row)
+        if not any(row):
+            continue
+        for j in range(t, len(row)):
+            if row[j] and (best is None or abs(row[j]) < best[0]):
+                best = (abs(row[j]), i, j)
+    return None if best is None else best[1:]
+
+
+def _clear_by_unit(A: Matrix, U: Matrix, W: Matrix, t: int) -> None:
+    """Clear column t below, then row t right of, a unit corner ``A[t][t]``.
+
+    Every quotient ``entry // unit`` is ``entry * unit`` with no remainder,
+    so one pass of row operations clears the column and leaves the pivot
+    row as it was; column t is then zero off the corner, so a column
+    operation changes only the pivot row of A (and a row of W, which is V
+    transposed).  Only the nonzero entries of the pivot rows are visited.
+    """
+    unit, pivot_row, pivot_u, pivot_w = A[t][t], A[t], U[t], W[t]
+    support = [j for j in range(t, len(pivot_row)) if pivot_row[j]]
+    u_support = [j for j, x in enumerate(pivot_u) if x]
+    for i in range(t + 1, len(A)):
+        q = -A[i][t] * unit
+        if q:
+            _add_multiple(A[i], q, pivot_row, support)
+            _add_multiple(U[i], q, pivot_u, u_support)
+    w_support = [j for j, x in enumerate(pivot_w) if x]
+    for j in support[1:]:
+        _add_multiple(W[j], -pivot_row[j] * unit, pivot_w, w_support)
+        pivot_row[j] = 0
+
+
 def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
@@ -106,32 +165,37 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
     its row and column by division with remainder, fix divisibility of the
     remaining block, recurse on the submatrix.  The accumulated operations
     give the certificates, verified by :meth:`SmithNormalForm.verify`.
+
+    A unit corner divides everything: :func:`_clear_by_unit` does its
+    reduction in one pass, with no remainder swaps and no divisibility
+    sweep, and yields the same matrices.  Rows above the corner t are zero
+    from column t on, so column operations only visit rows t and below.  V
+    is built transposed, as W, so its column operations are row operations.
     """
     A = [list(map(int, row)) for row in M]
     rows = len(A)
     cols = len(A[0]) if rows else 0
     U = identity_matrix(rows)
-    V = identity_matrix(cols)
+    W = identity_matrix(cols)
 
     def row_op(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
-    def col_op(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
-        for r in range(rows):
-            A[r][i] -= q * A[r][j]
-        for r in range(cols):
-            V[r][i] -= q * V[r][j]
+    def col_op(i: int, j: int, q: int) -> None:  # col_i -= q * col_j, t the corner
+        for row in A[t:]:
+            if row[j]:
+                row[i] -= q * row[j]
+        W[i] = [a - q * b for a, b in zip(W[i], W[j])]
 
     def swap_rows(i: int, j: int) -> None:
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
 
-    def swap_cols(i: int, j: int) -> None:
-        for r in range(rows):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+    def swap_cols(i: int, j: int) -> None:  # t the corner
+        for row in A[t:]:
+            row[i], row[j] = row[j], row[i]
+        W[i], W[j] = W[j], W[i]
 
     def negate_row(i: int) -> None:
         A[i] = [-a for a in A[i]]
@@ -139,17 +203,15 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
 
     t = 0
     while t < min(rows, cols):
-        # locate the least nonzero entry in the remaining block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+        corner = _pivot(A, t)
+        if corner is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        swap_rows(t, corner[0])
+        swap_cols(t, corner[1])
         while True:
+            if A[t][t] in (1, -1):
+                _clear_by_unit(A, U, W, t)
+                break
             # clear the pivot column, then the pivot row
             dirty = False
             for i in range(t + 1, rows):
@@ -183,7 +245,7 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
         if A[t][t] < 0:
             negate_row(t)
         t += 1
-    return SmithNormalForm([list(map(int, row)) for row in M], A, U, V)
+    return SmithNormalForm([list(map(int, row)) for row in M], A, U, [list(c) for c in zip(*W)])
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +507,10 @@ def pi1_presentation(X: SimplicialSet, basepoint: str) -> GroupPresentation:
                     nxt.append(w)
         frontier = nxt
     generators = tuple(e for e in edges if e not in tree)
+    edge_set = set(edges)
 
     def letter(e: str) -> Word:
-        if X.is_degenerate(1, e) or e in tree or e not in set(edges):
+        if X.is_degenerate(1, e) or e in tree or e not in edge_set:
             return ()
         return ((e, 1),)
 

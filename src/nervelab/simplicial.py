@@ -315,13 +315,14 @@ def validate(X: SimplicialSet) -> list[Violation]:
         return X.degeneracy.get((n, i, c))
 
     # totality of the tables
+    level = {n: set(X.cells[n]) for n in range(D + 1)}
     for n in range(1, D + 1):
         for c in X.cells[n]:
             for i in range(n + 1):
                 v = face(n, i, c)
                 if v is None:
                     out.append(Violation("face-total", n, (i,), c, "missing face entry"))
-                elif v not in set(X.cells[n - 1]):
+                elif v not in level[n - 1]:
                     out.append(Violation("face-total", n, (i,), c, f"face {v!r} not a cell"))
     for n in range(D):
         for c in X.cells[n]:
@@ -329,7 +330,7 @@ def validate(X: SimplicialSet) -> list[Violation]:
                 v = degen(n, i, c)
                 if v is None:
                     out.append(Violation("degeneracy-total", n, (i,), c, "missing degeneracy entry"))
-                elif v not in set(X.cells[n + 1]):
+                elif v not in level[n + 1]:
                     out.append(Violation("degeneracy-total", n, (i,), c, f"degeneracy {v!r} not a cell"))
 
     # d_i d_j = d_{j-1} d_i for i < j

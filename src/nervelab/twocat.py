@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cat import CatFunctor, FinCat, _slice_name, discrete_category, has_final_object, validate_category
+from .cat import CatFunctor, FinCat, _claim, _slice_name, discrete_category, has_final_object, validate_category
 from .errors import ContractError, DomainError
 from .simplicial import (
     Key,
@@ -905,7 +905,10 @@ def _slice_2category(v: TwoFunctor, c: Obj) -> tuple[
     if c not in set(C.objects):
         raise DomainError(f"object {c!r} not in the target 2-category")
     vo = v.objects
-    objects = {_slice_name(a, f): (a, f) for a in A.objects for f in C.hom[(vo[a], c)].objects}
+    objects: dict[Obj, tuple[Obj, One]] = {}
+    for a in A.objects:
+        for f in C.hom[(vo[a], c)].objects:
+            _claim(objects, _slice_name(a, f), (a, f))
     ones: dict[tuple[Obj, Obj], dict[One, tuple[One, Two]]] = {}
     twos: dict[tuple[Obj, Obj], dict[Two, tuple[Two, Two, Two]]] = {}
     hom = {}
@@ -918,7 +921,7 @@ def _slice_2category(v: TwoFunctor, c: Obj) -> tuple[
                 composite = C.hc1(vo[a1], vo[a2], c, v.on1[(a1, a2, g)], f2)
                 for al in H_c.arrows:
                     if H_c.src[al] == composite and H_c.dst[al] == f1:
-                        cells[_slice_name(g, al)] = (g, al)
+                        _claim(cells, _slice_name(g, al), (g, al))
             idf2 = C.hom[(vo[a2], c)].identity[f2]
             arrows = twos[(o1, o2)] = {}
             src = {}
@@ -931,7 +934,7 @@ def _slice_2category(v: TwoFunctor, c: Obj) -> tuple[
                         whisker = C.hc2(vo[a1], vo[a2], c, v.on2[(a1, a2, be)], idf2)
                         if H_c.compose[(al2, whisker)] == al:
                             name = _slice_two_name(be, al, al2)
-                            arrows[name] = (be, al, al2)
+                            _claim(arrows, name, (be, al, al2))
                             src[name] = x
                             dst[name] = y
             compose = {}

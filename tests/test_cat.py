@@ -6,6 +6,7 @@ import pytest
 
 from nervelab.cat import (
     CatFunctor,
+    FinCat,
     arrow_category,
     category_of_elements,
     chain_category,
@@ -141,6 +142,28 @@ def test_slice_over_final_object_has_final_object():
 def test_slice_rejects_foreign_object():
     with pytest.raises(DomainError):
         slice_category(identity_functor(arrow_category()), "7")
+
+
+def colliding_names_category():
+    """Objects x, x|y, c and arrows y|z: x -> c, z: x|y -> c.  Over c the
+    slice objects (x, y|z) and (x|y, z) would both be written (x|y|z)."""
+    objects = ["x", "x|y", "c"]
+    ends = {"y|z": ("x", "c"), "z": ("x|y", "c")}
+    ends.update({f"id_{a}": (a, a) for a in objects})
+    compose = {}
+    for f, (a, b) in ends.items():
+        compose[(f"id_{b}", f)] = f
+        compose[(f, f"id_{a}")] = f
+    return FinCat(objects, ends, {f: e[0] for f, e in ends.items()},
+                  {f: e[1] for f, e in ends.items()}, compose, {a: f"id_{a}" for a in objects})
+
+
+def test_slice_names_that_collide_are_an_error():
+    C = colliding_names_category()
+    assert validate_category(C) == []
+    with pytest.raises(DomainError) as err:
+        slice_category(identity_functor(C), "c")
+    assert "('x', 'y|z')" in str(err.value) and "('x|y', 'z')" in str(err.value)
 
 
 def test_has_final_object_examples():

@@ -92,6 +92,18 @@ def test_malformed_level2_universe_names_file_and_key(tmp_path, capsys):
     assert "universe2.json" in err and f"edges[{edge['name']}].functor.on1" in err
 
 
+@pytest.mark.parametrize("command", ["homology", "pi1"])
+def test_sset_breaking_the_identities_exits_2_naming_the_cell(command, tmp_path, capsys):
+    doc = json.loads((DATA / "circle.sset.json").read_text())
+    doc["face"] = [e for e in doc["face"] if e[:3] != [1, 0, "R:01"]]
+    bad = tmp_path / "circle_missing_face.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "circle_missing_face.json" in err and "level 1" in err
+    assert "'R:01'" in err and "face-total" in err
+
+
 def test_missing_file_is_diagnosed(capsys):
     assert main(["validate", "/nonexistent/file.json"]) == 2
     assert "cannot read" in capsys.readouterr().err

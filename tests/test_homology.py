@@ -1,14 +1,17 @@
 """Smith normal form, integer homology, fundamental group, evidence reports."""
 
+import hashlib
 import random
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from nervelab.corpus import simplicial_objects
 from nervelab.errors import BoundError
 from nervelab.homology import (
     EvidenceReport,
+    SmithNormalForm,
     chain_map_matrices,
     classify_presentation,
     homology,
@@ -23,6 +26,7 @@ from nervelab.homology import (
     weak_equivalence_evidence,
     weak_equivalence_evidence2,
 )
+from nervelab.serialize import canonical_json
 from nervelab.simplicial import (
     SimplicialMap,
     boundary,
@@ -33,6 +37,7 @@ from nervelab.simplicial import (
     pushout,
     standard_simplex,
 )
+from nervelab.subdivision import sd
 from nervelab.twocat import (
     as_two_category,
     delta_tilde,
@@ -97,6 +102,100 @@ def test_integer_det():
     assert integer_det([[2, 1], [1, 1]]) == 1
     assert integer_det([[1, 2], [2, 4]]) == 0
     assert integer_det([]) == 1
+
+
+# -- certificates: verify() rejects what is not one ---------------------------------
+
+def test_verify_rejects_a_non_unimodular_certificate():
+    # U . M . V == D holds, but det U = 2
+    assert not SmithNormalForm([[1]], [[2]], [[2]], [[1]]).verify()
+
+
+def test_verify_rejects_a_broken_divisibility_chain():
+    eye = [[1, 0], [0, 1]]
+    assert not SmithNormalForm([[2, 0], [0, 3]], [[2, 0], [0, 3]], eye, eye).verify()
+
+
+def test_verify_rejects_a_product_mismatch():
+    M = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    s = smith_normal_form(M)
+    assert s.verify()
+    s.matrix[1][2] += 1
+    assert not s.verify()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_det_matches_sympy(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 8)
+    M = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and seed % 3 == 0:  # a singular one: the last row is a combination of two others
+        a, b = rng.sample(range(n - 1), 2) if n > 2 else (0, 0)
+        M[-1] = [x - 2 * y for x, y in zip(M[a], M[b])]
+    want = sympy.Matrix(M).det() if n else 1
+    assert integer_det(M) == want
+    if seed % 3 == 0 and n >= 2:
+        assert want == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_integer_det_of_elementary_products_is_a_unit(seed):
+    rng = random.Random(seed)
+    n = 30
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(200):
+        i, j = rng.sample(range(n), 2)
+        move = rng.randrange(3)
+        if move == 0:
+            q = rng.randint(-3, 3)
+            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+        elif move == 1:
+            M[i], M[j] = M[j], M[i]
+        else:
+            M[i] = [-a for a in M[i]]
+    assert integer_det(M) in (1, -1)
+
+
+# -- SNF on real boundary matrices: sympy oracle and pinned certificates -------------
+
+def _boundary_spaces():
+    sd_boundary3 = sd(boundary(3, 3))[0]
+    spaces = {"sd_boundary3": sd_boundary3, "sd2_boundary3": sd(sd_boundary3)[0]}
+    for name, X in simplicial_objects(2).items():
+        spaces[f"sd_{name}"] = sd(X)[0]
+    return spaces
+
+
+# SHA-256 prefixes of canonical_json([diagonal, U, V]).  The pivot rule fixes
+# the certificates, so an elimination shortcut that alters them fails here.
+SNF_PINS = {
+    ("sd_boundary3", 1): "2181647da8994ddf",  # 14x36
+    ("sd_boundary3", 2): "bfb3fe7c81188952",  # 36x24
+    ("sd2_boundary3", 1): "a4b6af6453c1a7b2",  # 74x216
+    ("sd2_boundary3", 2): "e59f9581e1626924",  # 216x144
+    ("sd_simplex1", 1): "1121a12be0a93aa5",  # 3x2
+    ("sd_simplex2", 1): "eed2cd634d1672c2",  # 7x12
+    ("sd_simplex2", 2): "984088c5a14019d5",  # 12x6
+    ("sd_boundary2", 1): "525beb5fa20879c8",  # 6x6
+    ("sd_horn21", 1): "ee2ca006bfdf1157",  # 5x4
+    ("sd_circle", 1): "6db5786bb838f2f8",  # 2x2
+}
+
+
+def test_snf_of_boundary_matrices_matches_sympy_and_pins():
+    seen = {}
+    for name, S in _boundary_spaces().items():
+        for n, M in sorted(normalized_chains(S).boundary.items()):
+            if not M or not M[0]:
+                continue
+            s = smith_normal_form(M)
+            assert s.verify()
+            theirs = sympy_snf(sympy.Matrix(M))
+            their_inv = sorted(abs(theirs[i, i]) for i in range(min(theirs.shape)) if theirs[i, i] != 0)
+            assert list(s.invariants) == their_inv, (name, n)
+            doc = canonical_json([s.diagonal, s.U, s.V])
+            seen[(name, n)] = hashlib.sha256(doc.encode()).hexdigest()[:16]
+    assert seen == SNF_PINS
 
 
 # -- chain complexes -------------------------------------------------------------

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import pytest
 
+from test_cat import colliding_names_category
+
 from nervelab.cat import (
     FinCat,
     arrow_category,
@@ -23,6 +25,7 @@ from nervelab.cat import (
     validate_functor,
 )
 from nervelab.corpus import two_categories
+from nervelab.errors import DomainError
 from nervelab.serialize import canonical_json, tfun_to_doc
 from nervelab.simplicial import find_simplicial_iso, validate
 from nervelab.twocat import (
@@ -331,6 +334,14 @@ def test_slice_with_nontrivial_two_cell():
     assert len(H.objects) == 2
     # while hom((a,u), (b,1)) only admits (u, id_u): nothing maps v -> u
     assert len(S.hom[("(a|u)", "(b|1)")].objects) == 1
+
+
+def test_slice_2category_names_that_collide_are_an_error():
+    C = as_two_category(colliding_names_category())
+    assert validate_2category(C) == []
+    with pytest.raises(DomainError) as err:
+        slice_2category(identity_two_functor(C), "c")
+    assert "('x', 'y|z')" in str(err.value) and "('x|y', 'z')" in str(err.value)
 
 
 def test_slice_2functor_of_identity_triangle():
