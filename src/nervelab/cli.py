@@ -15,7 +15,15 @@ from pathlib import Path
 from typing import Optional
 
 from . import serialize as ser
-from .cat import category_of_elements, has_final_object, identity_functor, nerve, slice_category
+from .cat import (
+    FinCat,
+    category_of_elements,
+    has_final_object,
+    identity_functor,
+    nerve,
+    slice_category,
+    validate_category,
+)
 from .errors import NerveLabError, SchemaError
 from .homology import (
     homology,
@@ -34,7 +42,15 @@ from .localizer import (
 from .presentations import cat_of, realize, twocat_of
 from .simplicial import SimplicialMap, SimplicialSet, boundary, standard_simplex, validate
 from .subdivision import alpha, beta, ex, sd
-from .twocat import delta_tilde, geometric_nerve, identity_two_functor, slice_2category
+from .twocat import (
+    Fin2Cat,
+    TwoFunctor,
+    delta_tilde,
+    geometric_nerve,
+    identity_two_functor,
+    slice_2category,
+    validate_2category,
+)
 
 
 def _load(path: str) -> dict:
@@ -48,17 +64,42 @@ def _load(path: str) -> dict:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
+def _refuse(path: str, violations: list[str]) -> None:
+    if violations:
+        raise SchemaError(f"{path}: {violations[0]} (the first of {len(violations)} violations)")
+
+
 def _load_valid_sset(path: str) -> SimplicialSet:
     """An sset.v1 document that satisfies the simplicial identities."""
     X = ser.sset_from_doc(_load(path), path)
-    violations = validate(X)
-    if violations:
-        v = violations[0]
-        raise SchemaError(
-            f"{path}: level {v.level}, cell {v.cell!r}: {v.identity} {list(v.indices)}: "
-            f"{v.detail} (the first of {len(violations)} violations)"
-        )
+    _refuse(path, [f"level {v.level}, cell {v.cell!r}: {v.identity} {list(v.indices)}: {v.detail}"
+                   for v in validate(X)])
     return X
+
+
+def _load_valid_fincat(path: str) -> FinCat:
+    """A fincat.v1 document that satisfies the category axioms."""
+    C = ser.fincat_from_doc(_load(path), path)
+    _refuse(path, validate_category(C))
+    return C
+
+
+def _load_valid_fin2cat(path: str) -> Fin2Cat:
+    """A fin2cat.v1 document that satisfies the strict 2-category axioms."""
+    C = ser.fin2cat_from_doc(_load(path), path)
+    _refuse(path, validate_2category(C))
+    return C
+
+
+def _load_valid_tfun(path: str) -> TwoFunctor:
+    """A tfun.v1 document between 2-categories that satisfy the strict
+    2-category axioms, checked before the 2-functor laws are."""
+    doc = _load(path)
+    for side in ("source", "target"):
+        if isinstance(doc.get(side), dict):
+            where = f"{path}.{side}"
+            _refuse(where, validate_2category(ser.fin2cat_from_doc(doc[side], where)))
+    return ser.tfun_from_doc(doc, path)
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
@@ -204,18 +245,15 @@ def run(args: argparse.Namespace) -> dict:
         X = ser.sset_from_doc(_load(args.input), args.input)
         return ser.violations_to_doc(validate(X))
     if cmd == "nerve":
-        C = ser.fincat_from_doc(_load(args.input), args.input)
-        return ser.sset_to_doc(nerve(C, args.max_dim))
+        return ser.sset_to_doc(nerve(_load_valid_fincat(args.input), args.max_dim))
     if cmd == "nerve2":
-        C = ser.fin2cat_from_doc(_load(args.input), args.input)
-        return ser.sset_to_doc(geometric_nerve(C, args.max_dim))
+        return ser.sset_to_doc(geometric_nerve(_load_valid_fin2cat(args.input), args.max_dim))
     if cmd == "delta-tilde":
         return ser.fin2cat_to_doc(delta_tilde(args.n))
     if cmd == "sd":
-        X = ser.sset_from_doc(_load(args.input), args.input)
-        return ser.sset_to_doc(sd(X)[0])
+        return ser.sset_to_doc(sd(_load_valid_sset(args.input))[0])
     if cmd == "ex":
-        X = ser.sset_from_doc(_load(args.input), args.input)
+        X = _load_valid_sset(args.input)
         D = X.dim_bound if args.max_dim is None else args.max_dim
         return ser.sset_to_doc(ex(X, D))
     if cmd == "alpha-beta":
@@ -298,7 +336,7 @@ def run(args: argparse.Namespace) -> dict:
         f = ser.smap_from_doc(_load(args.input), args.input)
         return ser.evidence_to_doc(weak_equivalence_evidence(f, args.degree))
     if cmd == "evidence2":
-        u = ser.tfun_from_doc(_load(args.input), args.input)
+        u = _load_valid_tfun(args.input)
         return ser.evidence_to_doc(weak_equivalence_evidence2(u, args.max_dim, args.degree))
     if cmd == "localizer-check":
         U = ser.universe_from_doc(_load(args.universe), args.universe)

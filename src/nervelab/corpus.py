@@ -129,9 +129,23 @@ LOOP_FREE = (
 WITH_FINAL_OBJECT = ("terminal", "arrow", "chain2", "cospan", "retract")
 
 
+def _two_object_2cat(H: FinCat) -> Fin2Cat:
+    """Objects a, b; hom(a, b) is H and hom(a, a), hom(b, b) are trivial."""
+    triv = terminal_2category().hom[("*", "*")]
+    one, idone = triv.objects[0], triv.arrows[0]
+    hcompose1 = {(x, x, x, one, one): one for x in "ab"}
+    hcompose2 = {(x, x, x, idone, idone): idone for x in "ab"}
+    for f in H.objects:
+        hcompose1[("a", "a", "b", one, f)] = hcompose1[("a", "b", "b", f, one)] = f
+    for al in H.arrows:
+        hcompose2[("a", "a", "b", idone, al)] = hcompose2[("a", "b", "b", al, idone)] = al
+    return Fin2Cat(["a", "b"], {("a", "a"): triv, ("b", "b"): triv, ("a", "b"): H},
+                   hcompose1, hcompose2, {"a": one, "b": one})
+
+
 def single_two_cell_2cat() -> Fin2Cat:
     """Objects a, b; hom(a, b) the walking arrow (one nonidentity 2-cell)."""
-    hom_ab = FinCat(
+    return _two_object_2cat(FinCat(
         ["u", "v"],
         ["id_u", "id_v", "m"],
         {"id_u": "u", "id_v": "v", "m": "u"},
@@ -141,32 +155,7 @@ def single_two_cell_2cat() -> Fin2Cat:
             ("m", "id_u"): "m", ("id_v", "m"): "m",
         },
         {"u": "id_u", "v": "id_v"},
-    )
-    triv = FinCat(["1"], ["id_1"], {"id_1": "1"}, {"id_1": "1"},
-                  {("id_1", "id_1"): "id_1"}, {"1": "id_1"})
-    return Fin2Cat(
-        ["a", "b"],
-        {("a", "a"): triv, ("b", "b"): triv, ("a", "b"): hom_ab},
-        {
-            ("a", "a", "a", "1", "1"): "1",
-            ("b", "b", "b", "1", "1"): "1",
-            ("a", "a", "b", "1", "u"): "u",
-            ("a", "a", "b", "1", "v"): "v",
-            ("a", "b", "b", "u", "1"): "u",
-            ("a", "b", "b", "v", "1"): "v",
-        },
-        {
-            ("a", "a", "a", "id_1", "id_1"): "id_1",
-            ("b", "b", "b", "id_1", "id_1"): "id_1",
-            ("a", "a", "b", "id_1", "id_u"): "id_u",
-            ("a", "a", "b", "id_1", "id_v"): "id_v",
-            ("a", "a", "b", "id_1", "m"): "m",
-            ("a", "b", "b", "id_u", "id_1"): "id_u",
-            ("a", "b", "b", "id_v", "id_1"): "id_v",
-            ("a", "b", "b", "m", "id_1"): "m",
-        },
-        {"a": "1", "b": "1"},
-    )
+    ))
 
 
 def two_categories() -> dict[str, Fin2Cat]:
@@ -177,6 +166,26 @@ def two_categories() -> dict[str, Fin2Cat]:
         out[f"iota_{name}"] = as_two_category(categories()[name])
     out["single2cell"] = single_two_cell_2cat()
     return out
+
+
+def nonthin_two_categories() -> dict[str, Fin2Cat]:
+    """2-categories with parallel 2-cells, where every corpus entry above
+    has at most one 2-cell between two 1-cells.  They are kept apart
+    because their geometric nerves have no closed-form level counts.
+
+    * ``z2_on_unit``: one object, one 1-cell, and the 2-cells the group
+      Z/2 under both compositions; N2 levels 1, 1, 2, 8, 64, 1024.
+    * ``parallel_2cells``: objects a, b and two parallel 2-cells f, g
+      between the 1-cells 0, 1 of hom(a, b); N2 levels 2, 4, 10, 24, 54, 116.
+    """
+    z2 = z2_group()
+    (one,) = z2.objects
+    z2_on_unit = Fin2Cat(
+        ["*"], {("*", "*"): z2}, {("*", "*", "*", one, one): one},
+        {("*", "*", "*", al, be): z2.compose[(al, be)] for al in z2.arrows for be in z2.arrows},
+        {"*": one},
+    )
+    return {"z2_on_unit": z2_on_unit, "parallel_2cells": _two_object_2cat(parallel_pair_category())}
 
 
 # ---------------------------------------------------------------------------

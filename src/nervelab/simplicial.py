@@ -20,6 +20,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BoundError, ContractError, DomainError
@@ -438,6 +439,17 @@ class SimplicialMap:
         for n, level in self.levels.items():
             for c, v in level.items():
                 yield (n, c), (n, v)
+
+
+def _map_name_template(keys: Iterable[tuple[int, Cell]]) -> str:
+    """The ``encode()`` of a map whose ``assignments()`` lists these source
+    keys, with a ``str.format`` field in place of each image."""
+    return ";".join(f"{n}:{_escaped(c)}>{{}}" for n, c in keys)
+
+
+def _escaped(name: str) -> str:
+    """``name`` as literal text of a ``str.format`` template."""
+    return name.replace("{", "{{").replace("}", "}}")
 
 
 def validate_map(f: SimplicialMap) -> list[str]:
@@ -900,50 +912,70 @@ def find_simplicial_iso(X: SimplicialSet, Y: SimplicialSet) -> Optional[Simplici
 # singular complexes: level n is the maps K(n) -> X
 # ---------------------------------------------------------------------------
 
+def _listed(maps: Iterable) -> Iterator[tuple[tuple, Cell, object, None]]:
+    """A level of :func:`_singular` holding the given maps, each named by
+    its ``encode()``, with faces left to re-indexing."""
+    for F in maps:
+        yield tuple(t[-1] for _, t in F.assignments()), F.encode(), F, None
+
+
 def _singular(
     D: int,
-    maps: Callable[[int], Iterable],
+    level: Callable[[int, dict, dict], Iterable[tuple[tuple, Cell, object, Optional[tuple]]]],
     operator: Callable[[Monotone, int], object],
 ) -> tuple[SimplicialSet, dict[tuple[int, Cell], object]]:
-    """The simplicial set with the maps ``maps(n)``: K(n) -> X at level n.
+    """The simplicial set whose level n holds maps K(n) -> X.
 
     This is the common shape of the geometric nerve (K = delta_tilde) and
     of the extension (K = sd of the simplex).  Returns it with the
-    ``(n, id) -> map`` table; a map's id is its ``encode()``.  Every map of
-    a level lists the same source keys in ``assignments()``, so a map is
-    recorded as the tuple of its image cells in that order.  ``phi`` acts
-    by precomposition with ``operator(phi, n)``: K(m) -> K(n), which is
-    re-indexing that tuple at the positions of the operator's image keys.
+    ``(n, id) -> map`` table.  Every map of level n lists the source keys
+    of ``operator(identity, n)`` in ``assignments()``, in the same order,
+    so a map is recorded as the tuple of its image cells in that order.
+    ``phi`` acts by precomposition with ``operator(phi, n)``: K(m) -> K(n),
+    which is re-indexing that tuple at the positions of the operator's
+    image keys.
+
+    ``level(n, named, faces)`` yields each map of level n as ``(image, id,
+    map, faces)``, given level n - 1 as ``named`` (image tuple -> id) and
+    ``faces`` (id -> the tuple of its faces).  A map yielded with faces
+    None has them computed by re-indexing.
     """
-    table: dict[tuple[int, Cell], object] = {}
-    named: dict[int, dict[tuple, Cell]] = {}
     places: dict[int, dict[Key, int]] = {}
-    for n in range(D + 1):
-        level = named[n] = {}
-        for F in maps(n):
-            pairs = list(F.assignments())
-            if n not in places:
-                places[n] = {s: k for k, (s, _) in enumerate(pairs)}
-            cid = F.encode()
-            level[tuple(t[-1] for _, t in pairs)] = cid
-            table[(n, cid)] = F
 
-    def act(phi: Monotone, n: int, i: int, out: dict) -> None:
-        at = places[n]
-        pick = [at[t] for _, t in operator(phi, n).assignments()]
-        target = named[len(phi) - 1]
-        for image, cid in named[n].items():
-            out[(n, i, cid)] = target[tuple(image[k] for k in pick)]
+    def reindexing(phi: Monotone, n: int) -> Callable[[tuple], tuple]:
+        if n not in places:
+            identity = tuple(range(n + 1))
+            places[n] = {s: k for k, (s, _) in enumerate(operator(identity, n).assignments())}
+        pick = [places[n][t] for _, t in operator(phi, n).assignments()]
+        if len(pick) == 1:
+            k = pick[0]
+            return lambda image: (image[k],)
+        return itemgetter(*pick)
 
+    table: dict[tuple[int, Cell], object] = {}
     face: dict[tuple[int, int, Cell], Cell] = {}
     degeneracy: dict[tuple[int, int, Cell], Cell] = {}
-    for n in places:
-        for i in range(n + 1):
-            if n > 0:
-                act(coface(n, i), n, i, face)
-            if n < D:
-                act(codegeneracy(n, i), n, i, degeneracy)
-    cells = {n: level.values() for n, level in named.items()}
+    cells: dict[int, Iterable[Cell]] = {}
+    named: dict[tuple, Cell] = {}
+    faces: dict[Cell, tuple] = {}
+    for n in range(D + 1):
+        d = [reindexing(coface(n, i), n) for i in range(n + 1)] if n > 0 else []
+        level_named: dict[tuple, Cell] = {}
+        level_faces: dict[Cell, tuple] = {}
+        for image, cid, F, fc in level(n, named, faces):
+            level_named[image] = cid
+            table[(n, cid)] = F
+            if fc is None:
+                fc = tuple(named[di(image)] for di in d)
+            level_faces[cid] = fc
+            for i, x in enumerate(fc):
+                face[(n, i, cid)] = x
+        for i in range(n):
+            si = reindexing(codegeneracy(n - 1, i), n - 1)
+            for image, cid in named.items():
+                degeneracy[(n - 1, i, cid)] = level_named[si(image)]
+        named, faces = level_named, level_faces
+        cells[n] = faces.keys()
     return SimplicialSet(D, cells, face, degeneracy), table
 
 

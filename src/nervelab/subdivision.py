@@ -25,10 +25,11 @@ from .simplicial import (
     Monotone,
     SimplicialMap,
     SimplicialSet,
+    _listed,
+    _map_name_template,
     _singular,
     _UnionFind,
     coface,
-    compose_maps,
     enumerate_simplicial_maps,
     simplicial_operator,
 )
@@ -245,7 +246,7 @@ def ex_cells(X: SimplicialSet, D: int) -> tuple[SimplicialSet, dict[tuple[int, s
     if D > X.dim_bound:
         raise BoundError(f"extension bound {D} exceeds the bound of X ({X.dim_bound})")
     return _singular(
-        D, lambda n: enumerate_simplicial_maps(sd_simplex(n, X.dim_bound), X),
+        D, lambda n, named, faces: _listed(enumerate_simplicial_maps(sd_simplex(n, X.dim_bound), X)),
         lambda phi, n: sd_operator_map(phi, n, X.dim_bound),
     )
 
@@ -255,13 +256,19 @@ def ex(X: SimplicialSet, D: int) -> SimplicialSet:
 
 
 def ex_map(f: SimplicialMap, D: int) -> SimplicialMap:
-    """Functoriality of the extension: postcompose every cell with f."""
+    """Functoriality of the extension: postcompose every cell with f.
+
+    A cell's image is named from its images mapped through f, which is
+    the ``encode()`` of the composite without building it."""
     EX, table = ex_cells(f.source, D)
     EY = ex(f.target, D)
-    levels = {
-        n: {cid: compose_maps(f, table[(n, cid)]).encode() for cid in EX.cells[n]}
-        for n in range(D + 1)
-    }
+    levels: dict[int, dict[Cell, Cell]] = {n: {} for n in range(D + 1)}
+    templates: dict[int, str] = {}
+    for (n, cid), F in table.items():
+        cells = [(F.levels[m], f.levels[m]) for m in range(f.bound + 1)]
+        if n not in templates:
+            templates[n] = _map_name_template((m, c) for m, (lvl, _) in enumerate(cells) for c in lvl)
+        levels[n][cid] = templates[n].format(*(fm[v] for lvl, fm in cells for v in lvl.values()))
     return SimplicialMap(EX, EY, levels, check=False)
 
 

@@ -16,6 +16,7 @@ tables are keyed by the surrounding objects.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cat import CatFunctor, FinCat, _claim, _slice_name, discrete_category, has_final_object, validate_category
@@ -25,6 +26,8 @@ from .simplicial import (
     Monotone,
     SimplicialMap,
     SimplicialSet,
+    _escaped,
+    _listed,
     _search,
     _singular,
     _UnionFind,
@@ -88,6 +91,8 @@ def validate_2category(C: Fin2Cat) -> list[str]:
             continue
         for msg in validate_category(H):
             out.append(f"hom({a!r}, {b!r}): {msg}")
+    if out:
+        return out  # the checks below assume every hom is a category
     for a in objs:
         u = C.unit.get(a)
         if u is None or u not in set(C.hom[(a, a)].objects):
@@ -606,6 +611,10 @@ def _two_functor_problem(A: Fin2Cat, B: Fin2Cat) -> tuple:
     identity 2-cells are forced, and so is any cell expressible as a
     horizontal or vertical composite of cells placed before it, which keeps
     the search shallow on simplex-shaped sources.
+
+    B must pass :func:`validate_2category`: a composite instance is not
+    checked when the unit and identity laws of B or the forcing of its
+    composite from the same parts already make it hold.
     """
     ones: list[Key] = []
     for (a, b), H in sorted(A.hom.items()):
@@ -661,14 +670,27 @@ def _two_functor_problem(A: Fin2Cat, B: Fin2Cat) -> tuple:
     def placed(k1: Key, k2: Key, k: int) -> bool:
         return index[k1] < k and index[k2] < k
 
-    # constraint instances, each filed under its last variable
+    # (part, part, composite) instances whose composite is forced from
+    # exactly these parts: the options guarantee them, so they are not checked
+    forced = {(k1, k2, key) for key, decs in one_decomp.items()
+              for k1, k2 in decs if placed(k1, k2, index[key])}
+    forced |= {(k1, k2, key) for decomp in (two_decomp_v, two_decomp_h) for key, decs in decomp.items()
+               if not A.hom[key[1:3]].is_identity(key[3])
+               for k1, k2 in decs if placed(k1, k2, index[key])}
+    unit_identity = {a: A.hom[(a, a)].identity[A.unit[a]] for a in A.objects}
+
+    # constraint instances, each filed under its last variable; those with
+    # a unit or identity part hold by the laws of B
     homs_inhabited: dict[int, list[tuple[int, int]]] = {}
     for (a, b), H in A.hom.items():
         if H.objects:
             homs_inhabited.setdefault(max(obj[a], obj[b]), []).append((obj[a], obj[b]))
     one_h: dict[int, list] = {}
     for (a, b, c, f, g), h in A.hcompose1.items():
-        i1, i2, ih = index[(1, a, b, f)], index[(1, b, c, g)], index[(1, a, c, h)]
+        k1, k2, kh = (1, a, b, f), (1, b, c, g), (1, a, c, h)
+        if (a == b and f == A.unit[a]) or (b == c and g == A.unit[b]) or (k1, k2, kh) in forced:
+            continue
+        i1, i2, ih = index[k1], index[k2], index[kh]
         one_h.setdefault(max(i1, i2, ih), []).append((i1, i2, ih, obj[a], obj[b], obj[c]))
     # hom-arrow compatibility: if hom_A has an arrow f -> g, the images must
     # admit an arrow in hom_B; prunes hard when hom_B is thin or discrete
@@ -681,11 +703,17 @@ def _two_functor_problem(A: Fin2Cat, B: Fin2Cat) -> tuple:
     two_v: dict[int, list] = {}
     for (a, b), H in A.hom.items():
         for (be, al), ga in H.compose.items():
-            i1, i2, ig = index[(2, a, b, al)], index[(2, a, b, be)], index[(2, a, b, ga)]
+            k1, k2, kg = (2, a, b, al), (2, a, b, be), (2, a, b, ga)
+            if H.is_identity(al) or H.is_identity(be) or (k1, k2, kg) in forced:
+                continue
+            i1, i2, ig = index[k1], index[k2], index[kg]
             two_v.setdefault(max(i1, i2, ig), []).append((i1, i2, ig, obj[a], obj[b]))
     two_h: dict[int, list] = {}
     for (a, b, c, al, be), ga in A.hcompose2.items():
-        i1, i2, ig = index[(2, a, b, al)], index[(2, b, c, be)], index[(2, a, c, ga)]
+        k1, k2, kg = (2, a, b, al), (2, b, c, be), (2, a, c, ga)
+        if (a == b and al == unit_identity[a]) or (b == c and be == unit_identity[b]) or (k1, k2, kg) in forced:
+            continue
+        i1, i2, ig = index[k1], index[k2], index[kg]
         two_h.setdefault(max(i1, i2, ig), []).append((i1, i2, ig, obj[a], obj[b], obj[c]))
 
     b_inhabited = {xy for xy, K in B.hom.items() if K.objects}
@@ -817,7 +845,8 @@ def enumerate_two_functors(
     Cells are keyed ``(0, object)``, ``(1, a, b, one_cell)`` and
     ``(2, a, b, two_cell)``, the 1- and 2-cells with their hom: ``pin``
     fixes parts of the assignment, ``allow(cell_key, image_key)`` restricts
-    candidate images and ``limit`` caps the number of 2-functors.
+    candidate images and ``limit`` caps the number of 2-functors.  B must
+    pass :func:`validate_2category`; the search relies on its laws.
     """
     yield from _search(*_two_functor_problem(A, B), pin, allow, limit)
 
@@ -844,24 +873,172 @@ def find_2cat_iso(A: Fin2Cat, B: Fin2Cat) -> Optional[TwoFunctor]:
 def geometric_nerve_cells(C: Fin2Cat, D: int) -> tuple[SimplicialSet, dict[tuple[int, str], TwoFunctor]]:
     """Geometric nerve truncated at D, plus the id -> 2-functor table.
 
-    Level n holds all strict 2-functors ``delta_tilde(n) -> C``; operators
-    act by precomposition with :func:`cosimplicial_operator`.
+    Level n holds all strict 2-functors ``delta_tilde(n) -> C``, named by
+    their ``encode()``; operators act by precomposition with
+    :func:`cosimplicial_operator`.  Levels up to 3 are found by
+    :func:`enumerate_two_functors`.  The nerve is 3-coskeletal (Street
+    1987, "The algebra of oriented simplexes"; Duskin 2002, "Simplicial
+    matrices and the nerves of weak n-categories I"): for n >= 4 every
+    tuple of (n-1)-cells with matching faces is the boundary of exactly
+    one n-cell.  Those levels are built by joining the level below on
+    shared faces (:func:`_coskeletal_level`).
+
+    C must pass :func:`validate_2category`: the search files no check that
+    the unit and identity laws of C make vacuous, and the join takes the
+    cells that lie in no face to be composites in C.
     """
-    return _singular(D, lambda n: enumerate_two_functors(delta_tilde(n), C), cosimplicial_operator)
+    def level(n: int, named: dict, faces: dict) -> Iterable:
+        if n < 4:
+            return _listed(enumerate_two_functors(delta_tilde(n), C))
+        return _coskeletal_level(C, n, named, faces)
+    return _singular(D, level, cosimplicial_operator)
 
 
 def geometric_nerve(C: Fin2Cat, D: int) -> SimplicialSet:
     return geometric_nerve_cells(C, D)[0]
 
 
+def _name_template(keys: Iterable[Key]) -> str:
+    """The ``encode()`` of a 2-functor whose ``assignments()`` lists these
+    source keys, with a ``str.format`` field in place of each image."""
+    parts: tuple[list[str], list[str], list[str]] = ([], [], [])
+    for key in keys:
+        parts[key[0]].append(_escaped("!".join(key[1:])) + ">{}")
+    return "/".join(",".join(p) for p in parts)
+
+
+@lru_cache(maxsize=None)
+def _simplex_keys(n: int) -> tuple[tuple[Key, ...], str]:
+    """The cell keys of ``delta_tilde(n)`` in ``assignments()`` order, and
+    the name template of the 2-functors out of it."""
+    keys = tuple(s for s, _ in cosimplicial_operator(tuple(range(n + 1)), n).assignments())
+    return keys, _name_template(keys)
+
+
+@lru_cache(maxsize=None)
+def _join_plan(n: int) -> tuple:
+    """How an n-cell of a geometric nerve (n >= 4) is read off its faces.
+
+    Concatenate the image tuples of the faces ``x_0 .. x_n`` and append the
+    fills below; ``pick`` then takes the n-cell's image tuple from that.  A
+    cell of ``delta_tilde(n)`` missing a vertex v is read from ``x_v``.  The
+    cells on all of {0..n} lie in no face; each is one composite in C:
+
+    * the 1-cell {0..n} is ``hc1({0,1}, {1..n})``;
+    * a 2-cell {0..n} => T where T has an interior vertex m is ``hc2``
+      of its restrictions to {0..m} and {m..n} (m the least such vertex);
+    * {0..n} => {0,n} is the vertical composite of {0..n} => {0,1,n} and
+      {0,1,n} => {0,n}.
+
+    ``one`` and ``splits`` hold the positions of the composed parts in the
+    concatenation; ``vertical`` the positions of the objects and 2-cell of
+    the last composite, and the place of its first part among the splits.
+    """
+    keys, _ = _simplex_keys(n)
+    lower = {key: k for k, key in enumerate(_simplex_keys(n - 1)[0])}
+    everything = set(range(n + 1))
+
+    def at(key: Key) -> int:
+        """The position of a cell that misses a vertex."""
+        vertices = set(map(int, key[1] if key[0] == 0 else key[3].split(">")[0]))
+        v = min(everything - vertices)
+        down = str.maketrans({str(w): str(w - (w > v)) for w in everything - {v}})
+        return v * len(lower) + lower[(key[0], *(c.translate(down) for c in key[1:]))]
+
+    full = _subset_id(everything)
+    last = str(n)
+    o0, on = at((0, "0")), at((0, last))
+    one = (o0, at((0, "1")), on, at((1, "0", "1", "01")), at((1, "1", last, full[1:])))
+    fills = {(1, "0", last, full): 0}
+    splits = []
+    for T in _subsets_between(0, n):
+        m = next((int(ch) for ch in T[1:-1]), None)
+        if m is None:
+            continue
+        fills[(2, "0", last, f"{full}>{T}")] = len(fills)
+        head = "".join(ch for ch in T if int(ch) <= m)
+        tail = "".join(ch for ch in T if int(ch) >= m)
+        splits.append((o0, at((0, str(m))), on, at((2, "0", str(m), f"{full[:m + 1]}>{head}")),
+                       at((2, str(m), last, f"{full[m:]}>{tail}"))))
+    via = f"01{last}"
+    vertical = (o0, on, at((2, "0", last, f"{via}>0{last}")), fills[(2, "0", last, f"{full}>{via}")] - 1)
+    fills[(2, "0", last, f"{full}>0{last}")] = len(fills)
+    base = (n + 1) * len(lower)
+    pick = itemgetter(*(base + fills[key] if key in fills else at(key) for key in keys))
+    return pick, one, splits, vertical
+
+
+def _coskeletal_level(C: Fin2Cat, n: int, named: dict, faces: dict) -> Iterator[tuple]:
+    """Level n >= 4 of the geometric nerve of C, from level n-1 given as
+    in :func:`_singular`: one cell per tuple ``(x_0 .. x_n)`` of
+    (n-1)-cells with ``d_i x_j = d_{j-1} x_i`` for ``i < j``; its faces are
+    that tuple.  Requires C to pass :func:`validate_2category`."""
+    keys, template = _simplex_keys(n)
+    pick, one, splits, vertical = _join_plan(n)
+    A = delta_tilde(n)
+    ends = (sum(1 for k in keys if k[0] == 0), sum(1 for k in keys if k[0] < 2))
+    names = [key[1] if key[0] == 0 else key[1:] for key in keys]
+    image_of = {cid: image for image, cid in named.items()}
+    hc1, hc2, hom = C.hcompose1, C.hcompose2, C.hom
+    o0, o1, on, f01, f1n = one
+    z0, zn, via, first = vertical
+    for xs in _matching_tuples(n, faces):
+        c = sum((image_of[x] for x in xs), ())
+        twos = [hc2[(c[a], c[m], c[b], c[x], c[y])] for a, m, b, x, y in splits]
+        c += (hc1[(c[o0], c[o1], c[on], c[f01], c[f1n])], *twos,
+              hom[(c[z0], c[zn])].compose[(c[via], twos[first])])
+        image = pick(c)
+        F = TwoFunctor(A, C, dict(zip(names[:ends[0]], image)),
+                       dict(zip(names[ends[0]:ends[1]], image[ends[0]:])),
+                       dict(zip(names[ends[1]:], image[ends[1]:])), check=False)
+        yield image, template.format(*image), F, xs
+
+
+def _matching_tuples(n: int, faces: dict[str, tuple[str, ...]]) -> Iterator[tuple[str, ...]]:
+    """Every tuple ``(x_0 .. x_n)`` of cells with ``d_i x_j = d_{j-1} x_i``
+    for ``i < j``, given each cell's faces; candidates for ``x_j`` are
+    looked up by their first one or two faces."""
+    by_first: dict[str, list[str]] = {}
+    by_first_two: dict[tuple[str, str], list[str]] = {}
+    for x, fx in faces.items():
+        by_first.setdefault(fx[0], []).append(x)
+        by_first_two.setdefault(fx[:2], []).append(x)
+
+    def extend(xs: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+        j = len(xs)
+        if j > n:
+            yield xs
+            return
+        if j == 0:
+            candidates: Iterable[str] = faces
+        elif j == 1:
+            candidates = by_first.get(faces[xs[0]][0], ())
+        else:
+            candidates = by_first_two.get((faces[xs[0]][j - 1], faces[xs[1]][j - 1]), ())
+        for x in candidates:
+            fx = faces[x]
+            if all(fx[i] == faces[xs[i]][j - 1] for i in range(2, j)):
+                yield from extend(xs + (x,))
+
+    return extend(())
+
+
 def geometric_nerve_functor(u: TwoFunctor, D: int) -> SimplicialMap:
     """The simplicial map of geometric nerves induced by a 2-functor
-    (postcomposition with u on each cell)."""
+    (postcomposition with u on each cell).
+
+    A cell's image is named from its images mapped through u, which is the
+    ``encode()`` of the composite without building it."""
     NA, table = geometric_nerve_cells(u.source, D)
-    levels = {
-        n: {cid: compose_two_functors(u, table[(n, cid)]).encode() for cid in NA.cells[n]}
-        for n in range(D + 1)
-    }
+    uo, u1, u2 = u.objects, u.on1, u.on2
+    templates = [_simplex_keys(n)[1] for n in range(D + 1)]
+    levels: dict[int, dict[str, str]] = {n: {} for n in range(D + 1)}
+    for (n, cid), F in table.items():
+        o = F.objects
+        image = [uo[x] for x in o.values()]
+        image += [u1[(o[a], o[b], f)] for (a, b, _), f in F.on1.items()]
+        image += [u2[(o[a], o[b], al)] for (a, b, _), al in F.on2.items()]
+        levels[n][cid] = templates[n].format(*image)
     return SimplicialMap(NA, geometric_nerve(u.target, D), levels, check=False)
 
 

@@ -104,6 +104,42 @@ def test_sset_breaking_the_identities_exits_2_naming_the_cell(command, tmp_path,
     assert "'R:01'" in err and "face-total" in err
 
 
+def without(entries, prefix):
+    return [e for e in entries if e[:len(prefix)] != prefix]
+
+
+@pytest.mark.parametrize("command,sample_name,break_it,named", [
+    ("nerve", "arrow.fincat.json",
+     lambda doc: doc.update(compose=without(doc["compose"], ["id_1", "0<=1"])),
+     ": compose missing on ('id_1', '0<=1')"),
+    ("nerve2", "iota_arrow.fin2cat.json",
+     lambda doc: doc.update(hcompose2=without(doc["hcompose2"], ["0", "0", "1"])),
+     ": hcompose2 missing/foreign on (0,0,1,id_id_0,id_0<=1)"),
+    ("nerve2", "iota_arrow.fin2cat.json",
+     lambda doc: doc["hom"][1][2].update(identity={}),
+     ": hom('0', '1'): object '0<=1' has no identity arrow"),
+    ("sd", "interval.sset.json",
+     lambda doc: doc.update(degeneracy=[[0, 0, "0", "zz"], [0, 0, "1", "11"]]),
+     ": level 0, cell '0': degeneracy-total [0]: degeneracy 'zz' not a cell"),
+    ("ex", "interval.sset.json",
+     lambda doc: doc.update(face=without(doc["face"], [1, 0, "01"])),
+     ": level 1, cell '01': face-total [0]: missing face entry"),
+    ("evidence2", "iota_arrow_to_terminal.tfun.json",
+     lambda doc: doc["source"].update(hcompose2=without(doc["source"]["hcompose2"], ["0", "0", "1"])),
+     ".source: hcompose2 missing/foreign on (0,0,1,id_id_0,id_0<=1)"),
+], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2"])
+def test_input_breaking_its_axioms_exits_2_naming_the_violation(
+        command, sample_name, break_it, named, tmp_path, capsys):
+    doc = json.loads((DATA / sample_name).read_text())
+    break_it(doc)
+    bad = tmp_path / f"broken_{sample_name}"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"broken_{sample_name}{named}" in captured.err
+
+
 def test_missing_file_is_diagnosed(capsys):
     assert main(["validate", "/nonexistent/file.json"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from nervelab.cat import (
     poset_category,
     terminal_category,
 )
-from nervelab.corpus import categories, simplicial_objects, two_categories
+from nervelab.corpus import categories, nonthin_two_categories, simplicial_objects, two_categories
 from nervelab.lifting import LiftingProblem, find_lift
 from nervelab.simplicial import (
     SimplicialMap,
@@ -43,7 +43,10 @@ from nervelab.twocat import (
 
 S = simplicial_objects(2)
 C = categories()
-T = two_categories()
+T = {**two_categories(), **nonthin_two_categories(),
+     # a composite of non-units that is a unit is placed before its parts, so
+     # it is checked, not forced
+     "iota_z3": as_two_category(C["z3"]), "iota_idempotent": as_two_category(C["idempotent"])}
 
 
 # -- a brute-force oracle for 2-functors -----------------------------------------
@@ -78,6 +81,14 @@ def oracle_two_functors(A, B):
     ("iota_chain2", "iota_arrow"),
     ("simplex2_2", "iota_chain2"),
     ("iota_parallel", "single2cell"),
+    ("z2_on_unit", "z2_on_unit"),
+    ("simplex2_2", "z2_on_unit"),
+    ("parallel_2cells", "parallel_2cells"),
+    ("simplex2_2", "parallel_2cells"),
+    ("single2cell", "parallel_2cells"),
+    ("parallel_2cells", "z2_on_unit"),
+    ("iota_z2", "iota_idempotent"),
+    ("iota_z3", "iota_idempotent"),
 ])
 def test_two_functor_enumeration_matches_brute_force(pair):
     A, B = T[pair[0]], T[pair[1]]

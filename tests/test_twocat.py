@@ -24,7 +24,7 @@ from nervelab.cat import (
     terminal_category,
     validate_functor,
 )
-from nervelab.corpus import two_categories
+from nervelab.corpus import nonthin_two_categories, two_categories
 from nervelab.errors import DomainError
 from nervelab.serialize import canonical_json, tfun_to_doc
 from nervelab.simplicial import find_simplicial_iso, validate
@@ -352,10 +352,10 @@ def test_slice_2functor_of_identity_triangle():
     assert F.objects == {o: o for o in F.source.objects}
 
 
-@pytest.mark.parametrize("name", sorted(two_categories()))
+@pytest.mark.parametrize("name", sorted({**two_categories(), **nonthin_two_categories()}))
 def test_slice_of_a_slice_is_a_2category(name):
     # the 1-cells of a slice of a slice have nested names like ((g|al)|al2)
-    C = two_categories()[name]
+    C = {**two_categories(), **nonthin_two_categories()}[name]
     for c in C.objects:
         S = slice_2category(identity_two_functor(C), c)
         for c2 in S.objects:
