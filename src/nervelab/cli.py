@@ -77,16 +77,18 @@ def _load_valid_sset(path: str) -> SimplicialSet:
     return X
 
 
-def _load_valid_fincat(path: str) -> FinCat:
-    """A fincat.v1 document that satisfies the category axioms."""
-    C = ser.fincat_from_doc(_load(path), path)
+def _load_valid_fincat(path: str, doc: Optional[dict] = None) -> FinCat:
+    """A fincat.v1 document, read from ``path`` unless ``doc`` is given, that
+    satisfies the category axioms."""
+    C = ser.fincat_from_doc(_load(path) if doc is None else doc, path)
     _refuse(path, validate_category(C))
     return C
 
 
-def _load_valid_fin2cat(path: str) -> Fin2Cat:
-    """A fin2cat.v1 document that satisfies the strict 2-category axioms."""
-    C = ser.fin2cat_from_doc(_load(path), path)
+def _load_valid_fin2cat(path: str, doc: Optional[dict] = None) -> Fin2Cat:
+    """A fin2cat.v1 document, read from ``path`` unless ``doc`` is given, that
+    satisfies the strict 2-category axioms."""
+    C = ser.fin2cat_from_doc(_load(path) if doc is None else doc, path)
     _refuse(path, validate_2category(C))
     return C
 
@@ -257,16 +259,16 @@ def run(args: argparse.Namespace) -> dict:
         D = X.dim_bound if args.max_dim is None else args.max_dim
         return ser.sset_to_doc(ex(X, D))
     if cmd == "alpha-beta":
-        X = ser.sset_from_doc(_load(args.input), args.input)
+        X = _load_valid_sset(args.input)
         return {
             "alpha": ser.smap_to_doc(alpha(X)),
             "beta": ser.smap_to_doc(beta(X)),
         }
     if cmd == "cat-of":
-        X = ser.sset_from_doc(_load(args.input), args.input)
+        X = _load_valid_sset(args.input)
         return ser.pres_to_doc(cat_of(X))
     if cmd == "twocat-of":
-        X = ser.sset_from_doc(_load(args.input), args.input)
+        X = _load_valid_sset(args.input)
         return ser.pres_to_doc(twocat_of(X))
     if cmd == "realize":
         p = ser.pres_from_doc(_load(args.input), args.input)
@@ -274,7 +276,7 @@ def run(args: argparse.Namespace) -> dict:
     if cmd == "slice":
         doc = _load(args.input)
         if "arrows" in doc and "source" not in doc:
-            v = identity_functor(ser.fincat_from_doc(doc, args.input))
+            v = identity_functor(_load_valid_fincat(args.input, doc))
         else:
             v = ser.cfun_from_doc(doc, args.input)
         S, proj = slice_category(v, args.object)
@@ -282,17 +284,16 @@ def run(args: argparse.Namespace) -> dict:
     if cmd == "slice2":
         doc = _load(args.input)
         if "hom" in doc and "source" not in doc:
-            v = identity_two_functor(ser.fin2cat_from_doc(doc, args.input))
+            v = identity_two_functor(_load_valid_fin2cat(args.input, doc))
         else:
             v = ser.tfun_from_doc(doc, args.input)
         return ser.fin2cat_to_doc(slice_2category(v, args.object))
     if cmd == "elements":
-        X = ser.sset_from_doc(_load(args.input), args.input)
+        X = _load_valid_sset(args.input)
         D = X.dim_bound if args.max_dim is None else args.max_dim
         return ser.fincat_to_doc(category_of_elements(X, D))
     if cmd == "final":
-        C = ser.fincat_from_doc(_load(args.input), args.input)
-        return {"final": has_final_object(C)}
+        return {"final": has_final_object(_load_valid_fincat(args.input))}
     if cmd == "lift":
         problem = ser.lifting_problem_from_doc(_load(args.input), args.input)
         h = find_lift(problem)

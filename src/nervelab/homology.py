@@ -5,13 +5,20 @@ integers with verifiable unimodular certificates, edge-path fundamental
 group presentations, and three-valued evidence reports for simplicial
 maps and 2-functors.
 
-All matrix arithmetic uses Python integers, so there is no overflow.
-Matrices are lists of rows; ``boundary[n]`` maps degree-n chains to
-degree n-1 (rows indexed by the lower basis).
+All arithmetic uses Python integers, so there is no overflow.  A chain
+complex stores each boundary as sparse columns, one ``{row: coefficient}``
+dict per basis cell, and homology reads ranks and torsion off them by
+eliminating unit pivots; only a remainder with no unit entry, usually
+empty, goes to :func:`smith_normal_form` as a dense matrix.  Dense matrices
+are lists of rows: ``ChainComplex.boundary[n]`` (built on access) maps
+degree-n chains to degree n-1, rows indexed by the lower basis.
+Certificates come only from a direct call of :func:`smith_normal_form`.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,6 +27,7 @@ from .simplicial import SimplicialMap, SimplicialSet, components
 from .twocat import TwoFunctor, geometric_nerve_functor
 
 Matrix = list[list[int]]
+Column = dict[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +166,23 @@ def _clear_by_unit(A: Matrix, U: Matrix, W: Matrix, t: int) -> None:
         pivot_row[j] = 0
 
 
+def _nearest_quotient(a: int, p: int) -> int:
+    """The quotient q with ``|a - q * p| <= |p| / 2``."""
+    q, r = divmod(a, p)
+    return q + 1 if 2 * abs(r) > abs(p) else q
+
+
 def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     Classical pivoting: bring the least nonzero entry to the corner, reduce
-    its row and column by division with remainder, fix divisibility of the
-    remaining block, recurse on the submatrix.  The accumulated operations
-    give the certificates, verified by :meth:`SmithNormalForm.verify`.
+    its row and column by nearest-integer division, so every remainder is
+    at most half the pivot, then bring the least remainder left in them to
+    the corner and repeat; once they are clear, fix divisibility of the
+    remaining block and recurse on the submatrix.  The pivot shrinks at
+    every step, which keeps the certificate entries small.  The accumulated
+    operations give the certificates, verified by
+    :meth:`SmithNormalForm.verify`.
 
     A unit corner divides everything: :func:`_clear_by_unit` does its
     reduction in one pass, with no remainder swaps and no divisibility
@@ -212,23 +230,19 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
             if A[t][t] in (1, -1):
                 _clear_by_unit(A, U, W, t)
                 break
-            # clear the pivot column, then the pivot row
-            dirty = False
+            # reduce the pivot column, then the pivot row
             for i in range(t + 1, rows):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    row_op(i, t, q)
-                    if A[i][t] != 0:  # remainder became the new, smaller pivot
-                        swap_rows(t, i)
-                        dirty = True
+                if A[i][t]:
+                    row_op(i, t, _nearest_quotient(A[i][t], A[t][t]))
             for j in range(t + 1, cols):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    col_op(j, t, q)
-                    if A[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
+                if A[t][j]:
+                    col_op(j, t, _nearest_quotient(A[t][j], A[t][t]))
+            # the least remainder becomes the new, smaller pivot
+            rest = [(abs(A[i][t]), 0, i) for i in range(t + 1, rows) if A[i][t]]
+            rest += [(abs(A[t][j]), 1, j) for j in range(t + 1, cols) if A[t][j]]
+            if rest:
+                _, is_col, k = min(rest)
+                (swap_cols if is_col else swap_rows)(t, k)
                 continue
             # enforce divisibility of the remaining block by the pivot
             offender = None
@@ -252,16 +266,37 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
 # chain complexes
 # ---------------------------------------------------------------------------
 
+def _column(entries: Iterable[tuple[int, int]]) -> Column:
+    """The sparse column that sums ``(row, coefficient)`` pairs, zeros left out."""
+    col: Column = {}
+    for i, v in entries:
+        col[i] = col.get(i, 0) + v
+    return {i: v for i, v in col.items() if v}
+
+
+def _dense(columns: Sequence[Column], rows: Sequence[int]) -> Matrix:
+    """The given rows of the matrix with these columns, as lists."""
+    at = {r: k for k, r in enumerate(rows)}
+    out = [[0] * len(columns) for _ in rows]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            out[at[i]][j] = v
+    return out
+
+
 @dataclass
 class ChainComplex:
-    """Free abelian chain groups with integer boundary matrices.
+    """Free abelian chain groups with sparse integer boundaries.
 
-    ``basis[n]`` lists the degree-n generators; ``boundary[n]`` (for n >= 1)
-    is the matrix of the boundary map in those bases.
+    ``basis[n]`` lists the degree-n generators.  ``columns[n]`` (for
+    n >= 1) is the boundary map in those bases: one ``{row: coefficient}``
+    dict per degree-n generator, rows indexing ``basis[n - 1]``, zero
+    coefficients left out.  That is the only stored form; ``boundary[n]``
+    is the same map as a dense list of rows, built on access.
     """
 
     basis: dict[int, tuple[str, ...]]
-    boundary: dict[int, Matrix]
+    columns: dict[int, list[Column]]
 
     @property
     def top(self) -> int:
@@ -270,54 +305,119 @@ class ChainComplex:
     def rank(self, n: int) -> int:
         return len(self.basis.get(n, ()))
 
+    @property
+    def boundary(self) -> Mapping[int, Matrix]:
+        return _DenseBoundaries(self)
+
     def validate(self) -> list[str]:
+        """One message per degree where the boundary does not square to zero."""
         out = []
         for n in range(1, self.top + 1):
-            d_n = self.boundary.get(n)
-            d_n1 = self.boundary.get(n + 1)
+            d_n = self.columns.get(n)
+            d_n1 = self.columns.get(n + 1)
             if d_n is None or d_n1 is None:
                 continue
-            prod = mat_mul(d_n, d_n1)
-            if any(any(v != 0 for v in row) for row in prod):
+            if any(_column((k, v * w) for i, v in col.items() for k, w in d_n[i].items())
+                   for col in d_n1):
                 out.append(f"boundary squared is nonzero from degree {n + 1}")
         return out
+
+
+class _DenseBoundaries(Mapping):
+    """``ChainComplex.boundary``: each degree densified when it is read."""
+
+    def __init__(self, cc: ChainComplex):
+        self._cc = cc
+
+    def __getitem__(self, n: int) -> Matrix:
+        return _dense(self._cc.columns[n], range(self._cc.rank(n - 1)))
+
+    def __contains__(self, n: object) -> bool:  # without densifying
+        return n in self._cc.columns
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._cc.columns)
+
+    def __len__(self) -> int:
+        return len(self._cc.columns)
 
 
 def normalized_chains(X: SimplicialSet) -> ChainComplex:
     """Basis the nondegenerate cells; boundary the alternating face sum with
     degenerate faces dropped."""
     basis = {n: X.nondegenerate(n) for n in range(X.dim_bound + 1)}
-    index = {
-        n: {c: i for i, c in enumerate(basis[n])} for n in basis
-    }
-    boundary: dict[int, Matrix] = {}
+    columns: dict[int, list[Column]] = {}
     for n in range(1, X.dim_bound + 1):
-        mat = [[0] * len(basis[n]) for _ in range(len(basis[n - 1]))]
-        for j, c in enumerate(basis[n]):
-            for i in range(n + 1):
-                f = X.d(n, i, c)
-                row = index[n - 1].get(f)
-                if row is not None:
-                    mat[row][j] += -1 if i % 2 else 1
-        boundary[n] = mat
-    return ChainComplex(basis, boundary)
+        index = {c: i for i, c in enumerate(basis[n - 1])}
+        columns[n] = [
+            _column((index[f], -1 if i % 2 else 1)
+                    for i, f in enumerate(X.face[(n, i, c)] for i in range(n + 1))
+                    if f in index)
+            for c in basis[n]
+        ]
+    return ChainComplex(basis, columns)
 
 
-def chain_map_matrices(f: SimplicialMap) -> dict[int, Matrix]:
-    """The induced map of normalized chain complexes, degree by degree."""
-    CX = normalized_chains(f.source)
-    CY = normalized_chains(f.target)
-    out: dict[int, Matrix] = {}
-    for n in range(min(f.source.dim_bound, f.target.dim_bound) + 1):
-        rows = {c: i for i, c in enumerate(CY.basis.get(n, ()))}
-        mat = [[0] * len(CX.basis.get(n, ())) for _ in range(len(rows))]
-        for j, c in enumerate(CX.basis.get(n, ())):
-            img = f.levels[n][c]
-            i = rows.get(img)
-            if i is not None:  # degenerate images vanish in normalized chains
-                mat[i][j] = 1
-        out[n] = mat
-    return out
+def _eliminate_units(columns: Sequence[Column]) -> tuple[int, list[Column]]:
+    """Eliminate unit pivots from the matrix with these columns.
+
+    A pivot ``u = +-1`` at (r, c) clears row r from every other column by
+    exact column operations; column c and row r then split off as a Smith
+    invariant 1, and the columns left have the other invariants.  The
+    shortest column holding a unit goes first, pivoting on its unit whose
+    row meets the fewest columns, to keep fill-in low: a heap keyed by
+    column length, with a fresh entry whenever a column changes, finds it
+    without rescanning the columns.  Returns the number of pivots and the
+    nonzero columns left, none of which has a unit entry.
+    """
+    cols = [dict(c) for c in columns]
+    holders: dict[int, set[int]] = {}  # row -> the columns nonzero there
+    for j, col in enumerate(cols):
+        for i in col:
+            holders.setdefault(i, set()).add(j)
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        size, c = heapq.heappop(heap)
+        pivot = cols[c]
+        if size != len(pivot):  # stale: the column changed since
+            continue
+        units = [i for i, v in pivot.items() if v in (1, -1)]
+        if not units:
+            continue
+        r = min(units, key=lambda i: (len(holders[i]), i))
+        cols[c] = {}
+        for i in pivot:
+            holders[i].discard(c)
+        u = pivot.pop(r)
+        for j in holders.pop(r):
+            col = cols[j]
+            q = col.pop(r) * u
+            for i, v in pivot.items():
+                w = col.get(i, 0) - q * v
+                if w:
+                    col[i] = w
+                    holders[i].add(j)
+                else:
+                    del col[i]
+                    holders[i].discard(j)
+            heapq.heappush(heap, (len(col), j))
+        pivots += 1
+    return pivots, [col for col in cols if col]
+
+
+def _rank_and_torsion(columns: Sequence[Column]) -> tuple[int, tuple[int, ...]]:
+    """Rank and Smith invariants above 1 of the matrix with these columns.
+
+    Unit pivots are eliminated sparsely; only the remainder, usually empty,
+    is densified and handed to :func:`smith_normal_form`.
+    """
+    pivots, rest = _eliminate_units(columns)
+    if not rest:
+        return pivots, ()
+    s = smith_normal_form(_dense(rest, sorted({i for col in rest for i in col})))
+    return pivots + s.rank, tuple(d for d in s.invariants if d > 1)
 
 
 @dataclass
@@ -340,25 +440,16 @@ class HomologyReport:
 
 
 def homology_of_complex(cc: ChainComplex, upto: int) -> HomologyReport:
-    """Homology of the chain complex as given (missing boundaries read as 0)."""
-    snf_cache: dict[int, SmithNormalForm] = {}
+    """Homology of the chain complex as given (missing boundaries read as 0).
 
-    def snf(n: int) -> Optional[SmithNormalForm]:
-        if n not in cc.boundary or not cc.boundary[n] or not cc.boundary[n][0]:
-            return None
-        if n not in snf_cache:
-            snf_cache[n] = smith_normal_form(cc.boundary[n])
-        return snf_cache[n]
-
+    H_n has Betti number ``rank C_n - rank d_n - rank d_(n+1)`` and the
+    torsion of d_(n+1); each boundary is reduced once."""
+    reduced = {n: _rank_and_torsion(cc.columns[n]) for n in range(1, upto + 2) if n in cc.columns}
     degrees = {}
     for n in range(upto + 1):
-        s_n = snf(n)
-        s_up = snf(n + 1)
-        rank_n = s_n.rank if s_n else 0
-        rank_up = s_up.rank if s_up else 0
-        betti = cc.rank(n) - rank_n - rank_up
-        torsion = tuple(d for d in (s_up.invariants if s_up else ()) if abs(d) > 1)
-        degrees[n] = (betti, torsion)
+        rank_n = reduced.get(n, (0, ()))[0]
+        rank_up, torsion = reduced.get(n + 1, (0, ()))
+        degrees[n] = (cc.rank(n) - rank_n - rank_up, torsion)
     return HomologyReport(degrees, upto)
 
 
@@ -383,20 +474,14 @@ class GroupPresentation:
     relations: tuple[Word, ...]
 
     def abelian_invariants(self) -> tuple[int, tuple[int, ...]]:
-        """(free rank, torsion) of the abelianization, via Smith reduction."""
+        """(free rank, torsion) of the abelianization: the relation matrix,
+        one column per relation, reduced as a boundary is."""
         if not self.generators:
             return 0, ()
         idx = {g: i for i, g in enumerate(self.generators)}
-        mat = [[0] * len(self.relations) for _ in self.generators]
-        for j, w in enumerate(self.relations):
-            for g, e in w:
-                mat[idx[g]][j] += e
-        if not self.relations:
-            return len(self.generators), ()
-        s = smith_normal_form(mat)
-        free = len(self.generators) - s.rank
-        torsion = tuple(d for d in s.invariants if abs(d) > 1)
-        return free, torsion
+        rank, torsion = _rank_and_torsion([_column((idx[g], e) for g, e in w)
+                                           for w in self.relations])
+        return len(self.generators) - rank, torsion
 
 
 def _free_reduce(w: Word) -> Word:
@@ -582,40 +667,31 @@ def mapping_cone(f: SimplicialMap) -> ChainComplex:
     """Cone of the induced map of normalized chain complexes.
 
     Degree n is C_{n-1}(X) + C_n(Y); the boundary sends (x, y) to
-    (-dx, f(x) + dy).
+    (-dx, f(x) + dy), where f(x) vanishes if the image of x is degenerate.
     """
     CX = normalized_chains(f.source)
     CY = normalized_chains(f.target)
-    fmat = chain_map_matrices(f)
     top = min(f.source.dim_bound + 1, f.target.dim_bound)
     basis: dict[int, tuple[str, ...]] = {}
     for n in range(top + 1):
         xs = tuple("X:" + c for c in CX.basis.get(n - 1, ()))
         ys = tuple("Y:" + c for c in CY.basis.get(n, ()))
         basis[n] = xs + ys
-    boundary: dict[int, Matrix] = {}
+    columns: dict[int, list[Column]] = {}
     for n in range(1, top + 1):
-        rows = len(basis[n - 1])
-        cols = len(basis[n])
-        nx_lo = len(CX.basis.get(n - 2, ()))
-        nx_hi = len(CX.basis.get(n - 1, ()))
-        mat = [[0] * cols for _ in range(rows)]
-        dX = CX.boundary.get(n - 1, [])
-        dY = CY.boundary.get(n, [])
-        fm = fmat.get(n - 1, [])
-        for j in range(nx_hi):
-            for i in range(nx_lo):
-                if dX and dX[i][j]:
-                    mat[i][j] = -dX[i][j]
-            for i in range(len(CY.basis.get(n - 1, ()))):
-                if fm and fm[i][j]:
-                    mat[nx_lo + i][j] = fm[i][j]
-        for j in range(len(CY.basis.get(n, ()))):
-            for i in range(len(CY.basis.get(n - 1, ()))):
-                if dY and dY[i][j]:
-                    mat[nx_lo + i][nx_hi + j] = dY[i][j]
-        boundary[n] = mat
-    return ChainComplex(basis, boundary)
+        shift = CX.rank(n - 2)  # the rows of C_{n-2}(X) come first
+        image_row = {c: shift + i for i, c in enumerate(CY.basis[n - 1])}
+        image = f.levels[n - 1]
+        dX = CX.columns.get(n - 1) or [{}] * CX.rank(n - 1)
+        level = []
+        for x, dx in zip(CX.basis[n - 1], dX):
+            col = {i: -v for i, v in dx.items()}
+            if image[x] in image_row:
+                col[image_row[image[x]]] = 1
+            level.append(col)
+        level += [{shift + i: v for i, v in dy.items()} for dy in CY.columns[n]]
+        columns[n] = level
+    return ChainComplex(basis, columns)
 
 
 def _pi0_check(f: SimplicialMap) -> tuple[str, object]:

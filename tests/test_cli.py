@@ -108,6 +108,9 @@ def without(entries, prefix):
     return [e for e in entries if e[:len(prefix)] != prefix]
 
 
+EXTRA_ARGS = {"slice": ["--object", "1"], "slice2": ["--object", "1"]}
+
+
 @pytest.mark.parametrize("command,sample_name,break_it,named", [
     ("nerve", "arrow.fincat.json",
      lambda doc: doc.update(compose=without(doc["compose"], ["id_1", "0<=1"])),
@@ -127,14 +130,36 @@ def without(entries, prefix):
     ("evidence2", "iota_arrow_to_terminal.tfun.json",
      lambda doc: doc["source"].update(hcompose2=without(doc["source"]["hcompose2"], ["0", "0", "1"])),
      ".source: hcompose2 missing/foreign on (0,0,1,id_id_0,id_0<=1)"),
-], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2"])
+    ("alpha-beta", "interval.sset.json",
+     lambda doc: doc.update(face=without(doc["face"], [1, 0, "01"])),
+     ": level 1, cell '01': face-total [0]: missing face entry"),
+    ("cat-of", "boundary2.sset.json",
+     lambda doc: doc.update(face=without(doc["face"], [1, 0, "01"])),
+     ": level 1, cell '01': face-total [0]: missing face entry"),
+    ("twocat-of", "interval.sset.json",
+     lambda doc: doc.update(degeneracy=[[0, 0, "0", "zz"], [0, 0, "1", "11"]]),
+     ": level 0, cell '0': degeneracy-total [0]: degeneracy 'zz' not a cell"),
+    ("elements", "interval.sset.json",
+     lambda doc: doc.update(face=without(doc["face"], [1, 0, "01"])),
+     ": level 1, cell '01': face-total [0]: missing face entry"),
+    ("final", "arrow.fincat.json",
+     lambda doc: doc["identity"].pop("1"),
+     ": object '1' has no identity"),
+    ("slice", "arrow.fincat.json",
+     lambda doc: doc.update(compose=without(doc["compose"], ["id_1", "0<=1"])),
+     ": compose missing on ('id_1', '0<=1')"),
+    ("slice2", "iota_arrow.fin2cat.json",
+     lambda doc: doc["hom"][1][2].update(identity={}),
+     ": hom('0', '1'): object '0<=1' has no identity arrow"),
+], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2",
+        "alpha-beta", "cat-of", "twocat-of", "elements", "final", "slice", "slice2"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(
         command, sample_name, break_it, named, tmp_path, capsys):
     doc = json.loads((DATA / sample_name).read_text())
     break_it(doc)
     bad = tmp_path / f"broken_{sample_name}"
     bad.write_text(json.dumps(doc))
-    assert main([command, str(bad)]) == 2
+    assert main([command, str(bad)] + EXTRA_ARGS.get(command, [])) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"broken_{sample_name}{named}" in captured.err

@@ -1,6 +1,7 @@
 """Smith normal form, integer homology, fundamental group, evidence reports."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from nervelab.errors import BoundError
 from nervelab.homology import (
     EvidenceReport,
     SmithNormalForm,
-    chain_map_matrices,
     classify_presentation,
     homology,
     homology_of_complex,
@@ -29,18 +29,24 @@ from nervelab.homology import (
 from nervelab.serialize import canonical_json
 from nervelab.simplicial import (
     SimplicialMap,
+    SimplicialSet,
     boundary,
+    codegeneracy,
     constant_map,
     disjoint_union,
     empty_simplicial_set,
     identity_map,
+    monotone_maps,
     pushout,
     standard_simplex,
+    validate,
 )
-from nervelab.subdivision import sd
+from nervelab.subdivision import alpha, sd
 from nervelab.twocat import (
+    TwoFunctor,
     as_two_category,
     delta_tilde,
+    geometric_nerve_functor,
     identity_two_functor,
     two_functor_to_terminal,
 )
@@ -198,6 +204,30 @@ def test_snf_of_boundary_matrices_matches_sympy_and_pins():
     assert seen == SNF_PINS
 
 
+# Dense matrices with non-unit entries whose certificates used to blow up
+# (29,934-bit entries for the first; the second did not finish in 10 s).
+NON_UNIT_MATRICES = {
+    "6x6": ([[1, -5, 2, 6, -6, -6], [6, -4, -3, 3, -6, 4], [5, -2, -4, 4, -2, 2],
+             [4, 0, 5, 6, -5, -5], [-5, -2, 2, 3, -3, 0], [-2, -3, 6, 3, -6, -6]],
+            (1, 1, 1, 1, 1, 1173)),
+    "7x7": ([[-4, -2, -1, -3, 2, 4, 4], [-3, -4, 5, -3, 0, -2, -6], [-1, 0, -4, -4, -2, -5, -1],
+             [-2, 3, 3, -6, 3, 4, 5], [-1, -5, -2, -1, -2, 1, 5], [-1, -4, 1, 1, 5, -4, -6],
+             [-2, -6, 5, -1, 0, -6, 2]],
+            (1, 1, 1, 1, 1, 1, 548712)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIT_MATRICES))
+def test_snf_certificates_stay_small_on_non_unit_matrices(name):
+    M, want = NON_UNIT_MATRICES[name]
+    s = smith_normal_form(M)
+    assert s.verify()
+    theirs = sympy_snf(sympy.Matrix(M))
+    assert s.invariants == want == tuple(abs(int(theirs[i, i])) for i in range(len(M)))
+    assert max(abs(x).bit_length() for C in (s.U, s.V) for row in C for x in row) <= 64
+    json.dumps([s.U, s.V])
+
+
 # -- chain complexes -------------------------------------------------------------
 
 def test_chains_of_point():
@@ -310,6 +340,178 @@ def test_euler_characteristic_matches_cell_count():
         assert chi_h == chi_c
 
 
+# -- unit-pivot reduction against the sympy oracle -------------------------------------
+
+def sympy_homology(cc, upto):
+    """Betti numbers and torsion read off sympy's SNF of each dense boundary."""
+    reduced = {}
+    for n in range(1, upto + 2):
+        M = cc.boundary[n] if n in cc.boundary else []
+        if M and M[0]:
+            S = sympy_snf(sympy.Matrix(M))
+            diag = [abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i] != 0]
+            reduced[n] = (len(diag), tuple(sorted(d for d in diag if d > 1)))
+    rank = lambda n: reduced.get(n, (0, ()))[0]
+    return {n: (cc.rank(n) - rank(n) - rank(n + 1), reduced.get(n + 1, (0, ()))[1])
+            for n in range(upto + 1)}
+
+
+def from_nondegenerate(D, nondeg, faces):
+    """The simplicial set, truncated at D, with nondegenerate cells ``nondeg[k]``
+    and ``faces[(k, j, x)] = (epi, y)``: d_j x is y degenerated along the
+    surjection epi.  Level n has one cell per surjection [n] ->> [k] and x in
+    ``nondeg[k]``; its faces and degeneracies follow from the epi-mono
+    factorization."""
+    def name(epi, x):
+        return x if epi == tuple(range(len(epi))) else f"{x}@{''.join(map(str, epi))}"
+
+    def face(epi, x, i):
+        rest = epi[:i] + epi[i + 1:]
+        j = next((v for v in range(epi[-1] + 1) if v not in rest), None)
+        if j is None:
+            return name(rest, x)
+        tau, y = faces[(epi[-1], j, x)]
+        return name(tuple(tau[v - (v > j)] for v in rest), y)
+
+    level = {n: [(epi, x) for k in range(n + 1) for x in nondeg.get(k, ())
+                 for epi in monotone_maps(n, k) if len(set(epi)) == k + 1]
+             for n in range(D + 1)}
+    return SimplicialSet(
+        D,
+        {n: [name(*c) for c in level[n]] for n in level},
+        {(n, i, name(*c)): face(*c, i) for n in range(1, D + 1) for c in level[n]
+         for i in range(n + 1)},
+        {(n, i, name(epi, x)): name(tuple(epi[v] for v in codegeneracy(n, i)), x)
+         for n in range(D) for epi, x in level[n] for i in range(n + 1)},
+    )
+
+
+def one_vertex_complex(loops, triangles, D=3):
+    """Loops a0, a1, ... at one vertex, and one triangle per (d0, d1, d2) in
+    ``triangles``, each face a loop's index or None for the degenerate edge."""
+    nondeg = {0: ["v"], 1: [f"a{i}" for i in range(loops)],
+              2: [f"t{i}" for i in range(len(triangles))]}
+    faces = {(1, j, a): ((0,), "v") for a in nondeg[1] for j in (0, 1)}
+    for t, edges in zip(nondeg[2], triangles):
+        for j, e in enumerate(edges):
+            faces[(2, j, t)] = ((0, 0), "v") if e is None else ((0, 1), f"a{e}")
+    return from_nondegenerate(D, nondeg, faces)
+
+
+def moore_space_z3():
+    """M(Z/3, 1): a disk of two triangles, glued along an inner edge b, whose
+    boundary runs three times around the loop a (d t0 = 2a - b, d t1 = a + b)."""
+    return one_vertex_complex(2, [(0, 1, 0), (0, None, 1)])
+
+
+def random_one_vertex_complex(seed):
+    rng = random.Random(seed)
+    loops = rng.randint(1, 4)
+    letters = [None] + list(range(loops))
+    return one_vertex_complex(loops, [tuple(rng.choice(letters) for _ in range(3))
+                                      for _ in range(rng.randint(1, 6))])
+
+
+CORPUS_CASES = [
+    pytest.param(name, depth, id=("sd_" * depth) + name,
+                 marks=[pytest.mark.slow] if (name, depth) == ("simplex3", 2) else [])
+    for name in simplicial_objects(3) for depth in range(3)
+]
+
+
+@pytest.mark.parametrize("name,depth", CORPUS_CASES)
+def test_homology_of_corpus_and_subdivisions_matches_sympy(name, depth):
+    X = simplicial_objects(3)[name]
+    for _ in range(depth):
+        X = sd(X)[0]
+    assert homology(X, 2).degrees == sympy_homology(normalized_chains(X), 2)
+
+
+def test_homology_of_moore_space_matches_sympy():
+    X = moore_space_z3()
+    assert validate(X) == []
+    h = homology(X, 2)
+    assert h.degrees == {0: (1, ()), 1: (0, (3,)), 2: (0, ())}
+    assert h.degrees == sympy_homology(normalized_chains(X), 2)
+
+
+def test_homology_of_pseudo_projective_plane_matches_sympy():
+    P = pseudo_projective_plane()
+    assert homology(P, 2).degrees == sympy_homology(normalized_chains(P), 2)
+
+
+RANDOM_COMPLEX_SEEDS = range(20)
+
+
+@pytest.mark.parametrize("seed", RANDOM_COMPLEX_SEEDS)
+def test_homology_of_random_one_vertex_complexes_matches_sympy(seed):
+    X = random_one_vertex_complex(seed)
+    assert validate(X) == []
+    assert homology(X, 2).degrees == sympy_homology(normalized_chains(X), 2)
+
+
+def test_random_one_vertex_complexes_have_torsion():
+    # torsion is a non-unit invariant, so these reach the Smith remainder
+    torsion = [s for s in RANDOM_COMPLEX_SEEDS
+               if homology(random_one_vertex_complex(s), 2).torsion(1)]
+    assert len(torsion) >= 3
+
+
+def _point_into_pair():
+    Cb = as_two_category(discrete_category(["a", "b"]))
+    Ca = as_two_category(discrete_category(["a"]))
+    return TwoFunctor(Ca, Cb, {"a": "a"}, {("a", "a", "id_a"): "id_a"},
+                      {("a", "a", "id_id_a"): "id_id_a"}, check=False)
+
+
+def _collapse_torsion():
+    P = pseudo_projective_plane()
+    return constant_map(P, standard_simplex(0, P.dim_bound), "0")
+
+
+# The maps of the evidence tests above, with the degree each checks.
+EVIDENCE_MAPS = {
+    "identity_boundary2": (lambda: identity_map(boundary(2, 3)), 1),
+    "fold": (lambda: constant_map(disjoint_union(standard_simplex(0, 2), standard_simplex(0, 2))[0],
+                                  standard_simplex(0, 2), "0"), 0),
+    "boundary_into_disk": (lambda: SimplicialMap(
+        boundary(2, 3), standard_simplex(2, 3),
+        {n: {c: c for c in boundary(2, 3).cells[n]} for n in range(4)}), 1),
+    "collapse_torsion": (_collapse_torsion, 1),
+    "alpha_circle": (lambda: alpha(circle(4)), 2),
+    "w2_delta2_to_terminal": (lambda: geometric_nerve_functor(
+        two_functor_to_terminal(delta_tilde(2)), 4), 2),
+    "w2_identity_arrow": (lambda: geometric_nerve_functor(
+        identity_two_functor(as_two_category(arrow_category())), 3), 1),
+    "w2_point_into_pair": (lambda: geometric_nerve_functor(_point_into_pair(), 2), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(EVIDENCE_MAPS))
+def test_homology_of_mapping_cones_matches_sympy(name):
+    build, k = EVIDENCE_MAPS[name]
+    cone = mapping_cone(build())
+    assert cone.validate() == []
+    assert homology_of_complex(cone, k + 1).degrees == sympy_homology(cone, k + 1)
+
+
+def test_validate_catches_a_corrupted_boundary():
+    cc = normalized_chains(boundary(3, 3))
+    assert cc.validate() == []
+    col = cc.columns[2][0]
+    row = min(col)
+    col[row] = -col[row]
+    assert cc.boundary[2][row][0] == col[row]  # the dense view reads the columns
+    assert cc.validate() == ["boundary squared is nonzero from degree 2"]
+
+
+@pytest.mark.slow
+def test_homology_of_twice_subdivided_boundary_of_4_simplex():
+    S = sd(sd(boundary(4, 4))[0])[0]
+    assert S.nondegenerate_counts() == (540, 3420, 5760, 2880, 0)
+    assert homology(S, 3).degrees == {0: (1, ()), 1: (0, ()), 2: (0, ()), 3: (1, ())}
+
+
 # -- fundamental group --------------------------------------------------------------
 
 def test_pi1_circle_is_free_on_one_generator():
@@ -372,8 +574,11 @@ def test_evidence_requires_bounds():
 def test_chain_map_of_constant_map_kills_positive_degrees():
     X = boundary(2, 2)
     f = constant_map(X, standard_simplex(0, 2), "0")
-    m = chain_map_matrices(f)
-    assert m[1] == []  # no nondegenerate 1-cells in the point
+    # degree 2 of the cone is C_1(X) + C_2(pt); the edges map to degenerate
+    # cells of the point, so their columns hold -dx alone
+    cone = mapping_cone(f)
+    dX = normalized_chains(X).columns[1]
+    assert cone.columns[2] == [{i: -v for i, v in col.items()} for col in dX]
 
 
 def test_w2_evidence_delta2_to_terminal():
