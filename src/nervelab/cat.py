@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import ContractError, DomainError
-from .simplicial import Key, SimplicialSet, _dimension_tag, _search, monotone_maps, simplicial_operator
+from .simplicial import Key, SimplicialSet, _claim, _dimension_tag, _search, monotone_maps, simplicial_operator
 
 Obj = str
 Arr = str
@@ -366,15 +366,6 @@ def _slice_name(*parts: str) -> str:
     ``(a|f)`` for an object, ``(g|f1|f2)`` for an arrow and ``(g|alpha)``
     for a 1-cell of a 2-categorical slice.  Names are never parsed back."""
     return "(" + "|".join(parts) + ")"
-
-
-def _claim(cells: dict, name: str, data: tuple) -> None:
-    """Record the cell ``name`` made from ``data``.  A name that other data
-    already holds raises :class:`DomainError`, so that two distinct cells
-    never silently become one."""
-    held = cells.setdefault(name, data)
-    if held != data:
-        raise DomainError(f"slice cells {held!r} and {data!r} share the name {name!r}")
 
 
 def _slice_category(

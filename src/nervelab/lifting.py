@@ -21,6 +21,7 @@ from .homology import EvidenceReport, weak_equivalence_evidence
 from .simplicial import (
     SimplicialMap,
     SimplicialSet,
+    _pair,
     compose_maps,
     enumerate_simplicial_maps,
     product,
@@ -221,7 +222,7 @@ def cylinder_inclusions(A: SimplicialSet, D: int) -> tuple[SimplicialSet, Simpli
         for n in range(1, min(A.dim_bound, D) + 1):
             img[n] = interval.s(n - 1, 0, img[n - 1])
         for n in range(min(A.dim_bound, D) + 1):
-            levels[n] = {a: f"({a}|{img[n]})" for a in A.cells[n]}
+            levels[n] = {a: _pair(a, img[n]) for a in A.cells[n]}
         ends.append(SimplicialMap(A, Cyl, levels, check=False))
     return Cyl, ends[0], ends[1], proj_a
 

@@ -13,14 +13,18 @@ Conventions used throughout:
   unambiguous;
 * ``face[(n, i, c)]`` is ``d_i c`` and ``degeneracy[(n, i, c)]`` is
   ``s_i c`` (defined for ``n < dim_bound``);
-* quotients (pushouts) use union-find with the lexicographically least
-  member as the canonical class representative.
+* the standard simplex, its boundary and its horns are chain nerves of
+  the poset ``0 <= ... <= n`` (:func:`_chain_nerve`);
+* pushouts and coproducts are quotients of a disjoint union of named
+  pieces (:func:`_glue`), levelwise by union-find, each class named by its
+  least ``prefix + cell``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations_with_replacement
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BoundError, ContractError, DomainError
@@ -124,7 +128,11 @@ class SimplicialSet:
         return self.degeneracy[(n, i, c)]
 
     def has_cell(self, n: int, c: Cell) -> bool:
-        return 0 <= n <= self.dim_bound and c in set(self.cells[n])
+        if not 0 <= n <= self.dim_bound:
+            return False
+        level = self.cells[n]
+        i = bisect_left(level, c)
+        return i < len(level) and level[i] == c
 
     def eilenberg_zilber(self, n: int, c: Cell) -> tuple[Monotone, int, Cell]:
         """Write ``c`` as ``e*(y)`` with ``y`` nondegenerate and ``e`` epi.
@@ -200,59 +208,73 @@ def simplicial_operator(X: SimplicialSet, phi: Monotone, n: int, c: Cell) -> Cel
 # generation of standard objects
 # ---------------------------------------------------------------------------
 
-def _digits(phi: Monotone) -> Cell:
-    return "".join(str(v) for v in phi)
-
-
 def _from_digits(c: Cell) -> Monotone:
     return tuple(int(ch) for ch in c)
 
 
-def _simplex_like(n: int, D: int, keep: Callable[[Monotone], bool]) -> SimplicialSet:
-    """Build the subobject of Delta_n (truncated at D) of maps satisfying ``keep``."""
-    if n > 9:
-        raise BoundError("standard cells are encoded as digit strings; n <= 9 required")
-    cells: dict[int, list[Cell]] = {}
-    by_level: dict[int, list[Monotone]] = {}
-    for m in range(D + 1):
-        by_level[m] = [phi for phi in monotone_maps(m, n) if keep(phi)]
-        cells[m] = [_digits(phi) for phi in by_level[m]]
+def _chain_nerve(
+    elements: Sequence[str],
+    leq: Callable[[str, str], bool],
+    D: int,
+    sep: str,
+    keep: Callable[[tuple[str, ...]], bool],
+) -> SimplicialSet:
+    """The nerve of a finite poset, truncated at D.
+
+    Level m holds the weak chains ``e_0 <= ... <= e_m`` that ``keep``
+    accepts, each named by joining its elements' names with ``sep``.
+    Faces delete an entry and degeneracies repeat one.  ``keep`` must
+    accept the faces and degeneracies of every chain it accepts, so each
+    level is grown from the one below in the order of ``elements``.
+    """
+    above = {e: [t for t in elements if leq(e, t)] for e in elements}
+    names = {(e,): e for e in elements if keep((e,))}
+    cells: dict[int, Iterable[Cell]] = {0: names.values()}
     face: dict[tuple[int, int, Cell], Cell] = {}
     degeneracy: dict[tuple[int, int, Cell], Cell] = {}
     for m in range(1, D + 1):
-        for phi in by_level[m]:
-            c = _digits(phi)
+        longer = {}
+        for chain in names:
+            for t in above[chain[-1]]:
+                grown = chain + (t,)
+                if keep(grown):
+                    longer[grown] = sep.join(grown)
+        for chain, c in names.items():
+            for i in range(m):
+                degeneracy[(m - 1, i, c)] = longer[chain[: i + 1] + chain[i:]]
+        for chain, c in longer.items():
             for i in range(m + 1):
-                face[(m, i, c)] = _digits(phi[:i] + phi[i + 1:])
-    for m in range(D):
-        for phi in by_level[m]:
-            c = _digits(phi)
-            for i in range(m + 1):
-                degeneracy[(m, i, c)] = _digits(phi[: i + 1] + phi[i:])
+                face[(m, i, c)] = names[chain[:i] + chain[i + 1:]]
+        names = longer
+        cells[m] = names.values()
     return SimplicialSet(D, cells, face, degeneracy)
 
 
-def standard_simplex(n: int, D: int) -> SimplicialSet:
+def _vertices(n: int, D: int) -> list[str]:
+    """The vertices of Delta_n as digit strings, for a simplex within the bound."""
     if n > D:
         raise BoundError(f"simplex dimension {n} exceeds bound {D}")
-    return _simplex_like(n, D, lambda phi: True)
+    if n > 9:
+        raise BoundError("standard cells are encoded as digit strings; n <= 9 required")
+    return [str(v) for v in range(n + 1)]
+
+
+def standard_simplex(n: int, D: int) -> SimplicialSet:
+    return _chain_nerve(_vertices(n, D), le, D, "", lambda chain: True)
 
 
 def boundary(n: int, D: int) -> SimplicialSet:
     """The boundary of the n-simplex: maps that miss some value."""
-    if n > D:
-        raise BoundError(f"simplex dimension {n} exceeds bound {D}")
-    return _simplex_like(n, D, lambda phi: len(set(phi)) < n + 1)
+    return _chain_nerve(_vertices(n, D), le, D, "", lambda chain: len(set(chain)) <= n)
 
 
 def horn(n: int, k: int, D: int) -> SimplicialSet:
     """The horn missing the face opposite ``k``: maps missing a value != k."""
-    if n > D:
-        raise BoundError(f"simplex dimension {n} exceeds bound {D}")
+    vertices = _vertices(n, D)
     if not 0 <= k <= n:
         raise DomainError(f"horn index {k} outside [0, {n}]")
-    full = set(range(n + 1))
-    return _simplex_like(n, D, lambda phi: bool((full - set(phi)) - {k}))
+    others = set(vertices) - {str(k)}
+    return _chain_nerve(vertices, le, D, "", lambda chain: bool(others - set(chain)))
 
 
 def empty_simplicial_set(D: int) -> SimplicialSet:
@@ -552,51 +574,75 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def _glue(
+    D: int,
+    pieces: Sequence[tuple[str, SimplicialSet]],
+    pairs: Iterable[tuple[tuple[int, int, Cell], tuple[int, int, Cell]]],
+) -> tuple[SimplicialSet, list[dict[int, dict[Cell, Cell]]]]:
+    """The quotient of a disjoint union of ``pieces``, truncated at D.
+
+    ``pieces`` lists ``(prefix, X)``; ``pairs`` identifies the cell c of
+    piece j with the cell c' of piece j', both at level n, written
+    ``((j, n, c), (j', n, c'))``.  The identifications must be closed
+    under faces and degeneracies.  Each class is named by the least
+    ``prefix + cell`` among its members, and its faces and degeneracies
+    are read from that member.  Returns the space and, per piece, the
+    table ``{n: {cell: name}}`` of its map into the space.
+    """
+    uf = {n: _UnionFind() for n in range(D + 1)}
+    for j, (_, X) in enumerate(pieces):
+        for n in range(D + 1):
+            for c in X.cells[n]:
+                uf[n].add((j, c))
+    for (j, n, c), (k, _, e) in pairs:
+        uf[n].union((j, c), (k, e))
+    tables: list[dict[int, dict[Cell, Cell]]] = [{} for _ in pieces]
+    owners: dict[int, list[tuple[Cell, int, Cell]]] = {}
+    for n in range(D + 1):
+        find = uf.pop(n).find
+        least: dict[Hashable, tuple[Cell, int, Cell]] = {}
+        for j, (prefix, X) in enumerate(pieces):
+            for c in X.cells[n]:
+                name = prefix + c
+                root = find((j, c))
+                if root not in least or name < least[root][0]:
+                    least[root] = (name, j, c)
+        for j, (_, X) in enumerate(pieces):
+            tables[j][n] = {c: least[find((j, c))][0] for c in X.cells[n]}
+        owners[n] = list(least.values())
+    face: dict[tuple[int, int, Cell], Cell] = {}
+    degeneracy: dict[tuple[int, int, Cell], Cell] = {}
+    for n in range(D + 1):
+        for name, j, c in owners[n]:
+            X = pieces[j][1]
+            for i in range(n + 1):
+                if n >= 1:
+                    face[(n, i, name)] = tables[j][n - 1][X.d(n, i, c)]
+                if n < D:
+                    degeneracy[(n, i, name)] = tables[j][n + 1][X.s(n, i, c)]
+    cells = {n: [name for name, _, _ in owners[n]] for n in owners}
+    return SimplicialSet(D, cells, face, degeneracy), tables
+
+
 def pushout(
     f: SimplicialMap, g: SimplicialMap
 ) -> tuple[SimplicialSet, SimplicialMap, SimplicialMap]:
     """Pushout of ``X <-f- A -g-> Y``: levelwise quotient of X + Y by f(a) ~ g(a).
 
     Returns ``(P, X -> P, Y -> P)``.  Class representatives are the least
-    tagged member ids, so the construction is deterministic.
+    tagged member ids ``L:x`` / ``R:y``, so the construction is deterministic.
     """
     if f.source != g.source:
         raise ContractError("pushout legs must share their source")
     X, Y, A = f.target, g.target, f.source
     D = min(X.dim_bound, Y.dim_bound)
-    uf = {n: _UnionFind() for n in range(D + 1)}
-    for n in range(D + 1):
-        for c in X.cells[n]:
-            uf[n].add("L:" + c)
-        for c in Y.cells[n]:
-            uf[n].add("R:" + c)
-        if n <= A.dim_bound:
-            for a in A.cells[n]:
-                uf[n].union("L:" + f.levels[n][a], "R:" + g.levels[n][a])
-    rep = {n: {x: uf[n].find(x) for x in uf[n].parent} for n in range(D + 1)}
-    cells = {n: sorted(set(rep[n].values())) for n in range(D + 1)}
-
-    face: dict[tuple[int, int, Cell], Cell] = {}
-    degeneracy: dict[tuple[int, int, Cell], Cell] = {}
-    for n in range(D + 1):
-        for tagged in rep[n]:
-            r = rep[n][tagged]
-            side, c = tagged[0], tagged[2:]
-            Z = X if side == "L" else Y
-            if n >= 1:
-                for i in range(n + 1):
-                    face[(n, i, r)] = rep[n - 1][tagged[0:2] + Z.d(n, i, c)]
-            if n < D:
-                for i in range(n + 1):
-                    degeneracy[(n, i, r)] = rep[n + 1][tagged[0:2] + Z.s(n, i, c)]
-    P = SimplicialSet(D, cells, face, degeneracy)
-    inj_x = SimplicialMap(
-        X, P, {n: {c: rep[n]["L:" + c] for c in X.cells[n]} for n in range(D + 1)}, check=False
+    pairs = (
+        ((0, n, f.levels[n][a]), (1, n, g.levels[n][a]))
+        for n in range(min(D, A.dim_bound) + 1)
+        for a in A.cells[n]
     )
-    inj_y = SimplicialMap(
-        Y, P, {n: {c: rep[n]["R:" + c] for c in Y.cells[n]} for n in range(D + 1)}, check=False
-    )
-    return P, inj_x, inj_y
+    P, (to_p_x, to_p_y) = _glue(D, [("L:", X), ("R:", Y)], pairs)
+    return P, SimplicialMap(X, P, to_p_x, check=False), SimplicialMap(Y, P, to_p_y, check=False)
 
 
 def pushout_induced(
@@ -658,40 +704,46 @@ def verify_pushout(
 
 
 def disjoint_union(X: SimplicialSet, Y: SimplicialSet) -> tuple[SimplicialSet, SimplicialMap, SimplicialMap]:
-    """Coproduct, computed as the pushout over the empty simplicial set."""
-    D = min(X.dim_bound, Y.dim_bound)
-    E = empty_simplicial_set(D)
-    f = SimplicialMap(E, X, {}, check=False)
-    g = SimplicialMap(E, Y, {}, check=False)
-    return pushout(f, g)
+    """Coproduct: X and Y glued along nothing."""
+    U, (to_u_x, to_u_y) = _glue(min(X.dim_bound, Y.dim_bound), [("L:", X), ("R:", Y)], ())
+    return U, SimplicialMap(X, U, to_u_x, check=False), SimplicialMap(Y, U, to_u_y, check=False)
 
 
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
 
+def _claim(cells: dict, name: str, data: tuple) -> None:
+    """Record the cell ``name`` made from ``data``.  A name that other data
+    already holds raises :class:`DomainError`, so that two distinct cells
+    never silently become one."""
+    held = cells.setdefault(name, data)
+    if held != data:
+        raise DomainError(f"cells {held!r} and {data!r} share the name {name!r}")
+
+
 def _pair(x: Cell, y: Cell) -> Cell:
     return f"({x}|{y})"
 
 
 def product(X: SimplicialSet, Y: SimplicialSet) -> SimplicialSet:
-    """Levelwise pairs with componentwise operators, truncated at the min bound."""
+    """Levelwise pairs with componentwise operators, truncated at the min bound.
+
+    Two pairs whose names coincide raise :class:`DomainError`."""
     D = min(X.dim_bound, Y.dim_bound)
-    cells = {
-        n: [_pair(x, y) for x in X.cells[n] for y in Y.cells[n]] for n in range(D + 1)
-    }
+    cells: dict[int, dict[Cell, tuple[Cell, Cell]]] = {n: {} for n in range(D + 1)}
     face: dict[tuple[int, int, Cell], Cell] = {}
     degeneracy: dict[tuple[int, int, Cell], Cell] = {}
-    for n in range(1, D + 1):
+    for n in range(D + 1):
         for x in X.cells[n]:
             for y in Y.cells[n]:
+                name = _pair(x, y)
+                _claim(cells[n], name, (x, y))
                 for i in range(n + 1):
-                    face[(n, i, _pair(x, y))] = _pair(X.d(n, i, x), Y.d(n, i, y))
-    for n in range(D):
-        for x in X.cells[n]:
-            for y in Y.cells[n]:
-                for i in range(n + 1):
-                    degeneracy[(n, i, _pair(x, y))] = _pair(X.s(n, i, x), Y.s(n, i, y))
+                    if n >= 1:
+                        face[(n, i, name)] = _pair(X.d(n, i, x), Y.d(n, i, y))
+                    if n < D:
+                        degeneracy[(n, i, name)] = _pair(X.s(n, i, x), Y.s(n, i, y))
     return SimplicialSet(D, cells, face, degeneracy)
 
 

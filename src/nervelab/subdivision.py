@@ -1,9 +1,11 @@
 """Barycentric subdivision, the bounded extension functor, and the
 last-vertex comparison maps.
 
-``sd(X)`` is computed by gluing one subdivided simplex per nondegenerate
-cell of X: the copies are indexed by tagged ids ``level:cell@chain`` and
-identified along faces by a levelwise union-find.  The returned
+``sd_simplex(n)`` is the chain nerve (``simplicial._chain_nerve``) of the
+nonempty subsets of [n].  ``sd(X)`` glues one subdivided simplex per
+nondegenerate cell of X with ``simplicial._glue``, the construction behind
+pushouts: the copy at the k-cell x has the prefix ``k:x@``, so its cells
+are named ``k:x@chain``, and copies are identified along faces.  The returned
 certificate records, per nondegenerate cell, the resulting gluing map
 ``sd_simplex(k) -> sd(X)``; those maps are simultaneously the class
 lookup used by functoriality and the transposition helpers.
@@ -27,8 +29,9 @@ from .simplicial import (
     SimplicialSet,
     _listed,
     _map_name_template,
+    _chain_nerve,
+    _glue,
     _singular,
-    _UnionFind,
     coface,
     enumerate_simplicial_maps,
     simplicial_operator,
@@ -37,50 +40,19 @@ from .simplicial import (
 # chains of subsets are encoded "S0.S1.S2" with each subset a digit string
 
 
-def _chain_parts(chain: Cell) -> list[str]:
-    return chain.split(".")
-
-
-def _chain_join(parts: Iterable[str]) -> Cell:
-    return ".".join(parts)
-
-
 @lru_cache(maxsize=None)
 def sd_simplex(n: int, D: int) -> SimplicialSet:
     """The subdivided n-simplex: nerve of the poset of nonempty subsets of
     [n], truncated at D.  Cells at level m are weak chains S_0 <= ... <= S_m."""
     if n > 9:
         raise BoundError("subset encoding requires n <= 9")
-    subsets = []
-    for mask in range(1, 1 << (n + 1)):
-        subsets.append("".join(str(i) for i in range(n + 1) if mask >> i & 1))
-    subsets.sort()
-    order = {
-        (s, t): set(s) <= set(t) for s in subsets for t in subsets
-    }
-    cells: dict[int, list[Cell]] = {0: list(subsets)}
-    for m in range(1, D + 1):
-        cells[m] = [
-            _chain_join(_chain_parts(c) + [t])
-            for c in cells[m - 1]
-            for t in subsets
-            if order[(_chain_parts(c)[-1], t)]
-        ]
-    face = {}
-    degeneracy = {}
-    for m in range(1, D + 1):
-        for c in cells[m]:
-            parts = _chain_parts(c)
-            for i in range(m + 1):
-                face[(m, i, c)] = _chain_join(parts[:i] + parts[i + 1:])
-    for m in range(D):
-        for c in cells[m]:
-            parts = _chain_parts(c)
-            for i in range(m + 1):
-                degeneracy[(m, i, c)] = _chain_join(parts[: i + 1] + parts[i:])
-    return SimplicialSet(D, cells, face, degeneracy)
+    subsets = sorted(
+        "".join(str(i) for i in range(n + 1) if mask >> i & 1) for mask in range(1, 1 << (n + 1))
+    )
+    return _chain_nerve(subsets, lambda s, t: set(s) <= set(t), D, ".", lambda chain: True)
 
 
+@lru_cache(maxsize=None)
 def sd_operator_map(phi: Monotone, n: int, D: int) -> SimplicialMap:
     """Subdivision of the cosimplicial operator ``phi: [m] -> [n]``: apply
     phi to every subset in a chain."""
@@ -89,9 +61,9 @@ def sd_operator_map(phi: Monotone, n: int, D: int) -> SimplicialMap:
     tgt = sd_simplex(n, D)
 
     def image(chain: Cell) -> Cell:
-        return _chain_join(
+        return ".".join(
             "".join(str(v) for v in sorted({phi[int(ch)] for ch in part}))
-            for part in _chain_parts(chain)
+            for part in chain.split(".")
         )
 
     levels = {
@@ -102,7 +74,7 @@ def sd_operator_map(phi: Monotone, n: int, D: int) -> SimplicialMap:
 
 def last_vertex(chain: Cell) -> Monotone:
     """The monotone map picking the largest element of each subset."""
-    return tuple(max(int(ch) for ch in part) for part in _chain_parts(chain))
+    return tuple(max(int(ch) for ch in part) for part in chain.split("."))
 
 
 @dataclass
@@ -133,69 +105,27 @@ def sd(X: SimplicialSet) -> tuple[SimplicialSet, SubdivisionCertificate]:
 
     One copy of the subdivided simplex per nondegenerate cell; the copy at
     x is identified with the copies at the nondegenerate cores of its
-    faces, levelwise, by union-find with least representatives.
+    faces.  Each cell is named by the least ``k:x@chain`` it stands for.
     """
     D = X.dim_bound
     nondeg = [(k, x) for k in range(D + 1) for x in X.nondegenerate(k)]
-    uf = {m: _UnionFind() for m in range(D + 1)}
-    tag = lambda k, x, u: f"{k}:{x}@{u}"
-    for k, x in nondeg:
-        S = sd_simplex(k, D)
-        for m in range(D + 1):
-            for u in S.cells[m]:
-                uf[m].add(tag(k, x, u))
-    face_ops: dict[tuple[int, int], SimplicialMap] = {}
-    for k, x in nondeg:
-        if k == 0:
-            continue
-        for i in range(k + 1):
-            if (k, i) not in face_ops:
-                face_ops[(k, i)] = sd_operator_map(coface(k, i), k, D)
-            inc = face_ops[(k, i)]
-            z = X.d(k, i, x)
-            epi, l, y = X.eilenberg_zilber(k - 1, z)
-            if epi == tuple(range(k)):
-                move = None  # z itself nondegenerate
-            else:
-                move = sd_operator_map(epi, l, D)
-            Sk1 = sd_simplex(k - 1, D)
-            for m in range(D + 1):
-                for u in Sk1.cells[m]:
-                    left = tag(k, x, inc.levels[m][u])
-                    right_chain = u if move is None else move.levels[m][u]
-                    uf[m].union(left, tag(l, y, right_chain))
+    piece = {kx: j for j, kx in enumerate(nondeg)}
 
-    rep: dict[int, dict[str, str]] = {m: {} for m in range(D + 1)}
-    owners: dict[int, dict[str, tuple[int, Cell, Cell]]] = {m: {} for m in range(D + 1)}
-    for k, x in nondeg:
-        S = sd_simplex(k, D)
-        for m in range(D + 1):
-            for u in S.cells[m]:
-                t = tag(k, x, u)
-                r = uf[m].find(t)
-                rep[m][t] = r
-                if t == r:
-                    owners[m][r] = (k, x, u)
-    cells = {m: sorted(owners[m]) for m in range(D + 1)}
-    face = {}
-    degeneracy = {}
-    for m in range(D + 1):
-        for r, (k, x, u) in owners[m].items():
-            S = sd_simplex(k, D)
-            if m >= 1:
-                for i in range(m + 1):
-                    face[(m, i, r)] = rep[m - 1][tag(k, x, S.d(m, i, u))]
-            if m < D:
-                for i in range(m + 1):
-                    degeneracy[(m, i, r)] = rep[m + 1][tag(k, x, S.s(m, i, u))]
-    space = SimplicialSet(D, cells, face, degeneracy)
-    gluing = {}
-    for k, x in nondeg:
-        S = sd_simplex(k, D)
-        levels = {
-            m: {u: rep[m][tag(k, x, u)] for u in S.cells[m]} for m in range(D + 1)
-        }
-        gluing[(k, x)] = SimplicialMap(S, space, levels, check=False)
+    def faces() -> Iterable[tuple[tuple[int, int, Cell], tuple[int, int, Cell]]]:
+        for k in range(1, D + 1):
+            face_cells = sd_simplex(k - 1, D).cells
+            for x in X.nondegenerate(k):
+                for i in range(k + 1):
+                    inc = sd_operator_map(coface(k, i), k, D)
+                    epi, l, y = X.eilenberg_zilber(k - 1, X.d(k, i, x))
+                    move = sd_operator_map(epi, l, D)
+                    for m in range(D + 1):
+                        for u in face_cells[m]:
+                            yield (piece[(k, x)], m, inc.levels[m][u]), (piece[(l, y)], m, move.levels[m][u])
+
+    pieces = [(f"{k}:{x}@", sd_simplex(k, D)) for k, x in nondeg]
+    space, tables = _glue(D, pieces, faces())
+    gluing = {kx: SimplicialMap(pieces[j][1], space, tables[j], check=False) for kx, j in piece.items()}
     return space, SubdivisionCertificate(X, space, gluing)
 
 

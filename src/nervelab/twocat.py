@@ -19,13 +19,14 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cat import CatFunctor, FinCat, _claim, _slice_name, discrete_category, has_final_object, validate_category
+from .cat import CatFunctor, FinCat, _slice_name, discrete_category, has_final_object, validate_category
 from .errors import ContractError, DomainError
 from .simplicial import (
     Key,
     Monotone,
     SimplicialMap,
     SimplicialSet,
+    _claim,
     _escaped,
     _listed,
     _search,

@@ -1,0 +1,141 @@
+"""The two constructions every colimit and standard object is made from:
+the gluing of a disjoint union (``pushout``, ``sd``) and the chain nerve of
+a finite poset (Delta_n, its boundary and horns, the subdivided simplex).
+
+The SHA-256 values below were computed from the canonical JSON of each
+output before both constructions were shared, so any change to a cell
+name, a level or an operator table shows up here.  The face-poset oracle
+counts chains by brute force, independently of the code under test.
+"""
+
+import hashlib
+import json
+import random
+from itertools import combinations, combinations_with_replacement
+from pathlib import Path
+
+import pytest
+
+from nervelab import corpus
+from nervelab.lifting import homotopy_pushout
+from nervelab.serialize import canonical_json, smap_from_doc, sset_to_doc
+from nervelab.simplicial import SimplicialSet, boundary, horn, standard_simplex
+from nervelab.subdivision import sd, sd_simplex
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def digest(doc) -> str:
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
+def sd_doc(X: SimplicialSet) -> dict:
+    """sd X with the gluing map planted at every nondegenerate cell."""
+    S, cert = sd(X)
+    return {
+        "space": sset_to_doc(S),
+        "gluing": {f"{k}:{x}": {str(m): level for m, level in glue.levels.items()}
+                   for (k, x), glue in cert.gluing.items()},
+    }
+
+
+def subdivided_objects() -> dict[str, SimplicialSet]:
+    objects = dict(corpus.simplicial_objects(2))
+    objects["boundary3"] = boundary(3, 3)
+    return objects
+
+
+def test_sd_is_pinned():
+    docs = {name: sd_doc(X) for name, X in subdivided_objects().items()}
+    assert digest(docs) == "4bf8b863a329e899f50add9d2073d3fc4b08e67b0d7a765ea8bd38556b78b22c"
+
+
+def test_sd_of_sd_is_pinned():
+    docs = {name: sd_doc(sd(X)[0]) for name, X in subdivided_objects().items()}
+    assert digest(docs) == "e2d5a3c66b55eb1d7ee1e111f1bd4f1b1002fd90738893cb1d9ead9fafb2a7a2"
+
+
+def test_standard_simplices_boundaries_and_horns_are_pinned():
+    docs = {}
+    for D in range(6):
+        for n in range(min(4, D) + 1):
+            docs[f"simplex{n}_{D}"] = sset_to_doc(standard_simplex(n, D))
+            docs[f"boundary{n}_{D}"] = sset_to_doc(boundary(n, D))
+            for k in range(n + 1):
+                docs[f"horn{n}{k}_{D}"] = sset_to_doc(horn(n, k, D))
+    assert len(docs) == 90
+    assert digest(docs) == "86b2e7283d0bc42af5de860401cbaa8335ff7887931cea39d46579434b6ec30c"
+
+
+def test_subdivided_simplices_are_pinned():
+    docs = {f"{n}_{D}": sset_to_doc(sd_simplex(n, D)) for n in range(4) for D in range(6)}
+    assert digest(docs) == "57593281d4961c664988525a477dfda59a9dc7f22a59724de31c5c7cdf8bf5d6"
+
+
+def test_homotopy_pushout_is_pinned():
+    span = json.loads((DATA / "span_circle.json").read_text(encoding="utf-8"))
+    P, from_x, from_y, from_cyl = homotopy_pushout(smap_from_doc(span["f"]), smap_from_doc(span["g"]))
+    doc = {
+        "space": sset_to_doc(P),
+        "maps": [{str(n): level for n, level in m.levels.items()} for m in (from_x, from_y, from_cyl)],
+    }
+    assert digest(doc) == "dd5d0f5415ac5362be8792f9c1f2f23087f4c8133fa3582ad41d931bc2b8a7ba"
+
+
+# -- oracle: sd K is the nerve of K's face poset -----------------------------
+
+def closure(facets) -> set[frozenset]:
+    return {frozenset(s) for f in facets for r in range(1, len(f) + 1) for s in combinations(f, r)}
+
+
+def complex_sset(facets, D: int) -> SimplicialSet:
+    """The ordered simplicial complex spanned by ``facets`` (sets of digits):
+    level m holds the weak vertex chains v_0 <= ... <= v_m spanning a face."""
+    faces = closure(facets)
+    vertices = sorted(set().union(*faces))
+    cells = {
+        m: ["".join(map(str, c)) for c in combinations_with_replacement(vertices, m + 1)
+            if frozenset(c) in faces]
+        for m in range(D + 1)
+    }
+    face = {(m, i, c): c[:i] + c[i + 1:] for m in range(1, D + 1) for c in cells[m] for i in range(m + 1)}
+    degeneracy = {(m, i, c): c[:i + 1] + c[i:] for m in range(D) for c in cells[m] for i in range(m + 1)}
+    return SimplicialSet(D, cells, face, degeneracy)
+
+
+def strict_chain_counts(faces: set[frozenset], D: int) -> tuple[int, ...]:
+    """For m = 0..D, the number of chains F_0 < ... < F_m of faces of
+    dimension at most D, counted over all (m+1)-subsets of faces."""
+    poset = [f for f in faces if len(f) <= D + 1]
+    return tuple(
+        sum(1 for chain in combinations(poset, m + 1)
+            if all(a < b or b < a for a, b in combinations(chain, 2)))
+        for m in range(D + 1)
+    )
+
+
+def seeded_facets(seed: int) -> list[tuple[int, ...]]:
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(6), rng.randint(1, 3))) for _ in range(4)]
+
+
+@pytest.mark.parametrize("facets, D", [
+    ([(0, 1, 2)], 2),
+    ([(0, 1, 2, 3)], 3),
+    ([f for f in combinations(range(4), 3)], 3),
+    ([(0, 1, 2), (1, 3), (3, 4), (4, 0)], 2),
+] + [(seeded_facets(seed), 2 + seed % 2) for seed in range(10)])
+def test_sd_counts_chains_of_the_face_poset(facets, D):
+    K = complex_sset(facets, D)
+    assert sd(K)[0].nondegenerate_counts() == strict_chain_counts(closure(facets), D)
+
+
+@pytest.mark.parametrize("n, D", [(1, 2), (2, 2), (2, 3), (3, 3)])
+def test_builtin_complexes_agree_with_their_face_posets(n, D):
+    simplex = list(combinations(range(n + 1), n + 1))
+    proper = list(combinations(range(n + 1), n))
+    assert standard_simplex(n, D) == complex_sset(simplex, D)
+    assert boundary(n, D) == complex_sset(proper, D)
+    horn_facets = [f for f in proper if n - 1 in f]  # every facet but the one opposite n - 1
+    assert horn(n, n - 1, D) == complex_sset(horn_facets, D)
+    assert sd(boundary(n, D))[0].nondegenerate_counts() == strict_chain_counts(closure(proper), D)

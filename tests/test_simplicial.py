@@ -12,6 +12,7 @@ import pytest
 from nervelab.errors import BoundError, ContractError, DomainError
 from nervelab.simplicial import (
     SimplicialMap,
+    SimplicialSet,
     boundary,
     components,
     compose_maps,
@@ -107,6 +108,13 @@ def test_horn_drops_one_face():
     full = boundary(2, 2)
     assert X.nondegenerate_counts() == (3, 2, 0)
     assert set(X.level(1)) < set(full.level(1))
+
+
+def test_has_cell():
+    X = boundary(2, 3)
+    assert X.has_cell(1, "01") and X.has_cell(3, "0000")
+    assert not X.has_cell(2, "012") and not X.has_cell(1, "") and not X.has_cell(1, "99")
+    assert not X.has_cell(-1, "0") and not X.has_cell(4, "00000")
 
 
 def test_bound_errors():
@@ -268,6 +276,14 @@ def test_square_nondegenerate_two_cells():
     P = product(standard_simplex(1, 2), standard_simplex(1, 2))
     # frozen: the two (1,1)-shuffles
     assert len(P.nondegenerate(2)) == 2
+
+
+def test_product_names_that_collide_are_an_error():
+    X = SimplicialSet(0, {0: ["a", "a|b"]}, {}, {})
+    Y = SimplicialSet(0, {0: ["c", "b|c"]}, {}, {})
+    with pytest.raises(DomainError) as err:
+        product(X, Y)
+    assert "('a', 'b|c')" in str(err.value) and "('a|b', 'c')" in str(err.value)
 
 
 # -- map enumeration cross-check against brute force -------------------------
