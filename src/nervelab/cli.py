@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from . import serialize as ser
 from .cat import (
@@ -31,7 +31,7 @@ from .homology import (
     weak_equivalence_evidence,
     weak_equivalence_evidence2,
 )
-from .lifting import find_lift, has_rlp, homotopy_pushout, small_object_factorize
+from .lifting import LiftingProblem, find_lift, has_rlp, homotopy_pushout, small_object_factorize
 from .localizer import (
     available_slice_triangles,
     check_final_collapse,
@@ -44,13 +44,14 @@ from .simplicial import SimplicialMap, SimplicialSet, boundary, standard_simplex
 from .subdivision import alpha, beta, ex, sd
 from .twocat import (
     Fin2Cat,
-    TwoFunctor,
     delta_tilde,
     geometric_nerve,
     identity_two_functor,
     slice_2category,
     validate_2category,
 )
+
+Map = TypeVar("Map")
 
 
 def _load(path: str) -> dict:
@@ -59,9 +60,12 @@ def _load(path: str) -> dict:
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read file ({exc})") from exc
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _refuse(path: str, violations: list[str]) -> None:
@@ -69,9 +73,10 @@ def _refuse(path: str, violations: list[str]) -> None:
         raise SchemaError(f"{path}: {violations[0]} (the first of {len(violations)} violations)")
 
 
-def _load_valid_sset(path: str) -> SimplicialSet:
-    """An sset.v1 document that satisfies the simplicial identities."""
-    X = ser.sset_from_doc(_load(path), path)
+def _load_valid_sset(path: str, doc: Optional[dict] = None) -> SimplicialSet:
+    """An sset.v1 document, read from ``path`` unless ``doc`` is given, that
+    satisfies the simplicial identities."""
+    X = ser.sset_from_doc(_load(path) if doc is None else doc, path)
     _refuse(path, [f"level {v.level}, cell {v.cell!r}: {v.identity} {list(v.indices)}: {v.detail}"
                    for v in validate(X)])
     return X
@@ -93,15 +98,20 @@ def _load_valid_fin2cat(path: str, doc: Optional[dict] = None) -> Fin2Cat:
     return C
 
 
-def _load_valid_tfun(path: str) -> TwoFunctor:
-    """A tfun.v1 document between 2-categories that satisfy the strict
-    2-category axioms, checked before the 2-functor laws are."""
-    doc = _load(path)
+def _valid_map(where: str, doc: object, load_valid_end: Callable[[str, dict], object],
+               parse: Callable[[object, str], Map]) -> Map:
+    """The map document ``doc``, found at ``where``, whose source and
+    target ``load_valid_end`` accepts, checked before ``parse`` builds the
+    map on them (and reports an end that is missing or not an object)."""
     for side in ("source", "target"):
-        if isinstance(doc.get(side), dict):
-            where = f"{path}.{side}"
-            _refuse(where, validate_2category(ser.fin2cat_from_doc(doc[side], where)))
-    return ser.tfun_from_doc(doc, path)
+        if isinstance(doc, dict) and isinstance(doc.get(side), dict):
+            load_valid_end(f"{where}.{side}", doc[side])
+    return parse(doc, where)
+
+
+def _valid_smap(where: str, doc: object) -> SimplicialMap:
+    """An smap.v1 document between simplicial sets that satisfy the simplicial identities."""
+    return _valid_map(where, doc, _load_valid_sset, ser.smap_from_doc)
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
@@ -131,7 +141,7 @@ def _parse_generators(spec: str, D: int) -> list[SimplicialMap]:
     entries = doc.get("generators")
     if not isinstance(entries, list):
         raise SchemaError(f"{spec}: missing key 'generators'")
-    return [ser.smap_from_doc(e, f"generators[{i}]") for i, e in enumerate(entries)]
+    return [_valid_smap(f"{spec}.generators[{i}]", e) for i, e in enumerate(entries)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +288,7 @@ def run(args: argparse.Namespace) -> dict:
         if "arrows" in doc and "source" not in doc:
             v = identity_functor(_load_valid_fincat(args.input, doc))
         else:
-            v = ser.cfun_from_doc(doc, args.input)
+            v = _valid_map(args.input, doc, _load_valid_fincat, ser.cfun_from_doc)
         S, proj = slice_category(v, args.object)
         return {"category": ser.fincat_to_doc(S), "projection": ser.cfun_to_doc(proj)}
     if cmd == "slice2":
@@ -286,7 +296,7 @@ def run(args: argparse.Namespace) -> dict:
         if "hom" in doc and "source" not in doc:
             v = identity_two_functor(_load_valid_fin2cat(args.input, doc))
         else:
-            v = ser.tfun_from_doc(doc, args.input)
+            v = _valid_map(args.input, doc, _load_valid_fin2cat, ser.tfun_from_doc)
         return ser.fin2cat_to_doc(slice_2category(v, args.object))
     if cmd == "elements":
         X = _load_valid_sset(args.input)
@@ -295,11 +305,12 @@ def run(args: argparse.Namespace) -> dict:
     if cmd == "final":
         return {"final": has_final_object(_load_valid_fincat(args.input))}
     if cmd == "lift":
-        problem = ser.lifting_problem_from_doc(_load(args.input), args.input)
-        h = find_lift(problem)
+        doc = _load(args.input)
+        h = find_lift(LiftingProblem(*(_valid_smap(f"{args.input}.{key}", doc.get(key))
+                                       for key in ("i", "p", "top", "bottom"))))
         return {"lift": None if h is None else ser.smap_to_doc(h)}
     if cmd == "rlp":
-        p = ser.smap_from_doc(_load(args.input), args.input)
+        p = _valid_smap(args.input, _load(args.input))
         gens = _parse_generators(args.generators, p.source.dim_bound)
         ok, counterexample = has_rlp(p, gens)
         doc = {"has_rlp": ok, "counterexample": None}
@@ -311,13 +322,13 @@ def run(args: argparse.Namespace) -> dict:
             }
         return doc
     if cmd == "factorize":
-        f = ser.smap_from_doc(_load(args.input), args.input)
+        f = _valid_smap(args.input, _load(args.input))
         gens = _parse_generators(args.generators, f.source.dim_bound)
         return ser.factorization_to_doc(small_object_factorize(f, gens, args.stages))
     if cmd == "hpushout":
         doc = _load(args.input)
-        f = ser.smap_from_doc(doc.get("f", {}), args.input + ".f")
-        g = ser.smap_from_doc(doc.get("g", {}), args.input + ".g")
+        f = _valid_smap(args.input + ".f", doc.get("f", {}))
+        g = _valid_smap(args.input + ".g", doc.get("g", {}))
         P, _, _, _ = homotopy_pushout(f, g)
         return ser.sset_to_doc(P)
     if cmd == "homology":
@@ -334,10 +345,10 @@ def run(args: argparse.Namespace) -> dict:
             "relations": [[[g, e] for g, e in w] for w in pres.relations],
         }
     if cmd == "evidence":
-        f = ser.smap_from_doc(_load(args.input), args.input)
+        f = _valid_smap(args.input, _load(args.input))
         return ser.evidence_to_doc(weak_equivalence_evidence(f, args.degree))
     if cmd == "evidence2":
-        u = _load_valid_tfun(args.input)
+        u = _valid_map(args.input, _load(args.input), _load_valid_fin2cat, ser.tfun_from_doc)
         return ser.evidence_to_doc(weak_equivalence_evidence2(u, args.max_dim, args.degree))
     if cmd == "localizer-check":
         U = ser.universe_from_doc(_load(args.universe), args.universe)

@@ -23,8 +23,8 @@ from .simplicial import (
     SimplicialSet,
     _pair,
     compose_maps,
+    constant_map,
     enumerate_simplicial_maps,
-    product,
     product_projections,
     pushout,
     pushout_induced,
@@ -159,6 +159,7 @@ def small_object_factorize(
     Each stage collects every unsolved generator square against the current
     right factor and attaches all of them (sequentially, in canonical
     order, which is the deterministic reading of a simultaneous pushout).
+    The squares the last sweep leaves unsolved are the residual.
     """
     from .simplicial import identity_map
 
@@ -170,35 +171,27 @@ def small_object_factorize(
     Z = X
     attachments: list[Attachment] = []
     stages = 0
-    for stage in range(1, stage_budget + 1):
-        unsolved = []
-        for gi, i in enumerate(generators):
-            for square in generator_squares(q, i):
-                if find_lift(square) is None:
-                    unsolved.append((gi, square))
-        if not unsolved:
+    while True:
+        unsolved = [(gi, square) for gi, i in enumerate(generators)
+                    for square in generator_squares(q, i) if find_lift(square) is None]
+        if not unsolved or stages == stage_budget:
             break
-        stages = stage
+        stages += 1
         carry = identity_map(Z)  # transports stage-start attaching maps forward
         for gi, square in unsolved:
             i, u, v = square.i, square.top, square.bottom
             P, jz, jb = pushout(compose_maps(carry, u), i)
-            attachments.append(Attachment(stage, gi, u.encode(), v.encode()))
+            attachments.append(Attachment(stages, gi, u.encode(), v.encode()))
             q = pushout_induced(P, jz, jb, q, v)
             carry = compose_maps(jz, carry)
             left = compose_maps(jz, left)
             Z = P
-    residual = []
-    for gi, i in enumerate(generators):
-        for square in generator_squares(q, i):
-            if find_lift(square) is None:
-                residual.append(square)
     return FactorizationReport(
         middle=Z,
         left=left,
         right=q,
         attachments=attachments,
-        residual=residual,
+        residual=[square for _, square in unsolved],
         stages=stages,
         bound=min(X.dim_bound, Y.dim_bound),
     )
@@ -213,17 +206,13 @@ def cylinder_inclusions(A: SimplicialSet, D: int) -> tuple[SimplicialSet, Simpli
     from .simplicial import standard_simplex
 
     interval = standard_simplex(1, D)
-    Cyl = product(A, interval)
     proj_a, _ = product_projections(A, interval)
+    Cyl = proj_a.source
     ends = []
     for vertex in ("0", "1"):
-        levels = {}
-        img = {0: vertex}
-        for n in range(1, min(A.dim_bound, D) + 1):
-            img[n] = interval.s(n - 1, 0, img[n - 1])
-        for n in range(min(A.dim_bound, D) + 1):
-            levels[n] = {a: _pair(a, img[n]) for a in A.cells[n]}
-        ends.append(SimplicialMap(A, Cyl, levels, check=False))
+        levels = constant_map(A, interval, vertex).levels
+        ends.append(SimplicialMap(A, Cyl, {n: {a: _pair(a, v) for a, v in level.items()}
+                                           for n, level in levels.items()}, check=False))
     return Cyl, ends[0], ends[1], proj_a
 
 

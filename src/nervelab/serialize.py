@@ -24,7 +24,7 @@ from typing import Any
 from .cat import CatFunctor, FinCat
 from .errors import SchemaError
 from .homology import EvidenceReport, HomologyReport
-from .lifting import FactorizationReport, LiftingProblem
+from .lifting import FactorizationReport
 from .localizer import DiagramUniverse, MarkedClass, UniverseEdge
 from .presentations import (
     CatPresentation,
@@ -439,12 +439,3 @@ def factorization_to_doc(rep: FactorizationReport) -> dict:
         "stages": rep.stages,
         "bound": rep.bound,
     }
-
-
-def lifting_problem_from_doc(doc: dict, where: str = "problem") -> LiftingProblem:
-    return LiftingProblem(
-        smap_from_doc(_need(doc, "i", dict, where), where + ".i"),
-        smap_from_doc(_need(doc, "p", dict, where), where + ".p"),
-        smap_from_doc(_need(doc, "top", dict, where), where + ".top"),
-        smap_from_doc(_need(doc, "bottom", dict, where), where + ".bottom"),
-    )

@@ -23,6 +23,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import itemgetter, le
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -71,8 +72,8 @@ class SimplicialSet:
     """A dimension-truncated simplicial set with materialized degeneracies.
 
     ``cells`` maps each level ``0..dim_bound`` to a sorted tuple of ids;
-    ``face`` and ``degeneracy`` are total operator tables.  Values are
-    immutable after construction.
+    ``face`` and ``degeneracy`` are total operator tables, kept as given,
+    not copied.  Values are immutable after construction.
     """
 
     __slots__ = ("dim_bound", "cells", "face", "degeneracy", "_nondeg", "_deg_of")
@@ -81,8 +82,8 @@ class SimplicialSet:
         self,
         dim_bound: int,
         cells: Mapping[int, Iterable[Cell]],
-        face: Mapping[tuple[int, int, Cell], Cell],
-        degeneracy: Mapping[tuple[int, int, Cell], Cell],
+        face: dict[tuple[int, int, Cell], Cell],
+        degeneracy: dict[tuple[int, int, Cell], Cell],
     ):
         if dim_bound < 0:
             raise BoundError(f"dim_bound must be >= 0, got {dim_bound}")
@@ -90,8 +91,8 @@ class SimplicialSet:
         self.cells: dict[int, tuple[Cell, ...]] = {
             n: tuple(sorted(cells.get(n, ()))) for n in range(dim_bound + 1)
         }
-        self.face = dict(face)
-        self.degeneracy = dict(degeneracy)
+        self.face = face
+        self.degeneracy = degeneracy
         # Eilenberg-Zilber bookkeeping: for each cell the minimal (i, lower)
         # with s_i(lower) = cell, if any.  Cells with no preimage are the
         # nondegenerate core.
@@ -450,11 +451,9 @@ class SimplicialMap:
 
     def encode(self) -> str:
         """Canonical string form, usable as a deterministic identifier."""
-        parts = []
-        for n in sorted(self.levels):
-            for c, v in sorted(self.levels[n].items()):
-                parts.append(f"{n}:{c}>{v}")
-        return ";".join(parts)
+        keys = tuple((n, c) for n, level in self.levels.items() for c in level)
+        images = (v for level in self.levels.values() for v in level.values())
+        return _map_name_template(keys).format(*images)
 
     def assignments(self) -> Iterator[tuple[tuple[int, Cell], tuple[int, Cell]]]:
         """Each cell key ``(n, c)`` with the key of its image."""
@@ -463,7 +462,8 @@ class SimplicialMap:
                 yield (n, c), (n, v)
 
 
-def _map_name_template(keys: Iterable[tuple[int, Cell]]) -> str:
+@lru_cache(maxsize=None)
+def _map_name_template(keys: tuple[tuple[int, Cell], ...]) -> str:
     """The ``encode()`` of a map whose ``assignments()`` lists these source
     keys, with a ``str.format`` field in place of each image."""
     return ";".join(f"{n}:{_escaped(c)}>{{}}" for n, c in keys)
@@ -964,59 +964,66 @@ def find_simplicial_iso(X: SimplicialSet, Y: SimplicialSet) -> Optional[Simplici
 # singular complexes: level n is the maps K(n) -> X
 # ---------------------------------------------------------------------------
 
-def _listed(maps: Iterable) -> Iterator[tuple[tuple, Cell, object, None]]:
-    """A level of :func:`_singular` holding the given maps, each named by
-    its ``encode()``, with faces left to re-indexing."""
-    for F in maps:
-        yield tuple(t[-1] for _, t in F.assignments()), F.encode(), F, None
+def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*positions)``, which returns a 1-tuple for one position too."""
+    if len(positions) == 1:
+        k = positions[0]
+        return lambda seq: (seq[k],)
+    return itemgetter(*positions)
+
+
+def _images(problem: tuple, order: Sequence[Key]) -> Iterator[tuple[tuple, None]]:
+    """A level of :func:`_singular` holding the solutions of a compiled
+    search problem, each as the tuple of its values at the source keys
+    ``order``, with faces left to re-indexing."""
+    index = {key: k for k, key in enumerate(problem[0])}
+    return ((image, None) for image in _search(*problem[:4], _picker([index[key] for key in order])))
 
 
 def _singular(
     D: int,
-    level: Callable[[int, dict, dict], Iterable[tuple[tuple, Cell, object, Optional[tuple]]]],
+    level: Callable[[int, tuple, dict, dict], Iterable[tuple[tuple, Optional[tuple]]]],
     operator: Callable[[Monotone, int], object],
-) -> tuple[SimplicialSet, dict[tuple[int, Cell], object]]:
-    """The simplicial set whose level n holds maps K(n) -> X.
+    template: Callable[[tuple], str],
+) -> tuple[SimplicialSet, dict[tuple[int, Cell], tuple]]:
+    """The simplicial set whose level n holds the maps K(n) -> X.
 
     This is the common shape of the geometric nerve (K = delta_tilde) and
-    of the extension (K = sd of the simplex).  Returns it with the
-    ``(n, id) -> map`` table.  Every map of level n lists the source keys
-    of ``operator(identity, n)`` in ``assignments()``, in the same order,
-    so a map is recorded as the tuple of its image cells in that order.
-    ``phi`` acts by precomposition with ``operator(phi, n)``: K(m) -> K(n),
-    which is re-indexing that tuple at the positions of the operator's
-    image keys.
+    of the extension (K = sd of the simplex).  A level-n cell is the tuple
+    of its images of the source keys of ``operator(identity, n)``, in
+    ``assignments()`` order, and its id is ``template(keys).format(*image)``,
+    the ``encode()`` of the map; no map object is built.  Returns the
+    simplicial set with the ``(n, id) -> image`` table.  ``phi`` acts by
+    precomposition with ``operator(phi, n)``: K(m) -> K(n), which is
+    re-indexing the tuple at the positions of the operator's image keys.
 
-    ``level(n, named, faces)`` yields each map of level n as ``(image, id,
-    map, faces)``, given level n - 1 as ``named`` (image tuple -> id) and
-    ``faces`` (id -> the tuple of its faces).  A map yielded with faces
-    None has them computed by re-indexing.
+    ``level(n, keys, named, faces)`` yields each cell of level n as
+    ``(image, faces)``, given the source keys of level n and level n - 1 as
+    ``named`` (image -> id) and ``faces`` (id -> the tuple of its faces).  A
+    cell yielded with faces None has them computed by re-indexing.
     """
     places: dict[int, dict[Key, int]] = {}
 
     def reindexing(phi: Monotone, n: int) -> Callable[[tuple], tuple]:
-        if n not in places:
-            identity = tuple(range(n + 1))
-            places[n] = {s: k for k, (s, _) in enumerate(operator(identity, n).assignments())}
-        pick = [places[n][t] for _, t in operator(phi, n).assignments()]
-        if len(pick) == 1:
-            k = pick[0]
-            return lambda image: (image[k],)
-        return itemgetter(*pick)
+        return _picker([places[n][t] for _, t in operator(phi, n).assignments()])
 
-    table: dict[tuple[int, Cell], object] = {}
+    table: dict[tuple[int, Cell], tuple] = {}
     face: dict[tuple[int, int, Cell], Cell] = {}
     degeneracy: dict[tuple[int, int, Cell], Cell] = {}
     cells: dict[int, Iterable[Cell]] = {}
     named: dict[tuple, Cell] = {}
     faces: dict[Cell, tuple] = {}
     for n in range(D + 1):
+        keys = tuple(s for s, _ in operator(tuple(range(n + 1)), n).assignments())
+        places[n] = {s: k for k, s in enumerate(keys)}
+        name = template(keys).format
         d = [reindexing(coface(n, i), n) for i in range(n + 1)] if n > 0 else []
         level_named: dict[tuple, Cell] = {}
         level_faces: dict[Cell, tuple] = {}
-        for image, cid, F, fc in level(n, named, faces):
+        for image, fc in level(n, keys, named, faces):
+            cid = name(*image)
             level_named[image] = cid
-            table[(n, cid)] = F
+            table[(n, cid)] = image
             if fc is None:
                 fc = tuple(named[di(image)] for di in d)
             level_faces[cid] = fc

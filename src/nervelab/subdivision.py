@@ -11,15 +11,17 @@ certificate records, per nondegenerate cell, the resulting gluing map
 lookup used by functoriality and the transposition helpers.
 
 ``ex(X, D)`` has, at level n, all simplicial maps from the subdivided
-n-simplex into X; operators act by precomposition.  ``alpha`` is the
-last-vertex map and ``beta`` its adjoint transpose.
+n-simplex into X; operators act by precomposition.  Like the geometric
+nerve it is ``simplicial._singular``: a cell is the tuple of its images,
+named by the ``encode()`` of the map, which is never built.  ``alpha`` is
+the last-vertex map and ``beta`` its adjoint transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import BoundError, ContractError
 from .simplicial import (
@@ -27,13 +29,13 @@ from .simplicial import (
     Monotone,
     SimplicialMap,
     SimplicialSet,
-    _listed,
-    _map_name_template,
     _chain_nerve,
     _glue,
+    _images,
+    _map_name_template,
+    _simplicial_problem,
     _singular,
     coface,
-    enumerate_simplicial_maps,
     simplicial_operator,
 )
 
@@ -166,18 +168,20 @@ def alpha(X: SimplicialSet, cert: Optional[SubdivisionCertificate] = None) -> Si
 # the right adjoint
 # ---------------------------------------------------------------------------
 
-def ex_cells(X: SimplicialSet, D: int) -> tuple[SimplicialSet, dict[tuple[int, str], SimplicialMap]]:
+def ex_cells(X: SimplicialSet, D: int) -> tuple[SimplicialSet, dict[tuple[int, str], tuple[Cell, ...]]]:
     """Bounded extension: level n is all maps sd_simplex(n) -> X.
 
-    Returns the simplicial set together with the id -> map table.  Requires
+    Returns the simplicial set together with the id -> image tuple table,
+    the images in :func:`_sd_keys` order.  Requires
     ``D <= X.dim_bound``: the subdivided n-simplex is n-dimensional, so no
     information below the bound is lost.
     """
     if D > X.dim_bound:
         raise BoundError(f"extension bound {D} exceeds the bound of X ({X.dim_bound})")
+    B = X.dim_bound
     return _singular(
-        D, lambda n, named, faces: _listed(enumerate_simplicial_maps(sd_simplex(n, X.dim_bound), X)),
-        lambda phi, n: sd_operator_map(phi, n, X.dim_bound),
+        D, lambda n, keys, named, faces: _images(_simplicial_problem(sd_simplex(n, B), X), keys),
+        lambda phi, n: sd_operator_map(phi, n, B), _map_name_template,
     )
 
 
@@ -185,20 +189,34 @@ def ex(X: SimplicialSet, D: int) -> SimplicialSet:
     return ex_cells(X, D)[0]
 
 
+@lru_cache(maxsize=None)
+def _sd_keys(n: int, D: int) -> tuple[tuple[int, Cell], ...]:
+    """The cells ``(m, chain)`` of ``sd_simplex(n, D)`` in the
+    ``assignments()`` order of a map out of it: by level, then by name."""
+    S = sd_simplex(n, D)
+    return tuple((m, u) for m in range(D + 1) for u in S.cells[m])
+
+
+def _ex_cell(n: int, D: int, image: Callable[[int, Cell], Cell]) -> Cell:
+    """The id in ex of the map ``sd_simplex(n, D) -> Y`` taking the cell u
+    of level m to ``image(m, u)``: its ``encode()``, without building it."""
+    keys = _sd_keys(n, D)
+    return _map_name_template(keys).format(*(image(m, u) for m, u in keys))
+
+
 def ex_map(f: SimplicialMap, D: int) -> SimplicialMap:
     """Functoriality of the extension: postcompose every cell with f.
 
-    A cell's image is named from its images mapped through f, which is
-    the ``encode()`` of the composite without building it."""
+    A cell's image is named from its image tuple mapped through f, which
+    is the ``encode()`` of the composite without building it, truncated at
+    the bound of f as the ids of ``ex(f.target)`` are."""
     EX, table = ex_cells(f.source, D)
     EY = ex(f.target, D)
+    keys = [_sd_keys(n, f.bound) for n in range(D + 1)]
+    names = [_map_name_template(k).format for k in keys]
     levels: dict[int, dict[Cell, Cell]] = {n: {} for n in range(D + 1)}
-    templates: dict[int, str] = {}
-    for (n, cid), F in table.items():
-        cells = [(F.levels[m], f.levels[m]) for m in range(f.bound + 1)]
-        if n not in templates:
-            templates[n] = _map_name_template((m, c) for m, (lvl, _) in enumerate(cells) for c in lvl)
-        levels[n][cid] = templates[n].format(*(fm[v] for lvl, fm in cells for v in lvl.values()))
+    for (n, cid), image in table.items():
+        levels[n][cid] = names[n](*(f.levels[m][v] for (m, _), v in zip(keys[n], image)))
     return SimplicialMap(EX, EY, levels, check=False)
 
 
@@ -206,17 +224,11 @@ def beta(X: SimplicialSet, D: Optional[int] = None) -> SimplicialMap:
     """The unit comparison map X -> ex(X): transpose of the last-vertex map."""
     D = X.dim_bound if D is None else D
     EX = ex(X, D)
-    levels: dict[int, dict[Cell, Cell]] = {}
-    for n in range(D + 1):
-        lvl = {}
-        for x in X.cells[n]:
-            S = sd_simplex(n, X.dim_bound)
-            maps = {
-                m: {u: simplicial_operator(X, last_vertex(u), n, x) for u in S.cells[m]}
-                for m in range(X.dim_bound + 1)
-            }
-            lvl[x] = SimplicialMap(S, X, maps, check=False).encode()
-        levels[n] = lvl
+    levels = {
+        n: {x: _ex_cell(n, X.dim_bound, lambda m, u: simplicial_operator(X, last_vertex(u), n, x))
+            for x in X.cells[n]}
+        for n in range(D + 1)
+    }
     return SimplicialMap(X, EX, levels, check=False)
 
 
@@ -228,38 +240,30 @@ def transpose_to_ex(
     """Turn ``F: sd(X) -> Y`` into its adjoint ``X -> ex(Y, D)``."""
     X = cert.source
     Y = F.target
-    EY, _ = ex_cells(Y, D)
-    levels: dict[int, dict[Cell, Cell]] = {}
-    for n in range(D + 1):
-        lvl = {}
-        S = sd_simplex(n, Y.dim_bound)
-        for x in X.cells[n]:
-            maps = {
-                m: {
-                    u: F.levels[m][cert.class_of(n, x, m, u)] for u in S.cells[m]
-                }
-                for m in range(min(Y.dim_bound, cert.space.dim_bound) + 1)
-            }
-            lvl[x] = SimplicialMap(S, Y, maps, check=False).encode()
-        levels[n] = lvl
+    EY = ex(Y, D)
+    bound = min(Y.dim_bound, cert.space.dim_bound)
+    levels = {
+        n: {x: _ex_cell(n, bound, lambda m, u: F.levels[m][cert.class_of(n, x, m, u)])
+            for x in X.cells[n]}
+        for n in range(D + 1)
+    }
     return SimplicialMap(X, EY, levels, check=False)
 
 
 def transpose_from_ex(
     G: SimplicialMap,
     cert: SubdivisionCertificate,
-    ex_table: dict[tuple[int, str], SimplicialMap],
+    Y: SimplicialSet,
 ) -> SimplicialMap:
-    """Turn ``G: X -> ex(Y, D)`` into its adjoint ``sd(X) -> Y``."""
-    X = cert.source
-    sample = next(iter(ex_table.values()))
-    Y = sample.target
-    D = cert.space.dim_bound
-    levels: dict[int, dict[Cell, Cell]] = {m: {} for m in range(min(D, Y.dim_bound) + 1)}
+    """Turn ``G: X -> ex(Y, D)`` into its adjoint ``sd(X) -> Y``, reading
+    each ``G(x)`` back as its image tuple from ``ex_cells(Y, D)``."""
+    _, table = ex_cells(Y, G.target.dim_bound)
+    bound = min(cert.space.dim_bound, Y.dim_bound)
+    levels: dict[int, dict[Cell, Cell]] = {m: {} for m in range(bound + 1)}
     for (k, x), glue in cert.gluing.items():
-        g_of_x = ex_table[(k, G.levels[k][x])]
+        g_of_x = dict(zip(_sd_keys(k, Y.dim_bound), table[(k, G.levels[k][x])]))
         for m in levels:
             for u, r in glue.levels[m].items():
                 if r not in levels[m]:
-                    levels[m][r] = g_of_x.levels[m][u]
+                    levels[m][r] = g_of_x[(m, u)]
     return SimplicialMap(cert.space, Y, levels, check=False)

@@ -28,7 +28,7 @@ from .simplicial import (
     SimplicialSet,
     _claim,
     _escaped,
-    _listed,
+    _images,
     _search,
     _singular,
     _UnionFind,
@@ -231,10 +231,8 @@ class TwoFunctor:
         return self.on2[(a, b, al)]
 
     def encode(self) -> str:
-        o = ",".join(f"{a}>{b}" for a, b in self.objects.items())
-        c1 = ",".join(f"{a}!{b}!{f}>{v}" for (a, b, f), v in self.on1.items())
-        c2 = ",".join(f"{a}!{b}!{t}>{v}" for (a, b, t), v in self.on2.items())
-        return o + "/" + c1 + "/" + c2
+        pairs = list(self.assignments())
+        return _name_template(tuple(s for s, _ in pairs)).format(*(t[-1] for _, t in pairs))
 
     def assignments(self) -> Iterator[tuple[Key, Key]]:
         """Each cell key, ``(0, object)``, ``(1, a, b, one_cell)`` or
@@ -871,13 +869,14 @@ def find_2cat_iso(A: Fin2Cat, B: Fin2Cat) -> Optional[TwoFunctor]:
 # the geometric nerve
 # ---------------------------------------------------------------------------
 
-def geometric_nerve_cells(C: Fin2Cat, D: int) -> tuple[SimplicialSet, dict[tuple[int, str], TwoFunctor]]:
-    """Geometric nerve truncated at D, plus the id -> 2-functor table.
+def geometric_nerve_cells(C: Fin2Cat, D: int) -> tuple[SimplicialSet, dict[tuple[int, str], tuple[str, ...]]]:
+    """Geometric nerve truncated at D, plus the id -> image tuple table.
 
-    Level n holds all strict 2-functors ``delta_tilde(n) -> C``, named by
-    their ``encode()``; operators act by precomposition with
-    :func:`cosimplicial_operator`.  Levels up to 3 are found by
-    :func:`enumerate_two_functors`.  The nerve is 3-coskeletal (Street
+    Level n holds all strict 2-functors ``delta_tilde(n) -> C``, each kept
+    as its image tuple in :func:`_simplex_keys` order and named by its
+    ``encode()``; operators act by precomposition with
+    :func:`cosimplicial_operator`.  Levels up to 3 are found by the search
+    of :func:`enumerate_two_functors`.  The nerve is 3-coskeletal (Street
     1987, "The algebra of oriented simplexes"; Duskin 2002, "Simplicial
     matrices and the nerves of weak n-categories I"): for n >= 4 every
     tuple of (n-1)-cells with matching faces is the boundary of exactly
@@ -888,18 +887,19 @@ def geometric_nerve_cells(C: Fin2Cat, D: int) -> tuple[SimplicialSet, dict[tuple
     the unit and identity laws of C make vacuous, and the join takes the
     cells that lie in no face to be composites in C.
     """
-    def level(n: int, named: dict, faces: dict) -> Iterable:
+    def level(n: int, keys: tuple, named: dict, faces: dict) -> Iterable:
         if n < 4:
-            return _listed(enumerate_two_functors(delta_tilde(n), C))
+            return _images(_two_functor_problem(delta_tilde(n), C), keys)
         return _coskeletal_level(C, n, named, faces)
-    return _singular(D, level, cosimplicial_operator)
+    return _singular(D, level, cosimplicial_operator, _name_template)
 
 
 def geometric_nerve(C: Fin2Cat, D: int) -> SimplicialSet:
     return geometric_nerve_cells(C, D)[0]
 
 
-def _name_template(keys: Iterable[Key]) -> str:
+@lru_cache(maxsize=None)
+def _name_template(keys: tuple[Key, ...]) -> str:
     """The ``encode()`` of a 2-functor whose ``assignments()`` lists these
     source keys, with a ``str.format`` field in place of each image."""
     parts: tuple[list[str], list[str], list[str]] = ([], [], [])
@@ -909,11 +909,9 @@ def _name_template(keys: Iterable[Key]) -> str:
 
 
 @lru_cache(maxsize=None)
-def _simplex_keys(n: int) -> tuple[tuple[Key, ...], str]:
-    """The cell keys of ``delta_tilde(n)`` in ``assignments()`` order, and
-    the name template of the 2-functors out of it."""
-    keys = tuple(s for s, _ in cosimplicial_operator(tuple(range(n + 1)), n).assignments())
-    return keys, _name_template(keys)
+def _simplex_keys(n: int) -> tuple[Key, ...]:
+    """The cell keys of ``delta_tilde(n)`` in ``assignments()`` order."""
+    return tuple(s for s, _ in cosimplicial_operator(tuple(range(n + 1)), n).assignments())
 
 
 @lru_cache(maxsize=None)
@@ -935,8 +933,8 @@ def _join_plan(n: int) -> tuple:
     concatenation; ``vertical`` the positions of the objects and 2-cell of
     the last composite, and the place of its first part among the splits.
     """
-    keys, _ = _simplex_keys(n)
-    lower = {key: k for k, key in enumerate(_simplex_keys(n - 1)[0])}
+    keys = _simplex_keys(n)
+    lower = {key: k for k, key in enumerate(_simplex_keys(n - 1))}
     everything = set(range(n + 1))
 
     def at(key: Key) -> int:
@@ -974,11 +972,7 @@ def _coskeletal_level(C: Fin2Cat, n: int, named: dict, faces: dict) -> Iterator[
     in :func:`_singular`: one cell per tuple ``(x_0 .. x_n)`` of
     (n-1)-cells with ``d_i x_j = d_{j-1} x_i`` for ``i < j``; its faces are
     that tuple.  Requires C to pass :func:`validate_2category`."""
-    keys, template = _simplex_keys(n)
     pick, one, splits, vertical = _join_plan(n)
-    A = delta_tilde(n)
-    ends = (sum(1 for k in keys if k[0] == 0), sum(1 for k in keys if k[0] < 2))
-    names = [key[1] if key[0] == 0 else key[1:] for key in keys]
     image_of = {cid: image for image, cid in named.items()}
     hc1, hc2, hom = C.hcompose1, C.hcompose2, C.hom
     o0, o1, on, f01, f1n = one
@@ -988,11 +982,7 @@ def _coskeletal_level(C: Fin2Cat, n: int, named: dict, faces: dict) -> Iterator[
         twos = [hc2[(c[a], c[m], c[b], c[x], c[y])] for a, m, b, x, y in splits]
         c += (hc1[(c[o0], c[o1], c[on], c[f01], c[f1n])], *twos,
               hom[(c[z0], c[zn])].compose[(c[via], twos[first])])
-        image = pick(c)
-        F = TwoFunctor(A, C, dict(zip(names[:ends[0]], image)),
-                       dict(zip(names[ends[0]:ends[1]], image[ends[0]:])),
-                       dict(zip(names[ends[1]:], image[ends[1]:])), check=False)
-        yield image, template.format(*image), F, xs
+        yield pick(c), xs
 
 
 def _matching_tuples(n: int, faces: dict[str, tuple[str, ...]]) -> Iterator[tuple[str, ...]]:
@@ -1028,18 +1018,18 @@ def geometric_nerve_functor(u: TwoFunctor, D: int) -> SimplicialMap:
     """The simplicial map of geometric nerves induced by a 2-functor
     (postcomposition with u on each cell).
 
-    A cell's image is named from its images mapped through u, which is the
-    ``encode()`` of the composite without building it."""
+    A cell's image is named from its image tuple mapped through u, which is
+    the ``encode()`` of the composite without building it.  The objects of
+    ``delta_tilde(n)`` come first in the tuple, object i at position i."""
     NA, table = geometric_nerve_cells(u.source, D)
-    uo, u1, u2 = u.objects, u.on1, u.on2
-    templates = [_simplex_keys(n)[1] for n in range(D + 1)]
+    on = (u.objects, u.on1, u.on2)
+    keys = [_simplex_keys(n) for n in range(D + 1)]
+    names = [_name_template(k).format for k in keys]
     levels: dict[int, dict[str, str]] = {n: {} for n in range(D + 1)}
-    for (n, cid), F in table.items():
-        o = F.objects
-        image = [uo[x] for x in o.values()]
-        image += [u1[(o[a], o[b], f)] for (a, b, _), f in F.on1.items()]
-        image += [u2[(o[a], o[b], al)] for (a, b, _), al in F.on2.items()]
-        levels[n][cid] = templates[n].format(*image)
+    for (n, cid), image in table.items():
+        mapped = (on[0][v] if key[0] == 0 else on[key[0]][(image[int(key[1])], image[int(key[2])], v)]
+                  for key, v in zip(keys[n], image))
+        levels[n][cid] = names[n](*mapped)
     return SimplicialMap(NA, geometric_nerve(u.target, D), levels, check=False)
 
 

@@ -8,7 +8,7 @@ import pytest
 from cli_cases import CASES, DATA, GOLDEN, sample
 
 from nervelab import serialize as ser
-from nervelab.cat import nerve
+from nervelab.cat import identity_functor, nerve
 from nervelab.cli import main
 from nervelab.corpus import localizer_universe_2
 from nervelab.simplicial import boundary
@@ -71,6 +71,14 @@ def test_malformed_json_is_diagnosed(tmp_path, capsys):
     assert "invalid JSON" in err and "bad.json" in err
 
 
+@pytest.mark.parametrize("command", ["lift", "hpushout", "rlp"])
+def test_document_that_is_not_an_object_exits_2(command, tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[]")
+    assert main([command, str(bad)]) == 2
+    assert "list.json: expected a JSON object" in capsys.readouterr().err
+
+
 def test_missing_key_is_named(tmp_path, capsys):
     bad = tmp_path / "missing.json"
     bad.write_text(json.dumps({"dim_bound": 1, "cells": {"0": []}}))
@@ -108,7 +116,45 @@ def without(entries, prefix):
     return [e for e in entries if e[:len(prefix)] != prefix]
 
 
-EXTRA_ARGS = {"slice": ["--object", "1"], "slice2": ["--object", "1"]}
+def d0_of_00_is_1(sset):
+    """Point d_0 of the degenerate edge 00 at the vertex 1.  Done to both
+    ends of an identity map, the map still commutes with every face."""
+    sset["face"] = without(sset["face"], [1, 0, "00"]) + [[1, 0, "00", "1"]]
+
+
+def both_ends(break_sset):
+    def wrap(smap):
+        for side in ("source", "target"):
+            break_sset(smap[side])
+    return wrap
+
+
+def as_generators(break_smap):
+    """A generators document holding the broken smap as its only entry."""
+    def wrap(doc):
+        smap = dict(doc)
+        break_smap(smap)
+        doc.clear()
+        doc["generators"] = [smap]
+    return wrap
+
+
+def as_identity_cfun(break_target):
+    """The identity functor of the category, with its target broken."""
+    def wrap(doc):
+        cfun = ser.cfun_to_doc(identity_functor(ser.fincat_from_doc(doc)))
+        break_target(cfun["target"])
+        doc.clear()
+        doc.update(cfun)
+    return wrap
+
+
+ARGV = {
+    "slice": lambda bad: ["slice", bad, "--object", "1"],
+    "slice2": lambda bad: ["slice2", bad, "--object", "1"],
+    "factorize --generators": lambda bad: [
+        "factorize", sample("boundary2_to_point.smap.json"), "--generators", bad],
+}
 
 
 @pytest.mark.parametrize("command,sample_name,break_it,named", [
@@ -151,15 +197,37 @@ EXTRA_ARGS = {"slice": ["--object", "1"], "slice2": ["--object", "1"]}
     ("slice2", "iota_arrow.fin2cat.json",
      lambda doc: doc["hom"][1][2].update(identity={}),
      ": hom('0', '1'): object '0<=1' has no identity arrow"),
+    ("evidence", "identity_interval.smap.json", both_ends(d0_of_00_is_1),
+     ".source: level 2, cell '000': dd [0, 2]: d_0 d_2 = '1' vs d_1 d_0 = '0'"),
+    ("rlp", "interval_to_point.smap.json", lambda doc: d0_of_00_is_1(doc["source"]),
+     ".source: level 2, cell '000': dd [0, 2]: d_0 d_2 = '1' vs d_1 d_0 = '0'"),
+    ("factorize", "boundary2_to_point.smap.json",
+     lambda doc: doc["source"].update(face=without(doc["source"]["face"], [1, 0, "01"])),
+     ".source: level 1, cell '01': face-total [0]: missing face entry"),
+    ("factorize --generators", "identity_interval.smap.json",
+     as_generators(both_ends(d0_of_00_is_1)),
+     ".generators[0].source: level 2, cell '000': dd [0, 2]: d_0 d_2 = '1' vs d_1 d_0 = '0'"),
+    ("lift", "problem.json", lambda doc: d0_of_00_is_1(doc["p"]["target"]),
+     ".p.target: level 1, cell '00': face-total [0]: face '1' not a cell"),
+    ("hpushout", "span_circle.json", lambda doc: d0_of_00_is_1(doc["g"]["target"]),
+     ".g.target: level 2, cell '000': dd [0, 2]: d_0 d_2 = '1' vs d_1 d_0 = '0'"),
+    ("slice", "arrow.fincat.json",
+     as_identity_cfun(lambda C: C.update(compose=without(C["compose"], ["id_1", "0<=1"]))),
+     ".target: compose missing on ('id_1', '0<=1')"),
+    ("slice2", "iota_arrow_to_terminal.tfun.json",
+     lambda doc: doc["source"].update(hcompose2=without(doc["source"]["hcompose2"], ["0", "0", "1"])),
+     ".source: hcompose2 missing/foreign on (0,0,1,id_id_0,id_0<=1)"),
 ], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2",
-        "alpha-beta", "cat-of", "twocat-of", "elements", "final", "slice", "slice2"])
+        "alpha-beta", "cat-of", "twocat-of", "elements", "final", "slice", "slice2",
+        "evidence", "rlp", "factorize", "factorize-generators", "lift", "hpushout",
+        "slice-cfun", "slice2-tfun"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(
         command, sample_name, break_it, named, tmp_path, capsys):
     doc = json.loads((DATA / sample_name).read_text())
     break_it(doc)
     bad = tmp_path / f"broken_{sample_name}"
     bad.write_text(json.dumps(doc))
-    assert main([command, str(bad)] + EXTRA_ARGS.get(command, [])) == 2
+    assert main(ARGV.get(command, lambda bad: [command, bad])(str(bad))) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"broken_{sample_name}{named}" in captured.err

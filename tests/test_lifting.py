@@ -1,7 +1,11 @@
 """Lift search, RLP tests, bounded factorization, homotopy pushouts."""
 
+import hashlib
+import json
+
 import pytest
 
+from nervelab import lifting
 from nervelab.cat import (
     CatFunctor,
     arrow_category,
@@ -14,6 +18,7 @@ from nervelab.errors import ContractError
 from nervelab.homology import homology
 from nervelab.lifting import (
     LiftingProblem,
+    cylinder_inclusions,
     find_lift,
     generator_squares,
     has_rlp,
@@ -21,6 +26,7 @@ from nervelab.lifting import (
     is_homotopy_cocartesian,
     small_object_factorize,
 )
+from nervelab.serialize import canonical_json, factorization_to_doc
 from nervelab.simplicial import (
     SimplicialMap,
     boundary,
@@ -31,6 +37,7 @@ from nervelab.simplicial import (
     pushout,
     standard_simplex,
     validate,
+    validate_map,
 )
 
 
@@ -189,6 +196,50 @@ def test_factorize_boundary_two_to_point():
     assert rep.stages <= 6
 
 
+def counted_sweeps(monkeypatch):
+    """The generators that ``generator_squares`` is called with, in order."""
+    calls = []
+    real = lifting.generator_squares
+
+    def counted(p, i):
+        calls.append(i)
+        return real(p, i)
+
+    monkeypatch.setattr(lifting, "generator_squares", counted)
+    return calls
+
+
+def test_factorize_sweeps_each_right_factor_once(monkeypatch):
+    # three stages, then one sweep that finds every square solved: that
+    # sweep is the (empty) residual, so no fifth sweep runs
+    gens = boundary_inclusions(3, 3)
+    calls = counted_sweeps(monkeypatch)
+    rep = small_object_factorize(to_point(boundary(2, 3)), gens, 6)
+    assert (rep.stages, rep.residual) == (3, [])
+    assert len(calls) == 4 * len(gens)
+
+
+@pytest.mark.parametrize("budget,report,residual", [
+    (0, "504e0224fb44677fb60f30b26c06e433526f0eb69268bbda11ebc2a215e5cafa",
+     "65abdc941bead4bf45ca8fe6eac7546d1c04c0376daff8026c1d352586ba735e"),
+    (1, "a7252190e96dfad39cb7d0fcf4f00b3edf401c776d54e0797f66c4a39a884a24",
+     "a1f271538c201286bbcf0059d2576a2efcd68501fc5f7fcf203ed1ea478763cc"),
+    (2, "c5d885e24b4153a53bd2ce2c474d3ba4fcfb824c1ac20fb0d4bda3409978369d",
+     "11c35de4160eacded11606948f4c0ed4928e2f0e9e83e9ee7b0a256b6e309981"),
+])
+def test_factorize_out_of_budget_is_pinned(budget, report, residual, monkeypatch):
+    """The report and the unsolved squares of runs whose stage budget runs
+    out, pinned by SHA-256 from before the last sweep became the residual."""
+    gens = boundary_inclusions(3, 3)
+    calls = counted_sweeps(monkeypatch)
+    rep = small_object_factorize(to_point(boundary(2, 3)), gens, budget)
+    assert rep.stages == budget and rep.residual
+    assert len(calls) == (budget + 1) * len(gens)
+    squares = [[s.i.encode(), s.top.encode(), s.bottom.encode()] for s in rep.residual]
+    assert hashlib.sha256(canonical_json(factorization_to_doc(rep)).encode()).hexdigest() == report
+    assert hashlib.sha256(json.dumps(squares).encode()).hexdigest() == residual
+
+
 # -- homotopy pushout ----------------------------------------------------------------
 
 def span_circle(D=3):
@@ -198,6 +249,13 @@ def span_circle(D=3):
     f = SimplicialMap(A, X, {n: {c: X.cells[n][0] for c in A.cells[n]} for n in range(D + 1)})
     g = inclusion(A, Y)
     return f, g
+
+
+def test_cylinder_is_the_source_of_its_projection():
+    Cyl, i0, i1, proj = cylinder_inclusions(boundary(1, 2), 2)
+    assert Cyl is proj.source
+    assert i0.target is Cyl and i1.target is Cyl
+    assert validate_map(i0) == [] and validate_map(i1) == [] and validate_map(proj) == []
 
 
 def test_homotopy_pushout_of_circle_span_has_h1():

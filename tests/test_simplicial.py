@@ -138,6 +138,13 @@ def test_generated_objects_validate(builder):
     assert validate(builder()) == []
 
 
+def test_simplicial_set_keeps_the_tables_it_is_given():
+    X = standard_simplex(1, 2)
+    Y = SimplicialSet(2, X.cells, X.face, X.degeneracy)
+    assert Y.face is X.face and Y.degeneracy is X.degeneracy
+    assert Y == X
+
+
 def test_corrupted_face_is_reported():
     X = standard_simplex(1, 2)
     bad = dict(X.face)
