@@ -11,19 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional, TypeVar
+from typing import Optional
 
 from . import serialize as ser
-from .cat import (
-    FinCat,
-    category_of_elements,
-    has_final_object,
-    identity_functor,
-    nerve,
-    slice_category,
-    validate_category,
-)
+from .cat import category_of_elements, has_final_object, identity_functor, nerve, slice_category
 from .errors import NerveLabError, SchemaError
 from .homology import (
     homology,
@@ -40,18 +33,9 @@ from .localizer import (
     closure,
 )
 from .presentations import cat_of, realize, twocat_of
-from .simplicial import SimplicialMap, SimplicialSet, boundary, standard_simplex, validate
+from .simplicial import SimplicialMap, boundary, standard_simplex, validate
 from .subdivision import alpha, beta, ex, sd
-from .twocat import (
-    Fin2Cat,
-    delta_tilde,
-    geometric_nerve,
-    identity_two_functor,
-    slice_2category,
-    validate_2category,
-)
-
-Map = TypeVar("Map")
+from .twocat import delta_tilde, geometric_nerve, identity_two_functor, slice_2category
 
 
 def _load(path: str) -> dict:
@@ -66,52 +50,6 @@ def _load(path: str) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     return doc
-
-
-def _refuse(path: str, violations: list[str]) -> None:
-    if violations:
-        raise SchemaError(f"{path}: {violations[0]} (the first of {len(violations)} violations)")
-
-
-def _load_valid_sset(path: str, doc: Optional[dict] = None) -> SimplicialSet:
-    """An sset.v1 document, read from ``path`` unless ``doc`` is given, that
-    satisfies the simplicial identities."""
-    X = ser.sset_from_doc(_load(path) if doc is None else doc, path)
-    _refuse(path, [f"level {v.level}, cell {v.cell!r}: {v.identity} {list(v.indices)}: {v.detail}"
-                   for v in validate(X)])
-    return X
-
-
-def _load_valid_fincat(path: str, doc: Optional[dict] = None) -> FinCat:
-    """A fincat.v1 document, read from ``path`` unless ``doc`` is given, that
-    satisfies the category axioms."""
-    C = ser.fincat_from_doc(_load(path) if doc is None else doc, path)
-    _refuse(path, validate_category(C))
-    return C
-
-
-def _load_valid_fin2cat(path: str, doc: Optional[dict] = None) -> Fin2Cat:
-    """A fin2cat.v1 document, read from ``path`` unless ``doc`` is given, that
-    satisfies the strict 2-category axioms."""
-    C = ser.fin2cat_from_doc(_load(path) if doc is None else doc, path)
-    _refuse(path, validate_2category(C))
-    return C
-
-
-def _valid_map(where: str, doc: object, load_valid_end: Callable[[str, dict], object],
-               parse: Callable[[object, str], Map]) -> Map:
-    """The map document ``doc``, found at ``where``, whose source and
-    target ``load_valid_end`` accepts, checked before ``parse`` builds the
-    map on them (and reports an end that is missing or not an object)."""
-    for side in ("source", "target"):
-        if isinstance(doc, dict) and isinstance(doc.get(side), dict):
-            load_valid_end(f"{where}.{side}", doc[side])
-    return parse(doc, where)
-
-
-def _valid_smap(where: str, doc: object) -> SimplicialMap:
-    """An smap.v1 document between simplicial sets that satisfy the simplicial identities."""
-    return _valid_map(where, doc, _load_valid_sset, ser.smap_from_doc)
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
@@ -136,14 +74,18 @@ def _boundary_generators(n_max: int, D: int) -> list[SimplicialMap]:
 
 def _parse_generators(spec: str, D: int) -> list[SimplicialMap]:
     if spec.startswith("boundaries:"):
-        return _boundary_generators(int(spec.split(":", 1)[1]), D)
+        n = spec.split(":", 1)[1]
+        if not n.isdecimal():
+            raise SchemaError(f"--generators {spec}: expected boundaries:<n> with n a number")
+        return _boundary_generators(int(n), D)
     doc = _load(spec)
     entries = doc.get("generators")
     if not isinstance(entries, list):
         raise SchemaError(f"{spec}: missing key 'generators'")
-    return [_valid_smap(f"{spec}.generators[{i}]", e) for i, e in enumerate(entries)]
+    return [ser.smap_from_doc(e, f"{spec}.generators[{i}]") for i, e in enumerate(entries)]
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nervelab",
@@ -254,63 +196,62 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> dict:
     cmd = args.command
     if cmd == "validate":
-        X = ser.sset_from_doc(_load(args.input), args.input)
+        X = ser._read_sset(_load(args.input), args.input)
         return ser.violations_to_doc(validate(X))
     if cmd == "nerve":
-        return ser.sset_to_doc(nerve(_load_valid_fincat(args.input), args.max_dim))
+        return ser.sset_to_doc(nerve(ser.fincat_from_doc(_load(args.input), args.input), args.max_dim))
     if cmd == "nerve2":
-        return ser.sset_to_doc(geometric_nerve(_load_valid_fin2cat(args.input), args.max_dim))
+        C = ser.fin2cat_from_doc(_load(args.input), args.input)
+        return ser.sset_to_doc(geometric_nerve(C, args.max_dim))
     if cmd == "delta-tilde":
         return ser.fin2cat_to_doc(delta_tilde(args.n))
     if cmd == "sd":
-        return ser.sset_to_doc(sd(_load_valid_sset(args.input))[0])
+        return ser.sset_to_doc(sd(ser.sset_from_doc(_load(args.input), args.input))[0])
     if cmd == "ex":
-        X = _load_valid_sset(args.input)
+        X = ser.sset_from_doc(_load(args.input), args.input)
         D = X.dim_bound if args.max_dim is None else args.max_dim
         return ser.sset_to_doc(ex(X, D))
     if cmd == "alpha-beta":
-        X = _load_valid_sset(args.input)
+        X = ser.sset_from_doc(_load(args.input), args.input)
         return {
             "alpha": ser.smap_to_doc(alpha(X)),
             "beta": ser.smap_to_doc(beta(X)),
         }
     if cmd == "cat-of":
-        X = _load_valid_sset(args.input)
-        return ser.pres_to_doc(cat_of(X))
+        return ser.pres_to_doc(cat_of(ser.sset_from_doc(_load(args.input), args.input)))
     if cmd == "twocat-of":
-        X = _load_valid_sset(args.input)
-        return ser.pres_to_doc(twocat_of(X))
+        return ser.pres_to_doc(twocat_of(ser.sset_from_doc(_load(args.input), args.input)))
     if cmd == "realize":
         p = ser.pres_from_doc(_load(args.input), args.input)
         return ser.realize_result_to_doc(realize(p, budget=args.budget))
     if cmd == "slice":
         doc = _load(args.input)
         if "arrows" in doc and "source" not in doc:
-            v = identity_functor(_load_valid_fincat(args.input, doc))
+            v = identity_functor(ser.fincat_from_doc(doc, args.input))
         else:
-            v = _valid_map(args.input, doc, _load_valid_fincat, ser.cfun_from_doc)
+            v = ser.cfun_from_doc(doc, args.input)
         S, proj = slice_category(v, args.object)
         return {"category": ser.fincat_to_doc(S), "projection": ser.cfun_to_doc(proj)}
     if cmd == "slice2":
         doc = _load(args.input)
         if "hom" in doc and "source" not in doc:
-            v = identity_two_functor(_load_valid_fin2cat(args.input, doc))
+            v = identity_two_functor(ser.fin2cat_from_doc(doc, args.input))
         else:
-            v = _valid_map(args.input, doc, _load_valid_fin2cat, ser.tfun_from_doc)
+            v = ser.tfun_from_doc(doc, args.input)
         return ser.fin2cat_to_doc(slice_2category(v, args.object))
     if cmd == "elements":
-        X = _load_valid_sset(args.input)
+        X = ser.sset_from_doc(_load(args.input), args.input)
         D = X.dim_bound if args.max_dim is None else args.max_dim
         return ser.fincat_to_doc(category_of_elements(X, D))
     if cmd == "final":
-        return {"final": has_final_object(_load_valid_fincat(args.input))}
+        return {"final": has_final_object(ser.fincat_from_doc(_load(args.input), args.input))}
     if cmd == "lift":
         doc = _load(args.input)
-        h = find_lift(LiftingProblem(*(_valid_smap(f"{args.input}.{key}", doc.get(key))
+        h = find_lift(LiftingProblem(*(ser.smap_from_doc(doc.get(key), f"{args.input}.{key}")
                                        for key in ("i", "p", "top", "bottom"))))
         return {"lift": None if h is None else ser.smap_to_doc(h)}
     if cmd == "rlp":
-        p = _valid_smap(args.input, _load(args.input))
+        p = ser.smap_from_doc(_load(args.input), args.input)
         gens = _parse_generators(args.generators, p.source.dim_bound)
         ok, counterexample = has_rlp(p, gens)
         doc = {"has_rlp": ok, "counterexample": None}
@@ -322,20 +263,20 @@ def run(args: argparse.Namespace) -> dict:
             }
         return doc
     if cmd == "factorize":
-        f = _valid_smap(args.input, _load(args.input))
+        f = ser.smap_from_doc(_load(args.input), args.input)
         gens = _parse_generators(args.generators, f.source.dim_bound)
         return ser.factorization_to_doc(small_object_factorize(f, gens, args.stages))
     if cmd == "hpushout":
         doc = _load(args.input)
-        f = _valid_smap(args.input + ".f", doc.get("f", {}))
-        g = _valid_smap(args.input + ".g", doc.get("g", {}))
+        f = ser.smap_from_doc(doc.get("f", {}), args.input + ".f")
+        g = ser.smap_from_doc(doc.get("g", {}), args.input + ".g")
         P, _, _, _ = homotopy_pushout(f, g)
         return ser.sset_to_doc(P)
     if cmd == "homology":
-        X = _load_valid_sset(args.input)
+        X = ser.sset_from_doc(_load(args.input), args.input)
         return ser.homology_to_doc(homology(X, args.degree))
     if cmd == "pi1":
-        X = _load_valid_sset(args.input)
+        X = ser.sset_from_doc(_load(args.input), args.input)
         base = args.basepoint if args.basepoint is not None else (X.cells[0][0] if X.cells[0] else None)
         if base is None:
             raise SchemaError(f"{args.input}: the simplicial set has no vertices")
@@ -345,10 +286,10 @@ def run(args: argparse.Namespace) -> dict:
             "relations": [[[g, e] for g, e in w] for w in pres.relations],
         }
     if cmd == "evidence":
-        f = _valid_smap(args.input, _load(args.input))
+        f = ser.smap_from_doc(_load(args.input), args.input)
         return ser.evidence_to_doc(weak_equivalence_evidence(f, args.degree))
     if cmd == "evidence2":
-        u = _valid_map(args.input, _load(args.input), _load_valid_fin2cat, ser.tfun_from_doc)
+        u = ser.tfun_from_doc(_load(args.input), args.input)
         return ser.evidence_to_doc(weak_equivalence_evidence2(u, args.max_dim, args.degree))
     if cmd == "localizer-check":
         U = ser.universe_from_doc(_load(args.universe), args.universe)

@@ -52,7 +52,11 @@ class CatPresentation:
         for g in self.generators:
             if self.src.get(g) not in objset or self.dst.get(g) not in objset:
                 out.append(f"generator {g!r} has missing endpoints")
+        typed = {g for g in self.generators if g in self.src and g in self.dst}
         for lhs, rhs in self.relations:
+            if not set(lhs + rhs) <= typed:
+                out.append(f"relation {lhs} = {rhs} names an unknown generator")
+                continue
             for p in (lhs, rhs):
                 for a, b in zip(p, p[1:]):
                     if self.dst[a] != self.src[b]:
@@ -90,15 +94,23 @@ class TwoCatPresentation:
         for g in self.generators:
             if self.src.get(g) not in objset or self.dst.get(g) not in objset:
                 out.append(f"1-generator {g!r} has missing endpoints")
+        typed = {g for g in self.generators if g in self.src and g in self.dst}
         for t in self.two_generators:
             a, b = self.two_anchor[t]
             for p in (self.two_src[t], self.two_dst[t]):
+                if not set(p) <= typed:
+                    out.append(f"2-generator {t!r} has a path through an unknown 1-generator")
+                    continue
                 if p:
                     if self.src[p[0]] != a or self.dst[p[-1]] != b:
                         out.append(f"2-generator {t!r} has mistyped paths")
                 for x, y in zip(p, p[1:]):
                     if self.dst[x] != self.src[y]:
                         out.append(f"2-generator {t!r} has non-composable path")
+        for lhs, rhs in self.relations:
+            for step in lhs + rhs:
+                if step.gen not in self.two_src or not set(step.left + step.right) <= typed:
+                    out.append(f"relation step {step} names an unknown generator")
         return out
 
 

@@ -1,8 +1,14 @@
 """Canonical JSON serialization for every interchange type.
 
 All documents use sorted keys, sorted entry arrays and no insignificant
-whitespace, so identical values serialize to identical bytes.  Parsers
-raise :class:`~nervelab.errors.SchemaError` naming the offending key.
+whitespace, so identical values serialize to identical bytes.
+
+A parser returns a valid value or raises
+:class:`~nervelab.errors.SchemaError`: it checks the shape of the document
+and then the axioms of what it describes (the simplicial identities, the
+category and strict 2-category axioms, naturality of every map and
+functor, the typing of a presentation).  The message names the offending
+key, or the first violation and how many there are.
 
 Document shapes (see README for examples):
 
@@ -21,7 +27,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .cat import CatFunctor, FinCat
+from .cat import CatFunctor, FinCat, validate_category, validate_functor
 from .errors import SchemaError
 from .homology import EvidenceReport, HomologyReport
 from .lifting import FactorizationReport
@@ -32,8 +38,8 @@ from .presentations import (
     TwoCatPresentation,
     WhiskerStep,
 )
-from .simplicial import SimplicialMap, SimplicialSet, Violation
-from .twocat import Fin2Cat, TwoFunctor
+from .simplicial import SimplicialMap, SimplicialSet, Violation, validate, validate_map
+from .twocat import Fin2Cat, TwoFunctor, validate_2category, validate_two_functor
 
 
 def canonical_json(doc: Any) -> str:
@@ -51,6 +57,53 @@ def _need(doc: dict, key: str, kind: type, where: str):
     return value
 
 
+def _names(doc: dict, key: str, where: str) -> dict[str, str]:
+    """The ``key`` object of ``doc``, a map from names to names."""
+    return {str(k): str(v) for k, v in _need(doc, key, dict, where).items()}
+
+
+def _path(doc: dict, key: str, where: str) -> tuple[str, ...]:
+    """The ``key`` list of ``doc``, a path of generator names."""
+    return tuple(str(g) for g in _need(doc, key, list, where))
+
+
+def _table(doc: dict, key: str, shape: str, where: str) -> dict[tuple[str, ...], str]:
+    """The ``key`` array of ``doc`` as a map from the leading names of each
+    entry to its last one; ``shape`` lists the names, e.g. ``"[g, f, gf]"``."""
+    width = shape.count(",") + 1
+    table = {}
+    for entry in _need(doc, key, list, where):
+        if not (isinstance(entry, list) and len(entry) == width):
+            raise SchemaError(f"{where}.{key}: entries must be {shape}")
+        *cell, image = (str(x) for x in entry)
+        table[tuple(cell)] = image
+    return table
+
+
+def _graph(doc: dict, key: str, where: str) -> tuple[list[str], dict[str, str], dict[str, str]]:
+    """The ``key`` array of ``doc``, of ``{"id", "src", "dst"}`` objects:
+    their ids with the source and target of each."""
+    ids, src, dst = [], {}, {}
+    for entry in _need(doc, key, list, where):
+        name = _need(entry, "id", str, f"{where}.{key}[]")
+        ids.append(name)
+        src[name] = _need(entry, "src", str, f"{where}.{key}[]")
+        dst[name] = _need(entry, "dst", str, f"{where}.{key}[]")
+    return ids, src, dst
+
+
+def _ends(doc: dict, end_from_doc, where: str) -> list:
+    """The ``source`` and ``target`` of a map document, each parsed by ``end_from_doc``."""
+    return [end_from_doc(_need(doc, side, dict, where), f"{where}.{side}")
+            for side in ("source", "target")]
+
+
+def _refuse(where: str, violations: list) -> None:
+    """Raise the first of ``violations`` of the value read at ``where``."""
+    if violations:
+        raise SchemaError(f"{where}: {violations[0]} (the first of {len(violations)} violations)")
+
+
 # -- simplicial sets -----------------------------------------------------------
 
 def sset_to_doc(X: SimplicialSet) -> dict:
@@ -62,29 +115,39 @@ def sset_to_doc(X: SimplicialSet) -> dict:
     }
 
 
-def sset_from_doc(doc: dict, where: str = "sset") -> SimplicialSet:
+def _operators(doc: dict, key: str, where: str) -> dict[tuple[int, int, str], str]:
+    """The ``face`` or ``degeneracy`` array of an sset.v1 document."""
+    table = {}
+    for entry in _need(doc, key, list, where):
+        if not (isinstance(entry, list) and len(entry) == 4
+                and isinstance(entry[0], int) and isinstance(entry[1], int)):
+            raise SchemaError(f"{where}.{key}: entries must be [n, i, src, dst] with integer n, i")
+        n, i, src, dst = entry
+        table[(n, i, str(src))] = str(dst)
+    return table
+
+
+def _read_sset(doc: dict, where: str) -> SimplicialSet:
+    """The simplicial set of an sset.v1 document, checked for shape only:
+    :func:`sset_from_doc` then checks its identities, and the CLI's
+    ``validate`` lists the identities it breaks."""
     D = _need(doc, "dim_bound", int, where)
-    cells_doc = _need(doc, "cells", dict, where)
+    if D < 0:
+        raise SchemaError(f"{where}.dim_bound: must be >= 0, got {D}")
     cells = {}
-    for key, ids in cells_doc.items():
-        if not key.isdigit():
+    for key, ids in _need(doc, "cells", dict, where).items():
+        if not key.isdecimal():
             raise SchemaError(f"{where}.cells: level key {key!r} is not a number")
         if not isinstance(ids, list):
             raise SchemaError(f"{where}.cells.{key}: expected a list")
         cells[int(key)] = [str(c) for c in ids]
-    face = {}
-    for entry in _need(doc, "face", list, where):
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise SchemaError(f"{where}.face: entries must be [n, i, src, dst]")
-        n, i, src, dst = entry
-        face[(int(n), int(i), str(src))] = str(dst)
-    degeneracy = {}
-    for entry in _need(doc, "degeneracy", list, where):
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise SchemaError(f"{where}.degeneracy: entries must be [n, i, src, dst]")
-        n, i, src, dst = entry
-        degeneracy[(int(n), int(i), str(src))] = str(dst)
-    return SimplicialSet(D, cells, face, degeneracy)
+    return SimplicialSet(D, cells, _operators(doc, "face", where), _operators(doc, "degeneracy", where))
+
+
+def sset_from_doc(doc: dict, where: str = "sset") -> SimplicialSet:
+    X = _read_sset(doc, where)
+    _refuse(where, validate(X))
+    return X
 
 
 def smap_to_doc(f: SimplicialMap) -> dict:
@@ -96,15 +159,15 @@ def smap_to_doc(f: SimplicialMap) -> dict:
 
 
 def smap_from_doc(doc: dict, where: str = "smap") -> SimplicialMap:
-    source = sset_from_doc(_need(doc, "source", dict, where), where + ".source")
-    target = sset_from_doc(_need(doc, "target", dict, where), where + ".target")
-    levels_doc = _need(doc, "levels", dict, where)
+    source, target = _ends(doc, sset_from_doc, where)
     levels = {}
-    for key, table in levels_doc.items():
-        if not key.isdigit():
+    for key in _need(doc, "levels", dict, where):
+        if not key.isdecimal():
             raise SchemaError(f"{where}.levels: level key {key!r} is not a number")
-        levels[int(key)] = {str(k): str(v) for k, v in table.items()}
-    return SimplicialMap(source, target, levels)
+        levels[int(key)] = _names(doc["levels"], key, where + ".levels")
+    f = SimplicialMap(source, target, levels, check=False)
+    _refuse(where, validate_map(f))
+    return f
 
 
 # -- categories ------------------------------------------------------------------
@@ -120,44 +183,47 @@ def fincat_to_doc(C: FinCat) -> dict:
     }
 
 
-def fincat_from_doc(doc: dict, where: str = "fincat") -> FinCat:
+def _read_fincat(doc: dict, where: str) -> FinCat:
+    """The category of a fincat.v1 document, checked for shape only."""
     objects = [str(o) for o in _need(doc, "objects", list, where)]
-    arrows = []
-    src = {}
-    dst = {}
-    for entry in _need(doc, "arrows", list, where):
-        name = _need(entry, "id", str, where + ".arrows[]")
-        arrows.append(name)
-        src[name] = _need(entry, "src", str, where + ".arrows[]")
-        dst[name] = _need(entry, "dst", str, where + ".arrows[]")
-    compose = {}
-    for entry in _need(doc, "compose", list, where):
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise SchemaError(f"{where}.compose: entries must be [g, f, gf]")
-        g, f, gf = (str(x) for x in entry)
-        compose[(g, f)] = gf
-    identity = {
-        str(k): str(v) for k, v in _need(doc, "identity", dict, where).items()
+    arrows, src, dst = _graph(doc, "arrows", where)
+    compose = _table(doc, "compose", "[g, f, gf]", where)
+    return FinCat(objects, arrows, src, dst, compose, _names(doc, "identity", where))
+
+
+def fincat_from_doc(doc: dict, where: str = "fincat") -> FinCat:
+    C = _read_fincat(doc, where)
+    _refuse(where, validate_category(C))
+    return C
+
+
+def _assignments(F) -> dict:
+    """What a functor or 2-functor assigns, as a cfun.v1 or tfun.v1 document
+    (and the functor of a universe.v1 edge) lists it."""
+    if isinstance(F, CatFunctor):
+        return {"objects": dict(F.objects), "arrows": dict(F.arrows)}
+    return {
+        "objects": dict(F.objects),
+        "on1": sorted(list(k) + [v] for k, v in F.on1.items()),
+        "on2": sorted(list(k) + [v] for k, v in F.on2.items()),
     }
-    return FinCat(objects, arrows, src, dst, compose, identity)
 
 
 def cfun_to_doc(F: CatFunctor) -> dict:
-    return {
-        "source": fincat_to_doc(F.source),
-        "target": fincat_to_doc(F.target),
-        "objects": dict(F.objects),
-        "arrows": dict(F.arrows),
-    }
+    return {"source": fincat_to_doc(F.source), "target": fincat_to_doc(F.target), **_assignments(F)}
+
+
+def _cat_functor(source: FinCat, target: FinCat, doc: dict, where: str) -> CatFunctor:
+    """The functor between two valid categories that assigns the
+    ``objects`` and ``arrows`` of ``doc``."""
+    F = CatFunctor(source, target, _names(doc, "objects", where),
+                   _names(doc, "arrows", where), check=False)
+    _refuse(where, validate_functor(F))
+    return F
 
 
 def cfun_from_doc(doc: dict, where: str = "cfun") -> CatFunctor:
-    return CatFunctor(
-        fincat_from_doc(_need(doc, "source", dict, where), where + ".source"),
-        fincat_from_doc(_need(doc, "target", dict, where), where + ".target"),
-        {str(k): str(v) for k, v in _need(doc, "objects", dict, where).items()},
-        {str(k): str(v) for k, v in _need(doc, "arrows", dict, where).items()},
-    )
+    return _cat_functor(*_ends(doc, fincat_from_doc, where), doc, where)
 
 
 # -- 2-categories ------------------------------------------------------------------
@@ -181,140 +247,114 @@ def fin2cat_from_doc(doc: dict, where: str = "fin2cat") -> Fin2Cat:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise SchemaError(f"{where}.hom: entries must be [a, b, fincat]")
         a, b, sub = entry
-        hom[(str(a), str(b))] = fincat_from_doc(sub, f"{where}.hom[{a},{b}]")
-    hcompose1 = {}
-    for entry in _need(doc, "hcompose1", list, where):
-        if not (isinstance(entry, list) and len(entry) == 6):
-            raise SchemaError(f"{where}.hcompose1: entries must have 6 fields")
-        a, b, c, f, g, h = (str(x) for x in entry)
-        hcompose1[(a, b, c, f, g)] = h
-    hcompose2 = {}
-    for entry in _need(doc, "hcompose2", list, where):
-        if not (isinstance(entry, list) and len(entry) == 6):
-            raise SchemaError(f"{where}.hcompose2: entries must have 6 fields")
-        a, b, c, f, g, h = (str(x) for x in entry)
-        hcompose2[(a, b, c, f, g)] = h
-    unit = {str(k): str(v) for k, v in _need(doc, "unit", dict, where).items()}
-    return Fin2Cat(objects, hom, hcompose1, hcompose2, unit)
+        # each hom is checked as part of the 2-category, which names it
+        hom[(str(a), str(b))] = _read_fincat(sub, f"{where}.hom[{a},{b}]")
+    shape = "[a, b, c, f, g, gf]"
+    C = Fin2Cat(objects, hom, _table(doc, "hcompose1", shape, where),
+                _table(doc, "hcompose2", shape, where), _names(doc, "unit", where))
+    _refuse(where, validate_2category(C))
+    return C
 
 
 def tfun_to_doc(F: TwoFunctor) -> dict:
-    return {
-        "source": fin2cat_to_doc(F.source),
-        "target": fin2cat_to_doc(F.target),
-        "objects": dict(F.objects),
-        "on1": sorted(list(k) + [v] for k, v in F.on1.items()),
-        "on2": sorted(list(k) + [v] for k, v in F.on2.items()),
-    }
+    return {"source": fin2cat_to_doc(F.source), "target": fin2cat_to_doc(F.target), **_assignments(F)}
 
 
-def _cell_table(doc: dict, key: str, where: str) -> dict[tuple[str, str, str], str]:
-    """Parse an ``on1``/``on2`` list of ``[a, b, cell, image]`` entries."""
-    table = {}
-    for entry in _need(doc, key, list, where):
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise SchemaError(f"{where}.{key}: entries must be [a, b, cell, image]")
-        a, b, f, v = (str(x) for x in entry)
-        table[(a, b, f)] = v
-    return table
+def _two_functor(source: Fin2Cat, target: Fin2Cat, doc: dict, where: str) -> TwoFunctor:
+    """The 2-functor between two valid 2-categories that assigns the
+    ``objects``, ``on1`` and ``on2`` of ``doc``."""
+    shape = "[a, b, cell, image]"
+    F = TwoFunctor(source, target, _names(doc, "objects", where),
+                   _table(doc, "on1", shape, where), _table(doc, "on2", shape, where),
+                   check=False)
+    _refuse(where, validate_two_functor(F))
+    return F
 
 
 def tfun_from_doc(doc: dict, where: str = "tfun") -> TwoFunctor:
-    source = fin2cat_from_doc(_need(doc, "source", dict, where), where + ".source")
-    target = fin2cat_from_doc(_need(doc, "target", dict, where), where + ".target")
-    objects = {str(k): str(v) for k, v in _need(doc, "objects", dict, where).items()}
-    return TwoFunctor(
-        source, target, objects, _cell_table(doc, "on1", where), _cell_table(doc, "on2", where)
-    )
+    return _two_functor(*_ends(doc, fin2cat_from_doc, where), doc, where)
 
 
 # -- presentations --------------------------------------------------------------------
 
 def pres_to_doc(p) -> dict:
+    if not isinstance(p, (CatPresentation, TwoCatPresentation)):
+        raise SchemaError(f"not a presentation: {type(p).__name__}")
+    doc = {
+        "objects": list(p.objects),
+        "generators": [{"id": g, "src": p.src[g], "dst": p.dst[g]} for g in p.generators],
+    }
     if isinstance(p, CatPresentation):
-        return {
-            "kind": "cat",
-            "objects": list(p.objects),
-            "generators": [
-                {"id": g, "src": p.src[g], "dst": p.dst[g]} for g in p.generators
-            ],
-            "relations": sorted([list(l), list(r)] for l, r in p.relations),
-        }
-    if isinstance(p, TwoCatPresentation):
-        return {
-            "kind": "twocat",
-            "objects": list(p.objects),
-            "generators": [
-                {"id": g, "src": p.src[g], "dst": p.dst[g]} for g in p.generators
-            ],
-            "two_generators": [
-                {
-                    "id": t,
-                    "src": list(p.two_src[t]),
-                    "dst": list(p.two_dst[t]),
-                    "anchor": list(p.two_anchor[t]),
-                }
+        doc.update(kind="cat", relations=sorted([list(l), list(r)] for l, r in p.relations))
+    else:
+        doc.update(
+            kind="twocat",
+            two_generators=[
+                {"id": t, "src": list(p.two_src[t]), "dst": list(p.two_dst[t]),
+                 "anchor": list(p.two_anchor[t])}
                 for t in p.two_generators
             ],
-            "relations2": [
-                [
-                    [
-                        {"left": list(s.left), "gen": s.gen, "right": list(s.right)}
-                        for s in side
-                    ]
-                    for side in rel
-                ]
+            relations2=[
+                [[{"left": list(s.left), "gen": s.gen, "right": list(s.right)} for s in side]
+                 for side in rel]
                 for rel in p.relations
             ],
-        }
-    raise SchemaError(f"not a presentation: {type(p).__name__}")
+        )
+    return doc
+
+
+def _pairs(doc: dict, key: str, where: str) -> list[tuple[list, list]]:
+    """The ``key`` array of ``doc``, of ``[lhs, rhs]`` pairs of lists."""
+    pairs = _need(doc, key, list, where)
+    for entry in pairs:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(side, list) for side in entry)):
+            raise SchemaError(f"{where}.{key}: entries must be [lhs, rhs] lists")
+    return pairs
 
 
 def pres_from_doc(doc: dict, where: str = "pres"):
     kind = _need(doc, "kind", str, where)
     objects = tuple(str(o) for o in _need(doc, "objects", list, where))
-    generators = []
-    src = {}
-    dst = {}
-    for entry in _need(doc, "generators", list, where):
-        g = _need(entry, "id", str, where + ".generators[]")
-        generators.append(g)
-        src[g] = _need(entry, "src", str, where + ".generators[]")
-        dst[g] = _need(entry, "dst", str, where + ".generators[]")
+    generators, src, dst = _graph(doc, "generators", where)
     if kind == "cat":
         relations = tuple(
-            (tuple(l), tuple(r)) for l, r in _need(doc, "relations", list, where)
+            (tuple(str(g) for g in lhs), tuple(str(g) for g in rhs))
+            for lhs, rhs in _pairs(doc, "relations", where)
         )
-        return CatPresentation(objects, tuple(generators), src, dst, relations)
-    if kind == "twocat":
+        p = CatPresentation(objects, tuple(generators), src, dst, relations)
+    elif kind == "twocat":
         two_generators = []
         two_src = {}
         two_dst = {}
         two_anchor = {}
         for entry in _need(doc, "two_generators", list, where):
-            t = _need(entry, "id", str, where + ".two_generators[]")
+            twhere = where + ".two_generators[]"
+            t = _need(entry, "id", str, twhere)
             two_generators.append(t)
-            two_src[t] = tuple(entry.get("src", ()))
-            two_dst[t] = tuple(entry.get("dst", ()))
+            two_src[t] = _path(entry, "src", twhere) if "src" in entry else ()
+            two_dst[t] = _path(entry, "dst", twhere) if "dst" in entry else ()
             anchor = entry.get("anchor", [])
-            if len(anchor) != 2:
-                raise SchemaError(f"{where}.two_generators[].anchor: need two objects")
+            if not (isinstance(anchor, list) and len(anchor) == 2):
+                raise SchemaError(f"{twhere}.anchor: need two objects")
             two_anchor[t] = (str(anchor[0]), str(anchor[1]))
-        relations = []
-        for rel in _need(doc, "relations2", list, where):
-            sides = []
-            for side in rel:
-                steps = tuple(
-                    WhiskerStep(tuple(s["left"]), str(s["gen"]), tuple(s["right"]))
-                    for s in side
-                )
-                sides.append(steps)
-            relations.append((sides[0], sides[1]))
-        return TwoCatPresentation(
-            objects, tuple(generators), src, dst,
-            tuple(two_generators), two_src, two_dst, two_anchor, tuple(relations),
+        swhere = where + ".relations2[]"
+        relations = tuple(
+            tuple(
+                tuple(WhiskerStep(_path(s, "left", swhere), _need(s, "gen", str, swhere),
+                                  _path(s, "right", swhere)) for s in side)
+                for side in rel
+            )
+            for rel in _pairs(doc, "relations2", where)
         )
-    raise SchemaError(f"{where}.kind: unknown presentation kind {kind!r}")
+        p = TwoCatPresentation(
+            objects, tuple(generators), src, dst,
+            tuple(two_generators), two_src, two_dst, two_anchor, relations,
+        )
+    else:
+        raise SchemaError(f"{where}.kind: unknown presentation kind {kind!r}")
+    _refuse(where, p.validate())
+    return p
 
 
 def realize_result_to_doc(r: RealizeResult) -> dict:
@@ -331,34 +371,30 @@ def realize_result_to_doc(r: RealizeResult) -> dict:
 # -- universes ---------------------------------------------------------------------
 
 def universe_to_doc(U: DiagramUniverse) -> dict:
-    node_doc = []
-    for name, C in sorted(U.nodes.items()):
-        node_doc.append([name, fincat_to_doc(C) if U.level == 1 else fin2cat_to_doc(C)])
-    edge_doc = []
-    for name, e in sorted(U.edges.items()):
-        if U.level == 1:
-            fun = {"objects": dict(e.functor.objects), "arrows": dict(e.functor.arrows)}
-        else:
-            fun = {
-                "objects": dict(e.functor.objects),
-                "on1": sorted(list(k) + [v] for k, v in e.functor.on1.items()),
-                "on2": sorted(list(k) + [v] for k, v in e.functor.on2.items()),
-            }
-        edge_doc.append({"name": name, "src": e.src, "dst": e.dst, "functor": fun})
-    return {"level": U.level, "nodes": node_doc, "edges": edge_doc}
+    node_to_doc = fincat_to_doc if U.level == 1 else fin2cat_to_doc
+    return {
+        "level": U.level,
+        "nodes": [[name, node_to_doc(C)] for name, C in sorted(U.nodes.items())],
+        "edges": [
+            {"name": name, "src": e.src, "dst": e.dst, "functor": _assignments(e.functor)}
+            for name, e in sorted(U.edges.items())
+        ],
+    }
 
 
 def universe_from_doc(doc: dict, where: str = "universe") -> DiagramUniverse:
     level = _need(doc, "level", int, where)
+    if level not in (1, 2):
+        raise SchemaError(f"{where}.level: must be 1 or 2, got {level}")
+    node_from_doc, functor = (
+        (fincat_from_doc, _cat_functor) if level == 1 else (fin2cat_from_doc, _two_functor)
+    )
     nodes = {}
     for entry in _need(doc, "nodes", list, where):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise SchemaError(f"{where}.nodes: entries must be [name, document]")
         name, sub = entry
-        if level == 1:
-            nodes[str(name)] = fincat_from_doc(sub, f"{where}.nodes[{name}]")
-        else:
-            nodes[str(name)] = fin2cat_from_doc(sub, f"{where}.nodes[{name}]")
+        nodes[str(name)] = node_from_doc(sub, f"{where}.nodes[{name}]")
     edges = {}
     for entry in _need(doc, "edges", list, where):
         name = _need(entry, "name", str, where + ".edges[]")
@@ -367,17 +403,9 @@ def universe_from_doc(doc: dict, where: str = "universe") -> DiagramUniverse:
         fun = _need(entry, "functor", dict, where + ".edges[]")
         if src not in nodes or dst not in nodes:
             raise SchemaError(f"{where}.edges[{name}]: unknown endpoint node")
-        fwhere = f"{where}.edges[{name}].functor"
-        objects = {str(k): str(v) for k, v in _need(fun, "objects", dict, fwhere).items()}
-        if level == 1:
-            arrows = {str(k): str(v) for k, v in _need(fun, "arrows", dict, fwhere).items()}
-            functor = CatFunctor(nodes[src], nodes[dst], objects, arrows)
-        else:
-            functor = TwoFunctor(
-                nodes[src], nodes[dst], objects,
-                _cell_table(fun, "on1", fwhere), _cell_table(fun, "on2", fwhere),
-            )
-        edges[name] = UniverseEdge(name, src, dst, functor)
+        edges[name] = UniverseEdge(
+            name, src, dst, functor(nodes[src], nodes[dst], fun, f"{where}.edges[{name}].functor")
+        )
     return DiagramUniverse(level, nodes, edges)
 
 

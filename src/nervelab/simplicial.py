@@ -320,6 +320,9 @@ class Violation:
             f"indices {self.indices}, cell {self.cell!r}: {self.detail})"
         )
 
+    def __str__(self) -> str:
+        return f"level {self.level}, cell {self.cell!r}: {self.identity} {list(self.indices)}: {self.detail}"
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Violation):
             return NotImplemented
@@ -331,27 +334,38 @@ def validate(X: SimplicialSet) -> list[Violation]:
     """Check the five simplicial identities and table totality within the bound."""
     out: list[Violation] = []
     D = X.dim_bound
+    # face[n][c][i] is d_i c and degen[n][c][i] is s_i c, None where the
+    # table has no entry; each table is read once.
+    blank = [[None] * (n + 1) for n in range(D + 1)]
 
-    def face(n: int, i: int, c: Cell) -> Optional[Cell]:
-        return X.face.get((n, i, c))
+    def rows(table: dict) -> list[dict[Cell, list[Optional[Cell]]]]:
+        by_level: list[dict[Cell, list[Optional[Cell]]]] = [{} for _ in range(D + 1)]
+        for (n, i, c), v in table.items():
+            if 0 <= i <= n <= D:
+                by_level[n].setdefault(c, [None] * (n + 1))[i] = v
+        return by_level
 
-    def degen(n: int, i: int, c: Cell) -> Optional[Cell]:
-        return X.degeneracy.get((n, i, c))
+    face, degen = rows(X.face), rows(X.degeneracy)
+
+    # the faces / degeneracies of a looked-up cell; None and "" have none
+    def d(n: int, c: Optional[Cell]) -> list[Optional[Cell]]:
+        return face[n].get(c, blank[n]) if c else blank[n]
+
+    def s(n: int, c: Optional[Cell]) -> list[Optional[Cell]]:
+        return degen[n].get(c, blank[n]) if c else blank[n]
 
     # totality of the tables
     level = {n: set(X.cells[n]) for n in range(D + 1)}
     for n in range(1, D + 1):
         for c in X.cells[n]:
-            for i in range(n + 1):
-                v = face(n, i, c)
+            for i, v in enumerate(face[n].get(c, blank[n])):
                 if v is None:
                     out.append(Violation("face-total", n, (i,), c, "missing face entry"))
                 elif v not in level[n - 1]:
                     out.append(Violation("face-total", n, (i,), c, f"face {v!r} not a cell"))
     for n in range(D):
         for c in X.cells[n]:
-            for i in range(n + 1):
-                v = degen(n, i, c)
+            for i, v in enumerate(degen[n].get(c, blank[n])):
                 if v is None:
                     out.append(Violation("degeneracy-total", n, (i,), c, "missing degeneracy entry"))
                 elif v not in level[n + 1]:
@@ -360,40 +374,42 @@ def validate(X: SimplicialSet) -> list[Violation]:
     # d_i d_j = d_{j-1} d_i for i < j
     for n in range(2, D + 1):
         for c in X.cells[n]:
+            ddc = [d(n - 1, x) for x in face[n].get(c, blank[n])]
             for j in range(1, n + 1):
                 for i in range(j):
-                    a = face(n - 1, i, face(n, j, c) or "") if face(n, j, c) else None
-                    b = face(n - 1, j - 1, face(n, i, c) or "") if face(n, i, c) else None
+                    a, b = ddc[j][i], ddc[i][j - 1]
                     if a is None or b is None or a != b:
                         out.append(Violation("dd", n, (i, j), c, f"d_{i} d_{j} = {a!r} vs d_{j-1} d_{i} = {b!r}"))
 
     # s_i s_j = s_{j+1} s_i for i <= j
     for n in range(D - 1):
         for c in X.cells[n]:
+            ssc = [s(n + 1, x) for x in degen[n].get(c, blank[n])]
             for j in range(n + 1):
                 for i in range(j + 1):
-                    a = degen(n + 1, i, degen(n, j, c) or "") if degen(n, j, c) else None
-                    b = degen(n + 1, j + 1, degen(n, i, c) or "") if degen(n, i, c) else None
+                    a, b = ssc[j][i], ssc[i][j + 1]
                     if a is None or b is None or a != b:
                         out.append(Violation("ss", n, (i, j), c, f"s_{i} s_{j} = {a!r} vs s_{j+1} s_{i} = {b!r}"))
 
     # d_i s_j: the three exchange laws
     for n in range(D):
         for c in X.cells[n]:
+            sc = degen[n].get(c, blank[n])
+            sdc = [s(n - 1, x) for x in face[n].get(c, blank[n])] if n else []
             for j in range(n + 1):
-                sc = degen(n, j, c)
-                if sc is None:
+                if sc[j] is None:
                     continue
+                dsc = face[n + 1].get(sc[j], blank[n + 1])
                 for i in range(n + 2):
-                    got = face(n + 1, i, sc)
+                    got = dsc[i]
                     if i < j:
-                        want = degen(n - 1, j - 1, face(n, i, c) or "") if face(n, i, c) else None
+                        want = sdc[i][j - 1]
                         tag = "ds-low"
                     elif i in (j, j + 1):
                         want = c
                         tag = "ds-id"
                     else:
-                        want = degen(n - 1, j, face(n, i - 1, c) or "") if face(n, i - 1, c) else None
+                        want = sdc[i - 1][j]
                         tag = "ds-high"
                     if got is None or want is None or got != want:
                         out.append(Violation(tag, n, (i, j), c, f"d_{i} s_{j} = {got!r}, expected {want!r}"))

@@ -11,7 +11,8 @@ from nervelab import serialize as ser
 from nervelab.cat import identity_functor, nerve
 from nervelab.cli import main
 from nervelab.corpus import localizer_universe_2
-from nervelab.simplicial import boundary
+from nervelab.presentations import twocat_of
+from nervelab.simplicial import standard_simplex
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
@@ -149,11 +150,19 @@ def as_identity_cfun(break_target):
     return wrap
 
 
+def twocat_presentation_of_simplex3(doc):
+    """Replace the document by the 2-category presentation of the
+    3-simplex, which has one pasting relation."""
+    doc.clear()
+    doc.update(ser.pres_to_doc(twocat_of(standard_simplex(3, 3))))
+
+
 ARGV = {
     "slice": lambda bad: ["slice", bad, "--object", "1"],
     "slice2": lambda bad: ["slice2", bad, "--object", "1"],
     "factorize --generators": lambda bad: [
         "factorize", sample("boundary2_to_point.smap.json"), "--generators", bad],
+    "localizer-check": lambda bad: ["localizer-check", bad, sample("marked_empty.json")],
 }
 
 
@@ -217,10 +226,26 @@ ARGV = {
     ("slice2", "iota_arrow_to_terminal.tfun.json",
      lambda doc: doc["source"].update(hcompose2=without(doc["source"]["hcompose2"], ["0", "0", "1"])),
      ".source: hcompose2 missing/foreign on (0,0,1,id_id_0,id_0<=1)"),
+    ("validate", "interval.sset.json",
+     lambda doc: doc["face"][0].__setitem__(0, "x"),
+     ".face: entries must be [n, i, src, dst] with integer n, i"),
+    ("realize", "pres_boundary2.json",
+     lambda doc: doc.update(relations=[[["01"]]]),
+     ".relations: entries must be [lhs, rhs] lists"),
+    ("realize", "pres_boundary2.json",
+     lambda doc: (twocat_presentation_of_simplex3(doc), doc["relations2"][0][0][0].pop("left")),
+     ".relations2[]: missing key 'left'"),
+    ("localizer-check", "universe.json",
+     lambda doc: doc["nodes"][0][1].update(identity={}),
+     ".nodes[arrow]: object '0' has no identity arrow (the first of"),
+    ("rlp", "interval_to_point.smap.json",
+     lambda doc: doc["levels"]["1"].pop("00"),
+     ": level 1: cell '00' unassigned (the first of"),
 ], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2",
         "alpha-beta", "cat-of", "twocat-of", "elements", "final", "slice", "slice2",
         "evidence", "rlp", "factorize", "factorize-generators", "lift", "hpushout",
-        "slice-cfun", "slice2-tfun"])
+        "slice-cfun", "slice2-tfun", "validate-face-level", "realize-cat-relation",
+        "realize-step-left", "localizer-check-node", "rlp-levels"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(
         command, sample_name, break_it, named, tmp_path, capsys):
     doc = json.loads((DATA / sample_name).read_text())
@@ -231,6 +256,12 @@ def test_input_breaking_its_axioms_exits_2_naming_the_violation(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"broken_{sample_name}{named}" in captured.err
+
+
+def test_generators_spec_that_is_not_a_number_exits_2(capsys):
+    argv = ["rlp", sample("interval_to_point.smap.json"), "--generators", "boundaries:x"]
+    assert main(argv) == 2
+    assert "--generators boundaries:x: expected boundaries:<n>" in capsys.readouterr().err
 
 
 def test_missing_file_is_diagnosed(capsys):

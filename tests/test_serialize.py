@@ -1,0 +1,89 @@
+"""Parsers return valid values or raise SchemaError naming the key."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cli_cases import DATA
+
+from nervelab import serialize as ser
+from nervelab.errors import SchemaError
+
+
+def without(entries, prefix):
+    return [e for e in entries if e[:len(prefix)] != prefix]
+
+
+def test_smap_whose_source_misses_a_face_names_the_source():
+    doc = json.loads((DATA / "boundary2_to_point.smap.json").read_text())
+    doc["source"]["face"] = without(doc["source"]["face"], [1, 0, "01"])
+    with pytest.raises(SchemaError, match=r"^smap\.source: level 1, cell '01': face-total \[0\]"):
+        ser.smap_from_doc(doc)
+
+
+def test_tfun_whose_source_misses_a_composite_names_the_source():
+    doc = json.loads((DATA / "iota_arrow_to_terminal.tfun.json").read_text())
+    doc["source"]["hcompose2"] = doc["source"]["hcompose2"][1:]
+    with pytest.raises(SchemaError, match=r"^tfun\.source: hcompose2 missing/foreign on "):
+        ser.tfun_from_doc(doc)
+
+
+def _each(*keys):
+    """Parse the smap.v1 documents held under ``keys``."""
+    return lambda doc: [ser.smap_from_doc(doc.get(k), k) for k in keys]
+
+
+PARSERS = {
+    ".sset.json": ser.sset_from_doc,
+    ".smap.json": ser.smap_from_doc,
+    ".fincat.json": ser.fincat_from_doc,
+    ".fin2cat.json": ser.fin2cat_from_doc,
+    ".tfun.json": ser.tfun_from_doc,
+    "marked_": ser.marked_from_doc,
+    "pres_": ser.pres_from_doc,
+    "universe.json": ser.universe_from_doc,
+    "problem.json": _each("i", "p", "top", "bottom"),
+    "span_": _each("f", "g"),
+}
+
+DOCUMENTS = sorted(p.name for p in DATA.glob("*.json"))
+
+
+def parser_for(name):
+    (parse,) = [f for key, f in PARSERS.items() if name.endswith(key) or name.startswith(key)]
+    return parse
+
+
+def paths(node, here=()):
+    """The path of every entry below ``node``: dict keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield here + (key,)
+        yield from paths(value, here + (key,))
+
+
+PATHS = {name: list(paths(json.loads((DATA / name).read_text()))) for name in DOCUMENTS}
+OTHER_TYPES = (None, 0, 1.5, "x", [], {})
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_a_document_with_one_entry_deleted_or_retyped_parses_or_raises_schema_error(name, data):
+    doc = json.loads((DATA / name).read_text())
+    *above, key = data.draw(st.sampled_from(PATHS[name]), label="path")
+    parent = doc
+    for step in above:
+        parent = parent[step]
+    if data.draw(st.booleans(), label="delete"):
+        del parent[key]
+    else:
+        kind = type(parent[key])
+        parent[key] = data.draw(
+            st.sampled_from([v for v in OTHER_TYPES if type(v) is not kind]), label="retype")
+    try:
+        parser_for(name)(doc)
+    except SchemaError:
+        pass
