@@ -13,11 +13,11 @@ import json
 import sys
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from . import serialize as ser
 from .cat import category_of_elements, has_final_object, identity_functor, nerve, slice_category
-from .errors import NerveLabError, SchemaError
+from .errors import ContractError, NerveLabError, SchemaError
 from .homology import (
     homology,
     pi1_presentation,
@@ -50,6 +50,18 @@ def _load(path: str) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     return doc
+
+
+T = TypeVar("T")
+
+
+def _fitted(path: str, build: Callable[..., T], *maps: object) -> T:
+    """``build(*maps)`` for maps read from the file ``path``, each valid on
+    its own; a ContractError about how they fit together names the file."""
+    try:
+        return build(*maps)
+    except ContractError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
@@ -247,8 +259,8 @@ def run(args: argparse.Namespace) -> dict:
         return {"final": has_final_object(ser.fincat_from_doc(_load(args.input), args.input))}
     if cmd == "lift":
         doc = _load(args.input)
-        h = find_lift(LiftingProblem(*(ser.smap_from_doc(doc.get(key), f"{args.input}.{key}")
-                                       for key in ("i", "p", "top", "bottom"))))
+        maps = [ser.smap_from_doc(doc.get(key), f"{args.input}.{key}") for key in ("i", "p", "top", "bottom")]
+        h = find_lift(_fitted(args.input, LiftingProblem, *maps))
         return {"lift": None if h is None else ser.smap_to_doc(h)}
     if cmd == "rlp":
         p = ser.smap_from_doc(_load(args.input), args.input)
@@ -270,7 +282,7 @@ def run(args: argparse.Namespace) -> dict:
         doc = _load(args.input)
         f = ser.smap_from_doc(doc.get("f", {}), args.input + ".f")
         g = ser.smap_from_doc(doc.get("g", {}), args.input + ".g")
-        P, _, _, _ = homotopy_pushout(f, g)
+        P, _, _, _ = _fitted(args.input, homotopy_pushout, f, g)
         return ser.sset_to_doc(P)
     if cmd == "homology":
         X = ser.sset_from_doc(_load(args.input), args.input)

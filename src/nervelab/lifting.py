@@ -15,32 +15,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .cat import CatFunctor, compose_functors, enumerate_functors
+from .cat import CatFunctor, _functor_problem, compose_functors
 from .errors import BudgetError, ContractError
 from .homology import EvidenceReport, weak_equivalence_evidence
 from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     _pair,
+    _search,
+    _simplicial_problem,
     compose_maps,
     constant_map,
-    enumerate_simplicial_maps,
     product_projections,
     pushout,
     pushout_induced,
 )
-from .twocat import TwoFunctor, compose_two_functors, enumerate_two_functors
+from .twocat import TwoFunctor, _two_functor_problem, compose_two_functors
 
 Map = Union[SimplicialMap, CatFunctor, TwoFunctor]
 
 
-def _ambient(m: Map) -> tuple[Callable[..., Iterator[Map]], Callable[[Map, Map], Map]]:
-    """The map enumerator and the composition of the ambient ``m`` lives in."""
+def _ambient(m: Map) -> tuple[Callable[[object, object], tuple], Callable[[Map, Map], Map]]:
+    """The map-search compiler and the composition of the ambient ``m``
+    lives in.  A compiled search runs any number of times under
+    :func:`_search`, with its own pins, veto and limit each time."""
     if isinstance(m, SimplicialMap):
-        return enumerate_simplicial_maps, compose_maps
+        return _simplicial_problem, compose_maps
     if isinstance(m, CatFunctor):
-        return enumerate_functors, compose_functors
-    return enumerate_two_functors, compose_two_functors
+        return _functor_problem, compose_functors
+    return _two_functor_problem, compose_two_functors
 
 
 def _compose(g: Map, f: Map) -> Map:
@@ -56,13 +59,25 @@ class LiftingProblem:
     p: Map
     top: Map
     bottom: Map
+    # the compiled search for maps i.target -> p.source, shared by the
+    # squares of one generator_squares call; find_lift compiles it for any
+    # other square and does not keep it
+    _fillers: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         kinds = {type(self.i), type(self.p), type(self.top), type(self.bottom)}
         if len(kinds) != 1:
-            raise ContractError("all four maps must live in the same ambient")
-        if _compose(self.p, self.top) != _compose(self.bottom, self.i):
-            raise ContractError("the square does not commute")
+            raise ContractError("i, p, top, bottom: all four maps must live in the same ambient")
+        if self._composite("p", "top") != self._composite("bottom", "i"):
+            raise ContractError("i, p, top, bottom: the square does not commute")
+
+    def _composite(self, g: str, f: str) -> Map:
+        """The composite of two sides of the square, named by the sides if
+        they do not compose."""
+        try:
+            return _compose(getattr(self, g), getattr(self, f))
+        except ContractError as exc:
+            raise ContractError(f"{f}, {g}: {exc}") from exc
 
 
 def _pins(i: Map, top: Map) -> Optional[dict]:
@@ -82,11 +97,10 @@ def find_lift(P: LiftingProblem) -> Optional[Map]:
     pin = _pins(P.i, P.top)
     if pin is None:
         return None
+    fillers = P._fillers or _ambient(P.i)[0](P.i.target, P.p.source)
     over = dict(P.p.assignments())
     under = dict(P.bottom.assignments())
-    lifts = _ambient(P.i)[0](
-        P.i.target, P.p.source, pin=pin, allow=lambda b, x: over[x] == under[b], limit=1
-    )
+    lifts = _search(*fillers, pin=pin, allow=lambda b, x: over[x] == under[b], limit=1)
     return next(lifts, None)
 
 
@@ -95,16 +109,23 @@ def find_lift(P: LiftingProblem) -> Optional[Map]:
 # ---------------------------------------------------------------------------
 
 def generator_squares(p: Map, i: Map) -> Iterator[LiftingProblem]:
-    """All commuting squares from the generator i to p, in canonical order."""
-    enumerate_maps, compose = _ambient(i)
-    for u in enumerate_maps(i.source, p.source):
+    """All commuting squares from the generator i to p, in canonical order.
+
+    Each of the three searches is compiled once per call, and the squares
+    share the compiled search for their fillers."""
+    compile_search, compose = _ambient(i)
+    bottoms = compile_search(i.target, p.target)
+    fillers = compile_search(i.target, p.source)
+    for u in _search(*compile_search(i.source, p.source)):
         want = compose(p, u)
         pin = _pins(i, want)
         if pin is None:
             continue
-        for v in enumerate_maps(i.target, p.target, pin=pin):
+        for v in _search(*bottoms, pin=pin):
             if compose(v, i) == want:
-                yield LiftingProblem(i, p, u, v)
+                square = LiftingProblem(i, p, u, v)
+                square._fillers = fillers
+                yield square
 
 
 def has_rlp(p: Map, generators: Sequence[Map]) -> tuple[bool, Optional[LiftingProblem]]:
@@ -223,7 +244,7 @@ def _double_cylinder(f: SimplicialMap, g: SimplicialMap) -> tuple:
     Returns ``(P1, X -> P1, Cyl -> P1, P, Y -> P, P1 -> P, Cyl -> A)``.
     """
     if f.source != g.source:
-        raise ContractError("span legs must share their source")
+        raise ContractError("f, g: span legs must share their source")
     A = f.source
     D = min(f.target.dim_bound, g.target.dim_bound, A.dim_bound)
     Cyl, i0, i1, proj = cylinder_inclusions(A, D)

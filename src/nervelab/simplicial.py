@@ -76,7 +76,7 @@ class SimplicialSet:
     not copied.  Values are immutable after construction.
     """
 
-    __slots__ = ("dim_bound", "cells", "face", "degeneracy", "_nondeg", "_deg_of")
+    __slots__ = ("dim_bound", "cells", "face", "degeneracy", "_nondeg", "_deg_of", "_over")
 
     def __init__(
         self,
@@ -106,6 +106,7 @@ class SimplicialSet:
         for n in range(1, dim_bound + 1):
             nondeg[n] = tuple(c for c in self.cells[n] if (n, c) not in deg_of)
         self._nondeg = nondeg
+        self._over: Optional[list[dict[tuple, tuple[Cell, ...]]]] = None
 
     # -- queries ----------------------------------------------------------
 
@@ -148,6 +149,22 @@ class SimplicialSet:
             epi = compose_monotone(codegeneracy(level - 1, i), epi)
             level, cell = level - 1, lower
         return epi, level, cell
+
+    def _cells_over(self) -> list[dict[tuple, tuple[Cell, ...]]]:
+        """Per level, each vertex tuple -> the cells over it, in level order.
+
+        Built on first use as a search target and kept: the searches into
+        this set read it on every candidate list.
+        """
+        if self._over is None:
+            over = []
+            for level in _vertex_tuples(self, self.dim_bound):
+                index: dict[tuple, list[Cell]] = {}
+                for c, vertices in level.items():
+                    index.setdefault(vertices, []).append(c)
+                over.append({vertices: tuple(cs) for vertices, cs in index.items()})
+            self._over = over
+        return self._over
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(self.cells[n]) for n in range(self.dim_bound + 1))
@@ -347,12 +364,12 @@ def validate(X: SimplicialSet) -> list[Violation]:
 
     face, degen = rows(X.face), rows(X.degeneracy)
 
-    # the faces / degeneracies of a looked-up cell; None and "" have none
+    # the faces / degeneracies of a looked-up cell; a missing one (None) has none
     def d(n: int, c: Optional[Cell]) -> list[Optional[Cell]]:
-        return face[n].get(c, blank[n]) if c else blank[n]
+        return face[n].get(c, blank[n])
 
     def s(n: int, c: Optional[Cell]) -> list[Optional[Cell]]:
-        return degen[n].get(c, blank[n]) if c else blank[n]
+        return degen[n].get(c, blank[n])
 
     # totality of the tables
     level = {n: set(X.cells[n]) for n in range(D + 1)}
@@ -884,13 +901,36 @@ def _search(
 # enumeration of simplicial maps
 # ---------------------------------------------------------------------------
 
+def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*positions)``, which returns a 1-tuple for one position too."""
+    if len(positions) == 1:
+        k = positions[0]
+        return lambda seq: (seq[k],)
+    return itemgetter(*positions)
+
+
+def _vertex_tuples(X: SimplicialSet, top: int) -> list[dict[Cell, tuple]]:
+    """Per level ``0..top``, each cell -> the tuple of its vertices, by
+    vt(c) = vt(d_n c) + (the last vertex of d_0 c)."""
+    vt: list[dict[Cell, tuple]] = [{v: (v,) for v in X.cells[0]}]
+    for n in range(1, top + 1):
+        below = vt[-1]
+        vt.append({c: below[X.face[(n, n, c)]] + below[X.face[(n, 0, c)]][-1:] for c in X.cells[n]})
+    return vt
+
+
 def _simplicial_problem(X: SimplicialSet, Y: SimplicialSet) -> tuple:
     """Compile the search for maps X -> Y for :func:`_search`.
 
     Levels go up in order.  Inside a level, degenerate cells come first:
     each is forced to one degeneracy lookup in Y on the image of the cell
-    it degenerates from, one level down.  Nondegenerate cells then range
-    over the level of Y and must commute with all faces.
+    it degenerates from, one level down.  A nondegenerate cell of level
+    n >= 1 then ranges over the n-cells of Y over the images of its
+    vertices, a subsequence of Y's level (so the order of the maps is that
+    of the whole level), and must commute with all faces.  Vertices range
+    over all of Y's vertices; at the last vertex of each nondegenerate
+    cell, the images of the cell's vertices must be the vertex tuple of
+    some cell of Y of its level.
     """
     bound = min(X.dim_bound, Y.dim_bound)
     keys: list[Key] = []
@@ -898,12 +938,35 @@ def _simplicial_problem(X: SimplicialSet, Y: SimplicialSet) -> tuple:
         keys += [(n, c) for c in X.cells[n] if X.is_degenerate(n, c)]
         keys += [(n, c) for c in X.nondegenerate(n)]
     index = {key: k for k, key in enumerate(keys)}
+    over = Y._cells_over()
+    vertices = _vertex_tuples(X, bound)
+    # the variables of each nondegenerate cell's vertices, and the distinct
+    # (level, variables) tuples filed under their last variable
+    positions = {(n, c): tuple(index[(0, v)] for v in vertices[n][c])
+                 for n in range(1, bound + 1) for c in X.nondegenerate(n)}
+    spanned: dict[int, dict[tuple[int, tuple[int, ...]], None]] = {}
+    for (n, _), at in positions.items():
+        spanned.setdefault(max(at), {})[(n, at)] = None
 
     def degenerate(n: int, i: int, j: int) -> Callable[[list], Sequence[Cell]]:
         return lambda val: (Y.degeneracy[(n, i, val[j])],)
 
     def level(cells: tuple[Cell, ...]) -> Callable[[list], Sequence[Cell]]:
         return lambda val: cells
+
+    def over_vertices(n: int, at: tuple[int, ...]) -> Callable[[list], Sequence[Cell]]:
+        cells_over, pick = over[n], _picker(at)
+        return lambda val: cells_over.get(pick(val), ())
+
+    def spans(tuples: Iterable[tuple[int, tuple[int, ...]]]) -> Callable[[list], bool]:
+        tests = [(over[n], _picker(at)) for n, at in tuples]
+
+        def check(val: list) -> bool:
+            for cells_over, pick in tests:
+                if pick(val) not in cells_over:
+                    return False
+            return True
+        return check
 
     def faces_commute(n: int, k: int, faces: list[tuple[int, int]]) -> Callable[[list], bool]:
         def check(val: list) -> bool:
@@ -921,10 +984,12 @@ def _simplicial_problem(X: SimplicialSet, Y: SimplicialSet) -> tuple:
             i, lower = X._deg_of[(n, c)]
             options.append(degenerate(n - 1, i, index[(n - 1, lower)]))
             checks.append(None)
+        elif n == 0:
+            options.append(level(Y.cells[0]))
+            checks.append(spans(spanned[k]) if k in spanned else None)
         else:
-            options.append(level(Y.cells[n]))
-            faces = [(i, index[(n - 1, X.d(n, i, c))]) for i in range(n + 1)] if n else []
-            checks.append(faces_commute(n, k, faces) if faces else None)
+            options.append(over_vertices(n, positions[(n, c)]))
+            checks.append(faces_commute(n, k, [(i, index[(n - 1, X.d(n, i, c))]) for i in range(n + 1)]))
 
     def emit(val: list) -> SimplicialMap:
         levels: dict[int, dict[Cell, Cell]] = {n: {} for n in range(bound + 1)}
@@ -979,14 +1044,6 @@ def find_simplicial_iso(X: SimplicialSet, Y: SimplicialSet) -> Optional[Simplici
 # ---------------------------------------------------------------------------
 # singular complexes: level n is the maps K(n) -> X
 # ---------------------------------------------------------------------------
-
-def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """``itemgetter(*positions)``, which returns a 1-tuple for one position too."""
-    if len(positions) == 1:
-        k = positions[0]
-        return lambda seq: (seq[k],)
-    return itemgetter(*positions)
-
 
 def _images(problem: tuple, order: Sequence[Key]) -> Iterator[tuple[tuple, None]]:
     """A level of :func:`_singular` holding the solutions of a compiled

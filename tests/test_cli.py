@@ -220,6 +220,12 @@ ARGV = {
      ".p.target: level 1, cell '00': face-total [0]: face '1' not a cell"),
     ("hpushout", "span_circle.json", lambda doc: d0_of_00_is_1(doc["g"]["target"]),
      ".g.target: level 2, cell '000': dd [0, 2]: d_0 d_2 = '1' vs d_1 d_0 = '0'"),
+    ("lift", "problem.json",
+     lambda doc: doc.update(top=doc["bottom"], bottom=doc["top"]),
+     ": top, p: composition mismatch: target of f differs from source of g"),
+    ("hpushout", "span_circle.json",
+     lambda doc: doc.update(g=json.loads((DATA / "interval_to_point.smap.json").read_text())),
+     ": f, g: span legs must share their source"),
     ("slice", "arrow.fincat.json",
      as_identity_cfun(lambda C: C.update(compose=without(C["compose"], ["id_1", "0<=1"]))),
      ".target: compose missing on ('id_1', '0<=1')"),
@@ -244,6 +250,7 @@ ARGV = {
 ], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2",
         "alpha-beta", "cat-of", "twocat-of", "elements", "final", "slice", "slice2",
         "evidence", "rlp", "factorize", "factorize-generators", "lift", "hpushout",
+        "lift-top-bottom-swapped", "hpushout-legs-apart",
         "slice-cfun", "slice2-tfun", "validate-face-level", "realize-cat-relation",
         "realize-step-left", "localizer-check-node", "rlp-levels"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(

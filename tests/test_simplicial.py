@@ -145,6 +145,22 @@ def test_simplicial_set_keeps_the_tables_it_is_given():
     assert Y == X
 
 
+def test_a_cell_named_by_the_empty_string_validates():
+    from nervelab.serialize import sset_from_doc, sset_to_doc
+
+    X = standard_simplex(0, 2)
+
+    def renamed(c):
+        return "" if c == "0" else c
+
+    Y = SimplicialSet(2, {n: [renamed(c) for c in cells] for n, cells in X.cells.items()},
+                      {(n, i, renamed(c)): renamed(v) for (n, i, c), v in X.face.items()},
+                      {(n, i, renamed(c)): renamed(v) for (n, i, c), v in X.degeneracy.items()})
+    assert Y.cells[0] == ("",)
+    assert validate(Y) == []
+    assert sset_from_doc(sset_to_doc(Y)) == Y
+
+
 def test_corrupted_face_is_reported():
     X = standard_simplex(1, 2)
     bad = dict(X.face)
