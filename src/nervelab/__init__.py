@@ -41,6 +41,7 @@ from .localizer import (
     check_slice_triangle,
     check_weak_saturation,
     closure,
+    violations,
 )
 
 __all__ = [
@@ -57,5 +58,5 @@ __all__ = [
     "weak_equivalence_evidence", "weak_equivalence_evidence2",
     "HomologyReport", "EvidenceReport",
     "DiagramUniverse", "MarkedClass", "check_weak_saturation",
-    "check_final_collapse", "check_slice_triangle", "closure",
+    "check_final_collapse", "check_slice_triangle", "violations", "closure",
 ]

@@ -549,21 +549,9 @@ def _functor_problem(A: FinCat, B: FinCat) -> tuple:
     return keys, options, checks, _dimension_tag, emit
 
 
-def enumerate_functors(
-    A: FinCat,
-    B: FinCat,
-    pin: Optional[Mapping[Key, Key]] = None,
-    allow: Optional[Callable[[Key, Key], bool]] = None,
-    limit: Optional[int] = None,
-) -> Iterator[CatFunctor]:
-    """All functors A -> B in canonical order (objects, then arrows).
-
-    Cells are keyed ``(0, object)`` and ``(1, arrow)``: ``pin`` fixes parts
-    of the assignment, ``allow(cell_key, image_key)`` restricts candidate
-    images and ``limit`` caps the number of functors (this is how the
-    lifting engine plants its fiber conditions).
-    """
-    yield from _search(*_functor_problem(A, B), pin, allow, limit)
+def enumerate_functors(A: FinCat, B: FinCat) -> Iterator[CatFunctor]:
+    """All functors A -> B in canonical order (objects, then arrows)."""
+    yield from _search(*_functor_problem(A, B))
 
 
 def count_functors(A: FinCat, B: FinCat) -> int:

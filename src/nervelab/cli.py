@@ -25,13 +25,7 @@ from .homology import (
     weak_equivalence_evidence2,
 )
 from .lifting import LiftingProblem, find_lift, has_rlp, homotopy_pushout, small_object_factorize
-from .localizer import (
-    available_slice_triangles,
-    check_final_collapse,
-    check_slice_triangle,
-    check_weak_saturation,
-    closure,
-)
+from .localizer import closure, violations
 from .presentations import cat_of, realize, twocat_of
 from .simplicial import SimplicialMap, boundary, standard_simplex, validate
 from .subdivision import alpha, beta, ex, sd
@@ -264,8 +258,8 @@ def run(args: argparse.Namespace) -> dict:
         return {"lift": None if h is None else ser.smap_to_doc(h)}
     if cmd == "rlp":
         p = ser.smap_from_doc(_load(args.input), args.input)
-        gens = _parse_generators(args.generators, p.source.dim_bound)
-        ok, counterexample = has_rlp(p, gens)
+        gens = _parse_generators(args.generators, p.bound)
+        ok, counterexample = _fitted(args.generators, has_rlp, p, gens)
         doc = {"has_rlp": ok, "counterexample": None}
         if counterexample is not None:
             doc["counterexample"] = {
@@ -276,8 +270,9 @@ def run(args: argparse.Namespace) -> dict:
         return doc
     if cmd == "factorize":
         f = ser.smap_from_doc(_load(args.input), args.input)
-        gens = _parse_generators(args.generators, f.source.dim_bound)
-        return ser.factorization_to_doc(small_object_factorize(f, gens, args.stages))
+        gens = _parse_generators(args.generators, f.bound)
+        report = _fitted(args.generators, small_object_factorize, f, gens, args.stages)
+        return ser.factorization_to_doc(report)
     if cmd == "hpushout":
         doc = _load(args.input)
         f = ser.smap_from_doc(doc.get("f", {}), args.input + ".f")
@@ -306,11 +301,7 @@ def run(args: argparse.Namespace) -> dict:
     if cmd == "localizer-check":
         U = ser.universe_from_doc(_load(args.universe), args.universe)
         W = ser.marked_from_doc(_load(args.marked), args.marked)
-        violations = list(check_weak_saturation(U, W))
-        violations += check_final_collapse(U, W)
-        for (u, p, q) in available_slice_triangles(U):
-            violations += check_slice_triangle(U, u, p, q, W)
-        return ser.violations_to_doc(violations)
+        return ser.violations_to_doc(violations(U, W))
     if cmd == "localizer-closure":
         U = ser.universe_from_doc(_load(args.universe), args.universe)
         W = ser.marked_from_doc(_load(args.marked), args.marked)

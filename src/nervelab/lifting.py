@@ -59,15 +59,16 @@ class LiftingProblem:
     p: Map
     top: Map
     bottom: Map
-    # the compiled search for maps i.target -> p.source, shared by the
-    # squares of one generator_squares call; find_lift compiles it for any
-    # other square and does not keep it
+    # the compiled search for maps i.target -> p.source and the table of p,
+    # shared by the squares of one generator_squares call; find_lift builds
+    # both for any other square and does not keep them
     _fillers: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         kinds = {type(self.i), type(self.p), type(self.top), type(self.bottom)}
         if len(kinds) != 1:
             raise ContractError("i, p, top, bottom: all four maps must live in the same ambient")
+        _check_bounds(self.i, self.p)
         if self._composite("p", "top") != self._composite("bottom", "i"):
             raise ContractError("i, p, top, bottom: the square does not commute")
 
@@ -78,6 +79,13 @@ class LiftingProblem:
             return _compose(getattr(self, g), getattr(self, f))
         except ContractError as exc:
             raise ContractError(f"{f}, {g}: {exc}") from exc
+
+
+def _check_bounds(i: Map, p: Map) -> None:
+    """Refuse simplicial maps truncated at different levels: a square of
+    them would pin cells that one side does not have."""
+    if isinstance(i, SimplicialMap) and isinstance(p, SimplicialMap) and i.bound != p.bound:
+        raise ContractError(f"i, p: truncation bounds {i.bound} and {p.bound} differ")
 
 
 def _pins(i: Map, top: Map) -> Optional[dict]:
@@ -97,8 +105,7 @@ def find_lift(P: LiftingProblem) -> Optional[Map]:
     pin = _pins(P.i, P.top)
     if pin is None:
         return None
-    fillers = P._fillers or _ambient(P.i)[0](P.i.target, P.p.source)
-    over = dict(P.p.assignments())
+    fillers, over = P._fillers or (_ambient(P.i)[0](P.i.target, P.p.source), dict(P.p.assignments()))
     under = dict(P.bottom.assignments())
     lifts = _search(*fillers, pin=pin, allow=lambda b, x: over[x] == under[b], limit=1)
     return next(lifts, None)
@@ -112,20 +119,21 @@ def generator_squares(p: Map, i: Map) -> Iterator[LiftingProblem]:
     """All commuting squares from the generator i to p, in canonical order.
 
     Each of the three searches is compiled once per call, and the squares
-    share the compiled search for their fillers."""
+    share the compiled search for their fillers and the table of p.  The
+    pins of a bottom map force it to agree with ``p . top`` on i's image,
+    so every square commutes; :class:`LiftingProblem` checks it."""
+    _check_bounds(i, p)
     compile_search, compose = _ambient(i)
     bottoms = compile_search(i.target, p.target)
-    fillers = compile_search(i.target, p.source)
+    fillers = compile_search(i.target, p.source), dict(p.assignments())
     for u in _search(*compile_search(i.source, p.source)):
-        want = compose(p, u)
-        pin = _pins(i, want)
+        pin = _pins(i, compose(p, u))
         if pin is None:
             continue
         for v in _search(*bottoms, pin=pin):
-            if compose(v, i) == want:
-                square = LiftingProblem(i, p, u, v)
-                square._fillers = fillers
-                yield square
+            square = LiftingProblem(i, p, u, v)
+            square._fillers = fillers
+            yield square
 
 
 def has_rlp(p: Map, generators: Sequence[Map]) -> tuple[bool, Optional[LiftingProblem]]:

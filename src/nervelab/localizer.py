@@ -1,22 +1,26 @@
-"""Finite-universe checking of weak saturation and the localizer axioms,
-and bounded closure of a seed class of marked edges.
+"""Finite-universe checking of the localizer axioms, and bounded closure of
+a seed class of marked edges.
 
 A :class:`DiagramUniverse` is a finite diagram of categories (level 1) or
 2-categories (level 2): named nodes, named edges carrying functors, plus a
 composite table recording which edge realizes each composable pair.  A
 :class:`MarkedClass` is a set of edge names tagged as weak equivalences.
 
-The checkers report violations with replayable witnesses; ``closure``
-computes the least fixed point of the marking rules inside the universe
-(identities, two-out-of-three, final-object collapses, and the slice
-criterion whenever all slices are present).  The result under-approximates
-the trace on the universe of the generated class: no new objects are ever
-synthesized.
+The three checkers are the only statement of the axioms: weak saturation
+(identities, two-out-of-three, sections), final-object collapses, and the
+slice criterion on every triangle whose slices are all present.
+:func:`violations` runs them all, with replayable witnesses, and
+:func:`closure` is their least fixed point: it marks every edge a violation
+names until none is left to mark.  A universe without a terminal node
+reports each node meeting the final criterion as a missing collapse edge,
+which marks nothing.  The closure under-approximates the trace on the
+universe of the generated class: no new objects are ever synthesized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from .cat import CatFunctor, FinCat, compose_functors, has_final_object, identity_functor, slice_functor
@@ -60,7 +64,11 @@ class LocalizerViolation:
 
 
 class DiagramUniverse:
-    """Nodes, edges, and the composite/identity bookkeeping the checkers need."""
+    """Nodes, edges, and the composite/identity bookkeeping the checkers need.
+
+    The facts the checkers read that depend on the universe alone (its
+    identity edges, collapse edges and slice edges) are computed on first
+    use and kept."""
 
     def __init__(self, level: int, nodes: Mapping[str, Node], edges: Mapping[str, UniverseEdge]):
         if level not in (1, 2):
@@ -89,7 +97,6 @@ class DiagramUniverse:
                     if e3.src == e1.src and e3.dst == e2.dst and e3.functor == comp:
                         self.composites[(n1, n2)] = n3
                         break
-        self._slice_cache: dict = {}
 
     # -- terminal node and finality --------------------------------------
 
@@ -111,30 +118,41 @@ class DiagramUniverse:
             return has_final_object(C) is not None
         return any(object_admits_final(C, z)[0] for z in C.objects)
 
-    # -- slices ------------------------------------------------------------
+    # -- facts computed on first use ---------------------------------------
 
-    def slice_edge_of(self, u: str, p: str, q: str, c: str) -> Optional[str]:
-        """The universe edge realizing u/c for the triangle q . u = p, or None."""
-        key = (u, p, q, c)
-        if key in self._slice_cache:
-            return self._slice_cache[key]
-        eu, ep, eq = self.edges[u], self.edges[p], self.edges[q]
+    @cached_property
+    def _identity_names(self) -> frozenset[str]:
+        return frozenset(self.identity_edges.values())
+
+    @cached_property
+    def _collapses(self) -> list[tuple[str, Optional[str]]]:
+        """Each node meeting the final criterion, in name order, with its
+        first edge to the terminal node (None when there is none)."""
+        e = self.terminal_node()
+        return [
+            (name, next((n for n, edge in sorted(self.edges.items())
+                         if edge.src == name and edge.dst == e), None))
+            for name in sorted(self.nodes) if self.node_satisfies_final_criterion(name)
+        ]
+
+    @cached_property
+    def _slices(self) -> dict[tuple[str, str, str], list[tuple[str, Optional[str]]]]:
+        """Each recorded triangle's ``(object, slice edge)`` pairs over the
+        objects of its base, ending at the first slice absent from the
+        universe (paired with None)."""
         make = slice_2functor if self.level == 2 else slice_functor
-        uc = make(eu.functor, ep.functor, eq.functor, c)
-        found = None
-        for name, e in sorted(self.edges.items()):
-            if e.functor == uc:
-                found = name
-                break
-        self._slice_cache[key] = found
-        return found
-
-    def triangles(self) -> list[tuple[str, str, str]]:
-        """All (u, p, q) with q . u = p recorded in the composite table."""
-        out = []
+        edges = sorted(self.edges.items())
+        table = {}
         for (u, q), p in sorted(self.composites.items()):
-            out.append((u, p, q))
-        return out
+            eu, ep, eq = self.edges[u], self.edges[p], self.edges[q]
+            pairs = table[(u, p, q)] = []
+            for c in self.nodes[eq.dst].objects:
+                uc = make(eu.functor, ep.functor, eq.functor, c)
+                name = next((n for n, e in edges if e.functor == uc), None)
+                pairs.append((c, name))
+                if name is None:
+                    break
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +184,7 @@ def check_weak_saturation(U: DiagramUniverse, W: MarkedClass) -> list[LocalizerV
             )
     # sections: r . i = identity; if i . r is marked then i must be
     for (i, r), h in sorted(U.composites.items()):
-        if h not in set(U.identity_edges.values()):
+        if h not in U._identity_names:
             continue
         idem = U.composites.get((r, i))
         if idem is not None and idem in W and i not in W:
@@ -181,19 +199,10 @@ def check_weak_saturation(U: DiagramUniverse, W: MarkedClass) -> list[LocalizerV
 
 def check_final_collapse(U: DiagramUniverse, W: MarkedClass) -> list[LocalizerViolation]:
     """Every node satisfying the final-object criterion must have its
-    (unique) edge to the terminal node present and marked."""
-    e = U.terminal_node()
-    if e is None:
-        raise DomainError("the universe has no terminal node")
+    (unique) edge to the terminal node present and marked.  Without a
+    terminal node every such edge is missing."""
     out = []
-    for name in sorted(U.nodes):
-        if not U.node_satisfies_final_criterion(name):
-            continue
-        collapse = None
-        for ename, edge in sorted(U.edges.items()):
-            if edge.src == name and edge.dst == e:
-                collapse = ename
-                break
+    for name, collapse in U._collapses:
         if collapse is None:
             out.append(LocalizerViolation("missing-collapse-edge", {"node": name}))
         elif collapse not in W:
@@ -209,18 +218,14 @@ def check_slice_triangle(
     """If every slice of u over the base is marked, u must be marked."""
     if U.composites.get((u, q)) != p:
         raise DomainError(f"({u}, {p}, {q}) is not a recorded triangle")
-    C = U.nodes[U.edges[q].dst]
-    slice_edges = []
-    for c in C.objects:
-        name = U.slice_edge_of(u, p, q, c)
-        if name is None:
-            raise DomainError(f"slice of {u!r} over {c!r} is not present in the universe")
-        slice_edges.append((c, name))
+    slice_edges = U._slices[(u, p, q)]
+    if slice_edges and slice_edges[-1][1] is None:
+        raise DomainError(f"slice of {u!r} over {slice_edges[-1][0]!r} is not present in the universe")
     if all(name in W for _, name in slice_edges) and u not in W:
         return [
             LocalizerViolation(
                 "slice-criterion",
-                {"edge": u, "triangle": (u, p, q), "slices": slice_edges},
+                {"edge": u, "triangle": (u, p, q), "slices": list(slice_edges)},
             )
         ]
     return []
@@ -228,11 +233,15 @@ def check_slice_triangle(
 
 def available_slice_triangles(U: DiagramUniverse) -> list[tuple[str, str, str]]:
     """Triangles whose slice edges are all present in the universe."""
-    out = []
-    for (u, p, q) in U.triangles():
-        C = U.nodes[U.edges[q].dst]
-        if all(U.slice_edge_of(u, p, q, c) is not None for c in C.objects):
-            out.append((u, p, q))
+    return [t for t, pairs in U._slices.items() if all(name is not None for _, name in pairs)]
+
+
+def violations(U: DiagramUniverse, W: MarkedClass) -> list[LocalizerViolation]:
+    """Every checker's violations: weak saturation, then final collapses,
+    then the slice criterion on each triangle whose slices are all present."""
+    out = check_weak_saturation(U, W) + check_final_collapse(U, W)
+    for (u, p, q) in available_slice_triangles(U):
+        out += check_slice_triangle(U, u, p, q, W)
     return out
 
 
@@ -240,33 +249,25 @@ def available_slice_triangles(U: DiagramUniverse) -> list[tuple[str, str, str]]:
 # closure
 # ---------------------------------------------------------------------------
 
+# the witness key of the edge each kind of violation says must be marked;
+# a missing collapse edge marks nothing
+_MUST_MARK = {
+    "identity": "edge",
+    "two-out-of-three": "unmarked",
+    "section": "section",
+    "final-collapse": "edge",
+    "slice-criterion": "edge",
+}
+
+
 def closure(U: DiagramUniverse, seed: MarkedClass, budget: int = 50) -> MarkedClass:
-    """Least fixed point (within the universe, up to the sweep budget) of:
-    mark identities, close under two-out-of-three, mark final-object
-    collapses, and apply the slice criterion when all slices are present."""
-    marked = set(seed.edges)
-    terminal = U.terminal_node()
-    triangles = available_slice_triangles(U)
+    """The least marked class containing ``seed`` that no violation asks to
+    grow, within the universe and up to ``budget`` sweeps: each sweep marks
+    every edge that :func:`violations` names."""
+    marked = MarkedClass(frozenset(seed.edges))
     for _ in range(budget):
-        before = len(marked)
-        marked.update(U.identity_edges.values())
-        for (f, g), h in U.composites.items():
-            flags = [f in marked, g in marked, h in marked]
-            if sum(flags) == 2:
-                for name in (f, g, h):
-                    marked.add(name)
-        if terminal is not None:
-            for name in U.nodes:
-                if U.node_satisfies_final_criterion(name):
-                    for ename, edge in U.edges.items():
-                        if edge.src == name and edge.dst == terminal:
-                            marked.add(ename)
-        for (u, p, q) in triangles:
-            if u in marked:
-                continue
-            C = U.nodes[U.edges[q].dst]
-            if all(U.slice_edge_of(u, p, q, c) in marked for c in C.objects):
-                marked.add(u)
-        if len(marked) == before:
+        new = {v.witness[_MUST_MARK[v.axiom]] for v in violations(U, marked) if v.axiom in _MUST_MARK}
+        if not new:
             break
-    return MarkedClass(frozenset(marked))
+        marked = MarkedClass(marked.edges | new)
+    return marked

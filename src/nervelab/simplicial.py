@@ -1000,22 +1000,13 @@ def _simplicial_problem(X: SimplicialSet, Y: SimplicialSet) -> tuple:
     return keys, options, checks, _dimension_tag, emit
 
 
-def enumerate_simplicial_maps(
-    X: SimplicialSet,
-    Y: SimplicialSet,
-    pin: Optional[Mapping[Key, Key]] = None,
-    allow: Optional[Callable[[Key, Key], bool]] = None,
-    limit: Optional[int] = None,
-) -> Iterator[SimplicialMap]:
+def enumerate_simplicial_maps(X: SimplicialSet, Y: SimplicialSet) -> Iterator[SimplicialMap]:
     """Yield all simplicial maps X -> Y in canonical order.
 
     The search assigns cells level by level; degenerate cells are forced
-    by naturality.  Cells are keyed ``(n, cell)``: ``pin`` fixes the images
-    of specific cells, ``allow(cell_key, image_key)`` restricts the image
-    choices, and ``limit`` caps the number of maps (this is how the
-    lifting engine plants its boundary and fiber conditions).
+    by naturality.
     """
-    yield from _search(*_simplicial_problem(X, Y), pin, allow, limit)
+    yield from _search(*_simplicial_problem(X, Y))
 
 
 def count_maps(X: SimplicialSet, Y: SimplicialSet) -> int:

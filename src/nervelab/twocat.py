@@ -19,7 +19,15 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cat import CatFunctor, FinCat, _slice_name, discrete_category, has_final_object, validate_category
+from .cat import (
+    CatFunctor,
+    FinCat,
+    _slice_name,
+    discrete_category,
+    has_final_object,
+    validate_category,
+    validate_functor,
+)
 from .errors import ContractError, DomainError
 from .simplicial import (
     Key,
@@ -265,34 +273,15 @@ def validate_two_functor(F: TwoFunctor) -> list[str]:
         if F.objects.get(a) not in set(B.objects):
             out.append(f"object {a!r} unassigned or foreign")
     for (a, b), H in A.hom.items():
-        fa, fb = F.objects.get(a), F.objects.get(b)
-        K = B.hom.get((fa, fb))
+        K = B.hom.get((F.objects.get(a), F.objects.get(b)))
         if K is None:
             if H.objects:
                 out.append(f"hom({a},{b}) has no image hom")
             continue
-        for f in H.objects:
-            v = F.on1.get((a, b, f))
-            if v is None or v not in set(K.objects):
-                out.append(f"1-cell ({a},{b},{f}) unassigned or foreign")
-        for al in H.arrows:
-            v = F.on2.get((a, b, al))
-            if v is None or v not in set(K.arrows):
-                out.append(f"2-cell ({a},{b},{al}) unassigned or foreign")
-                continue
-            if K.src[v] != F.on1.get((a, b, H.src[al])) or K.dst[v] != F.on1.get((a, b, H.dst[al])):
-                out.append(f"2-cell ({a},{b},{al}) image has wrong endpoints")
-        for f in H.objects:
-            if F.on2.get((a, b, H.identity[f])) != K.identity.get(F.on1.get((a, b, f), "")):
-                out.append(f"identity 2-cell of ({a},{b},{f}) not preserved")
-        for al in H.arrows:
-            for be in H.arrows:
-                if H.dst[al] != H.src[be]:
-                    continue
-                lhs = F.on2.get((a, b, H.compose[(be, al)]))
-                rhs = K.compose.get((F.on2.get((a, b, be), ""), F.on2.get((a, b, al), "")))
-                if lhs is None or lhs != rhs:
-                    out.append(f"vertical composition not preserved in hom({a},{b})")
+        on_hom = CatFunctor(H, K, {f: F.on1[(a, b, f)] for f in H.objects if (a, b, f) in F.on1},
+                            {al: F.on2[(a, b, al)] for al in H.arrows if (a, b, al) in F.on2},
+                            check=False)
+        out.extend(f"hom({a!r}, {b!r}): {msg}" for msg in validate_functor(on_hom))
     for a in A.objects:
         if F.on1.get((a, a, A.unit[a])) != B.unit.get(F.objects.get(a, "")):
             out.append(f"unit 1-cell of {a!r} not preserved")
@@ -832,22 +821,12 @@ def _two_functor_problem(A: Fin2Cat, B: Fin2Cat) -> tuple:
     return keys, options, checks, tag, emit
 
 
-def enumerate_two_functors(
-    A: Fin2Cat,
-    B: Fin2Cat,
-    pin: Optional[Mapping[Key, Key]] = None,
-    allow: Optional[Callable[[Key, Key], bool]] = None,
-    limit: Optional[int] = None,
-) -> Iterator[TwoFunctor]:
+def enumerate_two_functors(A: Fin2Cat, B: Fin2Cat) -> Iterator[TwoFunctor]:
     """All strict 2-functors A -> B, deterministically ordered.
 
-    Cells are keyed ``(0, object)``, ``(1, a, b, one_cell)`` and
-    ``(2, a, b, two_cell)``, the 1- and 2-cells with their hom: ``pin``
-    fixes parts of the assignment, ``allow(cell_key, image_key)`` restricts
-    candidate images and ``limit`` caps the number of 2-functors.  B must
-    pass :func:`validate_2category`; the search relies on its laws.
+    B must pass :func:`validate_2category`; the search relies on its laws.
     """
-    yield from _search(*_two_functor_problem(A, B), pin, allow, limit)
+    yield from _search(*_two_functor_problem(A, B))
 
 
 def count_two_functors(A: Fin2Cat, B: Fin2Cat) -> int:

@@ -44,14 +44,7 @@ from nervelab.lifting import (
     is_homotopy_cocartesian,
     small_object_factorize,
 )
-from nervelab.localizer import (
-    MarkedClass,
-    available_slice_triangles,
-    check_final_collapse,
-    check_slice_triangle,
-    check_weak_saturation,
-    closure,
-)
+from nervelab.localizer import MarkedClass, closure, violations
 from nervelab.presentations import cat_of, realize_cat, realize_twocat, twocat_of
 from nervelab.simplicial import (
     SimplicialMap,
@@ -390,10 +383,7 @@ def test_criterion_11_localizer_closure():
             for ename, e in U.edges.items():
                 if e.src == name and e.dst == terminal:
                     ok &= ename in W
-    ok &= check_weak_saturation(U, W) == []
-    ok &= check_final_collapse(U, W) == []
-    for (u, p, q) in available_slice_triangles(U):
-        ok &= check_slice_triangle(U, u, p, q, W) == []
+    ok &= violations(U, W) == []
     report("11 localizer closure on a universe of >= 8 nodes", ok)
 
 

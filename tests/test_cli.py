@@ -10,9 +10,10 @@ from cli_cases import CASES, DATA, GOLDEN, sample
 from nervelab import serialize as ser
 from nervelab.cat import identity_functor, nerve
 from nervelab.cli import main
-from nervelab.corpus import localizer_universe_2
+from nervelab.corpus import localizer_universe_2, two_categories
 from nervelab.presentations import twocat_of
-from nervelab.simplicial import standard_simplex
+from nervelab.simplicial import SimplicialMap, boundary, constant_map, standard_simplex
+from nervelab.twocat import identity_two_functor
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
@@ -99,6 +100,16 @@ def test_malformed_level2_universe_names_file_and_key(tmp_path, capsys):
     assert main(["localizer-check", str(bad), str(marked)]) == 2
     err = capsys.readouterr().err
     assert "universe2.json" in err and f"edges[{edge['name']}].functor.on1" in err
+
+
+def test_two_functor_breaking_a_hom_law_exits_2_naming_the_hom(tmp_path, capsys):
+    doc = ser.tfun_to_doc(identity_two_functor(two_categories()["single2cell"]))
+    doc["on2"] = [[a, b, x, "m" if x == "id_u" else y] for a, b, x, y in doc["on2"]]
+    bad = tmp_path / "single2cell_id.tfun.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["evidence2", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: hom('a', 'b'): arrow 'id_u' image has wrong endpoints" in err
 
 
 @pytest.mark.parametrize("command", ["homology", "pi1"])
@@ -295,6 +306,44 @@ def test_localizer_closure_golden_marks_collapses():
     for name in ("col_arrow", "col_chain2", "col_retract"):
         assert name in golden["marked"]
     assert "fold_discrete2" not in golden["marked"]
+
+
+@pytest.mark.parametrize("command", ["rlp", "factorize"])
+def test_boundary_generators_are_built_at_the_bound_of_the_map(command, tmp_path):
+    # the source of p has bound 3 but p itself only bound 2
+    p = tmp_path / "p.json"
+    p.write_text(ser.canonical_json(ser.smap_to_doc(
+        constant_map(boundary(2, 3), standard_simplex(0, 2), "0"))))
+    out = tmp_path / "out.json"
+    assert main([command, str(p), "--generators", "boundaries:2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("command", ["rlp", "factorize"])
+def test_generators_at_another_bound_exit_2_naming_the_file(command, tmp_path, capsys):
+    A, B = boundary(1, 2), standard_simplex(1, 2)
+    generators = tmp_path / "generators.json"
+    generators.write_text(json.dumps({"generators": [ser.smap_to_doc(
+        SimplicialMap(A, B, {n: {c: c for c in A.cells[n]} for n in range(3)}))]}))
+    p = tmp_path / "p.json"
+    p.write_text(ser.canonical_json(ser.smap_to_doc(
+        constant_map(standard_simplex(1, 1), standard_simplex(0, 3), "0"))))
+    assert main([command, str(p), "--generators", str(generators)]) == 2
+    assert f"{generators}: i, p: truncation bounds 2 and 1 differ" in capsys.readouterr().err
+
+
+def test_localizer_check_without_terminal_node_lists_missing_collapse_edges(tmp_path, capsys):
+    doc = json.loads((DATA / "universe.json").read_text())
+    # drop the terminal node e and the slices, one of which is terminal too
+    kept = {"arrow", "chain2", "discrete2", "parallel", "retract", "z2"}
+    doc["nodes"] = [node for node in doc["nodes"] if node[0] in kept]
+    doc["edges"] = [edge for edge in doc["edges"] if {edge["src"], edge["dst"]} <= kept]
+    universe = tmp_path / "universe_no_terminal.json"
+    universe.write_text(json.dumps(doc))
+    assert main(["localizer-check", str(universe), sample("marked_empty.json")]) == 0
+    found = json.loads(capsys.readouterr().out)["violations"]
+    missing = [v["witness"] for v in found if v["axiom"] == "missing-collapse-edge"]
+    assert missing == [repr({"node": node}) for node in ("arrow", "chain2", "retract")]
 
 
 def test_validate_golden_is_clean():

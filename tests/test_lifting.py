@@ -101,6 +101,17 @@ def test_noncommuting_square_rejected():
         LiftingProblem(i, p, u, swap)
 
 
+def test_maps_truncated_at_different_bounds_are_refused():
+    # i at bound 2 against p at bound 1: i pins level-2 cells p has no image for
+    i = inclusion(boundary(1, 2), standard_simplex(1, 2))
+    p = to_point(standard_simplex(1, 1))
+    u = inclusion(boundary(1, 1), standard_simplex(1, 1))
+    v = to_point(standard_simplex(1, 2), 1)
+    for refuse in (lambda: LiftingProblem(i, p, u, v), lambda: list(generator_squares(p, i))):
+        with pytest.raises(ContractError, match="i, p: truncation bounds 2 and 1 differ"):
+            refuse()
+
+
 def test_lift_in_cat_ambient():
     # extend a functor along the inclusion of an endpoint into the arrow
     A = terminal_category()

@@ -1,11 +1,15 @@
 """Weak-saturation and localizer axiom checking; bounded closure."""
 
+from itertools import combinations
+
 import pytest
 
+from nervelab.cat import CatFunctor, arrow_category, discrete_category, identity_functor, terminal_category
 from nervelab.corpus import localizer_universe, localizer_universe_2
 from nervelab.errors import DomainError
 from nervelab.localizer import (
     DiagramUniverse,
+    LocalizerViolation,
     MarkedClass,
     UniverseEdge,
     available_slice_triangles,
@@ -13,6 +17,7 @@ from nervelab.localizer import (
     check_slice_triangle,
     check_weak_saturation,
     closure,
+    violations,
 )
 from nervelab.twocat import (
     compose_two_functors,
@@ -98,10 +103,7 @@ def test_closure_from_empty(U):
     assert "fold_discrete2" not in W
     assert "point_discrete2" not in W
     # and the output passes all the checkers
-    assert check_weak_saturation(U, W) == []
-    assert check_final_collapse(U, W) == []
-    for (u, p, q) in available_slice_triangles(U):
-        assert check_slice_triangle(U, u, p, q, W) == []
+    assert violations(U, W) == []
 
 
 def test_closure_monotone_and_idempotent(U):
@@ -123,8 +125,7 @@ def test_level_two_universe():
     for name in ("col_simplex2_1", "col_simplex2_2", "col_iota_arrow"):
         assert name in W
     assert "fold_iota_discrete2" not in W
-    assert check_weak_saturation(U2, W) == []
-    assert check_final_collapse(U2, W) == []
+    assert violations(U2, W) == []
 
 
 def simplex_triangle_universe():
@@ -166,3 +167,89 @@ def test_level_two_slice_criterion():
     assert check_slice_triangle(U, "u", "id_simplex2_1", "q", W) == []
     # one marked slice is not enough
     assert "u" not in closure(U, MarkedClass(frozenset({"u_slice0"})))
+
+
+# -- closure is the least fixed point of the checkers ---------------------------
+
+def universe_of(nodes, functors):
+    """A level-1 universe on ``nodes`` with the named ``(src, dst, functor)``
+    edges plus one identity edge per node."""
+    edges = {name: UniverseEdge(name, src, dst, F) for name, (src, dst, F) in functors.items()}
+    for name, C in nodes.items():
+        edges[f"id_{name}"] = UniverseEdge(f"id_{name}", name, name, identity_functor(C))
+    return DiagramUniverse(1, nodes, edges)
+
+
+def discrete_functor(A, B, objects):
+    return CatFunctor(A, B, objects, {f"id_{a}": f"id_{b}" for a, b in objects.items()})
+
+
+def section_universe():
+    """i: A -> B includes {a, b} into {a, b, c}; r: B -> A and idem: B -> B
+    both send c to a, so r . i = id_A and i . r = idem."""
+    A, B = discrete_category(["a", "b"]), discrete_category(["a", "b", "c"])
+    fold = {"a": "a", "b": "b", "c": "a"}
+    return universe_of({"A": A, "B": B, "e": terminal_category()}, {
+        "i": ("A", "B", discrete_functor(A, B, {"a": "a", "b": "b"})),
+        "r": ("B", "A", discrete_functor(B, A, fold)),
+        "idem": ("B", "B", discrete_functor(B, B, fold)),
+    })
+
+
+def no_terminal_universe():
+    """The arrow category (it has a final object) and a discrete pair, with
+    no terminal node, so the arrow's collapse edge is missing."""
+    arrow, pair = arrow_category(), discrete_category(["a", "b"])
+    return universe_of({"arrow": arrow, "discrete2": pair}, {
+        "ends": ("discrete2", "arrow", discrete_functor(pair, arrow, {"a": "0", "b": "1"})),
+        "const1": ("arrow", "arrow", CatFunctor(arrow, arrow, {"0": "1", "1": "1"},
+                                                {"id_0": "id_1", "id_1": "id_1", "0<=1": "id_1"})),
+    })
+
+
+def must_mark(U, W):
+    """The violations that name an edge to mark (all but missing edges)."""
+    return [v for v in violations(U, W) if v.axiom != "missing-collapse-edge"]
+
+
+def test_closure_marks_sections():
+    U = section_universe()
+    assert U.composites[("i", "r")] == "id_A" and U.composites[("r", "i")] == "idem"
+    W = closure(U, MarkedClass(frozenset({"idem"})))
+    assert W.edges == {"i", "id_A", "id_B", "id_e", "idem", "r"}
+    assert check_weak_saturation(U, W) == []
+
+
+def test_missing_terminal_node_reports_missing_collapse_edges():
+    U = no_terminal_universe()
+    assert U.terminal_node() is None
+    assert check_final_collapse(U, MarkedClass(frozenset())) == [
+        LocalizerViolation("missing-collapse-edge", {"node": "arrow"})]
+    W = closure(U, MarkedClass(frozenset()))
+    assert W.edges == {"id_arrow", "id_discrete2"}
+    assert [v.axiom for v in violations(U, W)] == ["missing-collapse-edge"]
+
+
+@pytest.mark.parametrize("make", [section_universe, simplex_triangle_universe, no_terminal_universe])
+def test_closure_is_the_least_closed_superset(make):
+    U = make()
+    names = sorted(U.edges)
+    closed = [set(S) for r in range(len(names) + 1) for S in combinations(names, r)
+              if not must_mark(U, MarkedClass(frozenset(S)))]
+    for seed in [set()] + [{name} for name in names]:
+        least = set(U.edges).intersection(*(S for S in closed if seed <= S))
+        assert closure(U, MarkedClass(frozenset(seed))).edges == least
+
+
+@pytest.mark.parametrize("make", [localizer_universe, localizer_universe_2])
+def test_closure_leaves_nothing_to_mark(make):
+    U = make()
+    for seed in [frozenset()] + [frozenset({name}) for name in sorted(U.edges)]:
+        W = closure(U, MarkedClass(seed))
+        assert seed <= W.edges and must_mark(U, W) == []
+
+
+def test_closure_with_no_budget_is_the_seed():
+    U = section_universe()
+    seed = MarkedClass(frozenset({"idem"}))
+    assert closure(U, seed, budget=0) == seed

@@ -9,6 +9,7 @@ import pytest
 
 from nervelab.cat import (
     CatFunctor,
+    _functor_problem,
     arrow_category,
     chain_category,
     compose_functors,
@@ -24,6 +25,8 @@ from nervelab.corpus import categories, nonthin_two_categories, simplicial_objec
 from nervelab.lifting import LiftingProblem, find_lift
 from nervelab.simplicial import (
     SimplicialMap,
+    _search,
+    _simplicial_problem,
     compose_maps,
     disjoint_union,
     enumerate_simplicial_maps,
@@ -32,6 +35,7 @@ from nervelab.simplicial import (
 )
 from nervelab.twocat import (
     TwoFunctor,
+    _two_functor_problem,
     as_two_category,
     as_two_functor,
     compose_two_functors,
@@ -188,9 +192,10 @@ def test_2cat_iso_witnesses_are_pinned():
 
 # -- pin, allow and limit through find_lift --------------------------------------
 
-def check_lift(P, enumerate_maps, compose, lifts):
+def check_lift(P, compile_search, compose, lifts):
     """find_lift returns the first of the ``lifts`` fillers that pin (the
-    image of i) and allow (the fibers of p) leave, and limit=1 stops there."""
+    image of i) and allow (the fibers of p) leave in the search kernel, and
+    limit=1 stops there."""
     image = dict(P.top.assignments())
     pin = {b: image[a] for a, b in P.i.assignments()}
     over, under = dict(P.p.assignments()), dict(P.bottom.assignments())
@@ -199,11 +204,11 @@ def check_lift(P, enumerate_maps, compose, lifts):
         return over[x] == under[b]
 
     B, X = P.i.target, P.p.source
-    every = list(enumerate_maps(B, X, pin=pin, allow=allow))
+    every = list(_search(*compile_search(B, X), pin=pin, allow=allow))
     assert len(every) == lifts
     for h in every:
         assert compose(h, P.i) == P.top and compose(P.p, h) == P.bottom
-    first = list(enumerate_maps(B, X, pin=pin, allow=allow, limit=1))
+    first = list(_search(*compile_search(B, X), pin=pin, allow=allow, limit=1))
     assert first == every[:1] == [find_lift(P)]
 
 
@@ -217,7 +222,7 @@ def test_simplicial_lift_uses_pin_allow_and_limit():
     squash = {n: {c: c.replace("2", "1") for c in D2.cells[n]} for n in range(3)}
     p = SimplicialMap(D2, D1, squash)
     bottom = SimplicialMap(D1, D1, {n: {c: c for c in D1.cells[n]} for n in range(3)})
-    check_lift(LiftingProblem(i, p, top, bottom), enumerate_simplicial_maps, compose_maps, 2)
+    check_lift(LiftingProblem(i, p, top, bottom), _simplicial_problem, compose_maps, 2)
 
 
 def test_cat_lift_uses_pin_allow_and_limit():
@@ -230,7 +235,7 @@ def test_cat_lift_uses_pin_allow_and_limit():
         "0<=1": "0<=1", "0<=2": "0<=1", "1<=2": "id_1",
     })
     P = LiftingProblem(i, p, top, identity_functor(arrow))
-    check_lift(P, enumerate_functors, compose_functors, 2)
+    check_lift(P, _functor_problem, compose_functors, 2)
 
 
 def test_two_lift_uses_pin_allow_and_limit():
@@ -247,4 +252,4 @@ def test_two_lift_uses_pin_allow_and_limit():
         ("a", "b", "id_u"): "id_0<=1", ("a", "b", "id_v"): "id_0<=1", ("a", "b", "m"): "id_0<=1",
     })
     P = LiftingProblem(i, p, top, identity_two_functor(iota_arrow))
-    check_lift(P, enumerate_two_functors, compose_two_functors, 2)
+    check_lift(P, _two_functor_problem, compose_two_functors, 2)

@@ -12,6 +12,7 @@ a cell name, a level or an operator table shows up here.
 """
 
 import hashlib
+from itertools import islice
 
 import pytest
 
@@ -194,7 +195,7 @@ N2_MAPS = [
 @pytest.mark.parametrize("source,target,limit,pin", N2_MAPS, ids=[f"{s}-{t}-{n}" for s, t, n, _ in N2_MAPS])
 def test_geometric_nerve_functor_names_the_composites(source, target, limit, pin):
     docs = []
-    for u in enumerate_two_functors(TWO[source], TWO[target], limit=limit):
+    for u in islice(enumerate_two_functors(TWO[source], TWO[target]), limit):
         f = geometric_nerve_functor(u, 4)
         assert validate_map(f) == []
         _, table = geometric_nerve_cells(u.source, 4)
