@@ -562,4 +562,4 @@ def find_cat_iso(A: FinCat, B: FinCat) -> Optional[CatFunctor]:
     """Search for an isomorphism of categories (bijective on objects and arrows)."""
     if len(A.objects) != len(B.objects) or len(A.arrows) != len(B.arrows):
         return None
-    return next(_search(*_functor_problem(A, B), limit=1, distinct=True), None)
+    return next(_search(*_functor_problem(A, B), distinct=True), None)

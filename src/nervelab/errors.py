@@ -26,4 +26,4 @@ class SchemaError(NerveLabError):
 
 
 class BudgetError(NerveLabError):
-    """A bounded procedure was invoked with a non-positive budget."""
+    """A bounded procedure was invoked with a negative budget."""

@@ -456,6 +456,8 @@ def homology_of_complex(cc: ChainComplex, upto: int) -> HomologyReport:
 def homology(X: SimplicialSet, k: int) -> HomologyReport:
     """H_i for i <= k.  Requires ``dim_bound >= k + 1`` so that the incoming
     boundary at degree k is available."""
+    if k < 0:
+        raise DomainError(f"degree {k} must be >= 0")
     if X.dim_bound < k + 1:
         raise BoundError(f"bound {X.dim_bound} insufficient for homology through degree {k}")
     return homology_of_complex(normalized_chains(X), k)
@@ -716,6 +718,8 @@ def weak_equivalence_evidence(f: SimplicialMap, k: int) -> EvidenceReport:
     """Graded evidence that ``f`` is a weak equivalence: a pi_0 bijection
     check, cone-acyclicity homology checks through degree k, and a bounded
     fundamental-group comparison.  Verdicts never exceed the truncation."""
+    if k < 0:
+        raise DomainError(f"degree {k} must be >= 0")
     if f.source.dim_bound < k + 2 or f.target.dim_bound < k + 2:
         raise BoundError(f"bounds must be >= {k + 2} for evidence through degree {k}")
     checks: dict[str, str] = {}
@@ -765,7 +769,7 @@ def _pi1_compare(f: SimplicialMap) -> tuple[str, object]:
 
 def weak_equivalence_evidence2(u: TwoFunctor, D: int, k: int) -> EvidenceReport:
     """Evidence for a 2-functor: apply the geometric nerve at bound D, then
-    the simplicial evidence through degree k."""
+    the simplicial evidence through degree k (which refuses a negative k)."""
     report = weak_equivalence_evidence(geometric_nerve_functor(u, D), k)
     report.bound = D
     return report

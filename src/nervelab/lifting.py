@@ -38,7 +38,7 @@ Map = Union[SimplicialMap, CatFunctor, TwoFunctor]
 def _ambient(m: Map) -> tuple[Callable[[object, object], tuple], Callable[[Map, Map], Map]]:
     """The map-search compiler and the composition of the ambient ``m``
     lives in.  A compiled search runs any number of times under
-    :func:`_search`, with its own pins, veto and limit each time."""
+    :func:`_search`, with its own pins and veto each time."""
     if isinstance(m, SimplicialMap):
         return _simplicial_problem, compose_maps
     if isinstance(m, CatFunctor):
@@ -107,7 +107,7 @@ def find_lift(P: LiftingProblem) -> Optional[Map]:
         return None
     fillers, over = P._fillers or (_ambient(P.i)[0](P.i.target, P.p.source), dict(P.p.assignments()))
     under = dict(P.bottom.assignments())
-    lifts = _search(*fillers, pin=pin, allow=lambda b, x: over[x] == under[b], limit=1)
+    lifts = _search(*fillers, pin=pin, allow=lambda b, x: over[x] == under[b])
     return next(lifts, None)
 
 

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from .cat import CatFunctor, FinCat, compose_functors, has_final_object, identity_functor, slice_functor
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .twocat import (
     Fin2Cat,
     TwoFunctor,
@@ -264,6 +264,8 @@ def closure(U: DiagramUniverse, seed: MarkedClass, budget: int = 50) -> MarkedCl
     """The least marked class containing ``seed`` that no violation asks to
     grow, within the universe and up to ``budget`` sweeps: each sweep marks
     every edge that :func:`violations` names."""
+    if budget < 0:
+        raise BudgetError(f"budget {budget} must be >= 0")
     marked = MarkedClass(frozenset(seed.edges))
     for _ in range(budget):
         new = {v.witness[_MUST_MARK[v.axiom]] for v in violations(U, marked) if v.axiom in _MUST_MARK}

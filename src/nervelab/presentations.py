@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .cat import FinCat
-from .errors import ContractError
-from .simplicial import SimplicialMap, SimplicialSet, _UnionFind, simplicial_operator
+from .errors import BudgetError, ContractError
+from .simplicial import SimplicialMap, SimplicialSet, _UnionFind, boundary, simplicial_operator, standard_simplex
+from .subdivision import sd, sd_map
 from .twocat import Fin2Cat
 
 Path = tuple[str, ...]
@@ -649,6 +650,8 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
 
 def realize(pres, budget: int = 200, max_arrows: int = 4000) -> RealizeResult:
     """Dispatch on the presentation kind."""
+    if budget < 0:
+        raise BudgetError(f"budget {budget} must be >= 0")
     if isinstance(pres, CatPresentation):
         return realize_cat(pres, budget, max_arrows)
     if isinstance(pres, TwoCatPresentation):
@@ -686,22 +689,15 @@ def presented_inclusion(f: SimplicialMap, level: int) -> PresentedMap:
 def thomason_generators(n_max: int, level: int) -> list[PresentedMap]:
     """For each n <= n_max, the presented image of the doubly subdivided
     boundary inclusion under the level-1 or level-2 adjoint."""
-    from .simplicial import SimplicialMap as SMap, boundary, standard_simplex
-    from .subdivision import sd, sd_map
-
     if level not in (1, 2):
         raise ContractError("level must be 1 or 2")
     out = []
     for n in range(n_max + 1):
         D = max(n, 2 if level == 1 else 3)
         A = boundary(n, D)
-        B = standard_simplex(n, D)
-        inc = SMap(A, B, {m: {c: c for c in A.cells[m]} for m in range(D + 1)}, check=False)
-        A1, ca = sd(A)
-        B1, cb = sd(B)
-        inc1 = sd_map(inc, ca, cb)
-        A2, ca2 = sd(A1)
-        B2, cb2 = sd(B1)
-        inc2 = sd_map(inc1, ca2, cb2)
-        out.append(presented_inclusion(inc2, level))
+        inc = SimplicialMap(A, standard_simplex(n, D), {m: {c: c for c in A.cells[m]} for m in range(D + 1)},
+                            check=False)
+        for _ in range(2):
+            inc = sd_map(inc, sd(inc.source)[1], sd(inc.target)[1])
+        out.append(presented_inclusion(inc, level))
     return out

@@ -450,8 +450,13 @@ def violations_to_doc(violations) -> dict:
                 }
             )
         else:
-            out.append({"axiom": v.axiom, "witness": repr(v.witness)})
+            out.append({"axiom": v.axiom, "witness": {k: _listed(w) for k, w in v.witness.items()}})
     return {"violations": out}
+
+
+def _listed(value):
+    """``value`` with its tuples, at any depth, as lists, as JSON reads them."""
+    return [_listed(x) for x in value] if isinstance(value, (tuple, list)) else value
 
 
 def factorization_to_doc(rep: FactorizationReport) -> dict:

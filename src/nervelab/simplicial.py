@@ -26,7 +26,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import itemgetter, le
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BoundError, ContractError, DomainError
 
@@ -824,7 +824,6 @@ def _search(
     emit: Callable[[list], object],
     pin: Optional[Mapping[Key, Key]] = None,
     allow: Optional[Callable[[Key, Key], bool]] = None,
-    limit: Optional[int] = None,
     distinct: bool = False,
 ) -> Iterator:
     """Depth-first search over the variables ``0..len(keys)-1``, in order.
@@ -838,11 +837,10 @@ def _search(
 
     ``pin`` maps source keys to the one target key each may take;
     ``allow(source_key, target_key)`` vetoes candidates; ``distinct`` asks
-    for pairwise different target keys; ``limit`` caps the solutions.
-    Yields ``emit(val)`` for every complete assignment.
+    for pairwise different target keys.  Yields ``emit(val)`` for every
+    complete assignment, lazily: a caller that wants the first solution
+    takes ``next(...)``.
     """
-    if limit is not None and limit <= 0:
-        return
     n = len(keys)
     val: list = [None] * n
     if n == 0:
@@ -861,7 +859,6 @@ def _search(
             cands = (want[-1],) if ok else ()
         return iter(cands)
 
-    count = 0
     i = 0
     branches[0] = domain(0)
     while i >= 0:
@@ -890,9 +887,6 @@ def _search(
             branches[i] = domain(i)
             continue
         yield emit(val)
-        count += 1
-        if count == limit:
-            return
         if distinct:
             used.discard(tags[i])
 
@@ -1027,8 +1021,7 @@ def find_simplicial_iso(X: SimplicialSet, Y: SimplicialSet) -> Optional[Simplici
     def nondegenerate_to_nondegenerate(key: Key, image: Key) -> bool:
         return X.is_degenerate(*key) or not Y.is_degenerate(*image)
 
-    maps = _search(*_simplicial_problem(X, Y), allow=nondegenerate_to_nondegenerate,
-                   limit=1, distinct=True)
+    maps = _search(*_simplicial_problem(X, Y), allow=nondegenerate_to_nondegenerate, distinct=True)
     return next(maps, None)
 
 
@@ -1044,20 +1037,31 @@ def _images(problem: tuple, order: Sequence[Key]) -> Iterator[tuple[tuple, None]
     return ((image, None) for image in _search(*problem[:4], _picker([index[key] for key in order])))
 
 
+class Singular(NamedTuple):
+    """A singular complex, level n the maps K(n) -> X, with the one rule
+    that names its cells: a cell is the tuple of its images at the source
+    keys of K(n), which ``keys[n]`` lists in ``assignments()`` order, each
+    with its position, and ``names[n]`` writes a tuple's id, the
+    ``encode()`` of its map.  ``table`` maps each ``(n, id)`` to its tuple."""
+
+    space: SimplicialSet
+    table: dict[tuple[int, Cell], tuple]
+    keys: tuple[dict[Key, int], ...]
+    names: tuple[Callable[..., str], ...]
+
+
 def _singular(
     D: int,
     level: Callable[[int, tuple, dict, dict], Iterable[tuple[tuple, Optional[tuple]]]],
     operator: Callable[[Monotone, int], object],
     template: Callable[[tuple], str],
-) -> tuple[SimplicialSet, dict[tuple[int, Cell], tuple]]:
+) -> Singular:
     """The simplicial set whose level n holds the maps K(n) -> X.
 
     This is the common shape of the geometric nerve (K = delta_tilde) and
-    of the extension (K = sd of the simplex).  A level-n cell is the tuple
-    of its images of the source keys of ``operator(identity, n)``, in
-    ``assignments()`` order, and its id is ``template(keys).format(*image)``,
-    the ``encode()`` of the map; no map object is built.  Returns the
-    simplicial set with the ``(n, id) -> image`` table.  ``phi`` acts by
+    of the extension (K = sd of the simplex).  The source keys of level n
+    are those of ``operator(identity, n)`` and its writer is
+    ``template(keys).format``; no map object is built.  ``phi`` acts by
     precomposition with ``operator(phi, n)``: K(m) -> K(n), which is
     re-indexing the tuple at the positions of the operator's image keys.
 
@@ -1099,7 +1103,23 @@ def _singular(
                 degeneracy[(n - 1, i, cid)] = level_named[si(image)]
         named, faces = level_named, level_faces
         cells[n] = faces.keys()
-    return SimplicialSet(D, cells, face, degeneracy), table
+    return Singular(SimplicialSet(D, cells, face, degeneracy), table, tuple(places.values()),
+                    tuple(template(tuple(keys)).format for keys in places.values()))
+
+
+def _postcompose(source: Singular, target: Singular, entry: Callable[[Key], tuple]) -> SimplicialMap:
+    """The map of singular complexes induced by a map X -> Y: a cell, a map
+    K(n) -> X, goes to its composite with X -> Y, named by the target's
+    writer.  At a key of K(n), ``entry(key) = (table, at)`` looks the image
+    up in ``table`` at the cell's image at the one key in ``at``, or at the
+    tuple of its images at several.  The target's keys must be among the
+    source's; their positions are found once per level."""
+    reads = [[(table, itemgetter(*map(source.keys[n].__getitem__, at))) for table, at in map(entry, keys)]
+             for n, keys in enumerate(target.keys)]
+    levels: dict[int, dict[Cell, Cell]] = {n: {} for n in range(len(reads))}
+    for (n, cid), image in source.table.items():
+        levels[n][cid] = target.names[n](*[table[read(image)] for table, read in reads[n]])
+    return SimplicialMap(source.space, target.space, levels, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,18 @@ nondegenerate cell of X with ``simplicial._glue``, the construction behind
 pushouts: the copy at the k-cell x has the prefix ``k:x@``, so its cells
 are named ``k:x@chain``, and copies are identified along faces.  The returned
 certificate records, per nondegenerate cell, the resulting gluing map
-``sd_simplex(k) -> sd(X)``; those maps are simultaneously the class
-lookup used by functoriality and the transposition helpers.
+``sd_simplex(k) -> sd(X)``; those maps are the class lookup of
+functoriality, and ``map_out`` builds every map out of sd(X) (``sd_map``,
+``alpha``, ``transpose_from_ex``) from a value per piece.
 
 ``ex(X, D)`` has, at level n, all simplicial maps from the subdivided
 n-simplex into X; operators act by precomposition.  Like the geometric
-nerve it is ``simplicial._singular``: a cell is the tuple of its images,
-named by the ``encode()`` of the map, which is never built.  ``alpha`` is
-the last-vertex map and ``beta`` its adjoint transpose.
+nerve it is ``simplicial._singular``, whose record alone names the cells:
+a cell is the tuple of its images, named by the ``encode()`` of the map,
+which is never built.  ``ex_map`` is ``simplicial._postcompose``, and
+``transpose_to_ex`` names its images with the writers of ``ex_cells``;
+both refuse a source truncated below the target.  ``alpha`` is the
+last-vertex map and ``beta`` is its adjoint transpose.
 """
 
 from __future__ import annotations
@@ -26,13 +30,16 @@ from typing import Callable, Iterable, Optional
 from .errors import BoundError, ContractError
 from .simplicial import (
     Cell,
+    Key,
     Monotone,
     SimplicialMap,
     SimplicialSet,
+    Singular,
     _chain_nerve,
     _glue,
     _images,
     _map_name_template,
+    _postcompose,
     _simplicial_problem,
     _singular,
     coface,
@@ -101,6 +108,23 @@ class SubdivisionCertificate:
         moved = sd_operator_map(epi, l, self.source.dim_bound).levels[level][chain]
         return self.gluing[(l, y)].levels[level][moved]
 
+    def map_out(self, target: SimplicialSet,
+                value: Callable[[int, Cell], Callable[[Key], Cell]]) -> SimplicialMap:
+        """The map ``space -> target`` that sends the chain u of level m in
+        the piece planted at the nondegenerate k-cell x to
+        ``value(k, x)((m, u))``.  A cell that several pieces share is
+        written by the first of them; the values must agree for this to be
+        a map."""
+        bound = min(self.space.dim_bound, target.dim_bound)
+        levels: dict[int, dict[Cell, Cell]] = {m: {} for m in range(bound + 1)}
+        for (k, x), glue in self.gluing.items():
+            at = value(k, x)
+            for m, level in levels.items():
+                for u, r in glue.levels[m].items():
+                    if r not in level:
+                        level[r] = at((m, u))
+        return SimplicialMap(self.space, target, levels, check=False)
+
 
 def sd(X: SimplicialSet) -> tuple[SimplicialSet, SubdivisionCertificate]:
     """Barycentric subdivision by skeletal gluing.
@@ -139,43 +163,26 @@ def sd_map(
     """Functoriality of subdivision: the induced map sd(X) -> sd(Y)."""
     if cert_src.source != f.source or cert_tgt.source != f.target:
         raise ContractError("certificates do not match the map's endpoints")
-    D = cert_src.space.dim_bound
-    levels: dict[int, dict[Cell, Cell]] = {m: {} for m in range(D + 1)}
-    for (k, x), glue in cert_src.gluing.items():
-        fx = f.levels[k][x]
-        for m in range(D + 1):
-            for u, r in glue.levels[m].items():
-                if r not in levels[m]:
-                    levels[m][r] = cert_tgt.class_of(k, fx, m, u)
-    return SimplicialMap(cert_src.space, cert_tgt.space, levels, check=False)
+    return cert_src.map_out(cert_tgt.space, lambda k, x: lambda key: cert_tgt.class_of(k, f.levels[k][x], *key))
 
 
 def alpha(X: SimplicialSet, cert: Optional[SubdivisionCertificate] = None) -> SimplicialMap:
-    """The last-vertex comparison map sd(X) -> X."""
+    """The last-vertex comparison map sd(X) -> X: in the copy at the k-cell
+    x, the chain u goes to the face of x at the maxima of u."""
     if cert is None:
         _, cert = sd(X)
-    D = X.dim_bound
-    levels: dict[int, dict[Cell, Cell]] = {m: {} for m in range(D + 1)}
-    for (k, x), glue in cert.gluing.items():
-        for m in range(D + 1):
-            for u, r in glue.levels[m].items():
-                if r not in levels[m]:
-                    levels[m][r] = simplicial_operator(X, last_vertex(u), k, x)
-    return SimplicialMap(cert.space, X, levels, check=False)
+    return cert.map_out(X, lambda k, x: lambda key: simplicial_operator(X, last_vertex(key[1]), k, x))
 
 
 # ---------------------------------------------------------------------------
 # the right adjoint
 # ---------------------------------------------------------------------------
 
-def ex_cells(X: SimplicialSet, D: int) -> tuple[SimplicialSet, dict[tuple[int, str], tuple[Cell, ...]]]:
-    """Bounded extension: level n is all maps sd_simplex(n) -> X.
-
-    Returns the simplicial set together with the id -> image tuple table,
-    the images in :func:`_sd_keys` order.  Requires
+def ex_cells(X: SimplicialSet, D: int) -> Singular:
+    """Bounded extension: level n is all maps sd_simplex(n, X.dim_bound) ->
+    X, with the keys, writers and table that name its cells.  Requires
     ``D <= X.dim_bound``: the subdivided n-simplex is n-dimensional, so no
-    information below the bound is lost.
-    """
+    information below the bound is lost."""
     if D > X.dim_bound:
         raise BoundError(f"extension bound {D} exceeds the bound of X ({X.dim_bound})")
     B = X.dim_bound
@@ -186,50 +193,26 @@ def ex_cells(X: SimplicialSet, D: int) -> tuple[SimplicialSet, dict[tuple[int, s
 
 
 def ex(X: SimplicialSet, D: int) -> SimplicialSet:
-    return ex_cells(X, D)[0]
+    return ex_cells(X, D).space
 
 
-@lru_cache(maxsize=None)
-def _sd_keys(n: int, D: int) -> tuple[tuple[int, Cell], ...]:
-    """The cells ``(m, chain)`` of ``sd_simplex(n, D)`` in the
-    ``assignments()`` order of a map out of it: by level, then by name."""
-    S = sd_simplex(n, D)
-    return tuple((m, u) for m in range(D + 1) for u in S.cells[m])
-
-
-def _ex_cell(n: int, D: int, image: Callable[[int, Cell], Cell]) -> Cell:
-    """The id in ex of the map ``sd_simplex(n, D) -> Y`` taking the cell u
-    of level m to ``image(m, u)``: its ``encode()``, without building it."""
-    keys = _sd_keys(n, D)
-    return _map_name_template(keys).format(*(image(m, u) for m, u in keys))
+def _no_lower(X: SimplicialSet, Y: SimplicialSet) -> None:
+    """A cell of ex(Y) has images at every level of Y, which a source X
+    truncated lower does not determine."""
+    if X.dim_bound < Y.dim_bound:
+        raise ContractError(f"source truncated at {X.dim_bound}, below the target's bound {Y.dim_bound}")
 
 
 def ex_map(f: SimplicialMap, D: int) -> SimplicialMap:
-    """Functoriality of the extension: postcompose every cell with f.
-
-    A cell's image is named from its image tuple mapped through f, which
-    is the ``encode()`` of the composite without building it, truncated at
-    the bound of f as the ids of ``ex(f.target)`` are."""
-    EX, table = ex_cells(f.source, D)
-    EY = ex(f.target, D)
-    keys = [_sd_keys(n, f.bound) for n in range(D + 1)]
-    names = [_map_name_template(k).format for k in keys]
-    levels: dict[int, dict[Cell, Cell]] = {n: {} for n in range(D + 1)}
-    for (n, cid), image in table.items():
-        levels[n][cid] = names[n](*(f.levels[m][v] for (m, _), v in zip(keys[n], image)))
-    return SimplicialMap(EX, EY, levels, check=False)
+    """Functoriality of the extension: postcompose every cell with f."""
+    _no_lower(f.source, f.target)
+    return _postcompose(ex_cells(f.source, D), ex_cells(f.target, D), lambda key: (f.levels[key[0]], (key,)))
 
 
 def beta(X: SimplicialSet, D: Optional[int] = None) -> SimplicialMap:
     """The unit comparison map X -> ex(X): transpose of the last-vertex map."""
-    D = X.dim_bound if D is None else D
-    EX = ex(X, D)
-    levels = {
-        n: {x: _ex_cell(n, X.dim_bound, lambda m, u: simplicial_operator(X, last_vertex(u), n, x))
-            for x in X.cells[n]}
-        for n in range(D + 1)
-    }
-    return SimplicialMap(X, EX, levels, check=False)
+    _, cert = sd(X)
+    return transpose_to_ex(alpha(X, cert), cert, X.dim_bound if D is None else D)
 
 
 def transpose_to_ex(
@@ -237,17 +220,16 @@ def transpose_to_ex(
     cert: SubdivisionCertificate,
     D: int,
 ) -> SimplicialMap:
-    """Turn ``F: sd(X) -> Y`` into its adjoint ``X -> ex(Y, D)``."""
+    """Turn ``F: sd(X) -> Y`` into its adjoint ``X -> ex(Y, D)``: the n-cell
+    x goes to the map taking the chain u of sd_simplex(n) to F at u's class
+    in the copy at x, named by the writer of ``ex_cells(Y, D)``."""
     X = cert.source
-    Y = F.target
-    EY = ex(Y, D)
-    bound = min(Y.dim_bound, cert.space.dim_bound)
-    levels = {
-        n: {x: _ex_cell(n, bound, lambda m, u: F.levels[m][cert.class_of(n, x, m, u)])
-            for x in X.cells[n]}
-        for n in range(D + 1)
-    }
-    return SimplicialMap(X, EY, levels, check=False)
+    _no_lower(X, F.target)
+    EY = ex_cells(F.target, D)
+    levels = {n: {x: EY.names[n](*(F.levels[m][cert.class_of(n, x, m, u)] for m, u in EY.keys[n]))
+                  for x in X.cells[n]}
+              for n in range(D + 1)}
+    return SimplicialMap(X, EY.space, levels, check=False)
 
 
 def transpose_from_ex(
@@ -257,13 +239,5 @@ def transpose_from_ex(
 ) -> SimplicialMap:
     """Turn ``G: X -> ex(Y, D)`` into its adjoint ``sd(X) -> Y``, reading
     each ``G(x)`` back as its image tuple from ``ex_cells(Y, D)``."""
-    _, table = ex_cells(Y, G.target.dim_bound)
-    bound = min(cert.space.dim_bound, Y.dim_bound)
-    levels: dict[int, dict[Cell, Cell]] = {m: {} for m in range(bound + 1)}
-    for (k, x), glue in cert.gluing.items():
-        g_of_x = dict(zip(_sd_keys(k, Y.dim_bound), table[(k, G.levels[k][x])]))
-        for m in levels:
-            for u, r in glue.levels[m].items():
-                if r not in levels[m]:
-                    levels[m][r] = g_of_x[(m, u)]
-    return SimplicialMap(cert.space, Y, levels, check=False)
+    EY = ex_cells(Y, G.target.dim_bound)
+    return cert.map_out(Y, lambda k, x: dict(zip(EY.keys[k], EY.table[(k, G.levels[k][x])])).__getitem__)

@@ -34,9 +34,11 @@ from .simplicial import (
     Monotone,
     SimplicialMap,
     SimplicialSet,
+    Singular,
     _claim,
     _escaped,
     _images,
+    _postcompose,
     _search,
     _singular,
     _UnionFind,
@@ -383,6 +385,8 @@ def delta_tilde(n: int) -> Fin2Cat:
     Cached: all callers share one instance per ``n``, which also makes
     composition checks between the induced operators cheap.
     """
+    if n < 0:
+        raise DomainError(f"delta_tilde({n}): n must be >= 0")
     if n > 9:
         raise DomainError("objects are encoded as digits; n <= 9 required")
     objects = [str(i) for i in range(n + 1)]
@@ -841,19 +845,20 @@ def find_2cat_iso(A: Fin2Cat, B: Fin2Cat) -> Optional[TwoFunctor]:
     sizes_b = sorted((len(H.objects), len(H.arrows)) for H in B.hom.values())
     if sizes_a != sizes_b:
         return None
-    return next(_search(*_two_functor_problem(A, B), limit=1, distinct=True), None)
+    return next(_search(*_two_functor_problem(A, B), distinct=True), None)
 
 
 # ---------------------------------------------------------------------------
 # the geometric nerve
 # ---------------------------------------------------------------------------
 
-def geometric_nerve_cells(C: Fin2Cat, D: int) -> tuple[SimplicialSet, dict[tuple[int, str], tuple[str, ...]]]:
-    """Geometric nerve truncated at D, plus the id -> image tuple table.
+def geometric_nerve_cells(C: Fin2Cat, D: int) -> Singular:
+    """Geometric nerve truncated at D, with the keys, writers and id ->
+    image tuple table that name its cells.
 
     Level n holds all strict 2-functors ``delta_tilde(n) -> C``, each kept
-    as its image tuple in :func:`_simplex_keys` order and named by its
-    ``encode()``; operators act by precomposition with
+    as its image tuple at the cell keys of ``delta_tilde(n)`` and named by
+    its ``encode()``; operators act by precomposition with
     :func:`cosimplicial_operator`.  Levels up to 3 are found by the search
     of :func:`enumerate_two_functors`.  The nerve is 3-coskeletal (Street
     1987, "The algebra of oriented simplexes"; Duskin 2002, "Simplicial
@@ -874,7 +879,7 @@ def geometric_nerve_cells(C: Fin2Cat, D: int) -> tuple[SimplicialSet, dict[tuple
 
 
 def geometric_nerve(C: Fin2Cat, D: int) -> SimplicialSet:
-    return geometric_nerve_cells(C, D)[0]
+    return geometric_nerve_cells(C, D).space
 
 
 @lru_cache(maxsize=None)
@@ -885,12 +890,6 @@ def _name_template(keys: tuple[Key, ...]) -> str:
     for key in keys:
         parts[key[0]].append(_escaped("!".join(key[1:])) + ">{}")
     return "/".join(",".join(p) for p in parts)
-
-
-@lru_cache(maxsize=None)
-def _simplex_keys(n: int) -> tuple[Key, ...]:
-    """The cell keys of ``delta_tilde(n)`` in ``assignments()`` order."""
-    return tuple(s for s, _ in cosimplicial_operator(tuple(range(n + 1)), n).assignments())
 
 
 @lru_cache(maxsize=None)
@@ -912,8 +911,9 @@ def _join_plan(n: int) -> tuple:
     concatenation; ``vertical`` the positions of the objects and 2-cell of
     the last composite, and the place of its first part among the splits.
     """
-    keys = _simplex_keys(n)
-    lower = {key: k for k, key in enumerate(_simplex_keys(n - 1))}
+    keys, below = ([s for s, _ in cosimplicial_operator(tuple(range(m + 1)), m).assignments()]
+                   for m in (n, n - 1))
+    lower = {key: k for k, key in enumerate(below)}
     everything = set(range(n + 1))
 
     def at(key: Key) -> int:
@@ -995,21 +995,12 @@ def _matching_tuples(n: int, faces: dict[str, tuple[str, ...]]) -> Iterator[tupl
 
 def geometric_nerve_functor(u: TwoFunctor, D: int) -> SimplicialMap:
     """The simplicial map of geometric nerves induced by a 2-functor
-    (postcomposition with u on each cell).
-
-    A cell's image is named from its image tuple mapped through u, which is
-    the ``encode()`` of the composite without building it.  The objects of
-    ``delta_tilde(n)`` come first in the tuple, object i at position i."""
-    NA, table = geometric_nerve_cells(u.source, D)
+    (postcomposition with u on each cell).  A 1- or 2-cell of
+    ``delta_tilde(n)`` between a and b maps through u's hom at the images
+    of a and b."""
     on = (u.objects, u.on1, u.on2)
-    keys = [_simplex_keys(n) for n in range(D + 1)]
-    names = [_name_template(k).format for k in keys]
-    levels: dict[int, dict[str, str]] = {n: {} for n in range(D + 1)}
-    for (n, cid), image in table.items():
-        mapped = (on[0][v] if key[0] == 0 else on[key[0]][(image[int(key[1])], image[int(key[2])], v)]
-                  for key, v in zip(keys[n], image))
-        levels[n][cid] = names[n](*mapped)
-    return SimplicialMap(NA, geometric_nerve(u.target, D), levels, check=False)
+    return _postcompose(geometric_nerve_cells(u.source, D), geometric_nerve_cells(u.target, D),
+                        lambda key: (on[key[0]], ((0, key[1]), (0, key[2]), key) if key[0] else (key,)))
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def test_criterion_02_geometric_nerve_of_inclusion():
     ok = True
     for name, C in categories().items():
         N1 = nerve(C, D)
-        N2, table = geometric_nerve_cells(as_two_category(C), D)
+        N2 = geometric_nerve_cells(as_two_category(C), D).space
         iso_levels = {}
         for n in range(D + 1):
             level = {}

@@ -343,7 +343,23 @@ def test_localizer_check_without_terminal_node_lists_missing_collapse_edges(tmp_
     assert main(["localizer-check", str(universe), sample("marked_empty.json")]) == 0
     found = json.loads(capsys.readouterr().out)["violations"]
     missing = [v["witness"] for v in found if v["axiom"] == "missing-collapse-edge"]
-    assert missing == [repr({"node": node}) for node in ("arrow", "chain2", "retract")]
+    assert missing == [{"node": node} for node in ("arrow", "chain2", "retract")]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["delta-tilde", "-1"], "delta_tilde(-1): n must be >= 0"),
+    (["homology", sample("boundary2.sset.json"), "--degree", "-3"], "degree -3 must be >= 0"),
+    (["evidence", sample("identity_interval.smap.json"), "--degree", "-1"], "degree -1 must be >= 0"),
+    (["evidence2", sample("iota_arrow_to_terminal.tfun.json"), "--degree", "-1"], "degree -1 must be >= 0"),
+    (["localizer-closure", sample("universe.json"), sample("marked_empty.json"), "--budget", "-1"],
+     "budget -1 must be >= 0"),
+    (["realize", sample("pres_boundary2.json"), "--budget", "-5"], "budget -5 must be >= 0"),
+], ids=["delta-tilde", "homology", "evidence", "evidence2", "localizer-closure", "realize"])
+def test_negative_parameter_exits_2_naming_the_value(argv, named, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {named}" in captured.err
 
 
 def test_validate_golden_is_clean():

@@ -19,6 +19,7 @@ from nervelab.localizer import (
     closure,
     violations,
 )
+from nervelab.serialize import violations_to_doc
 from nervelab.twocat import (
     compose_two_functors,
     cosimplicial_operator,
@@ -84,6 +85,15 @@ def test_slice_triangle_instance(U):
     assert len(v) == 1 and v[0].witness["edge"] == "u"
     W2 = MarkedClass(frozenset({"u_slice0", "u_slice1", "u"}))
     assert check_slice_triangle(U, "u", "id_arrow", "q", W2) == []
+
+
+def test_violation_witness_is_written_as_a_json_object(U):
+    W = MarkedClass(frozenset({"u_slice0", "u_slice1"}))
+    assert violations_to_doc(check_slice_triangle(U, "u", "id_arrow", "q", W)) == {"violations": [{
+        "axiom": "slice-criterion",
+        "witness": {"edge": "u", "triangle": ["u", "id_arrow", "q"],
+                    "slices": [["0", "u_slice0"], ["1", "u_slice1"]]},
+    }]}
 
 
 def test_slice_triangle_requires_recorded_triangle(U):

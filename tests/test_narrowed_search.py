@@ -3,7 +3,7 @@ compile it replaced, and the scale probes that the narrowing brought into
 reach."""
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -80,9 +80,10 @@ def unnarrowed_problem(X, Y):
     return keys, options, checks, _dimension_tag, emit
 
 
-def both(X, Y, **constraints):
-    """The ``encode()`` sequences of the narrowed and the reference search."""
-    return tuple([f.encode() for f in _search(*compile_search(X, Y), **constraints)]
+def both(X, Y, limit=None, **constraints):
+    """The ``encode()`` sequences of the narrowed and the reference search,
+    up to the first ``limit`` maps of each."""
+    return tuple([f.encode() for f in islice(_search(*compile_search(X, Y), **constraints), limit)]
                  for compile_search in (_simplicial_problem, unnarrowed_problem))
 
 

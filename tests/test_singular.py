@@ -12,12 +12,14 @@ a cell name, a level or an operator table shows up here.
 """
 
 import hashlib
+from functools import lru_cache
 from itertools import islice
 
 import pytest
 
 from nervelab.cat import FinCat
 from nervelab.corpus import categories, nonthin_two_categories, simplicial_objects, two_categories
+from nervelab.presentations import realize, twocat_of
 from nervelab.serialize import canonical_json, smap_to_doc, sset_to_doc
 from nervelab.simplicial import (
     SimplicialMap,
@@ -47,6 +49,7 @@ from nervelab.twocat import (
     as_two_category,
     compose_two_functors,
     cosimplicial_operator,
+    count_two_functors,
     delta_tilde,
     enumerate_two_functors,
     geometric_nerve,
@@ -145,7 +148,7 @@ def assert_operators_are_composites(X, table, operator, compose):
 
 @pytest.mark.parametrize("name", sorted(TWO))
 def test_geometric_nerve_operators_are_composites(name):
-    N, table = geometric_nerve_cells(TWO[name], 4)
+    N, table, *_ = geometric_nerve_cells(TWO[name], 4)
     maps = rebuilt(table, lambda n, image: two_functor(TWO[name], n, image))
     assert_operators_are_composites(N, maps, cosimplicial_operator, compose_two_functors)
 
@@ -153,7 +156,7 @@ def test_geometric_nerve_operators_are_composites(name):
 @pytest.mark.parametrize("name", sorted(simplicial_objects(2)))
 def test_ex_operators_are_composites(name):
     Y = simplicial_objects(2)[name]
-    E, table = ex_cells(Y, 2)
+    E, table, *_ = ex_cells(Y, 2)
     maps = rebuilt(table, lambda n, image: simplicial_map(Y, n, image))
     assert_operators_are_composites(
         E, maps, lambda phi, n: sd_operator_map(phi, n, Y.dim_bound), compose_maps
@@ -175,8 +178,8 @@ def enumerated_nerve_cells(C, D):
     pytest.param("simplex2_3", 5, marks=pytest.mark.slow),
 ])
 def test_coskeletal_levels_equal_enumerated_ones(name, D):
-    N, table = geometric_nerve_cells(TWO[name], D)
-    M, oracle = enumerated_nerve_cells(TWO[name], D)
+    N, table, *_ = geometric_nerve_cells(TWO[name], D)
+    M, oracle, *_ = enumerated_nerve_cells(TWO[name], D)
     assert N.cells == M.cells
     assert N.face == M.face
     assert N.degeneracy == M.degeneracy
@@ -198,7 +201,7 @@ def test_geometric_nerve_functor_names_the_composites(source, target, limit, pin
     for u in islice(enumerate_two_functors(TWO[source], TWO[target]), limit):
         f = geometric_nerve_functor(u, 4)
         assert validate_map(f) == []
-        _, table = geometric_nerve_cells(u.source, 4)
+        table = geometric_nerve_cells(u.source, 4).table
         for (n, cid), image in table.items():
             F = two_functor(u.source, n, image)
             assert f.levels[n][cid] == compose_two_functors(u, F).encode()
@@ -220,7 +223,7 @@ def test_ex_map_names_the_composites(source, target, pin):
     for f in enumerate_simplicial_maps(OBJECTS[source], OBJECTS[target]):
         g = ex_map(f, 1)
         assert validate_map(g) == []
-        _, table = ex_cells(f.source, 1)
+        table = ex_cells(f.source, 1).table
         for (n, cid), image in table.items():
             F = simplicial_map(f.source, n, image)
             assert g.levels[n][cid] == compose_maps(f, F).encode()
@@ -272,3 +275,21 @@ def test_encode_fills_the_name_template():
         c1 = ",".join(f"{a}!{b}!{x}>{v}" for (a, b, x), v in F.on1.items())
         c2 = ",".join(f"{a}!{b}!{x}>{v}" for (a, b, x), v in F.on2.items())
         assert F.encode() == o + "/" + c1 + "/" + c2
+
+
+@lru_cache(maxsize=None)
+def c2_sd2_simplex(n):
+    """c₂Sd²Δⁿ at bound 1: the 2-category presented by Sd²Δⁿ."""
+    realized = realize(twocat_of(sd(sd(standard_simplex(n, 1))[0])[0]))
+    assert realized.status == "finite"
+    return realized.two_category
+
+
+@pytest.mark.parametrize("name", sorted(TWO))
+def test_thomason_adjunction_counts_at_levels_0_and_1(name):
+    """c₂Sd² ⊣ Ex²N₂ (Thomason 1980, "Cat as a closed model category"):
+    the 2-functors c₂Sd²Δⁿ -> A are the n-cells of Ex²N₂(A), all at
+    bound 1."""
+    A = TWO[name]
+    E = ex(ex(geometric_nerve(A, 1), 1), 1)
+    assert [count_two_functors(c2_sd2_simplex(n), A) for n in (0, 1)] == [len(E.cells[n]) for n in (0, 1)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from nervelab.errors import ContractError
 from nervelab.homology import weak_equivalence_evidence
 from nervelab.simplicial import (
     SimplicialMap,
@@ -184,6 +185,32 @@ def test_beta_is_transpose_of_alpha():
         assert validate_map(b) == []
         assert transpose_from_ex(b, cert, X) == alpha(X, cert)
         assert transpose_to_ex(alpha(X, cert), cert, X.dim_bound) == b
+
+
+def test_maps_into_ex_refuse_a_source_truncated_below_the_target():
+    X, Y = standard_simplex(1, 1), standard_simplex(1, 2)
+    SX, cert = sd(X)
+    F = next(enumerate_simplicial_maps(SX, Y))
+    with pytest.raises(ContractError, match="source truncated at 1, below the target's bound 2"):
+        transpose_to_ex(F, cert, 1)
+    inclusion = SimplicialMap(X, Y, {n: {c: c for c in X.cells[n]} for n in range(2)})
+    with pytest.raises(ContractError, match="source truncated at 1, below the target's bound 2"):
+        ex_map(inclusion, 1)
+
+
+def test_maps_into_ex_from_a_source_truncated_higher_land_in_ex():
+    X, Y = standard_simplex(1, 2), standard_simplex(1, 1)
+    SX, cert = sd(X)
+    maps = list(enumerate_simplicial_maps(SX, Y))
+    assert len(maps) == count_maps(X, ex(Y, 1)) == 5
+    for F in maps:
+        G = transpose_to_ex(F, cert, 1)
+        assert validate_map(G) == []
+        assert transpose_from_ex(G, cert, Y) == F
+    for f in enumerate_simplicial_maps(X, Y):
+        g = ex_map(f, 1)
+        assert validate_map(g) == []
+        assert compose_maps(g, beta(X, 1)) == compose_maps(beta(Y), f)
 
 
 def test_beta_natural():
