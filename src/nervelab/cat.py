@@ -165,6 +165,9 @@ class CatFunctor:
 def validate_functor(F: CatFunctor) -> list[str]:
     out = []
     A, B = F.source, F.target
+    objects, arrows = set(A.objects), set(A.arrows)
+    out.extend(f"object {a!r} assigned but not a source object" for a in F.objects if a not in objects)
+    out.extend(f"arrow {f!r} assigned but not a source arrow" for f in F.arrows if f not in arrows)
     for a in A.objects:
         if F.objects.get(a) not in set(B.objects):
             out.append(f"object {a!r} unassigned or foreign image")

@@ -164,6 +164,8 @@ def smap_from_doc(doc: dict, where: str = "smap") -> SimplicialMap:
     for key in _need(doc, "levels", dict, where):
         if not key.isdecimal():
             raise SchemaError(f"{where}.levels: level key {key!r} is not a number")
+        if int(key) > min(source.dim_bound, target.dim_bound):
+            raise SchemaError(f"{where}.levels: level {key} above the bound of the map")
         levels[int(key)] = _names(doc["levels"], key, where + ".levels")
     f = SimplicialMap(source, target, levels, check=False)
     _refuse(where, validate_map(f))

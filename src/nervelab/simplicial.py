@@ -508,7 +508,8 @@ def _escaped(name: str) -> str:
 
 
 def validate_map(f: SimplicialMap) -> list[str]:
-    """Report levelwise totality and operator-commutation failures."""
+    """Report levelwise totality, assignments at keys that are not source
+    cells, and operator-commutation failures."""
     out = []
     bound = f.bound
     for n in range(bound + 1):
@@ -518,6 +519,8 @@ def validate_map(f: SimplicialMap) -> list[str]:
                 out.append(f"level {n}: cell {c!r} unassigned")
             elif not f.target.has_cell(n, assigned[c]):
                 out.append(f"level {n}: image {assigned[c]!r} of {c!r} not a target cell")
+        out.extend(f"level {n}: {c!r} assigned but not a source cell"
+                   for c in assigned if not f.source.has_cell(n, c))
     for n in range(1, bound + 1):
         for c in f.source.cells[n]:
             if c not in f.levels[n]:

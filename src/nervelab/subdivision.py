@@ -9,7 +9,8 @@ are named ``k:x@chain``, and copies are identified along faces.  The returned
 certificate records, per nondegenerate cell, the resulting gluing map
 ``sd_simplex(k) -> sd(X)``; those maps are the class lookup of
 functoriality, and ``map_out`` builds every map out of sd(X) (``sd_map``,
-``alpha``, ``transpose_from_ex``) from a value per piece.
+``alpha``, ``transpose_from_ex``) from a value per piece; ``sd_map`` and
+``transpose_from_ex`` refuse a value truncated below a piece.
 
 ``ex(X, D)`` has, at level n, all simplicial maps from the subdivided
 n-simplex into X; operators act by precomposition.  Like the geometric
@@ -155,6 +156,14 @@ def sd(X: SimplicialSet) -> tuple[SimplicialSet, SubdivisionCertificate]:
     return space, SubdivisionCertificate(X, space, gluing)
 
 
+def _no_piece_above(cert: SubdivisionCertificate, bound: int, truncated: str) -> None:
+    """``map_out`` reads a value at every nondegenerate cell of the source,
+    which a value truncated below the top one does not give."""
+    top = max((k for k, _ in cert.gluing), default=-1)
+    if top > bound:
+        raise ContractError(f"{truncated} truncated at {bound}, below the source's nondegenerate {top}-cells")
+
+
 def sd_map(
     f: SimplicialMap,
     cert_src: SubdivisionCertificate,
@@ -163,6 +172,7 @@ def sd_map(
     """Functoriality of subdivision: the induced map sd(X) -> sd(Y)."""
     if cert_src.source != f.source or cert_tgt.source != f.target:
         raise ContractError("certificates do not match the map's endpoints")
+    _no_piece_above(cert_src, f.bound, "map")
     return cert_src.map_out(cert_tgt.space, lambda k, x: lambda key: cert_tgt.class_of(k, f.levels[k][x], *key))
 
 
@@ -239,5 +249,6 @@ def transpose_from_ex(
 ) -> SimplicialMap:
     """Turn ``G: X -> ex(Y, D)`` into its adjoint ``sd(X) -> Y``, reading
     each ``G(x)`` back as its image tuple from ``ex_cells(Y, D)``."""
+    _no_piece_above(cert, G.target.dim_bound, "ex")
     EY = ex_cells(Y, G.target.dim_bound)
     return cert.map_out(Y, lambda k, x: dict(zip(EY.keys[k], EY.table[(k, G.levels[k][x])])).__getitem__)

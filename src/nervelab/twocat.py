@@ -271,6 +271,14 @@ class TwoFunctor:
 def validate_two_functor(F: TwoFunctor) -> list[str]:
     out = []
     A, B = F.source, F.target
+    objects = set(A.objects)
+    out.extend(f"object {a!r} assigned but not a source object" for a in F.objects if a not in objects)
+    for key in F.on1:
+        if key[:2] not in A.hom or key[2] not in A.hom[key[:2]].objects:
+            out.append(f"1-cell {key!r} assigned but not a source 1-cell")
+    for key in F.on2:
+        if key[:2] not in A.hom or key[2] not in A.hom[key[:2]].arrows:
+            out.append(f"2-cell {key!r} assigned but not a source 2-cell")
     for a in A.objects:
         if F.objects.get(a) not in set(B.objects):
             out.append(f"object {a!r} unassigned or foreign")
@@ -600,13 +608,13 @@ def _two_functor_problem(A: Fin2Cat, B: Fin2Cat) -> tuple:
     """Compile the search for strict 2-functors A -> B for the shared kernel.
 
     Branches on objects, then 1-cells, then 2-cells.  Unit 1-cells and
-    identity 2-cells are forced, and so is any cell expressible as a
-    horizontal or vertical composite of cells placed before it, which keeps
-    the search shallow on simplex-shaped sources.
+    identity 2-cells are forced; any other 1-cell ranges over its hom of B
+    and any other 2-cell over the 2-cells parallel to it.  Every composite
+    instance is a check filed under its last variable, so a composite
+    placed after its parts is tested as soon as it is chosen.
 
-    B must pass :func:`validate_2category`: a composite instance is not
-    checked when the unit and identity laws of B or the forcing of its
-    composite from the same parts already make it hold.
+    B must pass :func:`validate_2category`: an instance with a unit or
+    identity part is not checked, since the laws of B make it hold.
     """
     ones: list[Key] = []
     for (a, b), H in sorted(A.hom.items()):
@@ -622,9 +630,9 @@ def _two_functor_problem(A: Fin2Cat, B: Fin2Cat) -> tuple:
             one_decomp[key].append(((1, a, b, f), (1, b, c, g)))
 
     # Variable order: homs sorted by dependency rank (a hom holding composites
-    # comes after the homs its parts live in), and inside a hom the forced
-    # (decomposable) cells come before the freely branched ones.  Free
-    # branches are then checked immediately against already-forced composites.
+    # comes after the homs its parts live in), and inside a hom the
+    # decomposable cells come before the others.  This order fixes the
+    # enumeration order, which the tests pin.
     hom_rank: dict[tuple[Obj, Obj], int] = {key: 0 for key in A.hom}
     for _ in range(2 * len(A.hom) + 1):
         changed = False
@@ -638,18 +646,6 @@ def _two_functor_problem(A: Fin2Cat, B: Fin2Cat) -> tuple:
             break
     ones.sort(key=lambda v: (hom_rank[v[1:3]], v[1:3], 0 if one_decomp[v] else 1, v[3]))
 
-    # decompositions of 2-cells: vertical and horizontal
-    two_decomp_v: dict[Key, list[tuple[Key, Key]]] = {}
-    for (a, b), H in A.hom.items():
-        for (be, al), ga in H.compose.items():
-            if al != ga and be != ga:
-                two_decomp_v.setdefault((2, a, b, ga), []).append(((2, a, b, al), (2, a, b, be)))
-    two_decomp_h: dict[Key, list[tuple[Key, Key]]] = {}
-    for (a, b, c, al, be), ga in A.hcompose2.items():
-        key = (2, a, c, ga)
-        if (2, a, b, al) != key and (2, b, c, be) != key:
-            two_decomp_h.setdefault(key, []).append(((2, a, b, al), (2, b, c, be)))
-
     keys: list[Key] = [(0, a) for a in A.objects]
     keys += [(1, a, a, A.unit[a]) for a in A.objects]
     keys += ones
@@ -658,155 +654,77 @@ def _two_functor_problem(A: Fin2Cat, B: Fin2Cat) -> tuple:
              for al in H.arrows if not H.is_identity(al)]
     index = {key: k for k, key in enumerate(keys)}
     obj = {a: index[(0, a)] for a in A.objects}
-
-    def placed(k1: Key, k2: Key, k: int) -> bool:
-        return index[k1] < k and index[k2] < k
-
-    # (part, part, composite) instances whose composite is forced from
-    # exactly these parts: the options guarantee them, so they are not checked
-    forced = {(k1, k2, key) for key, decs in one_decomp.items()
-              for k1, k2 in decs if placed(k1, k2, index[key])}
-    forced |= {(k1, k2, key) for decomp in (two_decomp_v, two_decomp_h) for key, decs in decomp.items()
-               if not A.hom[key[1:3]].is_identity(key[3])
-               for k1, k2 in decs if placed(k1, k2, index[key])}
-    unit_identity = {a: A.hom[(a, a)].identity[A.unit[a]] for a in A.objects}
+    units = {1: A.unit, 2: {a: A.hom[(a, a)].identity[u] for a, u in A.unit.items()}}
 
     # constraint instances, each filed under its last variable; those with
     # a unit or identity part hold by the laws of B
     homs_inhabited: dict[int, list[tuple[int, int]]] = {}
+    one_rel: dict[int, set] = {}
+    two_v: dict[int, list] = {}
     for (a, b), H in A.hom.items():
         if H.objects:
             homs_inhabited.setdefault(max(obj[a], obj[b]), []).append((obj[a], obj[b]))
-    one_h: dict[int, list] = {}
-    for (a, b, c, f, g), h in A.hcompose1.items():
-        k1, k2, kh = (1, a, b, f), (1, b, c, g), (1, a, c, h)
-        if (a == b and f == A.unit[a]) or (b == c and g == A.unit[b]) or (k1, k2, kh) in forced:
-            continue
-        i1, i2, ih = index[k1], index[k2], index[kh]
-        one_h.setdefault(max(i1, i2, ih), []).append((i1, i2, ih, obj[a], obj[b], obj[c]))
-    # hom-arrow compatibility: if hom_A has an arrow f -> g, the images must
-    # admit an arrow in hom_B; prunes hard when hom_B is thin or discrete
-    one_rel: dict[int, set] = {}
-    for (a, b), H in A.hom.items():
+        # hom-arrow compatibility: if hom_A has an arrow f -> g, the images must
+        # admit an arrow in hom_B; prunes hard when hom_B is thin or discrete
         for al in H.arrows:
             if H.src[al] != H.dst[al]:
                 i1, i2 = index[(1, a, b, H.src[al])], index[(1, a, b, H.dst[al])]
                 one_rel.setdefault(max(i1, i2), set()).add((i1, i2, obj[a], obj[b]))
-    two_v: dict[int, list] = {}
-    for (a, b), H in A.hom.items():
         for (be, al), ga in H.compose.items():
-            k1, k2, kg = (2, a, b, al), (2, a, b, be), (2, a, b, ga)
-            if H.is_identity(al) or H.is_identity(be) or (k1, k2, kg) in forced:
+            if not (H.is_identity(al) or H.is_identity(be)):
+                i1, i2, ig = index[(2, a, b, al)], index[(2, a, b, be)], index[(2, a, b, ga)]
+                two_v.setdefault(max(i1, i2, ig), []).append((i1, i2, ig, obj[a], obj[b]))
+    horizontal: dict[int, list] = {}
+    for d, composites, hc in ((1, A.hcompose1, B.hcompose1), (2, A.hcompose2, B.hcompose2)):
+        for (a, b, c, x, y), z in composites.items():
+            if (a == b and x == units[d][a]) or (b == c and y == units[d][b]):
                 continue
-            i1, i2, ig = index[k1], index[k2], index[kg]
-            two_v.setdefault(max(i1, i2, ig), []).append((i1, i2, ig, obj[a], obj[b]))
-    two_h: dict[int, list] = {}
-    for (a, b, c, al, be), ga in A.hcompose2.items():
-        k1, k2, kg = (2, a, b, al), (2, b, c, be), (2, a, c, ga)
-        if (a == b and al == unit_identity[a]) or (b == c and be == unit_identity[b]) or (k1, k2, kg) in forced:
-            continue
-        i1, i2, ig = index[k1], index[k2], index[kg]
-        two_h.setdefault(max(i1, i2, ig), []).append((i1, i2, ig, obj[a], obj[b], obj[c]))
+            i1, i2, iz = index[(d, a, b, x)], index[(d, b, c, y)], index[(d, a, c, z)]
+            horizontal.setdefault(max(i1, i2, iz), []).append((hc, i1, i2, iz, obj[a], obj[b], obj[c]))
 
     b_inhabited = {xy for xy, K in B.hom.items() if K.objects}
-    b_rel = {xy: {(K.src[t], K.dst[t]) for t in K.arrows} for xy, K in B.hom.items()}
     parallel: dict[tuple[Obj, Obj], dict[tuple[One, One], list[Two]]] = {}
     for xy, K in B.hom.items():
         par = parallel.setdefault(xy, {})
         for t in K.arrows:
             par.setdefault((K.src[t], K.dst[t]), []).append(t)
-    hc1, hc2 = B.hcompose1, B.hcompose2
 
-    def objects(val: list) -> tuple[Obj, ...]:
-        return B.objects
-
-    def unit(x: int) -> Callable[[list], tuple[One]]:
-        return lambda val: (B.unit[val[x]],)
-
-    def one_cells(x: int, y: int, decs: list) -> Callable[[list], Sequence[One]]:
-        def options(val: list) -> Sequence[One]:
-            forced = None
-            for i1, i2, p, q, r in decs:
-                v = hc1.get((val[p], val[q], val[r], val[i1], val[i2]))
-                if v is None or (forced is not None and forced != v):
-                    return ()
-                forced = v
-            cells = B.hom[(val[x], val[y])].objects
-            if forced is None:
-                return cells
-            return (forced,) if forced in cells else ()
-        return options
-
-    def identity(x: int, y: int, i: int) -> Callable[[list], tuple[Two]]:
-        return lambda val: (B.hom[(val[x], val[y])].identity[val[i]],)
-
-    def two_cells(x: int, y: int, s: int, d: int, vdecs: list, hdecs: list) -> Callable[[list], Sequence[Two]]:
-        def options(val: list) -> Sequence[Two]:
-            K = B.hom[(val[x], val[y])]
-            forced = None
-            for i1, i2 in vdecs:
-                v = K.compose.get((val[i2], val[i1]))
-                if v is None or (forced is not None and forced != v):
-                    return ()
-                forced = v
-            for i1, i2, p, q, r in hdecs:
-                v = hc2.get((val[p], val[q], val[r], val[i1], val[i2]))
-                if v is None or (forced is not None and forced != v):
-                    return ()
-                forced = v
-            if forced is None:
-                return parallel[(val[x], val[y])].get((val[s], val[d]), ())
-            ok = K.src.get(forced) == val[s] and K.dst.get(forced) == val[d]
-            return (forced,) if ok else ()
-        return options
+    def option(key: Key) -> Callable[[list], Sequence[str]]:
+        if key[0] == 0:
+            return lambda val: B.objects
+        _, a, b, cell = key
+        x, y, H = obj[a], obj[b], A.hom[(a, b)]
+        if key[0] == 1 and a == b and cell == A.unit[a]:
+            return lambda val: (B.unit[val[x]],)
+        if key[0] == 1:
+            return lambda val: B.hom[(val[x], val[y])].objects
+        s, d = index[(1, a, b, H.src[cell])], index[(1, a, b, H.dst[cell])]
+        if H.is_identity(cell):
+            return lambda val: (B.hom[(val[x], val[y])].identity[val[s]],)
+        return lambda val: parallel[(val[x], val[y])].get((val[s], val[d]), ())
 
     def check(k: int) -> Optional[Callable[[list], bool]]:
-        inhabited, h1, rel = homs_inhabited.get(k, ()), one_h.get(k, ()), one_rel.get(k, ())
-        v2, h2 = two_v.get(k, ()), two_h.get(k, ())
-        if not (inhabited or h1 or rel or v2 or h2):
+        inhabited, h, rel, v2 = (c.get(k, ()) for c in (homs_inhabited, horizontal, one_rel, two_v))
+        if not (inhabited or h or rel or v2):
             return None
 
         def holds(val: list) -> bool:
             for p, q in inhabited:
                 if (val[p], val[q]) not in b_inhabited:
                     return False
-            for i1, i2, ih, p, q, r in h1:
-                if hc1.get((val[p], val[q], val[r], val[i1], val[i2])) != val[ih]:
+            for hc, i1, i2, iz, p, q, r in h:
+                if hc.get((val[p], val[q], val[r], val[i1], val[i2])) != val[iz]:
                     return False
             for i1, i2, p, q in rel:
-                if (val[i1], val[i2]) not in b_rel[(val[p], val[q])]:
+                if (val[i1], val[i2]) not in parallel[(val[p], val[q])]:
                     return False
             for i1, i2, ig, p, q in v2:
                 if B.hom[(val[p], val[q])].compose.get((val[i2], val[i1])) != val[ig]:
                     return False
-            for i1, i2, ig, p, q, r in h2:
-                if hc2.get((val[p], val[q], val[r], val[i1], val[i2])) != val[ig]:
-                    return False
             return True
         return holds
 
-    options: list = []
-    for k, key in enumerate(keys):
-        if key[0] == 0:
-            options.append(objects)
-            continue
-        _, a, b, cell = key
-        H = A.hom[(a, b)]
-        if key[0] == 1 and a == b and cell == A.unit[a]:
-            options.append(unit(obj[a]))
-        elif key[0] == 1:
-            decs = [(index[k1], index[k2], obj[k1[1]], obj[k1[2]], obj[k2[2]])
-                    for k1, k2 in one_decomp[key] if placed(k1, k2, k)]
-            options.append(one_cells(obj[a], obj[b], decs))
-        elif H.is_identity(cell):
-            options.append(identity(obj[a], obj[b], index[(1, a, b, H.src[cell])]))
-        else:
-            vdecs = [(index[k1], index[k2])
-                     for k1, k2 in two_decomp_v.get(key, ()) if placed(k1, k2, k)]
-            hdecs = [(index[k1], index[k2], obj[k1[1]], obj[k1[2]], obj[k2[2]])
-                     for k1, k2 in two_decomp_h.get(key, ()) if placed(k1, k2, k)]
-            options.append(two_cells(obj[a], obj[b], index[(1, a, b, H.src[cell])],
-                                     index[(1, a, b, H.dst[cell])], vdecs, hdecs))
+    options = [option(key) for key in keys]
     checks = [check(k) for k in range(len(keys))]
 
     def tag(key: Key, value: str, val: list) -> Key:
@@ -859,20 +777,21 @@ def geometric_nerve_cells(C: Fin2Cat, D: int) -> Singular:
     Level n holds all strict 2-functors ``delta_tilde(n) -> C``, each kept
     as its image tuple at the cell keys of ``delta_tilde(n)`` and named by
     its ``encode()``; operators act by precomposition with
-    :func:`cosimplicial_operator`.  Levels up to 3 are found by the search
+    :func:`cosimplicial_operator`.  Levels up to 2 are found by the search
     of :func:`enumerate_two_functors`.  The nerve is 3-coskeletal (Street
     1987, "The algebra of oriented simplexes"; Duskin 2002, "Simplicial
-    matrices and the nerves of weak n-categories I"): for n >= 4 every
-    tuple of (n-1)-cells with matching faces is the boundary of exactly
-    one n-cell.  Those levels are built by joining the level below on
-    shared faces (:func:`_coskeletal_level`).
+    matrices and the nerves of weak n-categories I"): for n >= 3 a tuple of
+    (n-1)-cells with matching faces is the boundary of at most one n-cell,
+    and of exactly one when the two pastings of its top 2-cell agree, which
+    always holds for n >= 4.  Levels from 3 on are built by joining the
+    level below on shared faces (:func:`_coskeletal_level`).
 
     C must pass :func:`validate_2category`: the search files no check that
     the unit and identity laws of C make vacuous, and the join takes the
     cells that lie in no face to be composites in C.
     """
     def level(n: int, keys: tuple, named: dict, faces: dict) -> Iterable:
-        if n < 4:
+        if n < 3:
             return _images(_two_functor_problem(delta_tilde(n), C), keys)
         return _coskeletal_level(C, n, named, faces)
     return _singular(D, level, cosimplicial_operator, _name_template)
@@ -894,7 +813,7 @@ def _name_template(keys: tuple[Key, ...]) -> str:
 
 @lru_cache(maxsize=None)
 def _join_plan(n: int) -> tuple:
-    """How an n-cell of a geometric nerve (n >= 4) is read off its faces.
+    """How an n-cell of a geometric nerve (n >= 3) is read off its faces.
 
     Concatenate the image tuples of the faces ``x_0 .. x_n`` and append the
     fills below; ``pick`` then takes the n-cell's image tuple from that.  A
@@ -905,11 +824,13 @@ def _join_plan(n: int) -> tuple:
     * a 2-cell {0..n} => T where T has an interior vertex m is ``hc2``
       of its restrictions to {0..m} and {m..n} (m the least such vertex);
     * {0..n} => {0,n} is the vertical composite of {0..n} => {0,1,n} and
-      {0,1,n} => {0,n}.
+      {0,1,n} => {0,n}; it must equal the other pasting, of
+      {0..n} => {0,n-1,n} and {0,n-1,n} => {0,n}.
 
     ``one`` and ``splits`` hold the positions of the composed parts in the
-    concatenation; ``vertical`` the positions of the objects and 2-cell of
-    the last composite, and the place of its first part among the splits.
+    concatenation; ``vertical`` the positions of the objects of the last
+    composite, then for each pasting the position of its second part and
+    the place of its first part among the splits.
     """
     keys, below = ([s for s, _ in cosimplicial_operator(tuple(range(m + 1)), m).assignments()]
                    for m in (n, n - 1))
@@ -938,8 +859,10 @@ def _join_plan(n: int) -> tuple:
         tail = "".join(ch for ch in T if int(ch) >= m)
         splits.append((o0, at((0, str(m))), on, at((2, "0", str(m), f"{full[:m + 1]}>{head}")),
                        at((2, str(m), last, f"{full[m:]}>{tail}"))))
-    via = f"01{last}"
-    vertical = (o0, on, at((2, "0", last, f"{via}>0{last}")), fills[(2, "0", last, f"{full}>{via}")] - 1)
+
+    def pasting(via: str) -> tuple[int, int]:
+        return at((2, "0", last, f"{via}>0{last}")), fills[(2, "0", last, f"{full}>{via}")] - 1
+    vertical = (o0, on, *pasting(f"01{last}"), *pasting(f"0{n - 1}{last}"))
     fills[(2, "0", last, f"{full}>0{last}")] = len(fills)
     base = (n + 1) * len(lower)
     pick = itemgetter(*(base + fills[key] if key in fills else at(key) for key in keys))
@@ -947,20 +870,24 @@ def _join_plan(n: int) -> tuple:
 
 
 def _coskeletal_level(C: Fin2Cat, n: int, named: dict, faces: dict) -> Iterator[tuple]:
-    """Level n >= 4 of the geometric nerve of C, from level n-1 given as
+    """Level n >= 3 of the geometric nerve of C, from level n-1 given as
     in :func:`_singular`: one cell per tuple ``(x_0 .. x_n)`` of
-    (n-1)-cells with ``d_i x_j = d_{j-1} x_i`` for ``i < j``; its faces are
-    that tuple.  Requires C to pass :func:`validate_2category`."""
+    (n-1)-cells with ``d_i x_j = d_{j-1} x_i`` for ``i < j`` on which the
+    two pastings of the top 2-cell agree; its faces are that tuple.
+    Requires C to pass :func:`validate_2category`."""
     pick, one, splits, vertical = _join_plan(n)
     image_of = {cid: image for image, cid in named.items()}
     hc1, hc2, hom = C.hcompose1, C.hcompose2, C.hom
     o0, o1, on, f01, f1n = one
-    z0, zn, via, first = vertical
+    z0, zn, via, first, via2, second = vertical
     for xs in _matching_tuples(n, faces):
         c = sum((image_of[x] for x in xs), ())
         twos = [hc2[(c[a], c[m], c[b], c[x], c[y])] for a, m, b, x, y in splits]
-        c += (hc1[(c[o0], c[o1], c[on], c[f01], c[f1n])], *twos,
-              hom[(c[z0], c[zn])].compose[(c[via], twos[first])])
+        compose = hom[(c[z0], c[zn])].compose
+        top = compose[(c[via], twos[first])]
+        if compose[(c[via2], twos[second])] != top:
+            continue
+        c += (hc1[(c[o0], c[o1], c[on], c[f01], c[f1n])], *twos, top)
         yield pick(c), xs
 
 

@@ -151,11 +151,11 @@ def as_generators(break_smap):
     return wrap
 
 
-def as_identity_cfun(break_target):
-    """The identity functor of the category, with its target broken."""
+def as_identity_cfun(break_it):
+    """The identity functor of the category, broken by ``break_it``."""
     def wrap(doc):
         cfun = ser.cfun_to_doc(identity_functor(ser.fincat_from_doc(doc)))
-        break_target(cfun["target"])
+        break_it(cfun)
         doc.clear()
         doc.update(cfun)
     return wrap
@@ -174,6 +174,7 @@ ARGV = {
     "factorize --generators": lambda bad: [
         "factorize", sample("boundary2_to_point.smap.json"), "--generators", bad],
     "localizer-check": lambda bad: ["localizer-check", bad, sample("marked_empty.json")],
+    "evidence --degree 0": lambda bad: ["evidence", bad, "--degree", "0"],
 }
 
 
@@ -238,7 +239,7 @@ ARGV = {
      lambda doc: doc.update(g=json.loads((DATA / "interval_to_point.smap.json").read_text())),
      ": f, g: span legs must share their source"),
     ("slice", "arrow.fincat.json",
-     as_identity_cfun(lambda C: C.update(compose=without(C["compose"], ["id_1", "0<=1"]))),
+     as_identity_cfun(lambda F: F["target"].update(compose=without(F["target"]["compose"], ["id_1", "0<=1"]))),
      ".target: compose missing on ('id_1', '0<=1')"),
     ("slice2", "iota_arrow_to_terminal.tfun.json",
      lambda doc: doc["source"].update(hcompose2=without(doc["source"]["hcompose2"], ["0", "0", "1"])),
@@ -258,12 +259,32 @@ ARGV = {
     ("rlp", "interval_to_point.smap.json",
      lambda doc: doc["levels"]["1"].pop("00"),
      ": level 1: cell '00' unassigned (the first of"),
+    ("evidence --degree 0", "interval_to_point.smap.json",
+     lambda doc: doc["levels"]["0"].update(zz="0"),
+     ": level 0: 'zz' assigned but not a source cell (the first of"),
+    ("evidence --degree 0", "interval_to_point.smap.json",
+     lambda doc: doc["levels"].update({"7": {"zz": "0"}}),
+     ".levels: level 7 above the bound of the map"),
+    ("evidence2", "iota_arrow_to_terminal.tfun.json",
+     lambda doc: doc["objects"].update(ghost="*"),
+     ": object 'ghost' assigned but not a source object (the first of"),
+    ("evidence2", "iota_arrow_to_terminal.tfun.json",
+     lambda doc: doc["on1"].append(["1", "0", "ghost", "1"]),
+     ": 1-cell ('1', '0', 'ghost') assigned but not a source 1-cell (the first of"),
+    ("evidence2", "iota_arrow_to_terminal.tfun.json",
+     lambda doc: doc["on2"].append(["0", "1", "ghost", "id_1"]),
+     ": 2-cell ('0', '1', 'ghost') assigned but not a source 2-cell (the first of"),
+    ("slice", "arrow.fincat.json",
+     as_identity_cfun(lambda F: F["arrows"].update(ghost="0<=1")),
+     ": arrow 'ghost' assigned but not a source arrow (the first of"),
 ], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2",
         "alpha-beta", "cat-of", "twocat-of", "elements", "final", "slice", "slice2",
         "evidence", "rlp", "factorize", "factorize-generators", "lift", "hpushout",
         "lift-top-bottom-swapped", "hpushout-legs-apart",
         "slice-cfun", "slice2-tfun", "validate-face-level", "realize-cat-relation",
-        "realize-step-left", "localizer-check-node", "rlp-levels"])
+        "realize-step-left", "localizer-check-node", "rlp-levels",
+        "evidence-stray-cell", "evidence-stray-level", "evidence2-stray-object", "evidence2-stray-1-cell",
+        "evidence2-stray-2-cell", "slice-cfun-stray-arrow"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(
         command, sample_name, break_it, named, tmp_path, capsys):
     doc = json.loads((DATA / sample_name).read_text())

@@ -50,7 +50,7 @@ S = simplicial_objects(2)
 C = categories()
 T = {**two_categories(), **nonthin_two_categories(),
      # a composite of non-units that is a unit is placed before its parts, so
-     # it is checked, not forced
+     # its check is filed under the last of them
      "iota_z3": as_two_category(C["z3"]), "iota_idempotent": as_two_category(C["idempotent"])}
 
 
@@ -132,6 +132,8 @@ def digest(maps):
     (enumerate_two_functors, T, "iota_z2", "iota_z2", (2, "d9f9d1fcd9ba9384")),
     (enumerate_two_functors, T, "simplex2_3", "simplex2_2", (31, "260ea36da4aa4c68")),
     (enumerate_two_functors, T, "iota_parallel", "single2cell", (6, "d7dabc41c65bc430")),
+    (enumerate_two_functors, T, "simplex2_3", "z2_on_unit", (8, "499646c65bb74ae2")),
+    (enumerate_two_functors, T, "simplex2_3", "parallel_2cells", (24, "858e4ea37b3d749c")),
 ])
 def test_enumeration_order_is_pinned(enumerate_maps, corpus, source, target, expected):
     assert digest(enumerate_maps(corpus[source], corpus[target])) == expected

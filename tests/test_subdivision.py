@@ -198,6 +198,19 @@ def test_maps_into_ex_refuse_a_source_truncated_below_the_target():
         ex_map(inclusion, 1)
 
 
+def test_sd_map_refuses_a_map_truncated_below_a_nondegenerate_cell():
+    X = standard_simplex(2, 2)
+    f = SimplicialMap(X, standard_simplex(1, 1), {n: {c: "0" * (n + 1) for c in X.cells[n]} for n in range(2)})
+    with pytest.raises(ContractError, match="map truncated at 1, below the source's nondegenerate 2-cells"):
+        sd_map(f, sd(X)[1], sd(f.target)[1])
+
+
+def test_transpose_from_ex_refuses_an_ex_truncated_below_a_nondegenerate_cell():
+    X = standard_simplex(2, 2)
+    with pytest.raises(ContractError, match="ex truncated at 1, below the source's nondegenerate 2-cells"):
+        transpose_from_ex(beta(X, 1), sd(X)[1], X)
+
+
 def test_maps_into_ex_from_a_source_truncated_higher_land_in_ex():
     X, Y = standard_simplex(1, 2), standard_simplex(1, 1)
     SX, cert = sd(X)
