@@ -27,7 +27,7 @@ from .homology import (
 from .lifting import LiftingProblem, find_lift, has_rlp, homotopy_pushout, small_object_factorize
 from .localizer import closure, violations
 from .presentations import cat_of, realize, twocat_of
-from .simplicial import SimplicialMap, boundary, standard_simplex, validate
+from .simplicial import SimplicialMap, boundary_inclusion, validate
 from .subdivision import alpha, beta, ex, sd
 from .twocat import delta_tilde, geometric_nerve, identity_two_functor, slice_2category
 
@@ -66,24 +66,12 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _boundary_generators(n_max: int, D: int) -> list[SimplicialMap]:
-    gens = []
-    for n in range(n_max + 1):
-        A = boundary(n, D)
-        B = standard_simplex(n, D)
-        gens.append(
-            SimplicialMap(A, B, {m: {c: c for c in A.cells[m]} for m in range(D + 1)},
-                          check=False)
-        )
-    return gens
-
-
 def _parse_generators(spec: str, D: int) -> list[SimplicialMap]:
     if spec.startswith("boundaries:"):
         n = spec.split(":", 1)[1]
         if not n.isdecimal():
             raise SchemaError(f"--generators {spec}: expected boundaries:<n> with n a number")
-        return _boundary_generators(int(n), D)
+        return [boundary_inclusion(m, D) for m in range(int(n) + 1)]
     doc = _load(spec)
     entries = doc.get("generators")
     if not isinstance(entries, list):

@@ -13,9 +13,15 @@ pasting relations between parallel whisker sequences.
 
 Rewriting orients relations by length then lexicographic order, so
 reduction terminates; completion is classical critical-pair resolution on
-typed paths, bounded by the budget.  Realized 2-categories are built from
-the whisker graph of 2-generator applications modulo the congruence
-generated by interchange squares and the pasting relations.
+typed paths, bounded by the budget.
+
+A 2-presentation is realized over its finite free category of 1-cells.
+Each hom is a whisker graph (paths, and 2-generator applications between
+them); its edge-paths are enumerated by ``_irreducible_words``, the same
+enumerator as the paths, so a whisker cycle or too many edge-paths is
+``unknown``.  The 2-cells are the edge-paths modulo the congruence
+generated by interchange squares and the instances of the pasting
+relations, whose two sides must run between the same two paths.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cat import FinCat
 from .errors import BudgetError, ContractError
-from .simplicial import SimplicialMap, SimplicialSet, _UnionFind, boundary, simplicial_operator, standard_simplex
+from .simplicial import SimplicialMap, SimplicialSet, _UnionFind, boundary_inclusion, simplicial_operator
 from .subdivision import sd, sd_map
 from .twocat import Fin2Cat
 
@@ -101,18 +107,48 @@ class TwoCatPresentation:
             for p in (self.two_src[t], self.two_dst[t]):
                 if not set(p) <= typed:
                     out.append(f"2-generator {t!r} has a path through an unknown 1-generator")
-                    continue
-                if p:
-                    if self.src[p[0]] != a or self.dst[p[-1]] != b:
-                        out.append(f"2-generator {t!r} has mistyped paths")
-                for x, y in zip(p, p[1:]):
-                    if self.dst[x] != self.src[y]:
-                        out.append(f"2-generator {t!r} has non-composable path")
-        for lhs, rhs in self.relations:
-            for step in lhs + rhs:
-                if step.gen not in self.two_src or not set(step.left + step.right) <= typed:
-                    out.append(f"relation step {step} names an unknown generator")
+                elif not self._runs(p, a, b):
+                    out.append(f"2-generator {t!r} has a path {p} that does not run {a} -> {b}")
+        for i, (lhs, rhs) in enumerate(self.relations):
+            unknown = [s for s in lhs + rhs if s.gen not in self.two_src or not set(s.left + s.right) <= typed]
+            if unknown:
+                out.extend(f"relation step {step} names an unknown generator" for step in unknown)
+                continue
+            ends = [self._side_ends(side) for side in (lhs, rhs)]
+            if None in ends:
+                out.append(f"relation {i}: a side is not a composable whisker sequence")
+                continue
+            # an empty side is the identity of the other side's source
+            lhs_ends = ends[0] or ends[1][:1] * 2
+            rhs_ends = ends[1] or ends[0][:1] * 2
+            if lhs_ends != rhs_ends:
+                out.append(f"relation {i}: its sides are not parallel")
         return out
+
+    def _runs(self, p: Path, a: str, b: str) -> bool:
+        """Whether the 1-generator path ``p`` runs from a to b."""
+        for g in p:
+            if self.src[g] != a:
+                return False
+            a = self.dst[g]
+        return a == b
+
+    def _side_ends(self, side: tuple[WhiskerStep, ...]) -> Optional[tuple]:
+        """The source and target of a relation side, each a whiskered path
+        ``(start object, path, end object)``; ``()`` for an empty side and
+        None when the steps do not compose."""
+        ends = []
+        for s in side:
+            a, b = self.two_anchor[s.gen]
+            x = self.src[s.left[0]] if s.left else a
+            y = self.dst[s.right[-1]] if s.right else b
+            if not (self._runs(s.left, x, a) and self._runs(s.right, b, y)):
+                return None
+            ends.append(((x, s.left + self.two_src[s.gen] + s.right, y),
+                         (x, s.left + self.two_dst[s.gen] + s.right, y)))
+        if any(prev[1] != nxt[0] for prev, nxt in zip(ends, ends[1:])):
+            return None
+        return (ends[0][0], ends[-1][1]) if ends else ()
 
 
 @dataclass
@@ -432,129 +468,67 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
     if status == "unknown":
         return RealizeResult("unknown", certificate={"reason": "1-cell budget exhausted"})
 
-    def path_dst(a: str, w: Path) -> str:
-        return p.dst[w[-1]] if w else a
-
     paths: dict[tuple[str, str], list[Path]] = {}
-    start_of: dict[tuple[str, Path], str] = {}
     for a in p.objects:
         for w in words[a]:
-            b = path_dst(a, w)
-            paths.setdefault((a, b), []).append(w)
-            start_of[(a, w)] = a
-    for key in paths:
-        paths[key].sort()
+            paths.setdefault((a, p.dst[w[-1]] if w else a), []).append(w)
+    anchored: dict[str, list[str]] = {}
+    for t in p.two_generators:
+        anchored.setdefault(p.two_anchor[t][0], []).append(t)
 
-    def objects_along(a: str, w: Path) -> list[str]:
-        objs = [a]
-        for g in w:
-            objs.append(p.dst[g])
-        return objs
-
-    # the whisker graph of every hom: edge -> resulting path
+    # the whisker graph of every hom (edge -> resulting path), and the
+    # interchange squares of two disjoint edges leaving the same path
     hom_edges: dict[tuple[str, str], dict[Edge, Path]] = {}
+    gen_pairs: dict[tuple[str, str], list[tuple[tuple[Edge, ...], tuple[Edge, ...]]]] = {}
     for (a, b), ps in paths.items():
-        table: dict[Edge, Path] = {}
+        table = hom_edges[(a, b)] = {}
+        pairs = gen_pairs[(a, b)] = []
         for V in ps:
-            objs = objects_along(a, V)
-            for t in p.two_generators:
-                S = p.two_src[t]
-                x, _ = p.two_anchor[t]
-                positions = range(len(V) - len(S) + 1) if S else range(len(V) + 1)
-                for pos in positions:
-                    if S and V[pos:pos + len(S)] != S:
-                        continue
-                    if objs[pos] != x:
-                        continue
-                    table[(V, pos, t)] = V[:pos] + p.two_dst[t] + V[pos + len(S):]
-        hom_edges[(a, b)] = table
+            leaving = [(pos, t) for pos, x in enumerate((a,) + tuple(p.dst[g] for g in V))
+                       for t in anchored.get(x, ())
+                       if V[pos:pos + len(p.two_src[t])] == p.two_src[t]]
+            for pos, t in leaving:
+                table[(V, pos, t)] = V[:pos] + p.two_dst[t] + V[pos + len(p.two_src[t]):]
+            for p1, t1 in leaving:
+                l1 = len(p.two_src[t1])
+                for p2, t2 in leaving:
+                    # disjoint segments, t2's to the right (a t1 with empty
+                    # source must sit strictly left of it)
+                    if p2 >= p1 + max(l1, 1):
+                        shifted = p2 + len(p.two_dst[t1]) - l1
+                        pairs.append((((V, p1, t1), (table[(V, p1, t1)], shifted, t2)),
+                                      ((V, p2, t2), (table[(V, p2, t2)], p1, t1))))
 
-    # all edge-paths per hom (requires an acyclic whisker graph)
+    # all edge-paths per hom, keyed (start path, edges), with their end path
     hom_paths: dict[tuple[str, str], dict[tuple[Path, tuple[Edge, ...]], Path]] = {}
-    for (a, b), table in hom_edges.items():
-        adj: dict[Path, list[Edge]] = {}
-        for edge, W in table.items():
-            adj.setdefault(edge[0], []).append(edge)
-        color: dict[Path, int] = {}
-
-        def acyclic(V: Path) -> bool:
-            c = color.get(V)
-            if c == 0:
-                return False
-            if c == 1:
-                return True
-            color[V] = 0
-            for edge in adj.get(V, ()):
-                if not acyclic(table[edge]):
-                    return False
-            color[V] = 1
-            return True
-
-        if not all(acyclic(V) for V in paths[(a, b)]):
-            return RealizeResult("unknown",
-                                 certificate={"reason": "whisker graph has a cycle"})
-        collected: dict[tuple[Path, tuple[Edge, ...]], Path] = {}
-        count = 0
-        stack: list[tuple[Path, tuple[Edge, ...], Path]] = [
-            (V, (), V) for V in reversed(paths[(a, b)])
-        ]
-        while stack:
-            V, acc, here = stack.pop()
-            collected[(V, acc)] = here
-            count += 1
-            if count > max_arrows:
-                return RealizeResult("unknown",
-                                     certificate={"reason": "2-cell budget exhausted"})
-            for edge in sorted(adj.get(here, ()), reverse=True):
-                stack.append((V, acc + (edge,), table[edge]))
-        hom_paths[(a, b)] = collected
-
-    # congruence generators per hom
-    gen_pairs: dict[tuple[str, str], list[tuple[tuple[Edge, ...], tuple[Edge, ...]]]] = {
-        key: [] for key in hom_edges
-    }
-    for (a, b), table in hom_edges.items():
-        pairs = gen_pairs[(a, b)]
-        for (V, p1, t1) in table:
-            l1 = len(p.two_src[t1])
-            for (V2, p2, t2) in table:
-                if V2 != V or p2 < p1:
-                    continue
-                l2 = len(p.two_src[t2])
-                if p2 < p1 + l1 or (l1 == 0 and p2 == p1):
-                    continue  # overlapping segments (or ambiguous empty overlap)
-                W1 = table[(V, p1, t1)]
-                delta1 = len(p.two_dst[t1]) - l1
-                e2_after = (W1, p2 + delta1, t2)
-                W2 = table[(V, p2, t2)]
-                e1_after = (W2, p1, t1)
-                if e2_after in table and e1_after in table:
-                    pairs.append((((V, p1, t1), e2_after), ((V, p2, t2), e1_after)))
+    for key, table in hom_edges.items():
+        status, edge_paths, _ = _irreducible_words(
+            paths[key], list(table), {e: e[0] for e in table}, table, [], max_arrows
+        )
+        if status == "infinite":
+            return RealizeResult("unknown", certificate={"reason": "whisker graph has a cycle"})
+        if status == "unknown":
+            return RealizeResult("unknown", certificate={"reason": "2-cell budget exhausted"})
+        hom_paths[key] = {(V, q): table[q[-1]] if q else V for V in paths[key] for q in edge_paths[V]}
 
     def instantiate(seq: tuple[WhiskerStep, ...], V: Path, offset: int,
                     table: dict[Edge, Path]) -> Optional[tuple[Edge, ...]]:
         out: list[Edge] = []
-        current = V
         for step in seq:
-            edge = (current, offset + len(step.left), step.gen)
+            edge = (V, offset + len(step.left), step.gen)
             if edge not in table:
-                return None
+                return None  # an empty segment sits at another object here
             out.append(edge)
-            current = table[edge]
+            V = table[edge]
         return tuple(out)
 
-    def seq_source(seq: tuple[WhiskerStep, ...]) -> Optional[Path]:
-        if not seq:
-            return None
-        s = seq[0]
-        return s.left + p.two_src[s.gen] + s.right
-
     for lhs_seq, rhs_seq in p.relations:
-        segment = seq_source(lhs_seq) or seq_source(rhs_seq)
-        if segment is None:
+        if not (lhs_seq or rhs_seq):
             continue
-        for (a, b), ps in paths.items():
-            table = hom_edges[(a, b)]
+        first = (lhs_seq or rhs_seq)[0]
+        segment = first.left + p.two_src[first.gen] + first.right
+        for key, ps in paths.items():
+            table = hom_edges[key]
             for V in ps:
                 for off in range(len(V) - len(segment) + 1):
                     if V[off:off + len(segment)] != segment:
@@ -562,59 +536,38 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
                     il = instantiate(lhs_seq, V, off, table)
                     ir = instantiate(rhs_seq, V, off, table)
                     if il is not None and ir is not None and il != ir:
-                        gen_pairs[(a, b)].append((il, ir))
+                        gen_pairs[key].append((il, ir))
 
-    # union-find on parallel edge-paths, closed under inner substitution
+    # per hom: union-find on parallel edge-paths, joining each one to every
+    # edge-path one substitution s1 -> s2 away (which also finds each pair
+    # s2 -> s1 from its other side); the classes are the 2-cells
     finders: dict[tuple[str, str], _UnionFind] = {}
-    for (a, b), collected in hom_paths.items():
-        uf = _UnionFind()
-        for k in collected:
-            uf.add(k)
-        pairs = gen_pairs[(a, b)]
-        changed = True
-        while changed:
-            changed = False
-            for (V, q) in list(uf.parent):
-                for s1, s2 in pairs:
-                    for before, after in ((s1, s2), (s2, s1)):
-                        n = len(before)
-                        for i in range(len(q) - n + 1):
-                            if q[i:i + n] == before:
-                                other = (V, q[:i] + after + q[i + n:])
-                                if other in uf.parent and uf.find(other) != uf.find((V, q)):
-                                    uf.union(other, (V, q))
-                                    changed = True
-        finders[(a, b)] = uf
-
-    # hom categories
-    hom: dict[tuple[str, str], FinCat] = {}
     class_name: dict[tuple[str, str], dict] = {}
-    for (a, b), uf in finders.items():
+    hom: dict[tuple[str, str], FinCat] = {}
+    for (a, b), ends in hom_paths.items():
+        uf = finders[(a, b)] = _UnionFind()
+        for k in ends:
+            uf.add(k)
+        for V, q in ends:
+            for s1, s2 in gen_pairs[(a, b)]:
+                n = len(s1)
+                for i in range(len(q) - n + 1):
+                    if q[i:i + n] == s1:
+                        other = (V, q[:i] + s2 + q[i + n:])
+                        if other in ends:
+                            uf.union(other, (V, q))
         find = uf.find
-        endpoints = hom_paths[(a, b)]
-        reps = sorted({find(k) for k in endpoints})
-        names = {r: f"<{i}>" for i, r in enumerate(reps)}
-        class_name[(a, b)] = names
-        objects = [_word_id(a, w) for w in paths[(a, b)]]
-        src = {}
-        dst = {}
-        for r in reps:
-            src[names[r]] = _word_id(a, r[0])
-            dst[names[r]] = _word_id(a, endpoints[r])
-        compose = {}
-        for r1 in reps:
-            for r2 in reps:
-                if endpoints[r1] != r2[0]:
-                    continue
-                glued = (r1[0], r1[1] + r2[1])
-                compose[(names[r2], names[r1])] = names[find(glued)]
+        reps = sorted({find(k) for k in ends})
+        names = class_name[(a, b)] = {r: f"<{i}>" for i, r in enumerate(reps)}
+        src = {names[r]: _word_id(a, r[0]) for r in reps}
+        dst = {names[r]: _word_id(a, ends[r]) for r in reps}
+        compose = {(names[r2], names[r1]): names[find((r1[0], r1[1] + r2[1]))]
+                   for r1 in reps for r2 in reps if ends[r1] == r2[0]}
         identity = {_word_id(a, w): names[find((w, ()))] for w in paths[(a, b)]}
-        hom[(a, b)] = FinCat(objects, names.values(), src, dst, compose, identity)
-
-    hom_full = {}
-    for a in p.objects:
-        for b in p.objects:
-            hom_full[(a, b)] = hom.get((a, b), FinCat([], [], {}, {}, {}, {}))
+        hom[(a, b)] = FinCat([_word_id(a, w) for w in paths[(a, b)]], names.values(),
+                             src, dst, compose, identity)
+    hom_full = {(a, b): hom.get((a, b), FinCat([], [], {}, {}, {}, {}))
+                for a in p.objects for b in p.objects}
 
     hcompose1 = {}
     hcompose2 = {}
@@ -694,9 +647,7 @@ def thomason_generators(n_max: int, level: int) -> list[PresentedMap]:
     out = []
     for n in range(n_max + 1):
         D = max(n, 2 if level == 1 else 3)
-        A = boundary(n, D)
-        inc = SimplicialMap(A, standard_simplex(n, D), {m: {c: c for c in A.cells[m]} for m in range(D + 1)},
-                            check=False)
+        inc = boundary_inclusion(n, D)
         for _ in range(2):
             inc = sd_map(inc, sd(inc.source)[1], sd(inc.target)[1])
         out.append(presented_inclusion(inc, level))

@@ -286,6 +286,13 @@ def boundary(n: int, D: int) -> SimplicialSet:
     return _chain_nerve(_vertices(n, D), le, D, "", lambda chain: len(set(chain)) <= n)
 
 
+def boundary_inclusion(n: int, D: int) -> SimplicialMap:
+    """The inclusion of the boundary of the n-simplex into the n-simplex."""
+    A = boundary(n, D)
+    return SimplicialMap(A, standard_simplex(n, D), {m: {c: c for c in A.cells[m]} for m in range(D + 1)},
+                         check=False)
+
+
 def horn(n: int, k: int, D: int) -> SimplicialSet:
     """The horn missing the face opposite ``k``: maps missing a value != k."""
     vertices = _vertices(n, D)
@@ -455,9 +462,7 @@ class SimplicialMap:
         self.source = source
         self.target = target
         bound = min(source.dim_bound, target.dim_bound)
-        self.levels: dict[int, dict[Cell, Cell]] = {
-            n: dict(sorted(levels.get(n, {}).items())) for n in range(bound + 1)
-        }
+        self.levels: dict[int, dict[Cell, Cell]] = {n: dict(levels.get(n, {})) for n in range(bound + 1)}
         if check:
             problems = validate_map(self)
             if problems:
@@ -483,13 +488,14 @@ class SimplicialMap:
         return f"SimplicialMap({self.source!r} -> {self.target!r})"
 
     def encode(self) -> str:
-        """Canonical string form, usable as a deterministic identifier."""
-        keys = tuple((n, c) for n, level in self.levels.items() for c in level)
-        images = (v for level in self.levels.values() for v in level.values())
-        return _map_name_template(keys).format(*images)
+        """Canonical string form, usable as a deterministic identifier: the
+        assignments in sorted order, whatever order the levels were given in."""
+        pairs = sorted(self.assignments())
+        return _map_name_template(tuple(k for k, _ in pairs)).format(*(v for _, (_, v) in pairs))
 
     def assignments(self) -> Iterator[tuple[tuple[int, Cell], tuple[int, Cell]]]:
-        """Each cell key ``(n, c)`` with the key of its image."""
+        """Each cell key ``(n, c)`` with the key of its image, in the order
+        the levels were given in."""
         for n, level in self.levels.items():
             for c, v in level.items():
                 yield (n, c), (n, v)
@@ -497,8 +503,8 @@ class SimplicialMap:
 
 @lru_cache(maxsize=None)
 def _map_name_template(keys: tuple[tuple[int, Cell], ...]) -> str:
-    """The ``encode()`` of a map whose ``assignments()`` lists these source
-    keys, with a ``str.format`` field in place of each image."""
+    """The ``encode()`` of a map whose sorted ``assignments()`` list these
+    source keys, with a ``str.format`` field in place of each image."""
     return ";".join(f"{n}:{_escaped(c)}>{{}}" for n, c in keys)
 
 
@@ -1043,7 +1049,7 @@ def _images(problem: tuple, order: Sequence[Key]) -> Iterator[tuple[tuple, None]
 class Singular(NamedTuple):
     """A singular complex, level n the maps K(n) -> X, with the one rule
     that names its cells: a cell is the tuple of its images at the source
-    keys of K(n), which ``keys[n]`` lists in ``assignments()`` order, each
+    keys of K(n), which ``keys[n]`` lists in sorted order, each
     with its position, and ``names[n]`` writes a tuple's id, the
     ``encode()`` of its map.  ``table`` maps each ``(n, id)`` to its tuple."""
 
@@ -1076,7 +1082,7 @@ def _singular(
     places: dict[int, dict[Key, int]] = {}
 
     def reindexing(phi: Monotone, n: int) -> Callable[[tuple], tuple]:
-        return _picker([places[n][t] for _, t in operator(phi, n).assignments()])
+        return _picker([places[n][t] for _, t in sorted(operator(phi, n).assignments())])
 
     table: dict[tuple[int, Cell], tuple] = {}
     face: dict[tuple[int, int, Cell], Cell] = {}
@@ -1085,7 +1091,7 @@ def _singular(
     named: dict[tuple, Cell] = {}
     faces: dict[Cell, tuple] = {}
     for n in range(D + 1):
-        keys = tuple(s for s, _ in operator(tuple(range(n + 1)), n).assignments())
+        keys = tuple(s for s, _ in sorted(operator(tuple(range(n + 1)), n).assignments()))
         places[n] = {s: k for k, s in enumerate(keys)}
         name = template(keys).format
         d = [reindexing(coface(n, i), n) for i in range(n + 1)] if n > 0 else []

@@ -253,6 +253,9 @@ ARGV = {
     ("realize", "pres_boundary2.json",
      lambda doc: (twocat_presentation_of_simplex3(doc), doc["relations2"][0][0][0].pop("left")),
      ".relations2[]: missing key 'left'"),
+    ("realize", "pres_boundary2.json",
+     lambda doc: (twocat_presentation_of_simplex3(doc), doc["relations2"][0][0].pop()),
+     ": relation 0: its sides are not parallel (the first of"),
     ("localizer-check", "universe.json",
      lambda doc: doc["nodes"][0][1].update(identity={}),
      ".nodes[arrow]: object '0' has no identity arrow (the first of"),
@@ -282,7 +285,8 @@ ARGV = {
         "evidence", "rlp", "factorize", "factorize-generators", "lift", "hpushout",
         "lift-top-bottom-swapped", "hpushout-legs-apart",
         "slice-cfun", "slice2-tfun", "validate-face-level", "realize-cat-relation",
-        "realize-step-left", "localizer-check-node", "rlp-levels",
+        "realize-step-left", "realize-sides-not-parallel",
+        "localizer-check-node", "rlp-levels",
         "evidence-stray-cell", "evidence-stray-level", "evidence2-stray-object", "evidence2-stray-1-cell",
         "evidence2-stray-2-cell", "slice-cfun-stray-arrow"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(

@@ -1,5 +1,7 @@
 """Categorification presentations, bounded rewriting, realization."""
 
+import hashlib
+
 import pytest
 
 from nervelab.cat import (
@@ -13,8 +15,11 @@ from nervelab.cat import (
     parallel_pair_category,
     terminal_category,
 )
+from nervelab.errors import ContractError
 from nervelab.presentations import (
     CatPresentation,
+    TwoCatPresentation,
+    WhiskerStep,
     cat_of,
     realize,
     realize_cat,
@@ -22,11 +27,13 @@ from nervelab.presentations import (
     thomason_generators,
     twocat_of,
 )
+from nervelab.serialize import canonical_json, realize_result_to_doc
 from nervelab.simplicial import (
     boundary,
     count_maps,
     standard_simplex,
 )
+from nervelab.subdivision import sd
 from nervelab.twocat import (
     as_two_category,
     count_two_functors,
@@ -193,6 +200,67 @@ def test_geometric_nerve_adjunction_counts():
             lhs = count_two_functors(r.two_category, C)
             rhs = count_maps(X, geometric_nerve(C, X.dim_bound))
             assert lhs == rhs
+
+
+def two_presentation(objects, arrows, cells, relations=()):
+    """A 2-presentation from 1-generators ``{name: (src, dst)}`` and
+    2-generators ``{name: (src path, dst path)}`` between nonempty paths."""
+    return TwoCatPresentation(
+        tuple(objects), tuple(arrows),
+        {g: s for g, (s, _) in arrows.items()}, {g: d for g, (_, d) in arrows.items()},
+        tuple(cells), {t: s for t, (s, _) in cells.items()}, {t: d for t, (_, d) in cells.items()},
+        {t: (arrows[s[0]][0], arrows[s[-1]][1]) for t, (s, _) in cells.items()},
+        tuple(relations),
+    )
+
+
+def test_realize_twocat_of_a_loop_is_infinite():
+    r = realize_twocat(two_presentation(["0"], {"l": ("0", "0")}, {}))
+    assert (r.status, r.witness, r.certificate) == ("infinite", ["l"], {"growth": "free 1-cell cycle"})
+
+
+def test_realize_twocat_reports_each_budget_and_a_whisker_cycle():
+    # Delta^2 has seven 1-cells: one path per pair i <= j, and 0 -> 1 -> 2
+    r = realize_twocat(twocat_of(standard_simplex(2, 2)), max_arrows=6)
+    assert (r.status, r.certificate) == ("unknown", {"reason": "1-cell budget exhausted"})
+    arrows = {"f": ("0", "1"), "g": ("0", "1")}
+    cycle = two_presentation(["0", "1"], arrows, {"a": (("f",), ("g",)), "b": (("g",), ("f",))})
+    r = realize_twocat(cycle)
+    assert (r.status, r.certificate) == ("unknown", {"reason": "whisker graph has a cycle"})
+    # hom(0, 1) has five edge-paths: the identities of f and g, and a, b, c
+    three = two_presentation(["0", "1"], arrows, {t: (("f",), ("g",)) for t in "abc"})
+    assert realize_twocat(three, max_arrows=5).status == "finite"
+    r = realize_twocat(three, max_arrows=4)
+    assert (r.status, r.certificate) == ("unknown", {"reason": "2-cell budget exhausted"})
+
+
+def test_relation_sides_must_be_parallel():
+    arrows = {"f": ("0", "1"), "g": ("0", "1"), "h": ("0", "1")}
+    cells = {"a": (("f",), ("g",)), "b": (("f",), ("h",))}
+    a, b = (WhiskerStep((), "a", ()),), (WhiskerStep((), "b", ()),)
+    assert two_presentation(["0", "1"], arrows, cells).validate() == []
+    # a: f => g and b: f => h end at different paths
+    p = two_presentation(["0", "1"], arrows, cells, [(a, b)])
+    assert p.validate() == ["relation 0: its sides are not parallel"]
+    with pytest.raises(ContractError, match="relation 0: its sides are not parallel"):
+        realize_twocat(p)
+    # an empty side is an identity, which a: f => g is not
+    assert two_presentation(["0", "1"], arrows, cells, [(a, ())]).validate() == [
+        "relation 0: its sides are not parallel"]
+    # b cannot follow a: it starts at f, not g
+    assert two_presentation(["0", "1"], arrows, cells, [(a + b, a)]).validate() == [
+        "relation 0: a side is not a composable whisker sequence"]
+
+
+@pytest.mark.parametrize("X,digest", [
+    (standard_simplex(2, 2), "86a0744ec8ceeec7"),
+    (boundary(3, 3), "2bbe23fc2eaa5725"),
+    pytest.param(standard_simplex(3, 3), "38f8ff87759998aa", marks=pytest.mark.slow),
+], ids=["simplex2", "boundary3", "simplex3"])
+def test_realized_double_subdivisions_are_pinned(X, digest):
+    """The realized c2 Sd^2 X, byte for byte."""
+    doc = canonical_json(realize_result_to_doc(realize(twocat_of(sd(sd(X)[0])[0]))))
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
 
 
 # -- Thomason generators ----------------------------------------------------------------
