@@ -126,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("realize", help="bounded realization of a pres.v1 document")
     p.add_argument("input")
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=int, default=200,
+                   help="completion steps for a category presentation; a 2-presentation "
+                        "needs no completion, so the budget does not bound it")
 
     p = cmd("slice", help="slice of a cfun.v1 (or fincat.v1 identity) over an object")
     p.add_argument("input")

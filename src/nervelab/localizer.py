@@ -23,7 +23,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Union
 
-from .cat import CatFunctor, FinCat, compose_functors, has_final_object, identity_functor, slice_functor
+from .cat import (
+    CatFunctor,
+    FinCat,
+    _slice_name,
+    compose_functors,
+    has_final_object,
+    identity_functor,
+    slice_functor,
+)
 from .errors import BudgetError, DomainError
 from .twocat import (
     Fin2Cat,
@@ -139,20 +147,33 @@ class DiagramUniverse:
     def _slices(self) -> dict[tuple[str, str, str], list[tuple[str, Optional[str]]]]:
         """Each recorded triangle's ``(object, slice edge)`` pairs over the
         objects of its base, ending at the first slice absent from the
-        universe (paired with None)."""
+        universe (paired with None).
+
+        A slice functor is built only when some edge runs between
+        categories with the objects of its two slices, which are named
+        from the base's homs alone; otherwise the slice is absent."""
         make = slice_2functor if self.level == 2 else slice_functor
-        edges = sorted(self.edges.items())
+        ends: dict[tuple[tuple, tuple], list[str]] = {}
+        for n, e in sorted(self.edges.items()):
+            ends.setdefault((e.functor.source.objects, e.functor.target.objects), []).append(n)
         table = {}
         for (u, q), p in sorted(self.composites.items()):
             eu, ep, eq = self.edges[u], self.edges[p], self.edges[q]
             pairs = table[(u, p, q)] = []
             for c in self.nodes[eq.dst].objects:
-                uc = make(eu.functor, ep.functor, eq.functor, c)
-                name = next((n for n, e in edges if e.functor == uc), None)
+                candidates = ends.get((self._slice_objects(ep.functor, c), self._slice_objects(eq.functor, c)), ())
+                uc = make(eu.functor, ep.functor, eq.functor, c) if candidates else None
+                name = next((n for n in candidates if self.edges[n].functor == uc), None)
                 pairs.append((c, name))
                 if name is None:
                     break
         return table
+
+    def _slice_objects(self, v: EdgeFun, c: str) -> tuple[str, ...]:
+        """The objects of the slice of ``v`` over ``c``, in order."""
+        C = v.target
+        hom = (lambda x: C.hom[(x, c)].objects) if self.level == 2 else (lambda x: C.hom(x, c))
+        return tuple(sorted(_slice_name(a, f) for a in v.source.objects for f in hom(v.objects[a])))
 
 
 # ---------------------------------------------------------------------------

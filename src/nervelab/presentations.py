@@ -454,7 +454,9 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
 
     The hom-categories are whisker graphs (paths as objects, 2-generator
     applications as covering arrows) with parallel edge-paths identified by
-    the congruence from interchange and the pasting relations.
+    the congruence from interchange and the pasting relations.  A
+    2-presentation has no 1-cell relations and so needs no completion:
+    ``budget`` does not bound it, and only ``max_arrows`` does.
     """
     problems = p.validate()
     if problems:
@@ -545,9 +547,7 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
     class_name: dict[tuple[str, str], dict] = {}
     hom: dict[tuple[str, str], FinCat] = {}
     for (a, b), ends in hom_paths.items():
-        uf = finders[(a, b)] = _UnionFind()
-        for k in ends:
-            uf.add(k)
+        uf = finders[(a, b)] = _UnionFind(ends)
         for V, q in ends:
             for s1, s2 in gen_pairs[(a, b)]:
                 n = len(s1)
@@ -602,7 +602,11 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
 
 
 def realize(pres, budget: int = 200, max_arrows: int = 4000) -> RealizeResult:
-    """Dispatch on the presentation kind."""
+    """Dispatch on the presentation kind.
+
+    ``budget`` bounds the completion of a category presentation's
+    relations.  A 2-presentation needs no completion, so ``budget`` does
+    not bound it; ``max_arrows`` bounds both kinds."""
     if budget < 0:
         raise BudgetError(f"budget {budget} must be >= 0")
     if isinstance(pres, CatPresentation):

@@ -16,8 +16,10 @@ Conventions used throughout:
 * the standard simplex, its boundary and its horns are chain nerves of
   the poset ``0 <= ... <= n`` (:func:`_chain_nerve`);
 * pushouts and coproducts are quotients of a disjoint union of named
-  pieces (:func:`_glue`), levelwise by union-find, each class named by its
-  least ``prefix + cell``.
+  pieces (:func:`_glue`).  At each level a cell of a piece is numbered by
+  the piece's offset plus its position in the piece's sorted level, the
+  union-find runs on those numbers, and only then is each class named by
+  its least ``prefix + cell``.
 """
 
 from __future__ import annotations
@@ -198,28 +200,50 @@ class SimplicialSet:
 def simplicial_operator(X: SimplicialSet, phi: Monotone, n: int, c: Cell) -> Cell:
     """Apply ``X(phi)`` to a level-``n`` cell, for monotone ``phi: [m] -> [n]``.
 
-    ``phi`` is decomposed into cofaces and codegeneracies; the result is a
-    cell at level ``m = len(phi) - 1``.
+    ``phi`` is decomposed into cofaces and codegeneracies once per
+    ``(phi, n)`` (:func:`_operator_word`, cached); each call then makes one
+    table lookup per step.  The result is a cell at level ``m = len(phi) - 1``.
+    """
+    m, faces, degeneracies = _operator_word(tuple(phi), n)
+    if m > X.dim_bound:
+        raise BoundError(f"operator lands at level {m} beyond bound {X.dim_bound}")
+    face, degeneracy = X.face, X.degeneracy
+    for level, i in faces:
+        c = face[(level, i, c)]
+    for level, i in degeneracies:
+        c = degeneracy[(level, i, c)]
+    return c
+
+
+@lru_cache(maxsize=None)
+def _operator_word(phi: Monotone, n: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """``phi: [m] -> [n]`` as ``(m, faces, degeneracies)``: the ``(level, i)``
+    of each face ``d_i`` and then of each degeneracy ``s_i`` that
+    :func:`simplicial_operator` applies, in order.
+
+    Faces go first, each at the largest value phi misses; the surjection
+    left is peeled at its first repeat, so its degeneracies are applied
+    from the lowest level up.  Raises :class:`ContractError` for a phi
+    that is not monotone and :class:`DomainError` for one that leaves [n].
     """
     if not is_monotone(phi):
         raise ContractError(f"operator {phi} is not monotone")
     if any(v < 0 or v > n for v in phi):
         raise DomainError(f"operator {phi} does not land in [{n}]")
     m = len(phi) - 1
-    if m > X.dim_bound:
-        raise BoundError(f"operator lands at level {m} beyond bound {X.dim_bound}")
-    values = set(phi)
-    if len(values) < n + 1:
-        # phi = delta_i . phi'  with i the largest missing value
-        i = max(v for v in range(n + 1) if v not in values)
-        lower = tuple(v if v < i else v - 1 for v in phi)
-        return simplicial_operator(X, lower, n - 1, X.d(n, i, c))
-    if m > n:
+    faces = []
+    for i in sorted(set(range(n + 1)) - set(phi), reverse=True):
+        # phi = delta_i . phi'  with i the largest value phi misses
+        faces.append((n, i))
+        phi = tuple(v if v < i else v - 1 for v in phi)
+        n -= 1
+    degeneracies = []
+    while len(phi) - 1 > n:
         # phi = phi' . sigma_j with j the first repeat
-        j = next(k for k in range(m) if phi[k] == phi[k + 1])
-        shorter = phi[:j] + phi[j + 1:]
-        return X.s(m - 1, j, simplicial_operator(X, shorter, n, c))
-    return c  # phi is the identity
+        j = next(k for k in range(len(phi) - 1) if phi[k] == phi[k + 1])
+        degeneracies.append((len(phi) - 2, j))
+        phi = phi[:j] + phi[j + 1:]
+    return m, tuple(faces), tuple(reversed(degeneracies))
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +618,10 @@ def simplex_map(X: SimplicialSet, n: int, c: Cell, D: Optional[int] = None) -> S
 # ---------------------------------------------------------------------------
 
 class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[Hashable, Hashable] = {}
+    """Union-find over a fixed set of keys; each class's root is its least key."""
 
-    def add(self, x: Hashable) -> None:
-        self.parent.setdefault(x, x)
+    def __init__(self, keys: Iterable[Hashable]) -> None:
+        self.parent: dict[Hashable, Hashable] = {x: x for x in keys}
 
     def find(self, x: Hashable) -> Hashable:
         p = self.parent
@@ -630,39 +653,53 @@ def _glue(
     ``prefix + cell`` among its members, and its faces and degeneracies
     are read from that member.  Returns the space and, per piece, the
     table ``{n: {cell: name}}`` of its map into the space.
+
+    At level n the cells are numbered in piece order, each piece's cells
+    from its offset in the order of its sorted level, and the union-find
+    runs on those numbers.
     """
-    uf = {n: _UnionFind() for n in range(D + 1)}
-    for j, (_, X) in enumerate(pieces):
-        for n in range(D + 1):
-            for c in X.cells[n]:
-                uf[n].add((j, c))
-    for (j, n, c), (k, _, e) in pairs:
-        uf[n].union((j, c), (k, e))
-    tables: list[dict[int, dict[Cell, Cell]]] = [{} for _ in pieces]
-    owners: dict[int, list[tuple[Cell, int, Cell]]] = {}
+    # ids[n][j][c]: the number of the cell c of piece j at level n
+    ids: list[list[dict[Cell, int]]] = []
+    uf: list[_UnionFind] = []
     for n in range(D + 1):
-        find = uf.pop(n).find
-        least: dict[Hashable, tuple[Cell, int, Cell]] = {}
-        for j, (prefix, X) in enumerate(pieces):
-            for c in X.cells[n]:
+        level, offset = [], 0
+        for _, X in pieces:
+            cells = X.cells[n]
+            level.append(dict(zip(cells, range(offset, offset + len(cells)))))
+            offset += len(cells)
+        ids.append(level)
+        uf.append(_UnionFind(range(offset)))
+    for (j, n, c), (k, _, e) in pairs:
+        uf[n].union(ids[n][j][c], ids[n][k][e])
+    tables: list[dict[int, dict[Cell, Cell]]] = [{} for _ in pieces]
+    owners: list[list[tuple[Cell, int, Cell]]] = []
+    for n, level in enumerate(ids):
+        find = uf[n].find
+        # per class root, its least member as (name, piece, cell)
+        least: dict[int, tuple[Cell, int, Cell]] = {}
+        roots: list[list[tuple[Cell, int]]] = []
+        for j, at in enumerate(level):
+            prefix = pieces[j][0]
+            rooted = [(c, find(k)) for c, k in at.items()]
+            for c, root in rooted:
                 name = prefix + c
-                root = find((j, c))
                 if root not in least or name < least[root][0]:
                     least[root] = (name, j, c)
-        for j, (_, X) in enumerate(pieces):
-            tables[j][n] = {c: least[find((j, c))][0] for c in X.cells[n]}
-        owners[n] = list(least.values())
+            roots.append(rooted)
+        for j, rooted in enumerate(roots):
+            tables[j][n] = {c: least[root][0] for c, root in rooted}
+        owners.append(list(least.values()))
     face: dict[tuple[int, int, Cell], Cell] = {}
     degeneracy: dict[tuple[int, int, Cell], Cell] = {}
-    for n in range(D + 1):
-        for name, j, c in owners[n]:
+    for n, level in enumerate(owners):
+        for name, j, c in level:
             X = pieces[j][1]
             for i in range(n + 1):
                 if n >= 1:
-                    face[(n, i, name)] = tables[j][n - 1][X.d(n, i, c)]
+                    face[(n, i, name)] = tables[j][n - 1][X.face[(n, i, c)]]
                 if n < D:
-                    degeneracy[(n, i, name)] = tables[j][n + 1][X.s(n, i, c)]
-    cells = {n: [name for name, _, _ in owners[n]] for n in owners}
+                    degeneracy[(n, i, name)] = tables[j][n + 1][X.degeneracy[(n, i, c)]]
+    cells = {n: [name for name, _, _ in level] for n, level in enumerate(owners)}
     return SimplicialSet(D, cells, face, degeneracy), tables
 
 
@@ -1137,9 +1174,7 @@ def _postcompose(source: Singular, target: Singular, entry: Callable[[Key], tupl
 
 def components(X: SimplicialSet) -> dict[Cell, Cell]:
     """Map each vertex to the least vertex of its component."""
-    uf = _UnionFind()
-    for v in X.cells[0]:
-        uf.add(v)
+    uf = _UnionFind(X.cells[0])
     if X.dim_bound >= 1:
         for e in X.cells[1]:
             uf.union(X.d(1, 0, e), X.d(1, 1, e))

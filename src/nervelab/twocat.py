@@ -505,9 +505,7 @@ def as_two_functor(F: CatFunctor) -> TwoFunctor:
 
 def _hom_components(H: FinCat) -> dict[One, One]:
     """Map each 1-cell to the least 1-cell of its zig-zag component."""
-    uf = _UnionFind()
-    for f in H.objects:
-        uf.add(f)
+    uf = _UnionFind(H.objects)
     for al in H.arrows:
         uf.union(H.src[al], H.dst[al])
     return {f: uf.find(f) for f in H.objects}

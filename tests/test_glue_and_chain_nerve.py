@@ -5,21 +5,32 @@ a finite poset (Delta_n, its boundary and horns, the subdivided simplex).
 The SHA-256 values below were computed from the canonical JSON of each
 output before both constructions were shared, so any change to a cell
 name, a level or an operator table shows up here.  The face-poset oracle
-counts chains by brute force, independently of the code under test.
+counts chains by brute force, independently of the code under test, and
+the naive quotient (``reference_glue``) merges classes by the definition.
 """
 
 import hashlib
 import json
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from pathlib import Path
 
 import pytest
 
-from nervelab import corpus
+from nervelab import corpus, simplicial, subdivision
+from nervelab.homology import homology
 from nervelab.lifting import homotopy_pushout
-from nervelab.serialize import canonical_json, smap_from_doc, sset_to_doc
-from nervelab.simplicial import SimplicialSet, boundary, horn, standard_simplex
+from nervelab.serialize import canonical_json, homology_to_doc, smap_from_doc, sset_to_doc
+from nervelab.simplicial import (
+    SimplicialSet,
+    boundary,
+    boundary_inclusion,
+    constant_map,
+    enumerate_simplicial_maps,
+    horn,
+    pushout,
+    standard_simplex,
+)
 from nervelab.subdivision import sd, sd_simplex
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -139,3 +150,97 @@ def test_builtin_complexes_agree_with_their_face_posets(n, D):
     horn_facets = [f for f in proper if n - 1 in f]  # every facet but the one opposite n - 1
     assert horn(n, n - 1, D) == complex_sset(horn_facets, D)
     assert sd(boundary(n, D))[0].nondegenerate_counts() == strict_chain_counts(closure(proper), D)
+
+
+# -- oracle: the quotient, by naive merging --------------------------------------
+
+def reference_glue(D, pieces, pairs):
+    """The quotient ``_glue`` computes, by the definition: start with one
+    class per cell and merge the two classes of every pair until no pair
+    spans two classes.  Each class is named by its least ``prefix + cell``,
+    and every member must give it the same faces and degeneracies."""
+    pairs = list(pairs)
+    classes = {(n, j, c): frozenset([(j, c)])
+               for j, (_, X) in enumerate(pieces) for n in range(D + 1) for c in X.cells[n]}
+    merged = True
+    while merged:
+        merged = False
+        for (j, n, c), (k, _, e) in pairs:
+            a, b = classes[(n, j, c)], classes[(n, k, e)]
+            if a != b:
+                for member in a | b:
+                    classes[(n, *member)] = a | b
+                merged = True
+    tables = [{n: {c: min(pieces[k][0] + e for k, e in classes[(n, j, c)]) for c in X.cells[n]}
+               for n in range(D + 1)} for j, (_, X) in enumerate(pieces)]
+    cells = {n: set() for n in range(D + 1)}
+    face, degeneracy = {}, {}
+    for j, (_, X) in enumerate(pieces):
+        for n in range(D + 1):
+            for c in X.cells[n]:
+                name = tables[j][n][c]
+                cells[n].add(name)
+                for i in range(n + 1):
+                    if n >= 1:
+                        d = tables[j][n - 1][X.face[(n, i, c)]]
+                        assert face.setdefault((n, i, name), d) == d
+                    if n < D:
+                        s = tables[j][n + 1][X.degeneracy[(n, i, c)]]
+                        assert degeneracy.setdefault((n, i, name), s) == s
+    return SimplicialSet(D, cells, face, degeneracy), tables
+
+
+def pushout_doc(f, g) -> str:
+    P, jx, jy = pushout(f, g)
+    return canonical_json({"space": sset_to_doc(P), "maps": [j.levels for j in (jx, jy)]})
+
+
+def sphere(D: int):
+    """S^2 = Delta^2 / bd Delta^2: the span Delta^0 <- bd Delta^2 -> Delta^2."""
+    A = boundary(2, D)
+    return constant_map(A, standard_simplex(0, D), "0"), boundary_inclusion(2, D)
+
+
+def seeded_span(seed: int):
+    """Two seeded maps out of one complex, picked among the first maps in
+    enumeration order, which collapse cells as often as not."""
+    rng = random.Random(seed)
+    A, X, Y = (complex_sset(seeded_facets(rng.randrange(1000)), 2) for _ in range(3))
+    f = rng.choice(list(islice(enumerate_simplicial_maps(A, X), 60)))
+    g = rng.choice(list(islice(enumerate_simplicial_maps(A, Y), 60)))
+    return f, g
+
+
+@pytest.mark.parametrize("span", [sphere(2), sphere(3)] + [seeded_span(seed) for seed in range(12)],
+                         ids=["sphere_2", "sphere_3"] + [f"seeded_{seed}" for seed in range(12)])
+def test_pushout_is_the_naive_quotient(span, monkeypatch):
+    f, g = span
+    got = pushout_doc(f, g)
+    monkeypatch.setattr(simplicial, "_glue", reference_glue)
+    assert got == pushout_doc(f, g)
+
+
+def test_quotients_that_collapse_a_nondegenerate_cell_are_covered():
+    # in S^2 each edge of Delta^2 is glued to a degenerate edge of the point;
+    # and some seeded span collapses a nondegenerate cell the same way
+    P, _, to_p = pushout(*sphere(3))
+    assert [P.is_degenerate(1, to_p(1, e)) for e in ("01", "02", "12")] == [True] * 3
+    assert P.nondegenerate_counts() == (1, 0, 1, 0)
+    collapsed = 0
+    for seed in range(12):
+        f, g = seeded_span(seed)
+        P, jx, jy = pushout(f, g)
+        for j in (jx, jy):
+            collapsed += sum(P.is_degenerate(n, j(n, c))
+                             for n in (1, 2) for c in j.source.nondegenerate(n))
+    assert collapsed > 0
+
+
+def test_sd_of_the_sphere_is_the_naive_quotient(monkeypatch):
+    S2 = pushout(*sphere(3))[0]
+    got = [sd_doc(S2), sd_doc(sd(S2)[0])]
+    monkeypatch.setattr(subdivision, "_glue", reference_glue)
+    assert [digest(doc) for doc in got] == [digest(sd_doc(S2)), digest(sd_doc(sd(S2)[0]))]
+    h = homology_to_doc(homology(S2, 2))
+    assert [h["degrees"][str(n)]["betti"] for n in range(3)] == [1, 0, 1]
+    assert homology_to_doc(homology(sd(S2)[0], 2)) == h

@@ -4,7 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from nervelab.cat import CatFunctor, arrow_category, discrete_category, identity_functor, terminal_category
+from nervelab.cat import (
+    CatFunctor,
+    arrow_category,
+    discrete_category,
+    identity_functor,
+    slice_functor,
+    terminal_category,
+)
 from nervelab.corpus import localizer_universe, localizer_universe_2
 from nervelab.errors import DomainError
 from nervelab.localizer import (
@@ -177,6 +184,24 @@ def test_level_two_slice_criterion():
     assert check_slice_triangle(U, "u", "id_simplex2_1", "q", W) == []
     # one marked slice is not enough
     assert "u" not in closure(U, MarkedClass(frozenset({"u_slice0"})))
+
+
+@pytest.mark.parametrize("make", [localizer_universe, localizer_universe_2, simplex_triangle_universe])
+def test_slices_are_those_of_every_slice_functor(make):
+    # the oracle builds the slice functor of every triangle over every
+    # object and looks it up among all edges, as the definition reads
+    U = make()
+    build = slice_2functor if U.level == 2 else slice_functor
+    want = {}
+    for (u, q), p in sorted(U.composites.items()):
+        pairs = want[(u, p, q)] = []
+        for c in U.nodes[U.edges[q].dst].objects:
+            uc = build(U.edges[u].functor, U.edges[p].functor, U.edges[q].functor, c)
+            pairs.append((c, next((n for n, e in sorted(U.edges.items()) if e.functor == uc), None)))
+            if pairs[-1][1] is None:
+                break
+    assert U._slices == want
+    assert list(U._slices) == list(want)
 
 
 # -- closure is the least fixed point of the checkers ---------------------------

@@ -303,3 +303,12 @@ def test_thomason_generator_two_level_one():
 def test_realize_dispatch():
     assert realize(cat_of(standard_simplex(1, 1))).status == "finite"
     assert realize(twocat_of(standard_simplex(1, 2))).status == "finite"
+
+
+def test_budget_does_not_bound_a_two_presentation():
+    # a 2-presentation has no 1-cell relations to complete
+    pres = twocat_of(standard_simplex(3, 3))
+    tight = realize(pres, budget=0)
+    assert tight.status == "finite"
+    assert canonical_json(realize_result_to_doc(tight)) == \
+        canonical_json(realize_result_to_doc(realize(pres, budget=200)))

@@ -191,6 +191,41 @@ def test_simplicial_operator_rejects_bad_input():
         simplicial_operator(X, (0, 3), 2, "012")
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_simplicial_operator_on_the_top_cell_is_the_digit_string(n):
+    # the oracle: on the top cell of Delta_n, X(phi) is the cell named by
+    # phi's own digit string, for every monotone phi: [m] -> [n] within the bound
+    D = n + 1
+    X = standard_simplex(n, D)
+    top = "".join(str(v) for v in range(n + 1))
+    checked = 0
+    for m in range(D + 1):
+        for phi in iproduct(range(n + 1), repeat=m + 1):
+            if all(a <= b for a, b in zip(phi, phi[1:])):
+                assert simplicial_operator(X, phi, n, top) == "".join(str(v) for v in phi)
+                checked += 1
+    assert checked == sum(oracle_monotone_count(m, n) for m in range(D + 1))
+
+
+def test_simplicial_operator_errors_keep_their_precedence():
+    X = standard_simplex(2, 3)
+    # monotone before range before bound, whichever of them also fails
+    for phi, error in [
+        ((1, 0), ContractError),
+        ((3, 0), ContractError),
+        ((3, 0, 0, 0, 0), ContractError),
+        ((0, 3), DomainError),
+        ((0, 0, 0, 0, 3), DomainError),
+        ((0, 0, 0, 1, 2), BoundError),
+    ]:
+        with pytest.raises(error):
+            simplicial_operator(X, phi, 2, "012")
+    # a word decomposed for a higher bound is still checked against a lower one
+    assert simplicial_operator(X, (0, 0, 1, 2), 2, "012") == "0012"
+    with pytest.raises(BoundError):
+        simplicial_operator(standard_simplex(2, 2), (0, 0, 1, 2), 2, "012")
+
+
 # -- maps -------------------------------------------------------------------
 
 def test_simplex_map_classifies_cells():
