@@ -524,21 +524,27 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
             V = table[edge]
         return tuple(out)
 
+    # each relation applies where its first step's segment sits in a path,
+    # looked up by the segment's first 1-generator.  A segment is never
+    # empty here: a 2-generator with an empty source closes a cycle of
+    # 1-cells or of a whisker graph, and either has returned above
+    sites: dict[str, list[tuple[tuple[str, str], Path, int]]] = {}
+    for key, ps in paths.items():
+        for V in ps:
+            for off, g in enumerate(V):
+                sites.setdefault(g, []).append((key, V, off))
     for lhs_seq, rhs_seq in p.relations:
         if not (lhs_seq or rhs_seq):
             continue
         first = (lhs_seq or rhs_seq)[0]
         segment = first.left + p.two_src[first.gen] + first.right
-        for key, ps in paths.items():
-            table = hom_edges[key]
-            for V in ps:
-                for off in range(len(V) - len(segment) + 1):
-                    if V[off:off + len(segment)] != segment:
-                        continue
-                    il = instantiate(lhs_seq, V, off, table)
-                    ir = instantiate(rhs_seq, V, off, table)
-                    if il is not None and ir is not None and il != ir:
-                        gen_pairs[key].append((il, ir))
+        for key, V, off in sites.get(segment[0], ()):
+            if V[off:off + len(segment)] == segment:
+                table = hom_edges[key]
+                il = instantiate(lhs_seq, V, off, table)
+                ir = instantiate(rhs_seq, V, off, table)
+                if il is not None and ir is not None and il != ir:
+                    gen_pairs[key].append((il, ir))
 
     # per hom: union-find on parallel edge-paths, joining each one to every
     # edge-path one substitution s1 -> s2 away (which also finds each pair

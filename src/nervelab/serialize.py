@@ -1,7 +1,10 @@
 """Canonical JSON serialization for every interchange type.
 
 All documents use sorted keys, sorted entry arrays and no insignificant
-whitespace, so identical values serialize to identical bytes.
+whitespace, so identical values serialize to identical bytes.  The writer
+escapes each distinct string once per document: a cell's name nests the
+names of its images, so a nerve document repeats long names many times,
+and each later occurrence copies the escaped form.
 
 A parser returns a valid value or raises
 :class:`~nervelab.errors.SchemaError`: it checks the shape of the document
@@ -24,7 +27,8 @@ Document shapes (see README for examples):
 
 from __future__ import annotations
 
-import json
+from functools import lru_cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 from .cat import CatFunctor, FinCat, validate_category, validate_functor
@@ -42,8 +46,22 @@ from .simplicial import SimplicialMap, SimplicialSet, Violation, validate, valid
 from .twocat import Fin2Cat, TwoFunctor, validate_2category, validate_two_functor
 
 
+def _unserializable(value: Any) -> None:
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# json.dumps(doc, sort_keys=True, separators=(",", ":")) with its string
+# escaper memoized, built once.  markers=None: the encoder would leave the
+# ids of an unfinished document in a shared markers dict after an error.
+_escaped = lru_cache(maxsize=None)(encode_basestring_ascii)
+_encode = c_make_encoder(None, _unserializable, _escaped, None, ":", ",", True, False, True)
+
+
 def canonical_json(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        return "".join(_encode(doc, 0)) + "\n"
+    finally:
+        _escaped.cache_clear()
 
 
 def _need(doc: dict, key: str, kind: type, where: str):

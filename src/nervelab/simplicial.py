@@ -1096,6 +1096,37 @@ class Singular(NamedTuple):
     names: tuple[Callable[..., str], ...]
 
 
+class _LevelPlan(NamedTuple):
+    """How :func:`_singular` names and re-indexes the cells of level n:
+    the sorted source keys of K(n) with their positions, ``faces[i]``
+    taking a cell's tuple to that of its i-th face, and
+    ``degeneracies[i]`` taking the tuple of an (n-1)-cell to that of its
+    i-th degeneracy.  Plans are cached and shared: nothing changes them."""
+
+    keys: tuple[Key, ...]
+    places: dict[Key, int]
+    faces: tuple[Callable[[tuple], tuple], ...]
+    degeneracies: tuple[Callable[[tuple], tuple], ...]
+
+
+@lru_cache(maxsize=None)
+def _level_plan(operator: Callable[[Monotone, int], object], n: int) -> _LevelPlan:
+    """The plan of level n of a singular complex whose operators act by
+    precomposition with ``operator``: it depends on ``operator`` and n
+    only, so ``operator`` must be one long-lived function per shape."""
+    def reindexing(phi: Monotone, m: int, places: dict[Key, int]) -> Callable[[tuple], tuple]:
+        return _picker([places[t] for _, t in sorted(operator(phi, m).assignments())])
+
+    keys = tuple(s for s, _ in sorted(operator(tuple(range(n + 1)), n).assignments()))
+    places = {s: k for k, s in enumerate(keys)}
+    if n == 0:
+        return _LevelPlan(keys, places, (), ())
+    below = _level_plan(operator, n - 1).places
+    return _LevelPlan(keys, places,
+                      tuple(reindexing(coface(n, i), n, places) for i in range(n + 1)),
+                      tuple(reindexing(codegeneracy(n - 1, i), n - 1, below) for i in range(n)))
+
+
 def _singular(
     D: int,
     level: Callable[[int, tuple, dict, dict], Iterable[tuple[tuple, Optional[tuple]]]],
@@ -1110,47 +1141,42 @@ def _singular(
     ``template(keys).format``; no map object is built.  ``phi`` acts by
     precomposition with ``operator(phi, n)``: K(m) -> K(n), which is
     re-indexing the tuple at the positions of the operator's image keys.
+    The keys and re-indexings of each level are compiled once per
+    ``(operator, n)`` and cached (:func:`_level_plan`), so ``operator``
+    must be the same object from call to call: ``cosimplicial_operator``
+    for the nerve, one function per bound for the extension.
 
     ``level(n, keys, named, faces)`` yields each cell of level n as
     ``(image, faces)``, given the source keys of level n and level n - 1 as
     ``named`` (image -> id) and ``faces`` (id -> the tuple of its faces).  A
     cell yielded with faces None has them computed by re-indexing.
     """
-    places: dict[int, dict[Key, int]] = {}
-
-    def reindexing(phi: Monotone, n: int) -> Callable[[tuple], tuple]:
-        return _picker([places[n][t] for _, t in sorted(operator(phi, n).assignments())])
-
+    plans = [_level_plan(operator, n) for n in range(D + 1)]
+    names = tuple(template(plan.keys).format for plan in plans)
     table: dict[tuple[int, Cell], tuple] = {}
     face: dict[tuple[int, int, Cell], Cell] = {}
     degeneracy: dict[tuple[int, int, Cell], Cell] = {}
     cells: dict[int, Iterable[Cell]] = {}
     named: dict[tuple, Cell] = {}
     faces: dict[Cell, tuple] = {}
-    for n in range(D + 1):
-        keys = tuple(s for s, _ in sorted(operator(tuple(range(n + 1)), n).assignments()))
-        places[n] = {s: k for k, s in enumerate(keys)}
-        name = template(keys).format
-        d = [reindexing(coface(n, i), n) for i in range(n + 1)] if n > 0 else []
+    for n, (plan, name) in enumerate(zip(plans, names)):
         level_named: dict[tuple, Cell] = {}
         level_faces: dict[Cell, tuple] = {}
-        for image, fc in level(n, keys, named, faces):
+        for image, fc in level(n, plan.keys, named, faces):
             cid = name(*image)
             level_named[image] = cid
             table[(n, cid)] = image
             if fc is None:
-                fc = tuple(named[di(image)] for di in d)
+                fc = tuple(named[di(image)] for di in plan.faces)
             level_faces[cid] = fc
             for i, x in enumerate(fc):
                 face[(n, i, cid)] = x
-        for i in range(n):
-            si = reindexing(codegeneracy(n - 1, i), n - 1)
+        for i, si in enumerate(plan.degeneracies):
             for image, cid in named.items():
                 degeneracy[(n - 1, i, cid)] = level_named[si(image)]
         named, faces = level_named, level_faces
         cells[n] = faces.keys()
-    return Singular(SimplicialSet(D, cells, face, degeneracy), table, tuple(places.values()),
-                    tuple(template(tuple(keys)).format for keys in places.values()))
+    return Singular(SimplicialSet(D, cells, face, degeneracy), table, tuple(plan.places for plan in plans), names)
 
 
 def _postcompose(source: Singular, target: Singular, entry: Callable[[Key], tuple]) -> SimplicialMap:

@@ -188,6 +188,13 @@ def alpha(X: SimplicialSet, cert: Optional[SubdivisionCertificate] = None) -> Si
 # the right adjoint
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _sd_operator(B: int) -> Callable[[Monotone, int], SimplicialMap]:
+    """:func:`sd_operator_map` at bound B, one function per B, which keys
+    the level plans of every ``ex_cells`` at that bound."""
+    return lambda phi, n: sd_operator_map(phi, n, B)
+
+
 def ex_cells(X: SimplicialSet, D: int) -> Singular:
     """Bounded extension: level n is all maps sd_simplex(n, X.dim_bound) ->
     X, with the keys, writers and table that name its cells.  Requires
@@ -198,7 +205,7 @@ def ex_cells(X: SimplicialSet, D: int) -> Singular:
     B = X.dim_bound
     return _singular(
         D, lambda n, keys, named, faces: _images(_simplicial_problem(sd_simplex(n, B), X), keys),
-        lambda phi, n: sd_operator_map(phi, n, B), _map_name_template,
+        _sd_operator(B), _map_name_template,
     )
 
 

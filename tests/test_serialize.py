@@ -1,4 +1,5 @@
-"""Parsers return valid values or raise SchemaError naming the key."""
+"""Parsers return valid values or raise SchemaError naming the key; the
+canonical writer writes what ``json.dumps`` writes."""
 
 import json
 
@@ -9,7 +10,12 @@ from hypothesis import strategies as st
 from cli_cases import DATA
 
 from nervelab import serialize as ser
+from nervelab.corpus import nonthin_two_categories, two_categories
 from nervelab.errors import SchemaError
+from nervelab.twocat import geometric_nerve
+
+
+TWO = {**two_categories(), **nonthin_two_categories()}
 
 
 def without(entries, prefix):
@@ -87,3 +93,51 @@ def test_a_document_with_one_entry_deleted_or_retyped_parses_or_raises_schema_er
         parser_for(name)(doc)
     except SchemaError:
         pass
+
+
+# -- the canonical writer ---------------------------------------------------------
+
+def dumps(doc):
+    """The canonical form as ``json.dumps`` writes it."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# few strings, so that they repeat within a document, with the characters
+# that need escaping
+STRINGS = st.sampled_from(["", "a", "01", "é", "☃x", "\U0001f600", "\ud800", '"', "\\", '\\"',
+                           "\x00", "\n\t", "\x1f\x7f", " ", "{0}>a"])
+LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | STRINGS
+JSON_LIKE = st.recursive(
+    LEAVES, lambda inner: st.lists(inner, max_size=5) | st.dictionaries(STRINGS, inner, max_size=5),
+    max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(doc=JSON_LIKE)
+def test_canonical_json_writes_what_json_dumps_writes(doc):
+    assert ser.canonical_json(doc) == dumps(doc)
+
+
+@pytest.mark.parametrize("name", sorted(TWO))
+def test_canonical_json_of_a_geometric_nerve_is_what_json_dumps_writes(name):
+    doc = ser.sset_to_doc(geometric_nerve(TWO[name], 4))
+    assert ser.canonical_json(doc) == dumps(doc)
+
+
+def test_canonical_json_refuses_a_set_as_json_dumps_does():
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        ser.canonical_json({"a": {1}})
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        dumps({"a": {1}})
+
+
+def test_a_failed_call_leaves_the_next_one_correct():
+    """Nothing of a document that failed half-written is kept: neither the
+    escaped strings nor the containers it had entered, which would be
+    reported as circular when written again."""
+    doc = {"a": ["é", {"b": "c"}], "d": [{"e": {1}}]}
+    with pytest.raises(TypeError):
+        ser.canonical_json(doc)
+    assert ser._escaped.cache_info().currsize == 0
+    doc["d"][0]["e"] = ["é"]
+    assert ser.canonical_json(doc) == dumps(doc)

@@ -24,6 +24,7 @@ from nervelab.serialize import canonical_json, smap_to_doc, sset_to_doc
 from nervelab.simplicial import (
     SimplicialMap,
     SimplicialSet,
+    _level_plan,
     _singular,
     codegeneracy,
     coface,
@@ -256,6 +257,21 @@ def test_transpose_to_ex_is_pinned():
         SX, cert = sd(X)
         docs[name] = [smap_to_doc(transpose_to_ex(F, cert, 1)) for F in enumerate_simplicial_maps(SX, Y)]
     assert digest(docs) == "365abe65466fe08303d7632e2dcbf0e78f4d3f3573754b2fde206a9b18f730ff"
+
+
+def test_level_plans_are_compiled_once_per_shape():
+    """A second extension and geometric nerve at the same bounds reuse the
+    plan of every level: the plan cache is keyed on the operator, which
+    must be the same object from one build to the next."""
+    def build():
+        ex(OBJECTS["odd_boundary2"], 2)
+        geometric_nerve(TWO["terminal2"], 4)
+    build()
+    before = _level_plan.cache_info()
+    build()
+    after = _level_plan.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits > before.hits
 
 
 def test_encode_fills_the_name_template():
