@@ -7,10 +7,20 @@ inputs give structurally equal categories.
 
 from __future__ import annotations
 
+from operator import eq
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import ContractError, DomainError
-from .simplicial import Key, SimplicialSet, _claim, _dimension_tag, _search, monotone_maps, simplicial_operator
+from .simplicial import (
+    Key,
+    SimplicialSet,
+    _chain_nerve,
+    _claim,
+    _dimension_tag,
+    _search,
+    monotone_maps,
+    simplicial_operator,
+)
 
 Obj = str
 Arr = str
@@ -39,9 +49,6 @@ class FinCat:
 
     def hom(self, a: Obj, b: Obj) -> tuple[Arr, ...]:
         return tuple(f for f in self.arrows if self.src[f] == a and self.dst[f] == b)
-
-    def comp(self, g: Arr, f: Arr) -> Arr:
-        return self.compose[(g, f)]
 
     def is_identity(self, f: Arr) -> bool:
         return self.identity.get(self.src[f]) == f
@@ -130,12 +137,6 @@ class CatFunctor:
             if problems:
                 raise ContractError("not a functor: " + "; ".join(problems[:3]))
 
-    def on_obj(self, a: Obj) -> Obj:
-        return self.objects[a]
-
-    def on_arr(self, f: Arr) -> Arr:
-        return self.arrows[f]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CatFunctor):
             return NotImplemented
@@ -212,43 +213,31 @@ def compose_functors(G: CatFunctor, F: CatFunctor) -> CatFunctor:
 # small constructors
 # ---------------------------------------------------------------------------
 
+def _thin_category(
+    elements: Iterable[Obj], leq: Callable[[Obj, Obj], bool], arrow: Callable[[Obj, Obj], Arr]
+) -> FinCat:
+    """The category of a finite order: one arrow ``arrow(a, b)`` for each
+    ``leq(a, b)``, composed by the order."""
+    elements = list(elements)
+    arrows = {(a, b): arrow(a, b) for a in elements for b in elements if leq(a, b)}
+    src = {f: a for (a, _), f in arrows.items()}
+    dst = {f: b for (_, b), f in arrows.items()}
+    compose = {(g, f): arrows[(a, c)]
+               for (a, b), f in arrows.items() for (b2, c), g in arrows.items() if b2 == b}
+    return FinCat(elements, arrows.values(), src, dst, compose, {a: arrows[(a, a)] for a in elements})
+
+
 def terminal_category() -> FinCat:
-    return FinCat(["*"], ["id_*"], {"id_*": "*"}, {"id_*": "*"}, {("id_*", "id_*"): "id_*"}, {"*": "id_*"})
+    return discrete_category(["*"])
 
 
 def discrete_category(names: Iterable[Obj]) -> FinCat:
-    names = list(names)
-    ids = {a: f"id_{a}" for a in names}
-    return FinCat(
-        names,
-        ids.values(),
-        {i: a for a, i in ids.items()},
-        {i: a for a, i in ids.items()},
-        {(i, i): i for i in ids.values()},
-        ids,
-    )
+    return _thin_category(names, eq, lambda a, b: f"id_{a}")
 
 
 def poset_category(elements: Iterable[Obj], leq: Callable[[Obj, Obj], bool]) -> FinCat:
     """The thin category of a finite poset; arrow ``a<=b`` whenever leq(a, b)."""
-    elements = list(elements)
-    arrows = {}
-    src = {}
-    dst = {}
-    for a in elements:
-        for b in elements:
-            if leq(a, b):
-                name = f"id_{a}" if a == b else f"{a}<={b}"
-                arrows[(a, b)] = name
-                src[name] = a
-                dst[name] = b
-    compose = {}
-    for (a, b), f in arrows.items():
-        for (b2, c), g in arrows.items():
-            if b == b2:
-                compose[(g, f)] = arrows[(a, c)]
-    ids = {a: arrows[(a, a)] for a in elements}
-    return FinCat(elements, arrows.values(), src, dst, compose, ids)
+    return _thin_category(elements, leq, lambda a, b: f"id_{a}" if a == b else f"{a}<={b}")
 
 
 def chain_category(n: int) -> FinCat:
@@ -295,69 +284,26 @@ def parallel_pair_category() -> FinCat:
 # the nerve
 # ---------------------------------------------------------------------------
 
-def _chain_id(chain: tuple[Arr, ...], obj: Optional[Obj] = None) -> str:
-    if not chain:
-        return f"<{obj}>"
-    return "|".join(chain)
+def _chain_name(chain: tuple[str, ...]) -> str:
+    """``<a>`` for the 0-chain at a, ``f1|...|fn`` for a longer chain."""
+    return f"<{chain[0]}>" if len(chain) == 1 else "|".join(chain[1:])
 
 
 def nerve(C: FinCat, D: int) -> SimplicialSet:
     """Nerve truncated at D: level n holds composable n-chains of arrows.
 
-    The chain ``(f1, ..., fn)`` runs left to right (f1 first); identities
-    are allowed, and chains containing them are exactly the degenerate
-    cells.
+    This is :func:`~nervelab.simplicial._chain_nerve`, the construction
+    behind Delta_n and sd Delta_n, applied to C.  The chain ``(f1, ...,
+    fn)`` runs left to right (f1 first) and is named ``f1|...|fn``; the
+    0-chain at a is named ``<a>``.  Identities are allowed, and chains
+    containing them are exactly the degenerate cells.
     """
+    out: dict[Obj, list[Arr]] = {a: [] for a in C.objects}
     for f in C.arrows:
         if "|" in f:
             raise ContractError(f"arrow id {f!r} may not contain '|'")
-    chains: dict[int, list[tuple[tuple[Arr, ...], Obj]]] = {
-        0: [((), a) for a in C.objects]
-    }
-    for n in range(1, D + 1):
-        prev = chains[n - 1]
-        nxt = []
-        for chain, end in prev:
-            for f in C.arrows:
-                if C.src[f] == end:
-                    nxt.append((chain + (f,), C.dst[f]))
-        chains[n] = nxt
-
-    cells = {n: [_chain_id(ch, obj) for ch, obj in chains[n]] for n in range(D + 1)}
-    start = {}
-    for n in range(D + 1):
-        for ch, end in chains[n]:
-            start[_chain_id(ch, end)] = C.src[ch[0]] if ch else end
-
-    face: dict[tuple[int, int, str], str] = {}
-    degeneracy: dict[tuple[int, int, str], str] = {}
-    for n in range(1, D + 1):
-        for ch, end in chains[n]:
-            cid = _chain_id(ch, end)
-            for i in range(n + 1):
-                if i == 0:
-                    sub = ch[1:]
-                    o = C.dst[ch[0]] if n == 1 else None
-                elif i == n:
-                    sub = ch[:-1]
-                    o = C.src[ch[0]] if n == 1 else None
-                else:
-                    sub = ch[: i - 1] + (C.compose[(ch[i], ch[i - 1])],) + ch[i + 1:]
-                    o = None
-                if n == 1:
-                    face[(n, i, cid)] = _chain_id((), o if o is not None else end)
-                else:
-                    face[(n, i, cid)] = _chain_id(sub)
-    for n in range(D):
-        for ch, end in chains[n]:
-            cid = _chain_id(ch, end)
-            verts = [start[cid]]
-            for f in ch:
-                verts.append(C.dst[f])
-            for i in range(n + 1):
-                ins = ch[:i] + (C.identity[verts[i]],) + ch[i:]
-                degeneracy[(n, i, cid)] = _chain_id(ins)
-    return SimplicialSet(D, cells, face, degeneracy)
+        out[C.src[f]].append(f)
+    return _chain_nerve(out, C.dst, C.compose, C.identity, _chain_name, lambda chain: True, D)
 
 
 # ---------------------------------------------------------------------------

@@ -501,12 +501,16 @@ def _free_reduce(w: Word) -> Word:
     return tuple(out)
 
 
-def tietze_reduce(p: GroupPresentation, budget: int = 100) -> GroupPresentation:
+_TIETZE_STEPS = 100
+
+
+def tietze_reduce(p: GroupPresentation) -> GroupPresentation:
     """Bounded simplification: free reduction, trivial-generator elimination,
-    substitution of generators defined by a relation."""
+    substitution of generators defined by a relation, for at most
+    ``_TIETZE_STEPS`` steps."""
     gens = list(p.generators)
     rels = [_free_reduce(w) for w in p.relations]
-    for _ in range(budget):
+    for _ in range(_TIETZE_STEPS):
         rels = [w for w in rels if w]
         # a relation g^{+-1} = 1 kills the generator
         killed = None
@@ -660,9 +664,6 @@ class EvidenceReport:
 
     def all_pass(self) -> bool:
         return all(v == PASS for v in self.checks.values())
-
-    def failures(self) -> list[str]:
-        return [k for k, v in self.checks.items() if v == FAIL]
 
 
 def mapping_cone(f: SimplicialMap) -> ChainComplex:

@@ -474,9 +474,12 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
     for a in p.objects:
         for w in words[a]:
             paths.setdefault((a, p.dst[w[-1]] if w else a), []).append(w)
-    anchored: dict[str, list[str]] = {}
+    # each 2-generator filed under its anchor object and the first
+    # 1-generator of its source, or None for an empty source
+    anchored: dict[tuple[str, Optional[str]], list[str]] = {}
     for t in p.two_generators:
-        anchored.setdefault(p.two_anchor[t][0], []).append(t)
+        source = p.two_src[t]
+        anchored.setdefault((p.two_anchor[t][0], source[0] if source else None), []).append(t)
 
     # the whisker graph of every hom (edge -> resulting path), and the
     # interchange squares of two disjoint edges leaving the same path
@@ -486,9 +489,11 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
         table = hom_edges[(a, b)] = {}
         pairs = gen_pairs[(a, b)] = []
         for V in ps:
-            leaving = [(pos, t) for pos, x in enumerate((a,) + tuple(p.dst[g] for g in V))
-                       for t in anchored.get(x, ())
-                       if V[pos:pos + len(p.two_src[t])] == p.two_src[t]]
+            leaving = []
+            for pos, x in enumerate((a,) + tuple(p.dst[g] for g in V)):
+                for head in ((V[pos], None) if pos < len(V) else (None,)):
+                    leaving += [(pos, t) for t in anchored.get((x, head), ())
+                                if V[pos:pos + len(p.two_src[t])] == p.two_src[t]]
             for pos, t in leaving:
                 table[(V, pos, t)] = V[:pos] + p.two_dst[t] + V[pos + len(p.two_src[t]):]
             for p1, t1 in leaving:
@@ -572,8 +577,6 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
         identity = {_word_id(a, w): names[find((w, ()))] for w in paths[(a, b)]}
         hom[(a, b)] = FinCat([_word_id(a, w) for w in paths[(a, b)]], names.values(),
                              src, dst, compose, identity)
-    hom_full = {(a, b): hom.get((a, b), FinCat([], [], {}, {}, {}, {}))
-                for a in p.objects for b in p.objects}
 
     hcompose1 = {}
     hcompose2 = {}
@@ -599,7 +602,7 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
                     whole = (V1 + V2, part1 + part2)
                     hcompose2[(a, b, c, n1, n2)] = names_ac[find_ac(whole)]
     unit = {a: _word_id(a, ()) for a in p.objects}
-    C2 = Fin2Cat(p.objects, hom_full, hcompose1, hcompose2, unit)
+    C2 = Fin2Cat(p.objects, hom, hcompose1, hcompose2, unit)
     return RealizeResult(
         "finite",
         two_category=C2,

@@ -13,8 +13,10 @@ Conventions used throughout:
   unambiguous;
 * ``face[(n, i, c)]`` is ``d_i c`` and ``degeneracy[(n, i, c)]`` is
   ``s_i c`` (defined for ``n < dim_bound``);
-* the standard simplex, its boundary and its horns are chain nerves of
-  the poset ``0 <= ... <= n`` (:func:`_chain_nerve`);
+* every nerve is :func:`_chain_nerve`, the nerve of a finite category
+  given by its arrows, composition and identities; the standard simplex,
+  its boundary and its horns are nerves of the poset ``0 <= ... <= n``
+  (:func:`_poset_nerve`, the category whose arrow a -> b is named b);
 * pushouts and coproducts are quotients of a disjoint union of named
   pieces (:func:`_glue`).  At each level a cell of a piece is numbered by
   the piece's offset plus its position in the piece's sorted level, the
@@ -174,9 +176,6 @@ class SimplicialSet:
     def nondegenerate_counts(self) -> tuple[int, ...]:
         return tuple(len(self._nondeg[n]) for n in range(self.dim_bound + 1))
 
-    def is_empty(self) -> bool:
-        return all(not self.cells[n] for n in range(self.dim_bound + 1))
-
     # -- structural equality ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -255,41 +254,70 @@ def _from_digits(c: Cell) -> Monotone:
 
 
 def _chain_nerve(
-    elements: Sequence[str],
-    leq: Callable[[str, str], bool],
-    D: int,
-    sep: str,
+    out: Mapping[str, Sequence[str]],
+    target: Mapping[str, str],
+    compose: Mapping[tuple[str, str], str],
+    identity: Mapping[str, str],
+    name: Callable[[tuple[str, ...]], Cell],
     keep: Callable[[tuple[str, ...]], bool],
+    D: int,
 ) -> SimplicialSet:
-    """The nerve of a finite poset, truncated at D.
+    """The nerve of a finite category, truncated at D.
 
-    Level m holds the weak chains ``e_0 <= ... <= e_m`` that ``keep``
-    accepts, each named by joining its elements' names with ``sep``.
-    Faces delete an entry and degeneracies repeat one.  ``keep`` must
-    accept the faces and degeneracies of every chain it accepts, so each
-    level is grown from the one below in the order of ``elements``.
+    ``out`` lists the arrows out of each object, ``target`` gives each
+    arrow's target, ``compose[(g, f)]`` is ``g . f`` and ``identity`` each
+    object's identity.  Level m holds the chains ``(a, f_1, ..., f_m)`` of
+    composable arrows out of a that ``keep`` accepts, each named by
+    ``name``.  ``d_0`` drops f_1, ``d_m`` drops f_m, an inner ``d_i``
+    composes f_i and f_(i+1), and ``s_i`` inserts the identity of vertex
+    i.  ``keep`` must accept the faces and degeneracies of every chain it
+    accepts, so each level is grown from the one below in the order of
+    ``out``.
     """
-    above = {e: [t for t in elements if leq(e, t)] for e in elements}
-    names = {(e,): e for e in elements if keep((e,))}
+    def vertex(chain: tuple[str, ...], i: int) -> str:
+        return target[chain[i]] if i else chain[0]
+
+    names = {(a,): name((a,)) for a in out if keep((a,))}
     cells: dict[int, Iterable[Cell]] = {0: names.values()}
     face: dict[tuple[int, int, Cell], Cell] = {}
     degeneracy: dict[tuple[int, int, Cell], Cell] = {}
     for m in range(1, D + 1):
         longer = {}
         for chain in names:
-            for t in above[chain[-1]]:
-                grown = chain + (t,)
+            for f in out[vertex(chain, m - 1)]:
+                grown = chain + (f,)
                 if keep(grown):
-                    longer[grown] = sep.join(grown)
+                    longer[grown] = name(grown)
         for chain, c in names.items():
             for i in range(m):
-                degeneracy[(m - 1, i, c)] = longer[chain[: i + 1] + chain[i:]]
+                unit = identity[vertex(chain, i)]
+                degeneracy[(m - 1, i, c)] = longer[chain[: i + 1] + (unit,) + chain[i + 1:]]
         for chain, c in longer.items():
-            for i in range(m + 1):
-                face[(m, i, c)] = names[chain[:i] + chain[i + 1:]]
+            face[(m, 0, c)] = names[(target[chain[1]],) + chain[2:]]
+            for i in range(1, m):
+                face[(m, i, c)] = names[chain[:i] + (compose[(chain[i + 1], chain[i])],) + chain[i + 2:]]
+            face[(m, m, c)] = names[chain[:-1]]
         names = longer
         cells[m] = names.values()
     return SimplicialSet(D, cells, face, degeneracy)
+
+
+def _poset_nerve(
+    elements: Sequence[str],
+    leq: Callable[[str, str], bool],
+    D: int,
+    sep: str,
+    keep: Callable[[tuple[str, ...]], bool],
+) -> SimplicialSet:
+    """The nerve of a finite poset: :func:`_chain_nerve` of the category
+    whose arrow a -> b is named b, so that b -> c after a -> b is c.  A
+    chain is then the weak chain ``e_0 <= ... <= e_m`` of its elements,
+    named by joining them with ``sep``; faces delete an element and
+    degeneracies repeat one."""
+    above = {e: [t for t in elements if leq(e, t)] for e in elements}
+    itself = {e: e for e in elements}
+    compose = {(c, b): c for b in elements for c in above[b]}
+    return _chain_nerve(above, itself, compose, itself, sep.join, keep, D)
 
 
 def _vertices(n: int, D: int) -> list[str]:
@@ -302,12 +330,12 @@ def _vertices(n: int, D: int) -> list[str]:
 
 
 def standard_simplex(n: int, D: int) -> SimplicialSet:
-    return _chain_nerve(_vertices(n, D), le, D, "", lambda chain: True)
+    return _poset_nerve(_vertices(n, D), le, D, "", lambda chain: True)
 
 
 def boundary(n: int, D: int) -> SimplicialSet:
     """The boundary of the n-simplex: maps that miss some value."""
-    return _chain_nerve(_vertices(n, D), le, D, "", lambda chain: len(set(chain)) <= n)
+    return _poset_nerve(_vertices(n, D), le, D, "", lambda chain: len(set(chain)) <= n)
 
 
 def boundary_inclusion(n: int, D: int) -> SimplicialMap:
@@ -323,7 +351,7 @@ def horn(n: int, k: int, D: int) -> SimplicialSet:
     if not 0 <= k <= n:
         raise DomainError(f"horn index {k} outside [0, {n}]")
     others = set(vertices) - {str(k)}
-    return _chain_nerve(vertices, le, D, "", lambda chain: bool(others - set(chain)))
+    return _poset_nerve(vertices, le, D, "", lambda chain: bool(others - set(chain)))
 
 
 def empty_simplicial_set(D: int) -> SimplicialSet:
@@ -601,12 +629,12 @@ def constant_map(X: SimplicialSet, P: SimplicialSet, vertex: Cell) -> Simplicial
     return SimplicialMap(X, P, levels, check=False)
 
 
-def simplex_map(X: SimplicialSet, n: int, c: Cell, D: Optional[int] = None) -> SimplicialMap:
-    """The classifying map Delta_n -> X of a level-n cell."""
-    D = X.dim_bound if D is None else D
+def simplex_map(X: SimplicialSet, n: int, c: Cell) -> SimplicialMap:
+    """The classifying map Delta_n -> X of a level-n cell, at X's bound."""
+    D = X.dim_bound
     Dn = standard_simplex(n, D)
     levels: dict[int, dict[Cell, Cell]] = {}
-    for m in range(min(D, X.dim_bound) + 1):
+    for m in range(D + 1):
         levels[m] = {
             u: simplicial_operator(X, _from_digits(u), n, c) for u in Dn.cells[m]
         }

@@ -1,12 +1,13 @@
 """Barycentric subdivision, the bounded extension functor, and the
 last-vertex comparison maps.
 
-``sd_simplex(n)`` is the chain nerve (``simplicial._chain_nerve``) of the
-nonempty subsets of [n].  ``sd(X)`` glues one subdivided simplex per
-nondegenerate cell of X with ``simplicial._glue``, the construction behind
-pushouts: the copy at the k-cell x has the prefix ``k:x@``, so its cells
-are named ``k:x@chain``, and copies are identified along faces.  The returned
-certificate records, per nondegenerate cell, the resulting gluing map
+``sd_simplex(n)`` is the nerve of the poset of nonempty subsets of [n]
+(``simplicial._poset_nerve``), made by the chain nerve that also makes
+Delta_n and the nerve of a category.  ``sd(X)`` glues one subdivided
+simplex per nondegenerate cell of X with ``simplicial._glue``, the
+construction behind pushouts: the copy at the k-cell x has the prefix
+``k:x@``, so its cells are named ``k:x@chain``, and copies are identified
+along faces.  The returned certificate records, per nondegenerate cell, the resulting gluing map
 ``sd_simplex(k) -> sd(X)``; those maps are the class lookup of
 functoriality, and ``map_out`` builds every map out of sd(X) (``sd_map``,
 ``alpha``, ``transpose_from_ex``) from a value per piece; ``sd_map`` and
@@ -36,10 +37,10 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     Singular,
-    _chain_nerve,
     _glue,
     _images,
     _map_name_template,
+    _poset_nerve,
     _postcompose,
     _simplicial_problem,
     _singular,
@@ -59,7 +60,7 @@ def sd_simplex(n: int, D: int) -> SimplicialSet:
     subsets = sorted(
         "".join(str(i) for i in range(n + 1) if mask >> i & 1) for mask in range(1, 1 << (n + 1))
     )
-    return _chain_nerve(subsets, lambda s, t: set(s) <= set(t), D, ".", lambda chain: True)
+    return _poset_nerve(subsets, lambda s, t: set(s) <= set(t), D, ".", lambda chain: True)
 
 
 @lru_cache(maxsize=None)

@@ -23,6 +23,7 @@ from .cat import (
     CatFunctor,
     FinCat,
     _slice_name,
+    _thin_category,
     discrete_category,
     has_final_object,
     validate_category,
@@ -50,6 +51,11 @@ One = str  # a 1-cell (an object of a hom-category)
 Two = str  # a 2-cell (an arrow of a hom-category)
 
 
+# the hom of every pair that a 2-category is given none for; FinCat
+# tables are never changed after construction, so all share this one
+_NO_ARROWS = FinCat([], [], {}, {}, {}, {})
+
+
 class Fin2Cat:
     __slots__ = ("objects", "hom", "hcompose1", "hcompose2", "unit")
 
@@ -65,7 +71,7 @@ class Fin2Cat:
         self.hom = dict(hom)
         for a in self.objects:
             for b in self.objects:
-                self.hom.setdefault((a, b), FinCat([], [], {}, {}, {}, {}))
+                self.hom.setdefault((a, b), _NO_ARROWS)
         self.hcompose1 = dict(hcompose1)
         self.hcompose2 = dict(hcompose2)
         self.unit = dict(unit)
@@ -231,15 +237,6 @@ class TwoFunctor:
             if problems:
                 raise ContractError("not a 2-functor: " + "; ".join(problems[:3]))
 
-    def on_obj(self, a: Obj) -> Obj:
-        return self.objects[a]
-
-    def one(self, a: Obj, b: Obj, f: One) -> One:
-        return self.on1[(a, b, f)]
-
-    def two(self, a: Obj, b: Obj, al: Two) -> Two:
-        return self.on2[(a, b, al)]
-
     def encode(self) -> str:
         pairs = list(self.assignments())
         return _name_template(tuple(s for s, _ in pairs)).format(*(t[-1] for _, t in pairs))
@@ -360,35 +357,14 @@ def _subsets_between(i: int, j: int) -> list[str]:
     return sorted(out)
 
 
-def _poset_of_subsets(subsets: list[str]) -> FinCat:
-    """Objects the given subsets; an arrow S -> T whenever T is a subset of S
-    (the order opposite to inclusion)."""
-    arrows = {}
-    src = {}
-    dst = {}
-    for S in subsets:
-        for T in subsets:
-            if set(T) <= set(S):
-                name = f"{S}>{T}"
-                arrows[(S, T)] = name
-                src[name] = S
-                dst[name] = T
-    compose = {}
-    for (S, T), f in arrows.items():
-        for (T2, U), g in arrows.items():
-            if T == T2:
-                compose[(g, f)] = arrows[(S, U)]
-    identity = {S: arrows[(S, S)] for S in subsets}
-    return FinCat(subsets, arrows.values(), src, dst, compose, identity)
-
-
 @lru_cache(maxsize=None)
 def delta_tilde(n: int) -> Fin2Cat:
     """The 2-categorical n-simplex.
 
     Objects 0..n; ``hom(i, j)`` for ``i <= j`` is the poset of subsets of
-    ``{i..j}`` containing both endpoints, ordered opposite to inclusion;
-    horizontal composition is union of subsets.
+    ``{i..j}`` containing both endpoints, ordered opposite to inclusion,
+    with the arrow ``S>T`` from S to each subset T of it; every other hom
+    is empty.  Horizontal composition is union of subsets.
 
     Cached: all callers share one instance per ``n``, which also makes
     composition checks between the induced operators cheap.
@@ -400,11 +376,9 @@ def delta_tilde(n: int) -> Fin2Cat:
     objects = [str(i) for i in range(n + 1)]
     hom = {}
     for i in range(n + 1):
-        for j in range(n + 1):
-            if i <= j:
-                hom[(str(i), str(j))] = _poset_of_subsets(_subsets_between(i, j))
-            else:
-                hom[(str(i), str(j))] = FinCat([], [], {}, {}, {}, {})
+        for j in range(i, n + 1):
+            hom[(str(i), str(j))] = _thin_category(
+                _subsets_between(i, j), lambda S, T: set(T) <= set(S), lambda S, T: f"{S}>{T}")
     hcompose1 = {}
     hcompose2 = {}
     for i in range(n + 1):
@@ -457,11 +431,10 @@ def cosimplicial_operator(phi: Monotone, n: int) -> TwoFunctor:
 
 
 def terminal_2category() -> Fin2Cat:
-    # hom(*, *) is the terminal category
-    H = FinCat(["1"], ["id_1"], {"id_1": "1"}, {"id_1": "1"}, {("id_1", "id_1"): "id_1"}, {"1": "id_1"})
+    # hom(*, *) is the terminal category on the 1-cell 1
     return Fin2Cat(
         ["*"],
-        {("*", "*"): H},
+        {("*", "*"): discrete_category(["1"])},
         {("*", "*", "*", "1", "1"): "1"},
         {("*", "*", "*", "id_1", "id_1"): "id_1"},
         {"*": "1"},
@@ -483,11 +456,12 @@ def as_two_category(C: FinCat) -> Fin2Cat:
     for a in C.objects:
         for b in C.objects:
             for c in C.objects:
-                for f in C.hom(a, b):
-                    for g in C.hom(b, c):
+                H_ab, H_bc, H_ac = hom[(a, b)], hom[(b, c)], hom[(a, c)]
+                for f in H_ab.objects:
+                    for g in H_bc.objects:
                         gf = C.compose[(g, f)]
                         hcompose1[(a, b, c, f, g)] = gf
-                        hcompose2[(a, b, c, f"id_{f}", f"id_{g}")] = f"id_{gf}"
+                        hcompose2[(a, b, c, H_ab.identity[f], H_bc.identity[g])] = H_ac.identity[gf]
     unit = {a: C.identity[a] for a in C.objects}
     return Fin2Cat(C.objects, hom, hcompose1, hcompose2, unit)
 
@@ -499,7 +473,7 @@ def as_two_functor(F: CatFunctor) -> TwoFunctor:
     for f in F.source.arrows:
         a, b = F.source.src[f], F.source.dst[f]
         on1[(a, b, f)] = F.arrows[f]
-        on2[(a, b, f"id_{f}")] = f"id_{F.arrows[f]}"
+        on2[(a, b, A2.hom[(a, b)].identity[f])] = B2.hom[(F.objects[a], F.objects[b])].identity[F.arrows[f]]
     return TwoFunctor(A2, B2, dict(F.objects), on1, on2, check=False)
 
 
@@ -593,8 +567,9 @@ def inclusion_transpose(G: CatFunctor, A: Fin2Cat) -> TwoFunctor:
     for (a, b), H in A.hom.items():
         for f in H.objects:
             on1[(a, b, f)] = G.arrows[_component_name(a, b, comp[(a, b)][f])]
+        identity = D2.hom[(G.objects[a], G.objects[b])].identity
         for al in H.arrows:
-            on2[(a, b, al)] = f"id_{on1[(a, b, H.src[al])]}"
+            on2[(a, b, al)] = identity[on1[(a, b, H.src[al])]]
     return TwoFunctor(A, D2, objects, on1, on2, check=False)
 
 

@@ -1,9 +1,11 @@
 """The two constructions every colimit and standard object is made from:
 the gluing of a disjoint union (``pushout``, ``sd``) and the chain nerve of
-a finite poset (Delta_n, its boundary and horns, the subdivided simplex).
+a finite category (Delta_n, its boundary and horns and the subdivided
+simplex as nerves of posets, and the nerve N(C) of a category), with the
+thin categories built by one construction beside them.
 
 The SHA-256 values below were computed from the canonical JSON of each
-output before both constructions were shared, so any change to a cell
+output before these constructions were shared, so any change to a cell
 name, a level or an operator table shows up here.  The face-poset oracle
 counts chains by brute force, independently of the code under test, and
 the naive quotient (``reference_glue``) merges classes by the definition.
@@ -18,9 +20,17 @@ from pathlib import Path
 import pytest
 
 from nervelab import corpus, simplicial, subdivision
+from nervelab.cat import chain_category, discrete_category, nerve, terminal_category
 from nervelab.homology import homology
 from nervelab.lifting import homotopy_pushout
-from nervelab.serialize import canonical_json, homology_to_doc, smap_from_doc, sset_to_doc
+from nervelab.serialize import (
+    canonical_json,
+    fin2cat_to_doc,
+    fincat_to_doc,
+    homology_to_doc,
+    smap_from_doc,
+    sset_to_doc,
+)
 from nervelab.simplicial import (
     SimplicialSet,
     boundary,
@@ -32,6 +42,7 @@ from nervelab.simplicial import (
     standard_simplex,
 )
 from nervelab.subdivision import sd, sd_simplex
+from nervelab.twocat import delta_tilde
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -81,6 +92,26 @@ def test_standard_simplices_boundaries_and_horns_are_pinned():
 def test_subdivided_simplices_are_pinned():
     docs = {f"{n}_{D}": sset_to_doc(sd_simplex(n, D)) for n in range(4) for D in range(6)}
     assert digest(docs) == "57593281d4961c664988525a477dfda59a9dc7f22a59724de31c5c7cdf8bf5d6"
+
+
+def test_nerves_of_the_category_corpus_are_pinned():
+    docs = {name: sset_to_doc(nerve(C, 3)) for name, C in corpus.categories().items()}
+    assert len(docs) == 12
+    assert digest(docs) == "dd50fa1588ff97e7c82dfcbd2605f24678b39d7f76b0b2214426710199a3ca40"
+
+
+def test_thin_categories_are_pinned():
+    docs = {
+        "terminal": fincat_to_doc(terminal_category()),
+        "discrete": fincat_to_doc(discrete_category(["a", "b", "c"])),
+        "chain3": fincat_to_doc(chain_category(3)),
+    }
+    assert digest(docs) == "e16fa0128f4496024caa04ca5b82227128a5beaf508b52325e28dde97c586e62"
+
+
+def test_two_categorical_simplices_are_pinned():
+    docs = {str(n): fin2cat_to_doc(delta_tilde(n)) for n in range(5)}
+    assert digest(docs) == "4ab91876050120aeb845cd1ddec5c02f0ec09edb6549d169b7e6e91b3c1070a8"
 
 
 def test_homotopy_pushout_is_pinned():

@@ -49,21 +49,30 @@ CODE = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
 
 
 def unreferenced_definitions(modules: dict[str, ast.Module], scanned: list[ast.Module]) -> list[str]:
-    """Top-level functions and classes of ``modules`` whose name no code in
+    """Top-level functions and classes of ``modules``, and the methods and
+    properties of those classes other than dunders, whose name no code in
     ``scanned`` reads outside the definition itself.
 
     A name counts as read wherever it appears as a name, an attribute or an
     imported name; a definition's own body does not count, so a function
-    that only calls itself is unreferenced.
+    that only calls itself is unreferenced.  A method is known by its name
+    alone: reading an attribute of that name on anything counts.
     """
-    defined = {
-        (label, node.name): node
-        for label, tree in modules.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
-    inside = {id(inner): node.name for node in defined.values() for inner in ast.walk(node)}
-    read: dict[str, set[str]] = {}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined: dict[tuple[str, str], ast.AST] = {}
+    for label, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)):
+                defined[(label, node.name)] = node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, functions) and not member.name.startswith("__"):
+                        defined[(label, f"{node.name}.{member.name}")] = member
+    inside: dict[int, set[tuple[str, str]]] = {}
+    for key, node in defined.items():
+        for inner in ast.walk(node):
+            inside.setdefault(id(inner), set()).add(key)
+    read: dict[str, list[set[tuple[str, str]]]] = {}
     for tree in scanned:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -75,15 +84,24 @@ def unreferenced_definitions(modules: dict[str, ast.Module], scanned: list[ast.M
             else:
                 continue
             for name in names:
-                read.setdefault(name, set()).add(inside.get(id(node), ""))
-    return [f"{label}: {name}" for (label, name) in sorted(defined)
-            if not read.get(name, set()) - {name}]
+                read.setdefault(name, []).append(inside.get(id(node), set()))
+    return [f"{label}: {qual}" for (label, qual) in sorted(defined)
+            if all((label, qual) in where for where in read.get(qual.split(".")[-1], []))]
 
 
 def test_scan_sees_an_unreferenced_definition():
-    lib = ast.parse("def used():\n    pass\n\ndef dead():\n    return dead()\n\nclass Kept:\n    pass\n")
-    user = ast.parse("from lib import used\nimport lib\nused()\nlib.Kept()\n")
-    assert unreferenced_definitions({"lib": lib}, [lib, user]) == ["lib: dead"]
+    lib = ast.parse(
+        "def used():\n    pass\n\n"
+        "def dead():\n    return dead()\n\n"
+        "class Kept:\n"
+        "    def __repr__(self):\n        return ''\n\n"
+        "    def called(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 0\n\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    def dead_method(self):\n        return self.dead_method()\n"
+    )
+    user = ast.parse("from lib import used\nimport lib\nused()\nlib.Kept().called()\nlib.Kept().size\n")
+    assert unreferenced_definitions({"lib": lib}, [lib, user]) == ["lib: Kept.dead_method", "lib: dead"]
 
 
 def test_every_definition_is_referenced():
