@@ -16,8 +16,10 @@ from .simplicial import (
     SimplicialSet,
     _chain_nerve,
     _claim,
+    _digits,
     _dimension_tag,
     _search,
+    compose_monotone,
     monotone_maps,
     simplicial_operator,
 )
@@ -400,43 +402,23 @@ def category_of_elements(X: SimplicialSet, D: int) -> FinCat:
     """
     if D > X.dim_bound:
         raise DomainError(f"truncation {D} exceeds the bound {X.dim_bound}")
-    objects = []
-    for n in range(D + 1):
-        for c in X.cells[n]:
-            objects.append(f"({n}:{c})")
+    elements = {(n, c): f"({n}:{c})" for n in range(D + 1) for c in X.cells[n]}
 
-    def phi_id(phi: tuple[int, ...]) -> str:
-        return "".join(str(v) for v in phi)
+    def arrow(phi: Iterable[int], source: tuple[int, str], target: tuple[int, str]) -> Arr:
+        (m, y), (n, x) = source, target
+        return f"[{_digits(phi)}:{m}:{y}>{n}:{x}]"
 
-    arrows = []
-    src = {}
-    dst = {}
-    data = {}
-    for n in range(D + 1):
-        for x in X.cells[n]:
-            for m in range(D + 1):
-                for phi in monotone_maps(m, n):
-                    y = simplicial_operator(X, phi, n, x)
-                    name = f"[{phi_id(phi)}:{m}:{y}>{n}:{x}]"
-                    arrows.append(name)
-                    src[name] = f"({m}:{y})"
-                    dst[name] = f"({n}:{x})"
-                    data[name] = (phi, m, y, n, x)
-    compose = {}
-    for f in arrows:
-        phi, m, y, n, x = data[f]
-        for g in arrows:
-            psi, m2, y2, n2, x2 = data[g]
-            if (n, x) != (m2, y2):
-                continue
-            chi = tuple(psi[v] for v in phi)
-            compose[(g, f)] = f"[{phi_id(chi)}:{m}:{y}>{n2}:{x2}]"
-    identity = {}
-    for n in range(D + 1):
-        for c in X.cells[n]:
-            ident = tuple(range(n + 1))
-            identity[f"({n}:{c})"] = f"[{phi_id(ident)}:{n}:{c}>{n}:{c}]"
-    return FinCat(objects, arrows, src, dst, compose, identity)
+    ends = {}
+    for n, x in elements:
+        for m in range(D + 1):
+            for phi in monotone_maps(m, n):
+                source = (m, simplicial_operator(X, phi, n, x))
+                ends[arrow(phi, source, (n, x))] = (phi, source, (n, x))
+    compose = {(g, f): arrow(compose_monotone(psi, phi), a, c)
+               for f, (phi, a, b) in ends.items() for g, (psi, b2, c) in ends.items() if b == b2}
+    return FinCat(elements.values(), ends, {f: elements[a] for f, (_, a, _) in ends.items()},
+                  {f: elements[b] for f, (_, _, b) in ends.items()}, compose,
+                  {name: arrow(range(e[0] + 1), e, e) for e, name in elements.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="desk-scale nerves, subdivision, lifting and localizer checks",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json"], default="json")
     common.add_argument("--out", help="write the report to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -748,6 +748,9 @@ def weak_equivalence_evidence(f: SimplicialMap, k: int) -> EvidenceReport:
 
 
 def _pi1_compare(f: SimplicialMap) -> tuple[str, object]:
+    """Compare pi_1 of the source at its first vertex with pi_1 of the target
+    at that vertex's image as two abstract groups: the map f induces between
+    them is never compared, so a PASS does not show that it is an isomorphism."""
     X, Y = f.source, f.target
     if not X.cells[0] or not Y.cells[0]:
         if not X.cells[0] and not Y.cells[0]:

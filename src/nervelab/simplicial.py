@@ -8,9 +8,10 @@ constructions produce byte-identical data.
 Conventions used throughout:
 
 * cells of the standard simplex ``Delta_n`` at level ``m`` are the
-  monotone maps ``[m] -> [n]`` written as digit strings (``"012"``,
-  ``"0012"``, ...); ``n <= 9`` is enforced so the encoding stays
-  unambiguous;
+  monotone maps ``[m] -> [n]``, named by :func:`_digits` (``"012"``,
+  ``"0012"``, ...), the one writer of that spelling, which sd Delta_n and
+  the 2-categorical simplices use too; no name is ever parsed back, and
+  :func:`_standard_vertices` alone keeps ``n <= 9``;
 * ``face[(n, i, c)]`` is ``d_i c`` and ``degeneracy[(n, i, c)]`` is
   ``s_i c`` (defined for ``n < dim_bound``);
 * every nerve is :func:`_chain_nerve`, the nerve of a finite category
@@ -29,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from operator import itemgetter, le
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BoundError, ContractError, DomainError
@@ -249,17 +250,28 @@ def _operator_word(phi: Monotone, n: int) -> tuple[int, tuple[tuple[int, int], .
 # generation of standard objects
 # ---------------------------------------------------------------------------
 
-def _from_digits(c: Cell) -> Monotone:
-    return tuple(int(ch) for ch in c)
+def _digits(values: Iterable[int]) -> Cell:
+    """The digits of ``values`` in increasing order: the one spelling of a
+    cell of a standard shape, whether a monotone map, a chain of vertices
+    or a subset of [n].  It is only ever written, never read back."""
+    return "".join(map(str, sorted(values)))
+
+
+def _standard_vertices(n: int) -> range:
+    """The vertices 0..n of Delta_n, sd Delta_n or the 2-categorical n-simplex:
+    the one check of n <= 9, past which :func:`_digits` would spell cells alike."""
+    if n > 9:
+        raise BoundError(f"standard shapes name their cells by digits, so n <= 9 is required, got {n}")
+    return range(n + 1)
 
 
 def _chain_nerve(
-    out: Mapping[str, Sequence[str]],
-    target: Mapping[str, str],
-    compose: Mapping[tuple[str, str], str],
-    identity: Mapping[str, str],
-    name: Callable[[tuple[str, ...]], Cell],
-    keep: Callable[[tuple[str, ...]], bool],
+    out: Mapping[Hashable, Sequence[Hashable]],
+    target: Mapping[Hashable, Hashable],
+    compose: Mapping[tuple[Hashable, Hashable], Hashable],
+    identity: Mapping[Hashable, Hashable],
+    name: Callable[[tuple], Cell],
+    keep: Callable[[tuple], bool],
     D: int,
 ) -> SimplicialSet:
     """The nerve of a finite category, truncated at D.
@@ -274,7 +286,7 @@ def _chain_nerve(
     accepts, so each level is grown from the one below in the order of
     ``out``.
     """
-    def vertex(chain: tuple[str, ...], i: int) -> str:
+    def vertex(chain: tuple, i: int) -> Hashable:
         return target[chain[i]] if i else chain[0]
 
     names = {(a,): name((a,)) for a in out if keep((a,))}
@@ -303,39 +315,33 @@ def _chain_nerve(
 
 
 def _poset_nerve(
-    elements: Sequence[str],
-    leq: Callable[[str, str], bool],
-    D: int,
-    sep: str,
-    keep: Callable[[tuple[str, ...]], bool],
+    elements: Sequence, D: int, name: Callable[[tuple], Cell], keep: Callable[[tuple], bool]
 ) -> SimplicialSet:
-    """The nerve of a finite poset: :func:`_chain_nerve` of the category
-    whose arrow a -> b is named b, so that b -> c after a -> b is c.  A
-    chain is then the weak chain ``e_0 <= ... <= e_m`` of its elements,
-    named by joining them with ``sep``; faces delete an element and
-    degeneracies repeat one."""
-    above = {e: [t for t in elements if leq(e, t)] for e in elements}
+    """The nerve of finite ``elements`` under their own ``<=`` (integers or
+    subsets): :func:`_chain_nerve` of the category whose arrow a -> b is b
+    itself, so that b -> c after a -> b is c.  A chain is then the weak
+    chain ``(e_0, ..., e_m)`` of its elements, named by ``name``; faces
+    delete an element and degeneracies repeat one."""
+    above = {e: [t for t in elements if e <= t] for e in elements}
     itself = {e: e for e in elements}
     compose = {(c, b): c for b in elements for c in above[b]}
-    return _chain_nerve(above, itself, compose, itself, sep.join, keep, D)
+    return _chain_nerve(above, itself, compose, itself, name, keep, D)
 
 
-def _vertices(n: int, D: int) -> list[str]:
-    """The vertices of Delta_n as digit strings, for a simplex within the bound."""
+def _vertices(n: int, D: int) -> range:
+    """The vertices of Delta_n, for a simplex within the bound."""
     if n > D:
         raise BoundError(f"simplex dimension {n} exceeds bound {D}")
-    if n > 9:
-        raise BoundError("standard cells are encoded as digit strings; n <= 9 required")
-    return [str(v) for v in range(n + 1)]
+    return _standard_vertices(n)
 
 
 def standard_simplex(n: int, D: int) -> SimplicialSet:
-    return _poset_nerve(_vertices(n, D), le, D, "", lambda chain: True)
+    return _poset_nerve(_vertices(n, D), D, _digits, lambda chain: True)
 
 
 def boundary(n: int, D: int) -> SimplicialSet:
     """The boundary of the n-simplex: maps that miss some value."""
-    return _poset_nerve(_vertices(n, D), le, D, "", lambda chain: len(set(chain)) <= n)
+    return _poset_nerve(_vertices(n, D), D, _digits, lambda chain: len(set(chain)) <= n)
 
 
 def boundary_inclusion(n: int, D: int) -> SimplicialMap:
@@ -350,8 +356,8 @@ def horn(n: int, k: int, D: int) -> SimplicialSet:
     vertices = _vertices(n, D)
     if not 0 <= k <= n:
         raise DomainError(f"horn index {k} outside [0, {n}]")
-    others = set(vertices) - {str(k)}
-    return _poset_nerve(vertices, le, D, "", lambda chain: bool(others - set(chain)))
+    others = set(vertices) - {k}
+    return _poset_nerve(vertices, D, _digits, lambda chain: bool(others - set(chain)))
 
 
 def empty_simplicial_set(D: int) -> SimplicialSet:
@@ -633,11 +639,8 @@ def simplex_map(X: SimplicialSet, n: int, c: Cell) -> SimplicialMap:
     """The classifying map Delta_n -> X of a level-n cell, at X's bound."""
     D = X.dim_bound
     Dn = standard_simplex(n, D)
-    levels: dict[int, dict[Cell, Cell]] = {}
-    for m in range(D + 1):
-        levels[m] = {
-            u: simplicial_operator(X, _from_digits(u), n, c) for u in Dn.cells[m]
-        }
+    levels = {m: {_digits(phi): simplicial_operator(X, phi, n, c) for phi in monotone_maps(m, n)}
+              for m in range(D + 1)}
     return SimplicialMap(Dn, X, levels, check=False)
 
 

@@ -3,7 +3,10 @@ last-vertex comparison maps.
 
 ``sd_simplex(n)`` is the nerve of the poset of nonempty subsets of [n]
 (``simplicial._poset_nerve``), made by the chain nerve that also makes
-Delta_n and the nerve of a category.  ``sd(X)`` glues one subdivided
+Delta_n and the nerve of a category.  Its cells are chains of frozensets,
+named by :func:`_sd_name` alone and never parsed: ``sd_operator_map`` and
+``alpha`` read the chains that :func:`_sd_chains` keeps beside the cached
+simplex.  ``sd(X)`` glues one subdivided
 simplex per nondegenerate cell of X with ``simplicial._glue``, the
 construction behind pushouts: the copy at the k-cell x has the prefix
 ``k:x@``, so its cells are named ``k:x@chain``, and copies are identified
@@ -37,6 +40,7 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     Singular,
+    _digits,
     _glue,
     _images,
     _map_name_template,
@@ -44,48 +48,56 @@ from .simplicial import (
     _postcompose,
     _simplicial_problem,
     _singular,
+    _standard_vertices,
     coface,
     simplicial_operator,
 )
 
-# chains of subsets are encoded "S0.S1.S2" with each subset a digit string
+Chain = tuple[frozenset[int], ...]
+
+
+def _sd_name(chain: Iterable[Iterable[int]]) -> Cell:
+    """The name of a cell of sd Delta_n: its subsets' digits joined by ``.``."""
+    return ".".join(map(_digits, chain))
 
 
 @lru_cache(maxsize=None)
+def _sd_chains(n: int, D: int) -> tuple[SimplicialSet, dict[Cell, Chain]]:
+    """:func:`sd_simplex` with the chain of subsets that each cell names."""
+    vertices = _standard_vertices(n)
+    subsets = sorted((frozenset(v for v in vertices if mask >> v & 1) for mask in range(1, 1 << (n + 1))),
+                     key=sorted)
+    chains: dict[Cell, Chain] = {}
+
+    def name(chain: Chain) -> Cell:
+        c = _sd_name(chain)
+        chains[c] = chain
+        return c
+
+    return _poset_nerve(subsets, D, name, lambda chain: True), chains
+
+
 def sd_simplex(n: int, D: int) -> SimplicialSet:
     """The subdivided n-simplex: nerve of the poset of nonempty subsets of
     [n], truncated at D.  Cells at level m are weak chains S_0 <= ... <= S_m."""
-    if n > 9:
-        raise BoundError("subset encoding requires n <= 9")
-    subsets = sorted(
-        "".join(str(i) for i in range(n + 1) if mask >> i & 1) for mask in range(1, 1 << (n + 1))
-    )
-    return _poset_nerve(subsets, lambda s, t: set(s) <= set(t), D, ".", lambda chain: True)
+    return _sd_chains(n, D)[0]
 
 
 @lru_cache(maxsize=None)
 def sd_operator_map(phi: Monotone, n: int, D: int) -> SimplicialMap:
     """Subdivision of the cosimplicial operator ``phi: [m] -> [n]``: apply
     phi to every subset in a chain."""
-    m = len(phi) - 1
-    src = sd_simplex(m, D)
-    tgt = sd_simplex(n, D)
-
-    def image(chain: Cell) -> Cell:
-        return ".".join(
-            "".join(str(v) for v in sorted({phi[int(ch)] for ch in part}))
-            for part in chain.split(".")
-        )
-
+    src, chains = _sd_chains(len(phi) - 1, D)
     levels = {
-        lvl: {c: image(c) for c in src.cells[lvl]} for lvl in range(D + 1)
+        lvl: {c: _sd_name([{phi[v] for v in s} for s in chains[c]]) for c in src.cells[lvl]}
+        for lvl in range(D + 1)
     }
-    return SimplicialMap(src, tgt, levels, check=False)
+    return SimplicialMap(src, sd_simplex(n, D), levels, check=False)
 
 
-def last_vertex(chain: Cell) -> Monotone:
+def last_vertex(chain: Chain) -> Monotone:
     """The monotone map picking the largest element of each subset."""
-    return tuple(max(int(ch) for ch in part) for part in chain.split("."))
+    return tuple(map(max, chain))
 
 
 @dataclass
@@ -182,7 +194,11 @@ def alpha(X: SimplicialSet, cert: Optional[SubdivisionCertificate] = None) -> Si
     x, the chain u goes to the face of x at the maxima of u."""
     if cert is None:
         _, cert = sd(X)
-    return cert.map_out(X, lambda k, x: lambda key: simplicial_operator(X, last_vertex(key[1]), k, x))
+
+    def value(k: int, x: Cell) -> Callable[[Key], Cell]:
+        chains = _sd_chains(k, X.dim_bound)[1]
+        return lambda key: simplicial_operator(X, last_vertex(chains[key[1]]), k, x)
+    return cert.map_out(X, value)
 
 
 # ---------------------------------------------------------------------------

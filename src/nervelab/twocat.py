@@ -37,12 +37,15 @@ from .simplicial import (
     SimplicialSet,
     Singular,
     _claim,
+    _digits,
     _escaped,
     _images,
     _postcompose,
     _search,
     _singular,
+    _standard_vertices,
     _UnionFind,
+    coface,
     is_monotone,
 )
 
@@ -343,18 +346,19 @@ def compose_two_functors(G: TwoFunctor, F: TwoFunctor) -> TwoFunctor:
 # the 2-categorical simplices
 # ---------------------------------------------------------------------------
 
-def _subset_id(s: Iterable[int]) -> str:
-    return "".join(str(v) for v in sorted(set(s)))
+def _arrow(S: Iterable[int], T: Iterable[int]) -> Two:
+    """The name ``S>T`` of the 2-cell S => T of :func:`delta_tilde`."""
+    return f"{_digits(S)}>{_digits(T)}"
 
 
-def _subsets_between(i: int, j: int) -> list[str]:
-    """Admissible subsets of {i..j}: contain both endpoints."""
-    middle = list(range(i + 1, j))
-    out = []
-    for mask in range(1 << len(middle)):
-        s = {i, j} | {middle[k] for k in range(len(middle)) if mask >> k & 1}
-        out.append(_subset_id(s))
-    return sorted(out)
+@lru_cache(maxsize=None)
+def _subsets_between(i: int, j: int) -> dict[One, frozenset[int]]:
+    """The 1-cells of ``hom(i, j)`` in :func:`delta_tilde`, in name order:
+    the subsets of {i..j} that contain both endpoints, each under its name."""
+    middle = range(i + 1, j)
+    subsets = (frozenset({i, j, *(v for k, v in enumerate(middle) if mask >> k & 1)})
+               for mask in range(1 << len(middle)))
+    return dict(sorted((_digits(S), S) for S in subsets))
 
 
 @lru_cache(maxsize=None)
@@ -364,40 +368,37 @@ def delta_tilde(n: int) -> Fin2Cat:
     Objects 0..n; ``hom(i, j)`` for ``i <= j`` is the poset of subsets of
     ``{i..j}`` containing both endpoints, ordered opposite to inclusion,
     with the arrow ``S>T`` from S to each subset T of it; every other hom
-    is empty.  Horizontal composition is union of subsets.
+    is empty.  Horizontal composition is union of subsets.  Cells are named
+    from their subsets (:func:`_subsets_between`, :func:`_arrow`), never parsed.
 
     Cached: all callers share one instance per ``n``, which also makes
     composition checks between the induced operators cheap.
     """
     if n < 0:
         raise DomainError(f"delta_tilde({n}): n must be >= 0")
-    if n > 9:
-        raise DomainError("objects are encoded as digits; n <= 9 required")
-    objects = [str(i) for i in range(n + 1)]
+    vertices = _standard_vertices(n)
     hom = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
+    for i in vertices:
+        for j in vertices[i:]:
+            subset = _subsets_between(i, j)
             hom[(str(i), str(j))] = _thin_category(
-                _subsets_between(i, j), lambda S, T: set(T) <= set(S), lambda S, T: f"{S}>{T}")
+                subset, lambda S, T: subset[T] <= subset[S], lambda S, T: _arrow(subset[S], subset[T]))
     hcompose1 = {}
     hcompose2 = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
+    for i in vertices:
+        for j in vertices[i:]:
+            for k in vertices[j:]:
                 a, b, c = str(i), str(j), str(k)
                 H_ab, H_bc = hom[(a, b)], hom[(b, c)]
+                ab, bc = _subsets_between(i, j), _subsets_between(j, k)
                 for S in H_ab.objects:
                     for T in H_bc.objects:
-                        hcompose1[(a, b, c, S, T)] = _subset_id(set(S) | set(T))
+                        hcompose1[(a, b, c, S, T)] = _digits(ab[S] | bc[T])
                 for al in H_ab.arrows:
-                    S1, S2 = H_ab.src[al], H_ab.dst[al]
+                    S1, S2 = ab[H_ab.src[al]], ab[H_ab.dst[al]]
                     for be in H_bc.arrows:
-                        T1, T2 = H_bc.src[be], H_bc.dst[be]
-                        hcompose2[(a, b, c, al, be)] = (
-                            f"{_subset_id(set(S1) | set(T1))}>{_subset_id(set(S2) | set(T2))}"
-                        )
-    unit = {str(i): str(i) for i in range(n + 1)}
-    return Fin2Cat(objects, hom, hcompose1, hcompose2, unit)
+                        hcompose2[(a, b, c, al, be)] = _arrow(S1 | bc[H_bc.src[be]], S2 | bc[H_bc.dst[be]])
+    return Fin2Cat(map(str, vertices), hom, hcompose1, hcompose2, {str(i): str(i) for i in vertices})
 
 
 @lru_cache(maxsize=None)
@@ -413,21 +414,19 @@ def cosimplicial_operator(phi: Monotone, n: int) -> TwoFunctor:
     if any(v < 0 or v > n for v in phi):
         raise DomainError(f"{phi} does not land in [{n}]")
     m = len(phi) - 1
-    A = delta_tilde(m)
-    B = delta_tilde(n)
-    objects = {str(i): str(phi[i]) for i in range(m + 1)}
-
-    def image(S: str) -> str:
-        return _subset_id(phi[int(ch)] for ch in S)
-
+    A, B = delta_tilde(m), delta_tilde(n)
     on1 = {}
     on2 = {}
-    for (a, b), H in A.hom.items():
-        for S in H.objects:
-            on1[(a, b, S)] = image(S)
-        for al in H.arrows:
-            on2[(a, b, al)] = f"{image(H.src[al])}>{image(H.dst[al])}"
-    return TwoFunctor(A, B, objects, on1, on2, check=False)
+    for i in range(m + 1):
+        for j in range(i, m + 1):
+            a, b = str(i), str(j)
+            H = A.hom[(a, b)]
+            image = {S: frozenset(phi[v] for v in subset) for S, subset in _subsets_between(i, j).items()}
+            for S in H.objects:
+                on1[(a, b, S)] = _digits(image[S])
+            for al in H.arrows:
+                on2[(a, b, al)] = _arrow(image[H.src[al]], image[H.dst[al]])
+    return TwoFunctor(A, B, {str(i): str(v) for i, v in enumerate(phi)}, on1, on2, check=False)
 
 
 def terminal_2category() -> Fin2Cat:
@@ -808,37 +807,33 @@ def _join_plan(n: int) -> tuple:
     keys, below = ([s for s, _ in cosimplicial_operator(tuple(range(m + 1)), m).assignments()]
                    for m in (n, n - 1))
     lower = {key: k for k, key in enumerate(below)}
-    everything = set(range(n + 1))
+    # the position of each cell that misses a vertex, read from the face
+    # at the least vertex it misses
+    at: dict[Key, int] = {}
+    for v in range(n + 1):
+        for key, image in cosimplicial_operator(coface(n, v), n).assignments():
+            at.setdefault(image, v * len(lower) + lower[key])
 
-    def at(key: Key) -> int:
-        """The position of a cell that misses a vertex."""
-        vertices = set(map(int, key[1] if key[0] == 0 else key[3].split(">")[0]))
-        v = min(everything - vertices)
-        down = str.maketrans({str(w): str(w - (w > v)) for w in everything - {v}})
-        return v * len(lower) + lower[(key[0], *(c.translate(down) for c in key[1:]))]
-
-    full = _subset_id(everything)
+    full = range(n + 1)
     last = str(n)
-    o0, on = at((0, "0")), at((0, last))
-    one = (o0, at((0, "1")), on, at((1, "0", "1", "01")), at((1, "1", last, full[1:])))
-    fills = {(1, "0", last, full): 0}
+    o0, on = at[(0, "0")], at[(0, last)]
+    one = (o0, at[(0, "1")], on, at[(1, "0", "1", _digits(full[:2]))], at[(1, "1", last, _digits(full[1:]))])
+    fills = {(1, "0", last, _digits(full)): 0}
     splits = []
-    for T in _subsets_between(0, n):
-        m = next((int(ch) for ch in T[1:-1]), None)
-        if m is None:
+    for T in _subsets_between(0, n).values():
+        if len(T) == 2:
             continue
-        fills[(2, "0", last, f"{full}>{T}")] = len(fills)
-        head = "".join(ch for ch in T if int(ch) <= m)
-        tail = "".join(ch for ch in T if int(ch) >= m)
-        splits.append((o0, at((0, str(m))), on, at((2, "0", str(m), f"{full[:m + 1]}>{head}")),
-                       at((2, str(m), last, f"{full[m:]}>{tail}"))))
+        m = min(T - {0})
+        fills[(2, "0", last, _arrow(full, T))] = len(fills)
+        splits.append((o0, at[(0, str(m))], on, at[(2, "0", str(m), _arrow(full[:m + 1], T & set(full[:m + 1])))],
+                       at[(2, str(m), last, _arrow(full[m:], T & set(full[m:])))]))
 
-    def pasting(via: str) -> tuple[int, int]:
-        return at((2, "0", last, f"{via}>0{last}")), fills[(2, "0", last, f"{full}>{via}")] - 1
-    vertical = (o0, on, *pasting(f"01{last}"), *pasting(f"0{n - 1}{last}"))
-    fills[(2, "0", last, f"{full}>0{last}")] = len(fills)
+    def pasting(via: tuple[int, ...]) -> tuple[int, int]:
+        return at[(2, "0", last, _arrow(via, (0, n)))], fills[(2, "0", last, _arrow(full, via))] - 1
+    vertical = (o0, on, *pasting((0, 1, n)), *pasting((0, n - 1, n)))
+    fills[(2, "0", last, _arrow(full, (0, n)))] = len(fills)
     base = (n + 1) * len(lower)
-    pick = itemgetter(*(base + fills[key] if key in fills else at(key) for key in keys))
+    pick = itemgetter(*(base + fills[key] if key in fills else at[key] for key in keys))
     return pick, one, splits, vertical
 
 

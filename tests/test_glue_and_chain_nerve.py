@@ -19,8 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from nervelab import corpus, simplicial, subdivision
+from nervelab import corpus, simplicial, subdivision, twocat
 from nervelab.cat import chain_category, discrete_category, nerve, terminal_category
+from nervelab.cli import main
+from nervelab.errors import BoundError
 from nervelab.homology import homology
 from nervelab.lifting import homotopy_pushout
 from nervelab.serialize import (
@@ -112,6 +114,20 @@ def test_thin_categories_are_pinned():
 def test_two_categorical_simplices_are_pinned():
     docs = {str(n): fin2cat_to_doc(delta_tilde(n)) for n in range(5)}
     assert digest(docs) == "4ab91876050120aeb845cd1ddec5c02f0ec09edb6549d169b7e6e91b3c1070a8"
+
+
+def test_standard_shapes_refuse_n_above_9_before_building_a_level(monkeypatch, capsys):
+    def no_level(*args):
+        raise AssertionError("a level was built")
+    monkeypatch.setattr(simplicial, "_chain_nerve", no_level)
+    monkeypatch.setattr(twocat, "_thin_category", no_level)
+    shapes = [lambda: standard_simplex(10, 10), lambda: boundary(10, 10), lambda: horn(10, 0, 10),
+              lambda: sd_simplex(10, 10), lambda: delta_tilde(10)]
+    for build in shapes:
+        with pytest.raises(BoundError, match=r"n <= 9 is required, got 10$"):
+            build()
+    assert main(["delta-tilde", "10"]) == 2
+    assert "n <= 9 is required, got 10" in capsys.readouterr().err
 
 
 def test_homotopy_pushout_is_pinned():

@@ -53,8 +53,10 @@ def unreferenced_definitions(modules: dict[str, ast.Module], scanned: list[ast.M
     properties of those classes other than dunders, whose name no code in
     ``scanned`` reads outside the definition itself.
 
-    A name counts as read wherever it appears as a name, an attribute or an
-    imported name; a definition's own body does not count, so a function
+    A function or class counts as read wherever its name appears as a
+    name, an attribute or an imported name; a method only where an
+    attribute of its name is read, so a local of the same spelling does
+    not hide it.  A definition's own body does not count, so a function
     that only calls itself is unreferenced.  A method is known by its name
     alone: reading an attribute of that name on anything counts.
     """
@@ -72,7 +74,8 @@ def unreferenced_definitions(modules: dict[str, ast.Module], scanned: list[ast.M
     for key, node in defined.items():
         for inner in ast.walk(node):
             inside.setdefault(id(inner), set()).add(key)
-    read: dict[str, list[set[tuple[str, str]]]] = {}
+    # read[(name, is_attribute)] lists the definitions around each read
+    read: dict[tuple[str, bool], list[set[tuple[str, str]]]] = {}
     for tree in scanned:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -84,9 +87,14 @@ def unreferenced_definitions(modules: dict[str, ast.Module], scanned: list[ast.M
             else:
                 continue
             for name in names:
-                read.setdefault(name, []).append(inside.get(id(node), set()))
+                read.setdefault((name, isinstance(node, ast.Attribute)), []).append(inside.get(id(node), set()))
+
+    def reads(qual: str) -> list[set[tuple[str, str]]]:
+        name = qual.split(".")[-1]
+        return read.get((name, True), []) + ([] if "." in qual else read.get((name, False), []))
+
     return [f"{label}: {qual}" for (label, qual) in sorted(defined)
-            if all((label, qual) in where for where in read.get(qual.split(".")[-1], []))]
+            if all((label, qual) in where for where in reads(qual))]
 
 
 def test_scan_sees_an_unreferenced_definition():
@@ -98,10 +106,13 @@ def test_scan_sees_an_unreferenced_definition():
         "    def called(self):\n        return self.helper()\n\n"
         "    def helper(self):\n        return 0\n\n"
         "    @property\n    def size(self):\n        return 1\n\n"
-        "    def dead_method(self):\n        return self.dead_method()\n"
+        "    def dead_method(self):\n        return self.dead_method()\n\n"
+        "    def shadowed(self):\n        return 2\n"
     )
-    user = ast.parse("from lib import used\nimport lib\nused()\nlib.Kept().called()\nlib.Kept().size\n")
-    assert unreferenced_definitions({"lib": lib}, [lib, user]) == ["lib: Kept.dead_method", "lib: dead"]
+    user = ast.parse("from lib import used\nimport lib\nused()\nlib.Kept().called()\nlib.Kept().size\n"
+                     "shadowed = 1\nprint(shadowed)\n")
+    assert unreferenced_definitions({"lib": lib}, [lib, user]) == [
+        "lib: Kept.dead_method", "lib: Kept.shadowed", "lib: dead"]
 
 
 def test_every_definition_is_referenced():

@@ -1,0 +1,60 @@
+"""Property tests on random ordered simplicial complexes: the simplicial
+identities survive ``sd``, ``product`` and ``pushout``, the comparison maps
+are simplicial, and the sd -| Ex bijection sends beta back to alpha.
+
+The complexes are ``complex_sset`` of facets over range(5), at bound 2 or
+3.  ``beta`` is built at level 2 (``beta(K, 2)``): Ex at level 3 of such
+a complex takes seconds, and with facets of at most three vertices no
+nondegenerate cell lies above level 2, so the bijection still covers every
+level of sd(K)."""
+
+from itertools import islice
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_glue_and_chain_nerve import complex_sset
+
+from nervelab.simplicial import (
+    enumerate_simplicial_maps,
+    product,
+    pushout,
+    validate,
+    validate_map,
+    verify_pushout,
+)
+from nervelab.subdivision import alpha, beta, sd, transpose_from_ex
+
+FACETS = st.lists(st.sets(st.integers(0, 4), min_size=1, max_size=3).map(sorted), min_size=1, max_size=3)
+BOUNDS = st.sampled_from([2, 3])
+CHECKS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
+
+
+@settings(CHECKS, max_examples=15)
+@given(facets=FACETS, D=BOUNDS)
+def test_sd_alpha_and_beta_of_a_complex(facets, D):
+    K = complex_sset(facets, D)
+    S, cert = sd(K)
+    assert validate(S) == []
+    a = alpha(K, cert)
+    assert validate_map(a) == []
+    b = beta(K, 2)
+    assert validate_map(b) == []
+    assert transpose_from_ex(b, cert, K) == a
+
+
+@CHECKS
+@given(first=FACETS, second=FACETS, D=BOUNDS)
+def test_product_of_two_complexes(first, second, D):
+    assert validate(product(complex_sset(first, D), complex_sset(second, D))) == []
+
+
+@CHECKS
+@given(facets=st.tuples(FACETS, FACETS, FACETS), picks=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       D=BOUNDS)
+def test_pushout_of_maps_from_the_start_of_the_enumeration(facets, picks, D):
+    A, X, Y = (complex_sset(f, D) for f in facets)
+    f, g = (list(islice(enumerate_simplicial_maps(A, Z), k + 1))[-1] for Z, k in zip((X, Y), picks))
+    P, jx, jy = pushout(f, g)
+    assert validate(P) == []
+    assert verify_pushout(f, g, P, jx, jy)

@@ -19,6 +19,7 @@ from nervelab.simplicial import (
     validate_map,
 )
 from nervelab.subdivision import (
+    _sd_chains,
     alpha,
     beta,
     ex,
@@ -236,5 +237,8 @@ def test_beta_natural():
 
 
 def test_last_vertex():
-    assert last_vertex("0.01.012") == (0, 1, 2)
-    assert last_vertex("02") == (2,)
+    assert last_vertex((frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2}))) == (0, 1, 2)
+    assert last_vertex((frozenset({0, 2}),)) == (2,)
+    chains = _sd_chains(2, 2)[1]
+    assert chains["0.01.012"] == (frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2}))
+    assert last_vertex(chains["02.012"]) == (2, 2)
