@@ -400,6 +400,8 @@ def category_of_elements(X: SimplicialSet, D: int) -> FinCat:
     ``(m, y) -> (n, x)`` is a monotone ``phi: [m] -> [n]`` with
     ``phi*(x) = y``.  Composition is composition of monotone maps.
     """
+    if D < 0:
+        raise DomainError(f"truncation {D} must be >= 0")
     if D > X.dim_bound:
         raise DomainError(f"truncation {D} exceeds the bound {X.dim_bound}")
     elements = {(n, c): f"({n}:{c})" for n in range(D + 1) for c in X.cells[n]}

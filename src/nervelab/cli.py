@@ -1,9 +1,13 @@
 """Batch command-line interface.
 
-Every subcommand is a thin shim: parse documents, call the library, emit
-the canonical JSON serialization of the result.  Identical inputs yield
-byte-identical reports.  Exit status 0 on success, 2 on parse or
-parameter errors (with a diagnostic naming the offending file and key).
+The CLI is one table, :data:`COMMANDS`: each subcommand is one row holding
+its name, its help, its arguments and the function that turns the parsed
+arguments into the report.  Each function is a thin shim: parse documents,
+call the library, return the report.  :func:`build_parser` builds every
+subparser from the rows, and :func:`main` emits the canonical JSON
+serialization of the report.  Identical inputs yield byte-identical
+reports.  Exit status 0 on success, 2 on parse or parameter errors (with a
+diagnostic naming the offending file and key).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .homology import (
 from .lifting import LiftingProblem, find_lift, has_rlp, homotopy_pushout, small_object_factorize
 from .localizer import closure, violations
 from .presentations import cat_of, realize, twocat_of
-from .simplicial import SimplicialMap, boundary_inclusion, validate
+from .simplicial import SimplicialMap, SimplicialSet, boundary_inclusion, validate
 from .subdivision import alpha, beta, ex, sd
 from .twocat import delta_tilde, geometric_nerve, identity_two_functor, slice_2category
 
@@ -47,6 +51,11 @@ def _load(path: str) -> dict:
 
 
 T = TypeVar("T")
+
+
+def _read(from_doc: Callable[[dict, str], T], path: str) -> T:
+    """The value that the file ``path`` holds, parsed by ``from_doc``."""
+    return from_doc(_load(path), path)
 
 
 def _fitted(path: str, build: Callable[..., T], *maps: object) -> T:
@@ -79,230 +88,161 @@ def _parse_generators(spec: str, D: int) -> list[SimplicialMap]:
     return [ser.smap_from_doc(e, f"{spec}.generators[{i}]") for i, e in enumerate(entries)]
 
 
+# -- what the subcommands read ---------------------------------------------------
+
+def _bounded(args) -> tuple[SimplicialSet, int]:
+    """The sset.v1 input and ``--max-dim``, which defaults to its bound."""
+    X = _read(ser.sset_from_doc, args.input)
+    return X, X.dim_bound if args.max_dim is None else args.max_dim
+
+
+def _over(args, marker: str, cat_from_doc, identity, functor_from_doc):
+    """The (2-)functor of the input, or the identity of the (2-)category it
+    holds if it has ``marker`` and no ``source``."""
+    doc = _load(args.input)
+    if marker in doc and "source" not in doc:
+        return identity(cat_from_doc(doc, args.input))
+    return functor_from_doc(doc, args.input)
+
+
+def _with_generators(args) -> tuple[SimplicialMap, list[SimplicialMap]]:
+    """The smap.v1 input and the ``--generators`` at its bound."""
+    f = _read(ser.smap_from_doc, args.input)
+    return f, _parse_generators(args.generators, f.bound)
+
+
+def _localizer(args) -> tuple:
+    return _read(ser.universe_from_doc, args.universe), _read(ser.marked_from_doc, args.marked)
+
+
+# -- the reports that are not one library document --------------------------------
+
+def _alpha_beta(args) -> dict:
+    X = _read(ser.sset_from_doc, args.input)
+    return {"alpha": ser.smap_to_doc(alpha(X)), "beta": ser.smap_to_doc(beta(X))}
+
+
+def _slice(args) -> dict:
+    S, proj = slice_category(
+        _over(args, "arrows", ser.fincat_from_doc, identity_functor, ser.cfun_from_doc), args.object)
+    return {"category": ser.fincat_to_doc(S), "projection": ser.cfun_to_doc(proj)}
+
+
+def _lift(args) -> dict:
+    doc = _load(args.input)
+    maps = [ser.smap_from_doc(doc.get(key), f"{args.input}.{key}") for key in ("i", "p", "top", "bottom")]
+    h = find_lift(_fitted(args.input, LiftingProblem, *maps))
+    return {"lift": None if h is None else ser.smap_to_doc(h)}
+
+
+def _rlp(args) -> dict:
+    ok, square = _fitted(args.generators, has_rlp, *_with_generators(args))
+    return {"has_rlp": ok, "counterexample": None if square is None else {
+        key: ser.smap_to_doc(getattr(square, key)) for key in ("i", "top", "bottom")}}
+
+
+def _hpushout(args) -> dict:
+    doc = _load(args.input)
+    f, g = (ser.smap_from_doc(doc.get(key, {}), f"{args.input}.{key}") for key in ("f", "g"))
+    return ser.sset_to_doc(_fitted(args.input, homotopy_pushout, f, g)[0])
+
+
+def _pi1(args) -> dict:
+    X = _read(ser.sset_from_doc, args.input)
+    if args.basepoint is None and not X.cells[0]:
+        raise SchemaError(f"{args.input}: the simplicial set has no vertices")
+    pres = pi1_presentation(X, X.cells[0][0] if args.basepoint is None else args.basepoint)
+    return {"generators": list(pres.generators),
+            "relations": [[[g, e] for g, e in w] for w in pres.relations]}
+
+
+# -- the table -------------------------------------------------------------------
+
+# Arguments, each a name or flag with its add_argument keywords;
+# LOCALIZER is the two positional files of the localizer subcommands.
+INPUT = ("input", {})
+MAX_DIM = ("--max-dim", {"type": int, "default": 3})
+BOUND = ("--max-dim", {"type": int, "default": None})  # None: the input's own bound
+DEGREE = ("--degree", {"type": int, "default": 1})
+OBJECT = ("--object", {"required": True})
+GENERATORS = ("--generators", {"default": "boundaries:2"})
+LOCALIZER = (("universe", {}), ("marked", {}))
+
+# One row per subcommand: (name, help, arguments, report).
+COMMANDS: tuple[tuple[str, str, tuple, Callable[[argparse.Namespace], dict]], ...] = (
+    ("validate", "check the simplicial identities of an sset.v1 document", (INPUT,),
+     lambda a: ser.violations_to_doc(validate(_read(ser._read_sset, a.input)))),
+    ("nerve", "nerve of a fincat.v1 document", (INPUT, MAX_DIM),
+     lambda a: ser.sset_to_doc(nerve(_read(ser.fincat_from_doc, a.input), a.max_dim))),
+    ("nerve2", "geometric nerve of a fin2cat.v1 document", (INPUT, MAX_DIM),
+     lambda a: ser.sset_to_doc(geometric_nerve(_read(ser.fin2cat_from_doc, a.input), a.max_dim))),
+    ("delta-tilde", "the 2-categorical n-simplex", (("n", {"type": int}),),
+     lambda a: ser.fin2cat_to_doc(delta_tilde(a.n))),
+    ("sd", "barycentric subdivision of an sset.v1 document", (INPUT,),
+     lambda a: ser.sset_to_doc(sd(_read(ser.sset_from_doc, a.input))[0])),
+    ("ex", "bounded extension of an sset.v1 document", (INPUT, BOUND),
+     lambda a: ser.sset_to_doc(ex(*_bounded(a)))),
+    ("alpha-beta", "the comparison maps sd(X) -> X and X -> ex(X)", (INPUT,), _alpha_beta),
+    ("cat-of", "category presentation of an sset.v1 document", (INPUT,),
+     lambda a: ser.pres_to_doc(cat_of(_read(ser.sset_from_doc, a.input)))),
+    ("twocat-of", "2-category presentation of an sset.v1 document", (INPUT,),
+     lambda a: ser.pres_to_doc(twocat_of(_read(ser.sset_from_doc, a.input)))),
+    ("realize", "bounded realization of a pres.v1 document",
+     (INPUT, ("--budget", {"type": int, "default": 200,
+                           "help": "completion steps for a category presentation; a 2-presentation "
+                                   "needs no completion, so the budget does not bound it"})),
+     lambda a: ser.realize_result_to_doc(realize(_read(ser.pres_from_doc, a.input), budget=a.budget))),
+    ("slice", "slice of a cfun.v1 (or fincat.v1 identity) over an object", (INPUT, OBJECT), _slice),
+    ("slice2", "2-categorical slice of a tfun.v1 (or fin2cat.v1 identity)", (INPUT, OBJECT),
+     lambda a: ser.fin2cat_to_doc(slice_2category(
+         _over(a, "hom", ser.fin2cat_from_doc, identity_two_functor, ser.tfun_from_doc), a.object))),
+    ("elements", "truncated category of elements of an sset.v1 document", (INPUT, BOUND),
+     lambda a: ser.fincat_to_doc(category_of_elements(*_bounded(a)))),
+    ("final", "the final object of a fincat.v1 document, if any", (INPUT,),
+     lambda a: {"final": has_final_object(_read(ser.fincat_from_doc, a.input))}),
+    ("lift", "search for a filler of a lifting problem document", (INPUT,), _lift),
+    ("rlp", "right lifting property of an smap.v1 against generators", (INPUT, GENERATORS), _rlp),
+    ("factorize", "bounded small-object factorization of an smap.v1",
+     (INPUT, GENERATORS, ("--stages", {"type": int, "default": 5})),
+     lambda a: ser.factorization_to_doc(
+         _fitted(a.generators, small_object_factorize, *_with_generators(a), a.stages))),
+    ("hpushout", "double mapping cylinder of a span document {f, g}", (INPUT,), _hpushout),
+    ("homology", "integer homology of an sset.v1 document", (INPUT, DEGREE),
+     lambda a: ser.homology_to_doc(homology(_read(ser.sset_from_doc, a.input), a.degree))),
+    ("pi1", "edge-path fundamental group presentation", (INPUT, ("--basepoint", {"default": None})), _pi1),
+    ("evidence", "weak-equivalence evidence for an smap.v1 document", (INPUT, DEGREE),
+     lambda a: ser.evidence_to_doc(weak_equivalence_evidence(_read(ser.smap_from_doc, a.input), a.degree))),
+    ("evidence2", "weak-equivalence evidence for a tfun.v1 document", (INPUT, MAX_DIM, DEGREE),
+     lambda a: ser.evidence_to_doc(
+         weak_equivalence_evidence2(_read(ser.tfun_from_doc, a.input), a.max_dim, a.degree))),
+    ("localizer-check", "run all localizer checkers on a universe", LOCALIZER,
+     lambda a: ser.violations_to_doc(violations(*_localizer(a)))),
+    ("localizer-closure", "closure of a marked class under the axioms",
+     LOCALIZER + (("--budget", {"type": int, "default": 50}),),
+     lambda a: ser.marked_to_doc(closure(*_localizer(a), budget=a.budget))),
+)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nervelab",
         description="desk-scale nerves, subdivision, lifting and localizer checks",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the report to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name: str, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        return p
-
-    p = cmd("validate", help="check the simplicial identities of an sset.v1 document")
-    p.add_argument("input")
-
-    p = cmd("nerve", help="nerve of a fincat.v1 document")
-    p.add_argument("input")
-    p.add_argument("--max-dim", type=int, default=3)
-
-    p = cmd("nerve2", help="geometric nerve of a fin2cat.v1 document")
-    p.add_argument("input")
-    p.add_argument("--max-dim", type=int, default=3)
-
-    p = cmd("delta-tilde", help="the 2-categorical n-simplex")
-    p.add_argument("n", type=int)
-
-    p = cmd("sd", help="barycentric subdivision of an sset.v1 document")
-    p.add_argument("input")
-
-    p = cmd("ex", help="bounded extension of an sset.v1 document")
-    p.add_argument("input")
-    p.add_argument("--max-dim", type=int, default=None)
-
-    p = cmd("alpha-beta", help="the comparison maps sd(X) -> X and X -> ex(X)")
-    p.add_argument("input")
-
-    p = cmd("cat-of", help="category presentation of an sset.v1 document")
-    p.add_argument("input")
-
-    p = cmd("twocat-of", help="2-category presentation of an sset.v1 document")
-    p.add_argument("input")
-
-    p = cmd("realize", help="bounded realization of a pres.v1 document")
-    p.add_argument("input")
-    p.add_argument("--budget", type=int, default=200,
-                   help="completion steps for a category presentation; a 2-presentation "
-                        "needs no completion, so the budget does not bound it")
-
-    p = cmd("slice", help="slice of a cfun.v1 (or fincat.v1 identity) over an object")
-    p.add_argument("input")
-    p.add_argument("--object", required=True)
-
-    p = cmd("slice2", help="2-categorical slice of a tfun.v1 (or fin2cat.v1 identity)")
-    p.add_argument("input")
-    p.add_argument("--object", required=True)
-
-    p = cmd("elements", help="truncated category of elements of an sset.v1 document")
-    p.add_argument("input")
-    p.add_argument("--max-dim", type=int, default=None)
-
-    p = cmd("final", help="the final object of a fincat.v1 document, if any")
-    p.add_argument("input")
-
-    p = cmd("lift", help="search for a filler of a lifting problem document")
-    p.add_argument("input")
-
-    p = cmd("rlp", help="right lifting property of an smap.v1 against generators")
-    p.add_argument("input")
-    p.add_argument("--generators", default="boundaries:2")
-
-    p = cmd("factorize", help="bounded small-object factorization of an smap.v1")
-    p.add_argument("input")
-    p.add_argument("--generators", default="boundaries:2")
-    p.add_argument("--stages", type=int, default=5)
-
-    p = cmd("hpushout", help="double mapping cylinder of a span document {f, g}")
-    p.add_argument("input")
-
-    p = cmd("homology", help="integer homology of an sset.v1 document")
-    p.add_argument("input")
-    p.add_argument("--degree", type=int, default=1)
-
-    p = cmd("pi1", help="edge-path fundamental group presentation")
-    p.add_argument("input")
-    p.add_argument("--basepoint", default=None)
-
-    p = cmd("evidence", help="weak-equivalence evidence for an smap.v1 document")
-    p.add_argument("input")
-    p.add_argument("--degree", type=int, default=1)
-
-    p = cmd("evidence2", help="weak-equivalence evidence for a tfun.v1 document")
-    p.add_argument("input")
-    p.add_argument("--max-dim", type=int, default=3)
-    p.add_argument("--degree", type=int, default=1)
-
-    p = cmd("localizer-check", help="run all localizer checkers on a universe")
-    p.add_argument("universe")
-    p.add_argument("marked")
-
-    p = cmd("localizer-closure", help="closure of a marked class under the axioms")
-    p.add_argument("universe")
-    p.add_argument("marked")
-    p.add_argument("--budget", type=int, default=50)
-
+    for name, summary, arguments, report in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", help="write the report to this path instead of stdout")
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(report=report)
     return parser
 
 
-def run(args: argparse.Namespace) -> dict:
-    cmd = args.command
-    if cmd == "validate":
-        X = ser._read_sset(_load(args.input), args.input)
-        return ser.violations_to_doc(validate(X))
-    if cmd == "nerve":
-        return ser.sset_to_doc(nerve(ser.fincat_from_doc(_load(args.input), args.input), args.max_dim))
-    if cmd == "nerve2":
-        C = ser.fin2cat_from_doc(_load(args.input), args.input)
-        return ser.sset_to_doc(geometric_nerve(C, args.max_dim))
-    if cmd == "delta-tilde":
-        return ser.fin2cat_to_doc(delta_tilde(args.n))
-    if cmd == "sd":
-        return ser.sset_to_doc(sd(ser.sset_from_doc(_load(args.input), args.input))[0])
-    if cmd == "ex":
-        X = ser.sset_from_doc(_load(args.input), args.input)
-        D = X.dim_bound if args.max_dim is None else args.max_dim
-        return ser.sset_to_doc(ex(X, D))
-    if cmd == "alpha-beta":
-        X = ser.sset_from_doc(_load(args.input), args.input)
-        return {
-            "alpha": ser.smap_to_doc(alpha(X)),
-            "beta": ser.smap_to_doc(beta(X)),
-        }
-    if cmd == "cat-of":
-        return ser.pres_to_doc(cat_of(ser.sset_from_doc(_load(args.input), args.input)))
-    if cmd == "twocat-of":
-        return ser.pres_to_doc(twocat_of(ser.sset_from_doc(_load(args.input), args.input)))
-    if cmd == "realize":
-        p = ser.pres_from_doc(_load(args.input), args.input)
-        return ser.realize_result_to_doc(realize(p, budget=args.budget))
-    if cmd == "slice":
-        doc = _load(args.input)
-        if "arrows" in doc and "source" not in doc:
-            v = identity_functor(ser.fincat_from_doc(doc, args.input))
-        else:
-            v = ser.cfun_from_doc(doc, args.input)
-        S, proj = slice_category(v, args.object)
-        return {"category": ser.fincat_to_doc(S), "projection": ser.cfun_to_doc(proj)}
-    if cmd == "slice2":
-        doc = _load(args.input)
-        if "hom" in doc and "source" not in doc:
-            v = identity_two_functor(ser.fin2cat_from_doc(doc, args.input))
-        else:
-            v = ser.tfun_from_doc(doc, args.input)
-        return ser.fin2cat_to_doc(slice_2category(v, args.object))
-    if cmd == "elements":
-        X = ser.sset_from_doc(_load(args.input), args.input)
-        D = X.dim_bound if args.max_dim is None else args.max_dim
-        return ser.fincat_to_doc(category_of_elements(X, D))
-    if cmd == "final":
-        return {"final": has_final_object(ser.fincat_from_doc(_load(args.input), args.input))}
-    if cmd == "lift":
-        doc = _load(args.input)
-        maps = [ser.smap_from_doc(doc.get(key), f"{args.input}.{key}") for key in ("i", "p", "top", "bottom")]
-        h = find_lift(_fitted(args.input, LiftingProblem, *maps))
-        return {"lift": None if h is None else ser.smap_to_doc(h)}
-    if cmd == "rlp":
-        p = ser.smap_from_doc(_load(args.input), args.input)
-        gens = _parse_generators(args.generators, p.bound)
-        ok, counterexample = _fitted(args.generators, has_rlp, p, gens)
-        doc = {"has_rlp": ok, "counterexample": None}
-        if counterexample is not None:
-            doc["counterexample"] = {
-                "i": ser.smap_to_doc(counterexample.i),
-                "top": ser.smap_to_doc(counterexample.top),
-                "bottom": ser.smap_to_doc(counterexample.bottom),
-            }
-        return doc
-    if cmd == "factorize":
-        f = ser.smap_from_doc(_load(args.input), args.input)
-        gens = _parse_generators(args.generators, f.bound)
-        report = _fitted(args.generators, small_object_factorize, f, gens, args.stages)
-        return ser.factorization_to_doc(report)
-    if cmd == "hpushout":
-        doc = _load(args.input)
-        f = ser.smap_from_doc(doc.get("f", {}), args.input + ".f")
-        g = ser.smap_from_doc(doc.get("g", {}), args.input + ".g")
-        P, _, _, _ = _fitted(args.input, homotopy_pushout, f, g)
-        return ser.sset_to_doc(P)
-    if cmd == "homology":
-        X = ser.sset_from_doc(_load(args.input), args.input)
-        return ser.homology_to_doc(homology(X, args.degree))
-    if cmd == "pi1":
-        X = ser.sset_from_doc(_load(args.input), args.input)
-        base = args.basepoint if args.basepoint is not None else (X.cells[0][0] if X.cells[0] else None)
-        if base is None:
-            raise SchemaError(f"{args.input}: the simplicial set has no vertices")
-        pres = pi1_presentation(X, base)
-        return {
-            "generators": list(pres.generators),
-            "relations": [[[g, e] for g, e in w] for w in pres.relations],
-        }
-    if cmd == "evidence":
-        f = ser.smap_from_doc(_load(args.input), args.input)
-        return ser.evidence_to_doc(weak_equivalence_evidence(f, args.degree))
-    if cmd == "evidence2":
-        u = ser.tfun_from_doc(_load(args.input), args.input)
-        return ser.evidence_to_doc(weak_equivalence_evidence2(u, args.max_dim, args.degree))
-    if cmd == "localizer-check":
-        U = ser.universe_from_doc(_load(args.universe), args.universe)
-        W = ser.marked_from_doc(_load(args.marked), args.marked)
-        return ser.violations_to_doc(violations(U, W))
-    if cmd == "localizer-closure":
-        U = ser.universe_from_doc(_load(args.universe), args.universe)
-        W = ser.marked_from_doc(_load(args.marked), args.marked)
-        return ser.marked_to_doc(closure(U, W, budget=args.budget))
-    raise SchemaError(f"unknown command {cmd!r}")
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        doc = run(args)
+        doc = args.report(args)
     except NerveLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -31,7 +31,14 @@ from typing import Iterable, Optional, Sequence
 
 from .cat import FinCat
 from .errors import BudgetError, ContractError
-from .simplicial import SimplicialMap, SimplicialSet, _UnionFind, boundary_inclusion, simplicial_operator
+from .simplicial import (
+    SimplicialMap,
+    SimplicialSet,
+    _claim,
+    _UnionFind,
+    boundary_inclusion,
+    simplicial_operator,
+)
 from .subdivision import sd, sd_map
 from .twocat import Fin2Cat
 
@@ -415,14 +422,14 @@ def realize_cat(p: CatPresentation, budget: int = 200, max_arrows: int = 4000) -
                              certificate={"growth": "irreducible cycle"})
     if status == "unknown":
         return RealizeResult("unknown", certificate={"reason": "arrow budget exhausted"})
-    arrows = []
+    named: dict[str, tuple] = {}
     src = {}
     dst = {}
     lookup = {}
     for a in p.objects:
         for w in words[a]:
             name = _word_id(a, w)
-            arrows.append(name)
+            _claim(named, name, (a, w))
             src[name] = a
             dst[name] = p.dst[w[-1]] if w else a
             lookup[(a, w)] = name
@@ -434,7 +441,7 @@ def realize_cat(p: CatPresentation, budget: int = 200, max_arrows: int = 4000) -
                 norm = _reduce(w1 + w2, rules)
                 compose[(lookup[(mid, w2)], lookup[(a, w1)])] = lookup[(a, norm)]
     identity = {a: lookup[(a, ())] for a in p.objects}
-    C = FinCat(p.objects, arrows, src, dst, compose, identity)
+    C = FinCat(p.objects, named, src, dst, compose, identity)
     return RealizeResult(
         "finite",
         category=C,
@@ -471,8 +478,10 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
         return RealizeResult("unknown", certificate={"reason": "1-cell budget exhausted"})
 
     paths: dict[tuple[str, str], list[Path]] = {}
+    named: dict[str, tuple] = {}
     for a in p.objects:
         for w in words[a]:
+            _claim(named, _word_id(a, w), (a, w))
             paths.setdefault((a, p.dst[w[-1]] if w else a), []).append(w)
     # each 2-generator filed under its anchor object and the first
     # 1-generator of its source, or None for an empty source

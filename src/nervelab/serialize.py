@@ -85,6 +85,22 @@ def _path(doc: dict, key: str, where: str) -> tuple[str, ...]:
     return tuple(str(g) for g in _need(doc, key, list, where))
 
 
+def _distinct(ids: list[str], where: str) -> list[str]:
+    """``ids``, refused if one of them is listed twice."""
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for x in ids:
+            if x in seen:
+                raise SchemaError(f"{where}: id {x!r} is listed twice")
+            seen.add(x)
+    return ids
+
+
+def _ids(doc: dict, key: str, where: str) -> list[str]:
+    """The ``key`` list of ``doc``, of distinct ids."""
+    return _distinct([str(x) for x in _need(doc, key, list, where)], f"{where}.{key}")
+
+
 def _table(doc: dict, key: str, shape: str, where: str) -> dict[tuple[str, ...], str]:
     """The ``key`` array of ``doc`` as a map from the leading names of each
     entry to its last one; ``shape`` lists the names, e.g. ``"[g, f, gf]"``."""
@@ -107,7 +123,7 @@ def _graph(doc: dict, key: str, where: str) -> tuple[list[str], dict[str, str], 
         ids.append(name)
         src[name] = _need(entry, "src", str, f"{where}.{key}[]")
         dst[name] = _need(entry, "dst", str, f"{where}.{key}[]")
-    return ids, src, dst
+    return _distinct(ids, f"{where}.{key}"), src, dst
 
 
 def _ends(doc: dict, end_from_doc, where: str) -> list:
@@ -158,7 +174,7 @@ def _read_sset(doc: dict, where: str) -> SimplicialSet:
             raise SchemaError(f"{where}.cells: level key {key!r} is not a number")
         if not isinstance(ids, list):
             raise SchemaError(f"{where}.cells.{key}: expected a list")
-        cells[int(key)] = [str(c) for c in ids]
+        cells[int(key)] = _distinct([str(c) for c in ids], f"{where}.cells.{key}")
     return SimplicialSet(D, cells, _operators(doc, "face", where), _operators(doc, "degeneracy", where))
 
 
@@ -205,7 +221,7 @@ def fincat_to_doc(C: FinCat) -> dict:
 
 def _read_fincat(doc: dict, where: str) -> FinCat:
     """The category of a fincat.v1 document, checked for shape only."""
-    objects = [str(o) for o in _need(doc, "objects", list, where)]
+    objects = _ids(doc, "objects", where)
     arrows, src, dst = _graph(doc, "arrows", where)
     compose = _table(doc, "compose", "[g, f, gf]", where)
     return FinCat(objects, arrows, src, dst, compose, _names(doc, "identity", where))
@@ -261,7 +277,7 @@ def fin2cat_to_doc(C: Fin2Cat) -> dict:
 
 
 def fin2cat_from_doc(doc: dict, where: str = "fin2cat") -> Fin2Cat:
-    objects = [str(o) for o in _need(doc, "objects", list, where)]
+    objects = _ids(doc, "objects", where)
     hom = {}
     for entry in _need(doc, "hom", list, where):
         if not (isinstance(entry, list) and len(entry) == 3):
@@ -335,7 +351,7 @@ def _pairs(doc: dict, key: str, where: str) -> list[tuple[list, list]]:
 
 def pres_from_doc(doc: dict, where: str = "pres"):
     kind = _need(doc, "kind", str, where)
-    objects = tuple(str(o) for o in _need(doc, "objects", list, where))
+    objects = tuple(_ids(doc, "objects", where))
     generators, src, dst = _graph(doc, "generators", where)
     if kind == "cat":
         relations = tuple(
@@ -358,6 +374,7 @@ def pres_from_doc(doc: dict, where: str = "pres"):
             if not (isinstance(anchor, list) and len(anchor) == 2):
                 raise SchemaError(f"{twhere}.anchor: need two objects")
             two_anchor[t] = (str(anchor[0]), str(anchor[1]))
+        _distinct(two_generators, where + ".two_generators")
         swhere = where + ".relations2[]"
         relations = tuple(
             tuple(
@@ -413,11 +430,15 @@ def universe_from_doc(doc: dict, where: str = "universe") -> DiagramUniverse:
     for entry in _need(doc, "nodes", list, where):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise SchemaError(f"{where}.nodes: entries must be [name, document]")
-        name, sub = entry
-        nodes[str(name)] = node_from_doc(sub, f"{where}.nodes[{name}]")
+        name, sub = str(entry[0]), entry[1]
+        if name in nodes:
+            raise SchemaError(f"{where}.nodes: id {name!r} is listed twice")
+        nodes[name] = node_from_doc(sub, f"{where}.nodes[{name}]")
     edges = {}
     for entry in _need(doc, "edges", list, where):
         name = _need(entry, "name", str, where + ".edges[]")
+        if name in edges:
+            raise SchemaError(f"{where}.edges: id {name!r} is listed twice")
         src = _need(entry, "src", str, where + ".edges[]")
         dst = _need(entry, "dst", str, where + ".edges[]")
         fun = _need(entry, "functor", dict, where + ".edges[]")

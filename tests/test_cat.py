@@ -238,6 +238,11 @@ def test_elements_of_two_points():
     assert validate_category(E) == []
 
 
+def test_elements_refuse_a_negative_truncation():
+    with pytest.raises(DomainError, match=r"truncation -3 must be >= 0"):
+        category_of_elements(standard_simplex(0, 2), -3)
+
+
 # -- functor enumeration ----------------------------------------------------------
 
 @pytest.mark.parametrize("pair", [

@@ -1,5 +1,6 @@
 """CLI determinism, golden files, shim equality, and error diagnostics."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from cli_cases import CASES, DATA, GOLDEN, sample
 
 from nervelab import serialize as ser
 from nervelab.cat import identity_functor, nerve
-from nervelab.cli import main
+from nervelab.cli import build_parser, main
 from nervelab.corpus import localizer_universe_2, two_categories
 from nervelab.presentations import twocat_of
 from nervelab.simplicial import SimplicialMap, boundary, constant_map, standard_simplex
@@ -132,6 +133,10 @@ def d0_of_00_is_1(sset):
     """Point d_0 of the degenerate edge 00 at the vertex 1.  Done to both
     ends of an identity map, the map still commutes with every face."""
     sset["face"] = without(sset["face"], [1, 0, "00"]) + [[1, 0, "00", "1"]]
+
+
+def repeat_first(entries):
+    entries.append(entries[0])
 
 
 def both_ends(break_sset):
@@ -280,6 +285,25 @@ ARGV = {
     ("slice", "arrow.fincat.json",
      as_identity_cfun(lambda F: F["arrows"].update(ghost="0<=1")),
      ": arrow 'ghost' assigned but not a source arrow (the first of"),
+    ("validate", "boundary2.sset.json", lambda doc: repeat_first(doc["cells"]["0"]),
+     ".cells.0: id '0' is listed twice"),
+    ("final", "arrow.fincat.json", lambda doc: repeat_first(doc["objects"]),
+     ".objects: id '0' is listed twice"),
+    ("final", "arrow.fincat.json", lambda doc: repeat_first(doc["arrows"]),
+     ".arrows: id '0<=1' is listed twice"),
+    ("nerve2", "iota_arrow.fin2cat.json", lambda doc: repeat_first(doc["objects"]),
+     ".objects: id '0' is listed twice"),
+    ("realize", "pres_boundary2.json", lambda doc: repeat_first(doc["objects"]),
+     ".objects: id '0' is listed twice"),
+    ("realize", "pres_boundary2.json", lambda doc: repeat_first(doc["generators"]),
+     ".generators: id '01' is listed twice"),
+    ("realize", "pres_boundary2.json",
+     lambda doc: (twocat_presentation_of_simplex3(doc), repeat_first(doc["two_generators"])),
+     ".two_generators: id '012' is listed twice"),
+    ("localizer-check", "universe.json", lambda doc: repeat_first(doc["nodes"]),
+     ".nodes: id 'arrow' is listed twice"),
+    ("localizer-check", "universe.json", lambda doc: repeat_first(doc["edges"]),
+     ".edges: id 'col_arrow' is listed twice"),
 ], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2",
         "alpha-beta", "cat-of", "twocat-of", "elements", "final", "slice", "slice2",
         "evidence", "rlp", "factorize", "factorize-generators", "lift", "hpushout",
@@ -288,7 +312,10 @@ ARGV = {
         "realize-step-left", "realize-sides-not-parallel",
         "localizer-check-node", "rlp-levels",
         "evidence-stray-cell", "evidence-stray-level", "evidence2-stray-object", "evidence2-stray-1-cell",
-        "evidence2-stray-2-cell", "slice-cfun-stray-arrow"])
+        "evidence2-stray-2-cell", "slice-cfun-stray-arrow",
+        "repeated-sset-cell", "repeated-fincat-object", "repeated-fincat-arrow", "repeated-fin2cat-object",
+        "repeated-pres-object", "repeated-pres-generator", "repeated-pres-two-generator",
+        "repeated-universe-node", "repeated-universe-edge"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(
         command, sample_name, break_it, named, tmp_path, capsys):
     doc = json.loads((DATA / sample_name).read_text())
@@ -379,7 +406,8 @@ def test_localizer_check_without_terminal_node_lists_missing_collapse_edges(tmp_
     (["localizer-closure", sample("universe.json"), sample("marked_empty.json"), "--budget", "-1"],
      "budget -1 must be >= 0"),
     (["realize", sample("pres_boundary2.json"), "--budget", "-5"], "budget -5 must be >= 0"),
-], ids=["delta-tilde", "homology", "evidence", "evidence2", "localizer-closure", "realize"])
+    (["elements", sample("point.sset.json"), "--max-dim", "-1"], "truncation -1 must be >= 0"),
+], ids=["delta-tilde", "homology", "evidence", "evidence2", "localizer-closure", "realize", "elements"])
 def test_negative_parameter_exits_2_naming_the_value(argv, named, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -387,6 +415,61 @@ def test_negative_parameter_exits_2_naming_the_value(argv, named, capsys):
     assert f"error: {named}" in captured.err
 
 
+def test_realize_refuses_two_arrows_of_one_name(tmp_path, capsys):
+    pres = tmp_path / "a_dot_b.pres.json"
+    pres.write_text(json.dumps({"kind": "cat", "objects": ["0", "1", "2"], "relations": [], "generators": [
+        {"id": "a", "src": "0", "dst": "1"}, {"id": "b", "src": "1", "dst": "2"},
+        {"id": "a.b", "src": "0", "dst": "2"}]}))
+    assert main(["realize", str(pres)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "share the name '[0|a.b]'" in captured.err
+
+
 def test_validate_golden_is_clean():
     golden = json.loads((GOLDEN / "validate_boundary2.json").read_text())
     assert golden == {"violations": []}
+
+
+# Every subcommand in its help order: its positional arguments, then each
+# optional flag with its (type, default, required).
+OUT = {"--out": (None, None, False)}
+SURFACE = {
+    "validate": (["input"], OUT),
+    "nerve": (["input"], {**OUT, "--max-dim": (int, 3, False)}),
+    "nerve2": (["input"], {**OUT, "--max-dim": (int, 3, False)}),
+    "delta-tilde": (["n"], OUT),
+    "sd": (["input"], OUT),
+    "ex": (["input"], {**OUT, "--max-dim": (int, None, False)}),
+    "alpha-beta": (["input"], OUT),
+    "cat-of": (["input"], OUT),
+    "twocat-of": (["input"], OUT),
+    "realize": (["input"], {**OUT, "--budget": (int, 200, False)}),
+    "slice": (["input"], {**OUT, "--object": (None, None, True)}),
+    "slice2": (["input"], {**OUT, "--object": (None, None, True)}),
+    "elements": (["input"], {**OUT, "--max-dim": (int, None, False)}),
+    "final": (["input"], OUT),
+    "lift": (["input"], OUT),
+    "rlp": (["input"], {**OUT, "--generators": (None, "boundaries:2", False)}),
+    "factorize": (["input"], {**OUT, "--generators": (None, "boundaries:2", False),
+                              "--stages": (int, 5, False)}),
+    "hpushout": (["input"], OUT),
+    "homology": (["input"], {**OUT, "--degree": (int, 1, False)}),
+    "pi1": (["input"], {**OUT, "--basepoint": (None, None, False)}),
+    "evidence": (["input"], {**OUT, "--degree": (int, 1, False)}),
+    "evidence2": (["input"], {**OUT, "--max-dim": (int, 3, False), "--degree": (int, 1, False)}),
+    "localizer-check": (["universe", "marked"], OUT),
+    "localizer-closure": (["universe", "marked"], {**OUT, "--budget": (int, 50, False)}),
+}
+
+
+def test_cli_surface_is_pinned():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert subparsers.required
+    surface = {}
+    for name, parser in subparsers.choices.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        positionals = [a.dest for a in actions if not a.option_strings]
+        flags = {a.option_strings[0]: (a.type, a.default, a.required) for a in actions if a.option_strings}
+        surface[name] = (positionals, flags)
+    assert list(surface.items()) == list(SURFACE.items())

@@ -15,7 +15,7 @@ from nervelab.cat import (
     parallel_pair_category,
     terminal_category,
 )
-from nervelab.errors import ContractError
+from nervelab.errors import ContractError, DomainError
 from nervelab.presentations import (
     CatPresentation,
     TwoCatPresentation,
@@ -312,3 +312,20 @@ def test_budget_does_not_bound_a_two_presentation():
     assert tight.status == "finite"
     assert canonical_json(realize_result_to_doc(tight)) == \
         canonical_json(realize_result_to_doc(realize(pres, budget=200)))
+
+
+def a_dot_b_presentations():
+    """Generators a: 0 -> 1, b: 1 -> 2 and one named ``a.b``: 0 -> 2, whose
+    name is also the name of the word a.b."""
+    graph = (("0", "1", "2"), ("a", "b", "a.b"), {"a": "0", "b": "1", "a.b": "0"},
+             {"a": "1", "b": "2", "a.b": "2"})
+    return CatPresentation(*graph, ()), TwoCatPresentation(*graph, (), {}, {}, {}, ())
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["cat", "twocat"])
+def test_realize_refuses_two_words_of_one_name(kind):
+    pres = a_dot_b_presentations()[kind]
+    assert pres.validate() == []
+    with pytest.raises(DomainError, match=r"\('0', \('a', 'b'\)\) and \('0', \('a\.b',\)\) "
+                                          r"share the name '\[0\|a\.b\]'"):
+        realize(pres)
