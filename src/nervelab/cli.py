@@ -17,7 +17,7 @@ import json
 import sys
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional, TypeVar
+from typing import Any, Callable, Optional, TypeVar
 
 from . import serialize as ser
 from .cat import category_of_elements, has_final_object, identity_functor, nerve, slice_category
@@ -36,15 +36,30 @@ from .subdivision import alpha, beta, ex, sd
 from .twocat import delta_tilde, geometric_nerve, identity_two_functor, slice_2category
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object, whose keys must be distinct: a repeated key would
+    leave the document two meanings."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"key {key!r} is repeated in one object")
+            seen.add(key)
+    return doc
+
+
 def _load(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read file ({exc})") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     return doc

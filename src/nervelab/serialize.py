@@ -11,7 +11,9 @@ A parser returns a valid value or raises
 and then the axioms of what it describes (the simplicial identities, the
 category and strict 2-category axioms, naturality of every map and
 functor, the typing of a presentation).  The message names the offending
-key, or the first violation and how many there are.
+key, or the first violation and how many there are.  Every id is a JSON
+string, an integer field is no ``bool``, and a table lists each row once,
+so that a document has one meaning.
 
 Document shapes (see README for examples):
 
@@ -27,9 +29,10 @@ Document shapes (see README for examples):
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any
+from typing import Any, Iterable
 
 from .cat import CatFunctor, FinCat, validate_category, validate_functor
 from .errors import SchemaError
@@ -70,19 +73,30 @@ def _need(doc: dict, key: str, kind: type, where: str):
     if key not in doc:
         raise SchemaError(f"{where}: missing key {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
         raise SchemaError(f"{where}.{key}: expected {kind.__name__}")
     return value
 
 
+def _strings(values: Iterable, where: str) -> Iterable:
+    """``values``, refused unless each is a JSON string: the id ``0`` is
+    not ``"0"``."""
+    for x in values:
+        if not isinstance(x, str):
+            raise SchemaError(f"{where}: ids must be strings, got {json.dumps(x)}")
+    return values
+
+
 def _names(doc: dict, key: str, where: str) -> dict[str, str]:
     """The ``key`` object of ``doc``, a map from names to names."""
-    return {str(k): str(v) for k, v in _need(doc, key, dict, where).items()}
+    names = dict(_need(doc, key, dict, where))
+    _strings(names.values(), f"{where}.{key}")
+    return names
 
 
 def _path(doc: dict, key: str, where: str) -> tuple[str, ...]:
     """The ``key`` list of ``doc``, a path of generator names."""
-    return tuple(str(g) for g in _need(doc, key, list, where))
+    return tuple(_strings(_need(doc, key, list, where), f"{where}.{key}"))
 
 
 def _distinct(ids: list[str], where: str) -> list[str]:
@@ -98,19 +112,24 @@ def _distinct(ids: list[str], where: str) -> list[str]:
 
 def _ids(doc: dict, key: str, where: str) -> list[str]:
     """The ``key`` list of ``doc``, of distinct ids."""
-    return _distinct([str(x) for x in _need(doc, key, list, where)], f"{where}.{key}")
+    return _distinct(list(_strings(_need(doc, key, list, where), f"{where}.{key}")), f"{where}.{key}")
 
 
 def _table(doc: dict, key: str, shape: str, where: str) -> dict[tuple[str, ...], str]:
     """The ``key`` array of ``doc`` as a map from the leading names of each
-    entry to its last one; ``shape`` lists the names, e.g. ``"[g, f, gf]"``."""
+    entry to its last one; ``shape`` lists the names, e.g. ``"[g, f, gf]"``.
+    A row whose leading names are listed twice is refused."""
     width = shape.count(",") + 1
+    at = f"{where}.{key}"
     table = {}
     for entry in _need(doc, key, list, where):
         if not (isinstance(entry, list) and len(entry) == width):
-            raise SchemaError(f"{where}.{key}: entries must be {shape}")
-        *cell, image = (str(x) for x in entry)
-        table[tuple(cell)] = image
+            raise SchemaError(f"{at}: entries must be {shape}")
+        *cell, image = _strings(entry, at)
+        row = tuple(cell)
+        if row in table:
+            raise SchemaError(f"{at}: row {row} is listed twice")
+        table[row] = image
     return table
 
 
@@ -150,14 +169,20 @@ def sset_to_doc(X: SimplicialSet) -> dict:
 
 
 def _operators(doc: dict, key: str, where: str) -> dict[tuple[int, int, str], str]:
-    """The ``face`` or ``degeneracy`` array of an sset.v1 document."""
+    """The ``face`` or ``degeneracy`` array of an sset.v1 document, with
+    each row ``(n, i, src)`` listed once."""
+    at = f"{where}.{key}"
     table = {}
     for entry in _need(doc, key, list, where):
-        if not (isinstance(entry, list) and len(entry) == 4
-                and isinstance(entry[0], int) and isinstance(entry[1], int)):
-            raise SchemaError(f"{where}.{key}: entries must be [n, i, src, dst] with integer n, i")
+        # type(...) is int: a bool is an int, and is refused
+        if not (isinstance(entry, list) and len(entry) == 4 and type(entry[0]) is int and type(entry[1]) is int):
+            raise SchemaError(f"{at}: entries must be [n, i, src, dst] with integer n, i")
         n, i, src, dst = entry
-        table[(n, i, str(src))] = str(dst)
+        _strings((src, dst), at)
+        row = (n, i, src)
+        if row in table:
+            raise SchemaError(f"{at}: row {row} is listed twice")
+        table[row] = dst
     return table
 
 
@@ -174,7 +199,7 @@ def _read_sset(doc: dict, where: str) -> SimplicialSet:
             raise SchemaError(f"{where}.cells: level key {key!r} is not a number")
         if not isinstance(ids, list):
             raise SchemaError(f"{where}.cells.{key}: expected a list")
-        cells[int(key)] = _distinct([str(c) for c in ids], f"{where}.cells.{key}")
+        cells[int(key)] = _distinct(list(_strings(ids, f"{where}.cells.{key}")), f"{where}.cells.{key}")
     return SimplicialSet(D, cells, _operators(doc, "face", where), _operators(doc, "degeneracy", where))
 
 
@@ -282,9 +307,11 @@ def fin2cat_from_doc(doc: dict, where: str = "fin2cat") -> Fin2Cat:
     for entry in _need(doc, "hom", list, where):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise SchemaError(f"{where}.hom: entries must be [a, b, fincat]")
-        a, b, sub = entry
+        row = tuple(_strings(entry[:2], f"{where}.hom"))
+        if row in hom:
+            raise SchemaError(f"{where}.hom: row {row} is listed twice")
         # each hom is checked as part of the 2-category, which names it
-        hom[(str(a), str(b))] = _read_fincat(sub, f"{where}.hom[{a},{b}]")
+        hom[row] = _read_fincat(entry[2], f"{where}.hom[{row[0]},{row[1]}]")
     shape = "[a, b, c, f, g, gf]"
     C = Fin2Cat(objects, hom, _table(doc, "hcompose1", shape, where),
                 _table(doc, "hcompose2", shape, where), _names(doc, "unit", where))
@@ -355,7 +382,7 @@ def pres_from_doc(doc: dict, where: str = "pres"):
     generators, src, dst = _graph(doc, "generators", where)
     if kind == "cat":
         relations = tuple(
-            (tuple(str(g) for g in lhs), tuple(str(g) for g in rhs))
+            (tuple(_strings(lhs, f"{where}.relations")), tuple(_strings(rhs, f"{where}.relations")))
             for lhs, rhs in _pairs(doc, "relations", where)
         )
         p = CatPresentation(objects, tuple(generators), src, dst, relations)
@@ -373,7 +400,7 @@ def pres_from_doc(doc: dict, where: str = "pres"):
             anchor = entry.get("anchor", [])
             if not (isinstance(anchor, list) and len(anchor) == 2):
                 raise SchemaError(f"{twhere}.anchor: need two objects")
-            two_anchor[t] = (str(anchor[0]), str(anchor[1]))
+            two_anchor[t] = tuple(_strings(anchor, f"{twhere}.anchor"))
         _distinct(two_generators, where + ".two_generators")
         swhere = where + ".relations2[]"
         relations = tuple(
@@ -430,7 +457,8 @@ def universe_from_doc(doc: dict, where: str = "universe") -> DiagramUniverse:
     for entry in _need(doc, "nodes", list, where):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise SchemaError(f"{where}.nodes: entries must be [name, document]")
-        name, sub = str(entry[0]), entry[1]
+        name, sub = entry
+        _strings((name,), f"{where}.nodes")
         if name in nodes:
             raise SchemaError(f"{where}.nodes: id {name!r} is listed twice")
         nodes[name] = node_from_doc(sub, f"{where}.nodes[{name}]")
@@ -455,7 +483,7 @@ def marked_to_doc(W: MarkedClass) -> dict:
 
 
 def marked_from_doc(doc: dict, where: str = "marked") -> MarkedClass:
-    return MarkedClass(frozenset(str(x) for x in _need(doc, "marked", list, where)))
+    return MarkedClass(frozenset(_strings(_need(doc, "marked", list, where), f"{where}.marked")))
 
 
 # -- reports -----------------------------------------------------------------------

@@ -6,12 +6,13 @@ last-vertex comparison maps.
 Delta_n and the nerve of a category.  Its cells are chains of frozensets,
 named by :func:`_sd_name` alone and never parsed: ``sd_operator_map`` and
 ``alpha`` read the chains that :func:`_sd_chains` keeps beside the cached
-simplex.  ``sd(X)`` glues one subdivided
-simplex per nondegenerate cell of X with ``simplicial._glue``, the
-construction behind pushouts: the copy at the k-cell x has the prefix
-``k:x@``, so its cells are named ``k:x@chain``, and copies are identified
-along faces.  The returned certificate records, per nondegenerate cell, the resulting gluing map
-``sd_simplex(k) -> sd(X)``; those maps are the class lookup of
+simplex.  ``sd(X)`` is the colimit of one subdivided simplex per
+nondegenerate cell of X, written from its normal form with no quotient:
+sd of the boundary of Delta_k is the chains whose last subset is not [k],
+so each cell of sd X is one nondegenerate k-cell x with one chain of
+sd Delta_k that ends at [k], named ``k:x@chain``.  The returned
+certificate records, per nondegenerate cell, the gluing map
+``sd_simplex(k) -> sd(X)`` of its copy; those maps are the class lookup of
 functoriality, and ``map_out`` builds every map out of sd(X) (``sd_map``,
 ``alpha``, ``transpose_from_ex``) from a value per piece; ``sd_map`` and
 ``transpose_from_ex`` refuse a value truncated below a piece.
@@ -41,7 +42,6 @@ from .simplicial import (
     SimplicialSet,
     Singular,
     _digits,
-    _glue,
     _images,
     _map_name_template,
     _poset_nerve,
@@ -49,7 +49,6 @@ from .simplicial import (
     _simplicial_problem,
     _singular,
     _standard_vertices,
-    coface,
     simplicial_operator,
 )
 
@@ -140,32 +139,84 @@ class SubdivisionCertificate:
         return SimplicialMap(self.space, target, levels, check=False)
 
 
-def sd(X: SimplicialSet) -> tuple[SimplicialSet, SubdivisionCertificate]:
-    """Barycentric subdivision by skeletal gluing.
+@lru_cache(maxsize=None)
+def _sd_plan(k: int, D: int) -> tuple[tuple[Monotone, ...], tuple, tuple]:
+    """sd Delta_k at bound D, read once for :func:`sd` as ``(tops, rows, interior)``.
 
-    One copy of the subdivided simplex per nondegenerate cell; the copy at
-    x is identified with the copies at the nondegenerate cores of its
-    faces.  Each cell is named by the least ``k:x@chain`` it stands for.
+    ``rows[m]`` lists the chains of level m in level order, each as
+    ``(u, t, v)``: an interior chain, whose last subset is [k], has
+    ``t = -1``; any other u lies in the face spanned by its last subset
+    ``tops[t]`` (a monotone injection [j] -> [k]), and v is u relabelled
+    into sd Delta_j.  ``interior[m]`` gives each interior chain of level m
+    with its rows of faces and degeneracies in sd Delta_k.
+    """
+    space, chains = _sd_chains(k, D)
+    tops: dict[frozenset[int], int] = {}
+    rows, interior = [], []
+    for m in range(D + 1):
+        row, inner = [], []
+        for u in space.cells[m]:
+            chain = chains[u]
+            top = chain[-1]
+            if len(top) == k + 1:
+                row.append((u, -1, u))
+                inner.append((u, tuple(space.face[(m, i, u)] for i in range(m + 1)) if m else (),
+                              tuple(space.degeneracy[(m, i, u)] for i in range(m + 1)) if m < D else ()))
+            else:
+                rank = {v: r for r, v in enumerate(sorted(top))}
+                row.append((u, tops.setdefault(top, len(tops)), _sd_name([[rank[v] for v in s] for s in chain])))
+        rows.append(tuple(row))
+        interior.append(tuple(inner))
+    return tuple(tuple(sorted(S)) for S in tops), tuple(rows), tuple(interior)
+
+
+def sd(X: SimplicialSet) -> tuple[SimplicialSet, SubdivisionCertificate]:
+    """Barycentric subdivision, written cell by cell from its normal form.
+
+    sd X is glued from one subdivided simplex per nondegenerate cell, and
+    the boundary of each copy is glued to lower copies, so each cell has
+    one normal form: a nondegenerate k-cell x with an interior chain u of
+    sd Delta_k, one whose last subset is [k], named ``k:x@u``.  The copy at
+    x is written in order of increasing k: an interior chain gets its own
+    name; any other lies in the face spanned by its last subset S and
+    takes the name that the nondegenerate core of x's face at S gives its
+    image (:meth:`SubdivisionCertificate.class_of`).  That name is the
+    least ``k:x@chain`` the cell stands for, since the normal form sits in
+    the lowest copy and k <= 9 is one digit.
     """
     D = X.dim_bound
-    nondeg = [(k, x) for k in range(D + 1) for x in X.nondegenerate(k)]
-    piece = {kx: j for j, kx in enumerate(nondeg)}
-
-    def faces() -> Iterable[tuple[tuple[int, int, Cell], tuple[int, int, Cell]]]:
-        for k in range(1, D + 1):
-            face_cells = sd_simplex(k - 1, D).cells
-            for x in X.nondegenerate(k):
-                for i in range(k + 1):
-                    inc = sd_operator_map(coface(k, i), k, D)
-                    epi, l, y = X.eilenberg_zilber(k - 1, X.d(k, i, x))
-                    move = sd_operator_map(epi, l, D)
-                    for m in range(D + 1):
-                        for u in face_cells[m]:
-                            yield (piece[(k, x)], m, inc.levels[m][u]), (piece[(l, y)], m, move.levels[m][u])
-
-    pieces = [(f"{k}:{x}@", sd_simplex(k, D)) for k, x in nondeg]
-    space, tables = _glue(D, pieces, faces())
-    gluing = {kx: SimplicialMap(pieces[j][1], space, tables[j], check=False) for kx, j in piece.items()}
+    tables: dict[tuple[int, Cell], list[dict[Cell, Cell]]] = {}
+    cells: dict[int, list[Cell]] = {m: [] for m in range(D + 1)}
+    face: dict[tuple[int, int, Cell], Cell] = {}
+    degeneracy: dict[tuple[int, int, Cell], Cell] = {}
+    for k in range(D + 1):
+        if not X.nondegenerate(k):
+            continue  # no piece needs the plan, whose sd Delta_k is the largest shape
+        tops, rows, interior = _sd_plan(k, D)
+        for x in X.nondegenerate(k):
+            prefix = f"{k}:{x}@"
+            lower = []
+            for S in tops:
+                epi, l, y = X.eilenberg_zilber(len(S) - 1, simplicial_operator(X, S, k, x))
+                lower.append((sd_operator_map(epi, l, D).levels, tables[(l, y)]))
+            table = []
+            for m, row in enumerate(rows):
+                # per top t: the image of v in sd Delta_l, and the names of piece (l, y)
+                at = [(move[m], into[m]) for move, into in lower]
+                table.append({u: prefix + u if t < 0 else at[t][1][at[t][0][v]] for u, t, v in row})
+            for m, inner in enumerate(interior):
+                level, below, above = table[m], table[m - 1] if m else None, table[m + 1] if m < D else None
+                for u, faces, degeneracies in inner:
+                    name = level[u]
+                    cells[m].append(name)
+                    for i, c in enumerate(faces):
+                        face[(m, i, name)] = below[c]
+                    for i, c in enumerate(degeneracies):
+                        degeneracy[(m, i, name)] = above[c]
+            tables[(k, x)] = table
+    space = SimplicialSet(D, cells, face, degeneracy)
+    gluing = {(k, x): SimplicialMap(sd_simplex(k, D), space, dict(enumerate(table)), check=False)
+              for (k, x), table in tables.items()}
     return space, SubdivisionCertificate(X, space, gluing)
 
 

@@ -74,6 +74,32 @@ def test_malformed_json_is_diagnosed(tmp_path, capsys):
     assert "invalid JSON" in err and "bad.json" in err
 
 
+@pytest.mark.parametrize("command,sample_name,key,value", [
+    ("final", "arrow.fincat.json", "objects", ["9"]),
+    ("validate", "interval.sset.json", "dim_bound", 1),
+    ("evidence2", "iota_arrow_to_terminal.tfun.json", "objects", {}),
+])
+def test_repeated_json_key_exits_2_naming_the_key(command, sample_name, key, value, tmp_path, capsys):
+    # the key comes first and again later, where the original document has it
+    text = (DATA / sample_name).read_text()
+    assert text.startswith("{")
+    bad = tmp_path / f"repeated_{sample_name}"
+    bad.write_text("{" + json.dumps(key) + ":" + json.dumps(value) + "," + text[1:])
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"repeated_{sample_name}: key {key!r} is repeated in one object" in captured.err
+
+
+def test_repeated_key_of_a_nested_object_exits_2(tmp_path, capsys):
+    doc = json.loads((DATA / "interval.sset.json").read_text())
+    text = json.dumps(doc).replace('"cells": {', '"cells": {"1": [], ', 1)
+    bad = tmp_path / "nested.json"
+    bad.write_text(text)
+    assert main(["validate", str(bad)]) == 2
+    assert "nested.json: key '1' is repeated in one object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["lift", "hpushout", "rlp"])
 def test_document_that_is_not_an_object_exits_2(command, tmp_path, capsys):
     bad = tmp_path / "list.json"
@@ -304,6 +330,38 @@ ARGV = {
      ".nodes: id 'arrow' is listed twice"),
     ("localizer-check", "universe.json", lambda doc: repeat_first(doc["edges"]),
      ".edges: id 'col_arrow' is listed twice"),
+    ("validate", "interval.sset.json", lambda doc: repeat_first(doc["face"]),
+     ".face: row (1, 0, '00') is listed twice"),
+    ("validate", "interval.sset.json", lambda doc: doc["degeneracy"].append([0, 0, "0", "01"]),
+     ".degeneracy: row (0, 0, '0') is listed twice"),
+    ("final", "arrow.fincat.json", lambda doc: repeat_first(doc["compose"]),
+     ".compose: row ('0<=1', 'id_0') is listed twice"),
+    ("nerve2", "iota_arrow.fin2cat.json", lambda doc: repeat_first(doc["hom"]),
+     ".hom: row ('0', '0') is listed twice"),
+    ("nerve2", "iota_arrow.fin2cat.json", lambda doc: repeat_first(doc["hcompose1"]),
+     ".hcompose1: row ('0', '0', '0', 'id_0', 'id_0') is listed twice"),
+    ("nerve2", "iota_arrow.fin2cat.json", lambda doc: repeat_first(doc["hcompose2"]),
+     ".hcompose2: row ('0', '0', '0', 'id_id_0', 'id_id_0') is listed twice"),
+    ("evidence2", "iota_arrow_to_terminal.tfun.json", lambda doc: repeat_first(doc["on1"]),
+     ".on1: row ('0', '0', 'id_0') is listed twice"),
+    ("evidence2", "iota_arrow_to_terminal.tfun.json", lambda doc: repeat_first(doc["on2"]),
+     ".on2: row ('0', '0', 'id_id_0') is listed twice"),
+    ("validate", "interval.sset.json", lambda doc: doc.update(dim_bound=True),
+     ".dim_bound: expected int"),
+    ("validate", "interval.sset.json", lambda doc: doc["face"][0].__setitem__(1, False),
+     ".face: entries must be [n, i, src, dst] with integer n, i"),
+    ("validate", "interval.sset.json", lambda doc: doc["cells"]["0"].__setitem__(0, 0),
+     ".cells.0: ids must be strings, got 0"),
+    ("validate", "interval.sset.json", lambda doc: doc["face"][0].__setitem__(3, 0),
+     ".face: ids must be strings, got 0"),
+    ("final", "arrow.fincat.json", lambda doc: doc["objects"].__setitem__(0, 0),
+     ".objects: ids must be strings, got 0"),
+    ("final", "arrow.fincat.json", lambda doc: doc["compose"][0].__setitem__(0, None),
+     ".compose: ids must be strings, got null"),
+    ("evidence2", "iota_arrow_to_terminal.tfun.json", lambda doc: doc["objects"].update({"0": 0}),
+     ".objects: ids must be strings, got 0"),
+    ("localizer-check", "universe.json", lambda doc: doc["nodes"][0].__setitem__(0, 7),
+     ".nodes: ids must be strings, got 7"),
 ], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2",
         "alpha-beta", "cat-of", "twocat-of", "elements", "final", "slice", "slice2",
         "evidence", "rlp", "factorize", "factorize-generators", "lift", "hpushout",
@@ -315,7 +373,13 @@ ARGV = {
         "evidence2-stray-2-cell", "slice-cfun-stray-arrow",
         "repeated-sset-cell", "repeated-fincat-object", "repeated-fincat-arrow", "repeated-fin2cat-object",
         "repeated-pres-object", "repeated-pres-generator", "repeated-pres-two-generator",
-        "repeated-universe-node", "repeated-universe-edge"])
+        "repeated-universe-node", "repeated-universe-edge",
+        "repeated-sset-face", "repeated-sset-degeneracy", "repeated-fincat-compose",
+        "repeated-fin2cat-hom", "repeated-fin2cat-hcompose1", "repeated-fin2cat-hcompose2",
+        "repeated-tfun-on1", "repeated-tfun-on2",
+        "bool-dim-bound", "bool-face-index", "integer-sset-cell", "integer-sset-face-image",
+        "integer-fincat-object", "null-fincat-compose", "integer-tfun-object-image",
+        "integer-universe-node"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(
         command, sample_name, break_it, named, tmp_path, capsys):
     doc = json.loads((DATA / sample_name).read_text())

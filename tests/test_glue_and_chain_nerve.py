@@ -1,14 +1,17 @@
-"""The two constructions every colimit and standard object is made from:
-the gluing of a disjoint union (``pushout``, ``sd``) and the chain nerve of
-a finite category (Delta_n, its boundary and horns and the subdivided
-simplex as nerves of posets, and the nerve N(C) of a category), with the
-thin categories built by one construction beside them.
+"""The constructions every colimit and standard object is made from: the
+gluing of a disjoint union (``pushout``, ``disjoint_union``), subdivision
+written from its normal form (``sd``), and the chain nerve of a finite
+category (Delta_n, its boundary and horns and the subdivided simplex as
+nerves of posets, and the nerve N(C) of a category), with the thin
+categories built by one construction beside them.
 
 The SHA-256 values below were computed from the canonical JSON of each
 output before these constructions were shared, so any change to a cell
 name, a level or an operator table shows up here.  The face-poset oracle
 counts chains by brute force, independently of the code under test, and
-the naive quotient (``reference_glue``) merges classes by the definition.
+the naive quotient (``reference_glue``) merges classes by the definition,
+both for pushouts and for sd X as the quotient of its pieces
+(``reference_sd``).
 """
 
 import hashlib
@@ -283,11 +286,63 @@ def test_quotients_that_collapse_a_nondegenerate_cell_are_covered():
     assert collapsed > 0
 
 
-def test_sd_of_the_sphere_is_the_naive_quotient(monkeypatch):
+# -- oracle: sd X as the quotient of its pieces, by naive merging ---------------
+
+def reference_sd(X: SimplicialSet):
+    """sd X by its definition as a colimit: one copy of sd Delta_k per
+    nondegenerate k-cell x, with prefix ``k:x@``, and the copy of every face
+    d_i x identified with the copy at its nondegenerate core, quotiented by
+    :func:`reference_glue`.  Returns the space and, per nondegenerate cell,
+    the table of its copy."""
+    D = X.dim_bound
+    nondeg = [(k, x) for k in range(D + 1) for x in X.nondegenerate(k)]
+    piece = {kx: j for j, kx in enumerate(nondeg)}
+    pairs = []
+    for k, x in nondeg:
+        for i in range(k + 1 if k else 0):
+            inc = subdivision.sd_operator_map(simplicial.coface(k, i), k, D)
+            epi, l, y = X.eilenberg_zilber(k - 1, X.d(k, i, x))
+            move = subdivision.sd_operator_map(epi, l, D)
+            pairs += [((piece[(k, x)], m, inc.levels[m][u]), (piece[(l, y)], m, move.levels[m][u]))
+                      for m in range(D + 1) for u in sd_simplex(k - 1, D).cells[m]]
+    space, tables = reference_glue(D, [(f"{k}:{x}@", sd_simplex(k, D)) for k, x in nondeg], pairs)
+    return space, dict(zip(nondeg, tables))
+
+
+def assert_sd_is_the_naive_quotient(X: SimplicialSet) -> None:
+    """``sd`` against :func:`reference_sd`, the space and every gluing table."""
+    space, tables = reference_sd(X)
+    expected = {"space": sset_to_doc(space),
+                "gluing": {f"{k}:{x}": {str(m): level for m, level in table.items()}
+                           for (k, x), table in tables.items()}}
+    assert canonical_json(sd_doc(X)) == canonical_json(expected)
+
+
+def naive_quotient_inputs() -> dict[str, SimplicialSet]:
+    inputs = {}
+    for D in (2, 3):
+        for name, X in corpus.simplicial_objects(D).items():
+            inputs[f"{name}_{D}"] = X
+            inputs[f"sd_{name}_{D}"] = sd(X)[0]
+    for seed in range(12):
+        inputs[f"pushout_{seed}"] = pushout(*seeded_span(seed))[0]
+        inputs[f"complex_{seed}"] = complex_sset(seeded_facets(seed), 2)
+    return inputs
+
+
+NAIVE_QUOTIENT_INPUTS = naive_quotient_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(NAIVE_QUOTIENT_INPUTS))
+def test_sd_is_the_naive_quotient(name):
+    assert_sd_is_the_naive_quotient(NAIVE_QUOTIENT_INPUTS[name])
+
+
+def test_sd_of_the_sphere_is_the_naive_quotient():
+    for D in (2, 3):
+        assert_sd_is_the_naive_quotient(pushout(*sphere(D))[0])
     S2 = pushout(*sphere(3))[0]
-    got = [sd_doc(S2), sd_doc(sd(S2)[0])]
-    monkeypatch.setattr(subdivision, "_glue", reference_glue)
-    assert [digest(doc) for doc in got] == [digest(sd_doc(S2)), digest(sd_doc(sd(S2)[0]))]
+    assert_sd_is_the_naive_quotient(sd(S2)[0])
     h = homology_to_doc(homology(S2, 2))
     assert [h["degrees"][str(n)]["betti"] for n in range(3)] == [1, 0, 1]
     assert homology_to_doc(homology(sd(S2)[0], 2)) == h

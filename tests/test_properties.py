@@ -1,6 +1,7 @@
 """Property tests on random ordered simplicial complexes: the simplicial
 identities survive ``sd``, ``product`` and ``pushout``, the comparison maps
-are simplicial, and the sd -| Ex bijection sends beta back to alpha.
+are simplicial, and the sd -| Ex bijection sends beta back to alpha and
+any map sd X -> Y back to itself.
 
 The complexes are ``complex_sset`` of facets over range(5), at bound 2 or
 3.  ``beta`` is built at level 2 (``beta(K, 2)``): Ex at level 3 of such
@@ -23,7 +24,7 @@ from nervelab.simplicial import (
     validate_map,
     verify_pushout,
 )
-from nervelab.subdivision import alpha, beta, sd, transpose_from_ex
+from nervelab.subdivision import alpha, beta, sd, transpose_from_ex, transpose_to_ex
 
 FACETS = st.lists(st.sets(st.integers(0, 4), min_size=1, max_size=3).map(sorted), min_size=1, max_size=3)
 BOUNDS = st.sampled_from([2, 3])
@@ -41,6 +42,23 @@ def test_sd_alpha_and_beta_of_a_complex(facets, D):
     b = beta(K, 2)
     assert validate_map(b) == []
     assert transpose_from_ex(b, cert, K) == a
+
+
+SMALL_FACETS = st.lists(st.sets(st.integers(0, 3), min_size=1, max_size=3).map(sorted), min_size=1, max_size=2)
+
+
+@CHECKS
+@given(source=SMALL_FACETS, target=SMALL_FACETS, pick=st.integers(0, 39))
+def test_transposes_of_a_map_out_of_sd_are_inverse(source, target, pick):
+    # at bound 2: Ex at level 3 takes seconds, and no cell of X is
+    # nondegenerate above level 2
+    X, Y = complex_sset(source, 2), complex_sset(target, 2)
+    SX, cert = sd(X)
+    maps = list(islice(enumerate_simplicial_maps(SX, Y), 40))
+    F = maps[pick % len(maps)]
+    G = transpose_to_ex(F, cert, 2)
+    assert validate_map(G) == []
+    assert transpose_from_ex(G, cert, Y) == F
 
 
 @CHECKS
