@@ -3,7 +3,7 @@ lifting problems and localizer checking."""
 
 __version__ = "0.1.0"
 
-from .simplicial import SimplicialMap, SimplicialSet, generate_cell, product, pushout, validate
+from .simplicial import SimplicialMap, SimplicialSet, product, pushout, validate
 from .cat import CatFunctor, FinCat, category_of_elements, has_final_object, nerve, slice_category
 from .twocat import (
     Fin2Cat,
@@ -45,7 +45,7 @@ from .localizer import (
 )
 
 __all__ = [
-    "SimplicialSet", "SimplicialMap", "generate_cell", "validate", "pushout", "product",
+    "SimplicialSet", "SimplicialMap", "validate", "pushout", "product",
     "FinCat", "CatFunctor", "nerve", "slice_category", "has_final_object",
     "category_of_elements",
     "Fin2Cat", "TwoFunctor", "delta_tilde", "geometric_nerve", "slice_2category",

@@ -569,25 +569,17 @@ def pi1_presentation(X: SimplicialSet, basepoint: str) -> GroupPresentation:
     """
     if not X.has_cell(0, basepoint):
         raise DomainError(f"basepoint {basepoint!r} is not a vertex")
-    comp = components(X)
-    root = comp[basepoint]
-    verts = [v for v in X.cells[0] if comp[v] == root]
-    edges = []
-    if X.dim_bound >= 1:
-        edges = [
-            e
-            for e in X.nondegenerate(1)
-            if comp[X.d(1, 1, e)] == root
-        ]
-    # BFS spanning tree from the basepoint
-    tree: set[str] = set()
-    seen = {basepoint}
-    frontier = [basepoint]
-    adjacency: dict[str, list[tuple[str, str]]] = {v: [] for v in verts}
-    for e in edges:
+    # BFS spanning tree from the basepoint; the vertices it reaches are the
+    # basepoint's component of the 1-skeleton
+    all_edges = X.nondegenerate(1) if X.dim_bound >= 1 else ()
+    adjacency: dict[str, list[tuple[str, str]]] = {v: [] for v in X.cells[0]}
+    for e in all_edges:
         a, b = X.d(1, 1, e), X.d(1, 0, e)
         adjacency[a].append((e, b))
         adjacency[b].append((e, a))
+    tree: set[str] = set()
+    seen = {basepoint}
+    frontier = [basepoint]
     while frontier:
         nxt = []
         for v in frontier:
@@ -597,6 +589,7 @@ def pi1_presentation(X: SimplicialSet, basepoint: str) -> GroupPresentation:
                     tree.add(e)
                     nxt.append(w)
         frontier = nxt
+    edges = [e for e in all_edges if X.d(1, 1, e) in seen]
     generators = tuple(e for e in edges if e not in tree)
     edge_set = set(edges)
 
@@ -608,8 +601,7 @@ def pi1_presentation(X: SimplicialSet, basepoint: str) -> GroupPresentation:
     relations = []
     if X.dim_bound >= 2:
         for t in X.nondegenerate(2):
-            v0 = X.d(1, 1, X.d(2, 2, t))
-            if comp.get(v0) != root:
+            if X.d(1, 1, X.d(2, 2, t)) not in seen:
                 continue
             w = _free_reduce(
                 letter(X.d(2, 2, t))

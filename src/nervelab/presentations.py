@@ -53,11 +53,8 @@ class CatPresentation:
     dst: dict[str, str]
     relations: tuple[tuple[Path, Path], ...]
 
-    def path_endpoints(self, p: Path, fallback: Optional[str] = None) -> tuple[str, str]:
-        if not p:
-            if fallback is None:
-                raise ContractError("empty path needs an anchoring object")
-            return fallback, fallback
+    def path_endpoints(self, p: Path) -> tuple[str, str]:
+        """The ends of a non-empty path."""
         return self.src[p[0]], self.dst[p[-1]]
 
     def validate(self) -> list[str]:
@@ -331,20 +328,24 @@ def _complete(relations: Iterable[tuple[Path, Path]], budget: int) -> Optional[l
     return None
 
 
+# the most paths (or edge-paths of one hom) that realization enumerates
+_MAX_ARROWS = 4000
+
+
 def _irreducible_words(
     objects: Sequence[str],
     generators: Sequence[str],
     src: dict[str, str],
     dst: dict[str, str],
     rules: Sequence[tuple[Path, Path]],
-    max_arrows: int,
 ) -> tuple[str, Optional[dict[str, list[Path]]], Optional[list[str]]]:
     """Enumerate the irreducible paths, or detect that they are infinite.
 
     Works on the suffix automaton: appending a letter can only create a
     rule occurrence at the tail, so states are (object, short suffix).
     Infinitely many irreducible words exist iff that automaton has a
-    reachable cycle, which is returned as the growth witness.
+    reachable cycle, which is returned as the growth witness.  More than
+    ``_MAX_ARROWS`` words is ``unknown``.
     """
     L = max((len(lhs) for lhs, _ in rules), default=1)
     out_edges: dict[str, list[str]] = {a: [] for a in objects}
@@ -390,7 +391,7 @@ def _irreducible_words(
         root, word, suffix = stack.pop()
         words[root].append(word)
         total += 1
-        if total > max_arrows:
+        if total > _MAX_ARROWS:
             return "unknown", None, None
         here = dst[word[-1]] if word else root
         for g in sorted(out_edges[here], reverse=True):
@@ -406,7 +407,7 @@ def _word_id(obj: str, word: Path) -> str:
     return f"[{obj}|{'.'.join(word)}]"
 
 
-def realize_cat(p: CatPresentation, budget: int = 200, max_arrows: int = 4000) -> RealizeResult:
+def realize_cat(p: CatPresentation, budget: int = 200) -> RealizeResult:
     """Bounded completion-based realization of a category presentation."""
     problems = p.validate()
     if problems:
@@ -415,7 +416,7 @@ def realize_cat(p: CatPresentation, budget: int = 200, max_arrows: int = 4000) -
     if rules is None:
         return RealizeResult("unknown", certificate={"reason": "completion budget exhausted"})
     status, words, witness = _irreducible_words(
-        p.objects, p.generators, p.src, p.dst, rules, max_arrows
+        p.objects, p.generators, p.src, p.dst, rules
     )
     if status == "infinite":
         return RealizeResult("infinite", witness=witness,
@@ -456,20 +457,20 @@ def realize_cat(p: CatPresentation, budget: int = 200, max_arrows: int = 4000) -
 Edge = tuple[Path, int, str]  # (vertex path, position, 2-generator)
 
 
-def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4000) -> RealizeResult:
+def realize_twocat(p: TwoCatPresentation) -> RealizeResult:
     """Realize a 2-presentation whose 1-cells form a finite free category.
 
     The hom-categories are whisker graphs (paths as objects, 2-generator
     applications as covering arrows) with parallel edge-paths identified by
     the congruence from interchange and the pasting relations.  A
-    2-presentation has no 1-cell relations and so needs no completion:
-    ``budget`` does not bound it, and only ``max_arrows`` does.
+    2-presentation has no 1-cell relations and so needs no completion;
+    only ``_MAX_ARROWS`` bounds it.
     """
     problems = p.validate()
     if problems:
         raise ContractError("; ".join(problems[:3]))
     status, words, witness = _irreducible_words(
-        p.objects, p.generators, p.src, p.dst, [], max_arrows
+        p.objects, p.generators, p.src, p.dst, []
     )
     if status == "infinite":
         return RealizeResult("infinite", witness=witness,
@@ -519,7 +520,7 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
     hom_paths: dict[tuple[str, str], dict[tuple[Path, tuple[Edge, ...]], Path]] = {}
     for key, table in hom_edges.items():
         status, edge_paths, _ = _irreducible_words(
-            paths[key], list(table), {e: e[0] for e in table}, table, [], max_arrows
+            paths[key], list(table), {e: e[0] for e in table}, table, []
         )
         if status == "infinite":
             return RealizeResult("unknown", certificate={"reason": "whisker graph has a cycle"})
@@ -619,18 +620,18 @@ def realize_twocat(p: TwoCatPresentation, budget: int = 200, max_arrows: int = 4
     )
 
 
-def realize(pres, budget: int = 200, max_arrows: int = 4000) -> RealizeResult:
+def realize(pres, budget: int = 200) -> RealizeResult:
     """Dispatch on the presentation kind.
 
     ``budget`` bounds the completion of a category presentation's
     relations.  A 2-presentation needs no completion, so ``budget`` does
-    not bound it; ``max_arrows`` bounds both kinds."""
+    not bound it; ``_MAX_ARROWS`` bounds both kinds."""
     if budget < 0:
         raise BudgetError(f"budget {budget} must be >= 0")
     if isinstance(pres, CatPresentation):
-        return realize_cat(pres, budget, max_arrows)
+        return realize_cat(pres, budget)
     if isinstance(pres, TwoCatPresentation):
-        return realize_twocat(pres, budget, max_arrows)
+        return realize_twocat(pres)
     raise ContractError(f"not a presentation: {type(pres).__name__}")
 
 

@@ -200,7 +200,12 @@ def _read_sset(doc: dict, where: str) -> SimplicialSet:
         if not isinstance(ids, list):
             raise SchemaError(f"{where}.cells.{key}: expected a list")
         cells[int(key)] = _distinct(list(_strings(ids, f"{where}.cells.{key}")), f"{where}.cells.{key}")
-    return SimplicialSet(D, cells, _operators(doc, "face", where), _operators(doc, "degeneracy", where))
+    face, degeneracy = _operators(doc, "face", where), _operators(doc, "degeneracy", where)
+    # every level is listed, so the document's own size bounds D
+    missing = next((n for n in range(D + 1) if n not in cells), None)
+    if missing is not None:
+        raise SchemaError(f"{where}.cells: level {missing} is not listed (every level 0..{D} must be)")
+    return SimplicialSet(D, cells, face, degeneracy)
 
 
 def sset_from_doc(doc: dict, where: str = "sset") -> SimplicialSet:

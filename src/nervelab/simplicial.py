@@ -364,22 +364,6 @@ def empty_simplicial_set(D: int) -> SimplicialSet:
     return SimplicialSet(D, {}, {}, {})
 
 
-def generate_cell(kind: str, n: int, k: Optional[int] = None, D: int = 3) -> SimplicialSet:
-    """Dispatching constructor for the standard objects.
-
-    ``kind`` is one of ``standard``, ``boundary``, ``horn``.
-    """
-    if kind == "standard":
-        return standard_simplex(n, D)
-    if kind == "boundary":
-        return boundary(n, D)
-    if kind == "horn":
-        if k is None:
-            raise DomainError("horn requires the index k")
-        return horn(n, k, D)
-    raise DomainError(f"unknown cell kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -418,8 +402,6 @@ def validate(X: SimplicialSet) -> list[Violation]:
     D = X.dim_bound
     # face[n][c][i] is d_i c and degen[n][c][i] is s_i c, None where the
     # table has no entry; each table is read once.
-    blank = [[None] * (n + 1) for n in range(D + 1)]
-
     def rows(table: dict) -> list[dict[Cell, list[Optional[Cell]]]]:
         by_level: list[dict[Cell, list[Optional[Cell]]]] = [{} for _ in range(D + 1)]
         for (n, i, c), v in table.items():
@@ -429,25 +411,28 @@ def validate(X: SimplicialSet) -> list[Violation]:
 
     face, degen = rows(X.face), rows(X.degeneracy)
 
-    # the faces / degeneracies of a looked-up cell; a missing one (None) has none
+    # the faces / degeneracies of a looked-up cell; a cell without a row
+    # (or None) gets a row of n + 1 missing entries
     def d(n: int, c: Optional[Cell]) -> list[Optional[Cell]]:
-        return face[n].get(c, blank[n])
+        row = face[n].get(c)
+        return [None] * (n + 1) if row is None else row
 
     def s(n: int, c: Optional[Cell]) -> list[Optional[Cell]]:
-        return degen[n].get(c, blank[n])
+        row = degen[n].get(c)
+        return [None] * (n + 1) if row is None else row
 
     # totality of the tables
     level = {n: set(X.cells[n]) for n in range(D + 1)}
     for n in range(1, D + 1):
         for c in X.cells[n]:
-            for i, v in enumerate(face[n].get(c, blank[n])):
+            for i, v in enumerate(d(n, c)):
                 if v is None:
                     out.append(Violation("face-total", n, (i,), c, "missing face entry"))
                 elif v not in level[n - 1]:
                     out.append(Violation("face-total", n, (i,), c, f"face {v!r} not a cell"))
     for n in range(D):
         for c in X.cells[n]:
-            for i, v in enumerate(degen[n].get(c, blank[n])):
+            for i, v in enumerate(s(n, c)):
                 if v is None:
                     out.append(Violation("degeneracy-total", n, (i,), c, "missing degeneracy entry"))
                 elif v not in level[n + 1]:
@@ -456,7 +441,7 @@ def validate(X: SimplicialSet) -> list[Violation]:
     # d_i d_j = d_{j-1} d_i for i < j
     for n in range(2, D + 1):
         for c in X.cells[n]:
-            ddc = [d(n - 1, x) for x in face[n].get(c, blank[n])]
+            ddc = [d(n - 1, x) for x in d(n, c)]
             for j in range(1, n + 1):
                 for i in range(j):
                     a, b = ddc[j][i], ddc[i][j - 1]
@@ -466,7 +451,7 @@ def validate(X: SimplicialSet) -> list[Violation]:
     # s_i s_j = s_{j+1} s_i for i <= j
     for n in range(D - 1):
         for c in X.cells[n]:
-            ssc = [s(n + 1, x) for x in degen[n].get(c, blank[n])]
+            ssc = [s(n + 1, x) for x in s(n, c)]
             for j in range(n + 1):
                 for i in range(j + 1):
                     a, b = ssc[j][i], ssc[i][j + 1]
@@ -476,12 +461,12 @@ def validate(X: SimplicialSet) -> list[Violation]:
     # d_i s_j: the three exchange laws
     for n in range(D):
         for c in X.cells[n]:
-            sc = degen[n].get(c, blank[n])
-            sdc = [s(n - 1, x) for x in face[n].get(c, blank[n])] if n else []
+            sc = s(n, c)
+            sdc = [s(n - 1, x) for x in d(n, c)] if n else []
             for j in range(n + 1):
                 if sc[j] is None:
                     continue
-                dsc = face[n + 1].get(sc[j], blank[n + 1])
+                dsc = d(n + 1, sc[j])
                 for i in range(n + 2):
                     got = dsc[i]
                     if i < j:

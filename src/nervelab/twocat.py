@@ -38,6 +38,7 @@ from .simplicial import (
     Singular,
     _claim,
     _digits,
+    _dimension_tag,
     _escaped,
     _images,
     _postcompose,
@@ -841,14 +842,16 @@ def _coskeletal_level(C: Fin2Cat, n: int, named: dict, faces: dict) -> Iterator[
     """Level n >= 3 of the geometric nerve of C, from level n-1 given as
     in :func:`_singular`: one cell per tuple ``(x_0 .. x_n)`` of
     (n-1)-cells with ``d_i x_j = d_{j-1} x_i`` for ``i < j`` on which the
-    two pastings of the top 2-cell agree; its faces are that tuple.
-    Requires C to pass :func:`validate_2category`."""
+    two pastings of the top 2-cell agree; its faces are that tuple.  The
+    tuples come from the shared kernel (:func:`_matching_problem`), and
+    the pasting test filters them, so its composites are computed once
+    per tuple.  Requires C to pass :func:`validate_2category`."""
     pick, one, splits, vertical = _join_plan(n)
     image_of = {cid: image for image, cid in named.items()}
     hc1, hc2, hom = C.hcompose1, C.hcompose2, C.hom
     o0, o1, on, f01, f1n = one
     z0, zn, via, first, via2, second = vertical
-    for xs in _matching_tuples(n, faces):
+    for xs in _search(*_matching_problem(n, faces)):
         c = sum((image_of[x] for x in xs), ())
         twos = [hc2[(c[a], c[m], c[b], c[x], c[y])] for a, m, b, x, y in splits]
         compose = hom[(c[z0], c[zn])].compose
@@ -859,33 +862,33 @@ def _coskeletal_level(C: Fin2Cat, n: int, named: dict, faces: dict) -> Iterator[
         yield pick(c), xs
 
 
-def _matching_tuples(n: int, faces: dict[str, tuple[str, ...]]) -> Iterator[tuple[str, ...]]:
-    """Every tuple ``(x_0 .. x_n)`` of cells with ``d_i x_j = d_{j-1} x_i``
-    for ``i < j``, given each cell's faces; candidates for ``x_j`` are
-    looked up by their first one or two faces."""
+def _matching_problem(n: int, faces: dict[str, tuple[str, ...]]) -> tuple:
+    """Compile the search for every tuple ``(x_0 .. x_n)`` of cells with
+    ``d_i x_j = d_{j-1} x_i`` for ``i < j``, given each cell's faces, for
+    :func:`_search`.  ``x_0`` ranges over all cells, ``x_1`` over those
+    whose first face is ``d_0 x_0`` and ``x_j`` over those whose first two
+    faces are ``d_{j-1} x_0, d_{j-1} x_1``; the check at ``x_j`` compares
+    its faces 2..j-1."""
     by_first: dict[str, list[str]] = {}
     by_first_two: dict[tuple[str, str], list[str]] = {}
     for x, fx in faces.items():
         by_first.setdefault(fx[0], []).append(x)
         by_first_two.setdefault(fx[:2], []).append(x)
 
-    def extend(xs: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-        j = len(xs)
-        if j > n:
-            yield xs
-            return
-        if j == 0:
-            candidates: Iterable[str] = faces
-        elif j == 1:
-            candidates = by_first.get(faces[xs[0]][0], ())
-        else:
-            candidates = by_first_two.get((faces[xs[0]][j - 1], faces[xs[1]][j - 1]), ())
-        for x in candidates:
-            fx = faces[x]
-            if all(fx[i] == faces[xs[i]][j - 1] for i in range(2, j)):
-                yield from extend(xs + (x,))
+    def after_two(j: int) -> Callable[[list], Sequence[str]]:
+        return lambda val: by_first_two.get((faces[val[0]][j - 1], faces[val[1]][j - 1]), ())
 
-    return extend(())
+    def matching(j: int) -> Callable[[list], bool]:
+        def check(val: list) -> bool:
+            fx = faces[val[j]]
+            return all(fx[i] == faces[val[i]][j - 1] for i in range(2, j))
+        return check
+
+    keys = tuple((n - 1, j) for j in range(n + 1))
+    options = [lambda val: faces, lambda val: by_first.get(faces[val[0]][0], ())]
+    options += [after_two(j) for j in range(2, n + 1)]
+    checks = [None, None, None] + [matching(j) for j in range(3, n + 1)]
+    return keys, options, checks, _dimension_tag, tuple
 
 
 def geometric_nerve_functor(u: TwoFunctor, D: int) -> SimplicialMap:

@@ -53,7 +53,6 @@ from nervelab.simplicial import (
     constant_map,
     count_maps,
     enumerate_simplicial_maps,
-    generate_cell,
     horn,
     pushout,
     standard_simplex,
@@ -91,10 +90,10 @@ def test_criterion_01_structural_suite():
     ok = True
     # standard cells n <= 3, all kinds
     for n in range(4):
-        ok &= validate(generate_cell("standard", n, D=3)) == []
-        ok &= validate(generate_cell("boundary", n, D=3)) == []
+        ok &= validate(standard_simplex(n, 3)) == []
+        ok &= validate(boundary(n, 3)) == []
         for k in range(n + 1):
-            ok &= validate(generate_cell("horn", n, k, D=3)) == []
+            ok &= validate(horn(n, k, 3)) == []
     # all corpus categories (<= 3 objects, <= 8 arrows) and their nerves
     for name, C in categories().items():
         ok &= len(C.objects) <= 3 and len(C.arrows) <= 8

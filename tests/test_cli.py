@@ -362,6 +362,8 @@ ARGV = {
      ".objects: ids must be strings, got 0"),
     ("localizer-check", "universe.json", lambda doc: doc["nodes"][0].__setitem__(0, 7),
      ".nodes: ids must be strings, got 7"),
+    ("validate", "interval.sset.json", lambda doc: doc["cells"].pop("1"),
+     ".cells: level 1 is not listed"),
 ], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2",
         "alpha-beta", "cat-of", "twocat-of", "elements", "final", "slice", "slice2",
         "evidence", "rlp", "factorize", "factorize-generators", "lift", "hpushout",
@@ -379,7 +381,7 @@ ARGV = {
         "repeated-tfun-on1", "repeated-tfun-on2",
         "bool-dim-bound", "bool-face-index", "integer-sset-cell", "integer-sset-face-image",
         "integer-fincat-object", "null-fincat-compose", "integer-tfun-object-image",
-        "integer-universe-node"])
+        "integer-universe-node", "sset-level-not-listed"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(
         command, sample_name, break_it, named, tmp_path, capsys):
     doc = json.loads((DATA / sample_name).read_text())

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from nervelab import presentations
 from nervelab.cat import (
     arrow_category,
     chain_category,
@@ -219,9 +220,10 @@ def test_realize_twocat_of_a_loop_is_infinite():
     assert (r.status, r.witness, r.certificate) == ("infinite", ["l"], {"growth": "free 1-cell cycle"})
 
 
-def test_realize_twocat_reports_each_budget_and_a_whisker_cycle():
+def test_realize_twocat_reports_each_budget_and_a_whisker_cycle(monkeypatch):
     # Delta^2 has seven 1-cells: one path per pair i <= j, and 0 -> 1 -> 2
-    r = realize_twocat(twocat_of(standard_simplex(2, 2)), max_arrows=6)
+    monkeypatch.setattr(presentations, "_MAX_ARROWS", 6)
+    r = realize_twocat(twocat_of(standard_simplex(2, 2)))
     assert (r.status, r.certificate) == ("unknown", {"reason": "1-cell budget exhausted"})
     arrows = {"f": ("0", "1"), "g": ("0", "1")}
     cycle = two_presentation(["0", "1"], arrows, {"a": (("f",), ("g",)), "b": (("g",), ("f",))})
@@ -229,8 +231,10 @@ def test_realize_twocat_reports_each_budget_and_a_whisker_cycle():
     assert (r.status, r.certificate) == ("unknown", {"reason": "whisker graph has a cycle"})
     # hom(0, 1) has five edge-paths: the identities of f and g, and a, b, c
     three = two_presentation(["0", "1"], arrows, {t: (("f",), ("g",)) for t in "abc"})
-    assert realize_twocat(three, max_arrows=5).status == "finite"
-    r = realize_twocat(three, max_arrows=4)
+    monkeypatch.setattr(presentations, "_MAX_ARROWS", 5)
+    assert realize_twocat(three).status == "finite"
+    monkeypatch.setattr(presentations, "_MAX_ARROWS", 4)
+    r = realize_twocat(three)
     assert (r.status, r.certificate) == ("unknown", {"reason": "2-cell budget exhausted"})
 
 

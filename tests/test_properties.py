@@ -1,7 +1,9 @@
 """Property tests on random ordered simplicial complexes: the simplicial
 identities survive ``sd``, ``product`` and ``pushout``, the comparison maps
 are simplicial, and the sd -| Ex bijection sends beta back to alpha and
-any map sd X -> Y back to itself.
+any map sd X -> Y back to itself.  On random finite posets: the two
+transposes of the adjunction between ``component_category`` and
+``as_two_category`` are inverse.
 
 The complexes are ``complex_sset`` of facets over range(5), at bound 2 or
 3.  ``beta`` is built at level 2 (``beta(K, 2)``): Ex at level 3 of such
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 
 from test_glue_and_chain_nerve import complex_sset
 
+from nervelab.cat import enumerate_functors, poset_category
+from nervelab.corpus import nonthin_two_categories, two_categories
 from nervelab.simplicial import (
     enumerate_simplicial_maps,
     product,
@@ -25,6 +29,13 @@ from nervelab.simplicial import (
     verify_pushout,
 )
 from nervelab.subdivision import alpha, beta, sd, transpose_from_ex, transpose_to_ex
+from nervelab.twocat import (
+    as_two_category,
+    component_category,
+    component_transpose,
+    enumerate_two_functors,
+    inclusion_transpose,
+)
 
 FACETS = st.lists(st.sets(st.integers(0, 4), min_size=1, max_size=3).map(sorted), min_size=1, max_size=3)
 BOUNDS = st.sampled_from([2, 3])
@@ -76,3 +87,28 @@ def test_pushout_of_maps_from_the_start_of_the_enumeration(facets, picks, D):
     P, jx, jy = pushout(f, g)
     assert validate(P) == []
     assert verify_pushout(f, g, P, jx, jy)
+
+
+@st.composite
+def posets(draw):
+    """A partial order on at most four elements: each element, in a random
+    linear order, lies above the ones below some earlier elements."""
+    order = draw(st.permutations([str(i) for i in range(draw(st.integers(1, 4)))]))
+    down: dict[str, set[str]] = {}
+    for j, b in enumerate(order):
+        covers = draw(st.sets(st.sampled_from(order[:j]))) if j else set()
+        down[b] = {b}.union(*(down[a] for a in covers))
+    return poset_category(sorted(order), lambda a, b: a in down[b])
+
+
+TWO = {**two_categories(), **nonthin_two_categories()}
+
+
+@CHECKS
+@given(name=st.sampled_from(sorted(TWO)), D=posets())
+def test_transposes_of_the_component_adjunction_are_inverse(name, D):
+    A = TWO[name]
+    for F in enumerate_two_functors(A, as_two_category(D)):
+        assert inclusion_transpose(component_transpose(F), A) == F
+    for G in enumerate_functors(component_category(A), D):
+        assert component_transpose(inclusion_transpose(G, A)) == G

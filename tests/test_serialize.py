@@ -2,6 +2,7 @@
 canonical writer writes what ``json.dumps`` writes."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,20 @@ def test_tfun_whose_source_misses_a_composite_names_the_source():
     doc["source"]["hcompose2"] = doc["source"]["hcompose2"][1:]
     with pytest.raises(SchemaError, match=r"^tfun\.source: hcompose2 missing/foreign on "):
         ser.tfun_from_doc(doc)
+
+
+def test_checking_a_large_bound_allocates_little_beyond_the_listed_levels():
+    doc = json.loads((DATA / "interval.sset.json").read_text())
+    doc["dim_bound"] = 5000
+    doc["cells"].update({str(n): [] for n in range(2, 5001)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=r"^sset: level 1, cell '00': degeneracy-total \[0\]"):
+            ser.sset_from_doc(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def _each(*keys):

@@ -20,7 +20,6 @@ from nervelab.simplicial import (
     empty_simplicial_set,
     enumerate_simplicial_maps,
     find_simplicial_iso,
-    generate_cell,
     horn,
     identity_map,
     product,
@@ -80,13 +79,13 @@ def oracle_enumerate_maps(X, Y):
 # -- generation -------------------------------------------------------------
 
 def test_point_is_singleton_everywhere():
-    X = generate_cell("standard", 0, D=3)
+    X = standard_simplex(0, 3)
     assert X.counts() == (1, 1, 1, 1)
     assert X.nondegenerate_counts() == (1, 0, 0, 0)
 
 
 def test_interval_level_sizes():
-    X = generate_cell("standard", 1, D=1)
+    X = standard_simplex(1, 1)
     assert len(X.level(1)) == 3  # frozen: oracle_monotone_count(1, 1)
     assert oracle_monotone_count(1, 1) == 3
 
@@ -99,7 +98,7 @@ def test_simplex_level_sizes_match_monotone_counts(n, m):
 
 
 def test_boundary_two_nondegenerate_counts():
-    X = generate_cell("boundary", 2, D=2)
+    X = boundary(2, 2)
     assert X.nondegenerate_counts() == (3, 3, 0)
 
 
@@ -119,11 +118,9 @@ def test_has_cell():
 
 def test_bound_errors():
     with pytest.raises(BoundError):
-        generate_cell("standard", 3, D=2)
+        standard_simplex(3, 2)
     with pytest.raises(DomainError):
         horn(2, 5, 3)
-    with pytest.raises(DomainError):
-        generate_cell("weird", 1, D=2)
 
 
 # -- validation -------------------------------------------------------------
