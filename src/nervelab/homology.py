@@ -3,14 +3,18 @@
 Normalized chains (nondegenerate cells only), Smith normal form over the
 integers with verifiable unimodular certificates, edge-path fundamental
 group presentations, and three-valued evidence reports for simplicial
-maps and 2-functors.
+maps and 2-functors.  The edge-path group at a vertex is read from
+``presentations.cat_of(X)``, the presentation of the fundamental category
+of X: its generators and relations on the vertex's component, with a
+spanning tree set to 1 (the fundamental groupoid of cX at that vertex;
+Gabriel and Zisman 1967).
 
 All arithmetic uses Python integers, so there is no overflow.  A chain
 complex stores each boundary as sparse columns, one ``{row: coefficient}``
 dict per basis cell, and homology reads ranks and torsion off them by
 eliminating unit pivots; only a remainder with no unit entry, usually
 empty, goes to :func:`smith_normal_form` as a dense matrix.  Dense matrices
-are lists of rows: ``ChainComplex.boundary[n]`` (built on access) maps
+are lists of rows: ``ChainComplex.boundary[n]`` (built on first read) maps
 degree-n chains to degree n-1, rows indexed by the lower basis.
 Certificates come only from a direct call of :func:`smith_normal_form`.
 """
@@ -18,11 +22,13 @@ Certificates come only from a direct call of :func:`smith_normal_form`.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import BoundError, DomainError
+from .presentations import cat_of
 from .simplicial import SimplicialMap, SimplicialSet, components
 from .twocat import TwoFunctor, geometric_nerve_functor
 
@@ -291,8 +297,9 @@ class ChainComplex:
     ``basis[n]`` lists the degree-n generators.  ``columns[n]`` (for
     n >= 1) is the boundary map in those bases: one ``{row: coefficient}``
     dict per degree-n generator, rows indexing ``basis[n - 1]``, zero
-    coefficients left out.  That is the only stored form; ``boundary[n]``
-    is the same map as a dense list of rows, built on access.
+    coefficients left out.  ``boundary[n]`` is the same map as a dense
+    list of rows; every degree is built on the first read of ``boundary``
+    and kept, so a later change to ``columns`` does not reach it.
     """
 
     basis: dict[int, tuple[str, ...]]
@@ -305,9 +312,9 @@ class ChainComplex:
     def rank(self, n: int) -> int:
         return len(self.basis.get(n, ()))
 
-    @property
-    def boundary(self) -> Mapping[int, Matrix]:
-        return _DenseBoundaries(self)
+    @cached_property
+    def boundary(self) -> dict[int, Matrix]:
+        return {n: _dense(cols, range(self.rank(n - 1))) for n, cols in self.columns.items()}
 
     def validate(self) -> list[str]:
         """One message per degree where the boundary does not square to zero."""
@@ -321,25 +328,6 @@ class ChainComplex:
                    for col in d_n1):
                 out.append(f"boundary squared is nonzero from degree {n + 1}")
         return out
-
-
-class _DenseBoundaries(Mapping):
-    """``ChainComplex.boundary``: each degree densified when it is read."""
-
-    def __init__(self, cc: ChainComplex):
-        self._cc = cc
-
-    def __getitem__(self, n: int) -> Matrix:
-        return _dense(self._cc.columns[n], range(self._cc.rank(n - 1)))
-
-    def __contains__(self, n: object) -> bool:  # without densifying
-        return n in self._cc.columns
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._cc.columns)
-
-    def __len__(self) -> int:
-        return len(self._cc.columns)
 
 
 def normalized_chains(X: SimplicialSet) -> ChainComplex:
@@ -561,20 +549,19 @@ def tietze_reduce(p: GroupPresentation) -> GroupPresentation:
 
 
 def pi1_presentation(X: SimplicialSet, basepoint: str) -> GroupPresentation:
-    """Edge-path presentation of the fundamental group at ``basepoint``.
-
-    Uses a spanning tree of the basepoint component of the 1-skeleton;
-    generators the non-tree nondegenerate edges, one relation per
-    nondegenerate 2-cell.
+    """Edge-path presentation of the fundamental group at ``basepoint``:
+    ``cat_of(X)`` restricted to the basepoint's component, with a spanning
+    tree of its generators set to 1 and each relation ``lhs = rhs`` read as
+    the word ``lhs rhs^-1``.
     """
     if not X.has_cell(0, basepoint):
         raise DomainError(f"basepoint {basepoint!r} is not a vertex")
+    pres = cat_of(X)
     # BFS spanning tree from the basepoint; the vertices it reaches are the
     # basepoint's component of the 1-skeleton
-    all_edges = X.nondegenerate(1) if X.dim_bound >= 1 else ()
-    adjacency: dict[str, list[tuple[str, str]]] = {v: [] for v in X.cells[0]}
-    for e in all_edges:
-        a, b = X.d(1, 1, e), X.d(1, 0, e)
+    adjacency: dict[str, list[tuple[str, str]]] = {v: [] for v in pres.objects}
+    for e in pres.generators:
+        a, b = pres.src[e], pres.dst[e]
         adjacency[a].append((e, b))
         adjacency[b].append((e, a))
     tree: set[str] = set()
@@ -589,27 +576,14 @@ def pi1_presentation(X: SimplicialSet, basepoint: str) -> GroupPresentation:
                     tree.add(e)
                     nxt.append(w)
         frontier = nxt
-    edges = [e for e in all_edges if X.d(1, 1, e) in seen]
-    generators = tuple(e for e in edges if e not in tree)
-    edge_set = set(edges)
-
-    def letter(e: str) -> Word:
-        if X.is_degenerate(1, e) or e in tree or e not in edge_set:
-            return ()
-        return ((e, 1),)
-
-    relations = []
-    if X.dim_bound >= 2:
-        for t in X.nondegenerate(2):
-            if X.d(1, 1, X.d(2, 2, t)) not in seen:
-                continue
-            w = _free_reduce(
-                letter(X.d(2, 2, t))
-                + letter(X.d(2, 0, t))
-                + tuple((g, -e) for g, e in reversed(letter(X.d(2, 1, t))))
-            )
-            relations.append(w)
-    return GroupPresentation(generators, tuple(sorted(set(r for r in relations if r))))
+    generators = tuple(e for e in pres.generators if pres.src[e] in seen and e not in tree)
+    # a relation's generators all lie in one component: its first one's
+    relations = {
+        _free_reduce(tuple((e, 1) for e in lhs if e not in tree)
+                     + tuple((e, -1) for e in reversed(rhs) if e not in tree))
+        for lhs, rhs in pres.relations if pres.src[(lhs + rhs)[0]] in seen
+    }
+    return GroupPresentation(generators, tuple(sorted(r for r in relations if r)))
 
 
 def classify_presentation(p: GroupPresentation) -> Optional[str]:

@@ -3,7 +3,12 @@ their bounded realization as finite (2-)categories.
 
 A :class:`CatPresentation` is a generating graph with path relations; a
 :class:`TwoCatPresentation` adds 2-generators between parallel paths and
-pasting relations between parallel whisker sequences.
+pasting relations between parallel whisker sequences.  The 2-skeleton of a
+simplicial set is read once, by ``_two_cell_paths``: ``cat_of`` takes the
+nondegenerate edges as generators and each 2-cell whose two paths differ as
+a relation, ``twocat_of`` takes ``cat_of``'s graph and makes every
+nondegenerate 2-cell a 2-generator, and ``homology.pi1_presentation`` reads
+the edge-path group off ``cat_of``.
 
 ``realize`` always terminates with a verdict:
 
@@ -22,6 +27,8 @@ enumerator as the paths, so a whisker cycle or too many edge-paths is
 ``unknown``.  The 2-cells are the edge-paths modulo the congruence
 generated by interchange squares and the instances of the pasting
 relations, whose two sides must run between the same two paths.
+``_irreducible_words`` walks on explicit stacks, so a path may be longer
+than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -183,41 +190,38 @@ def _edge_path(X: SimplicialSet, e: str) -> Path:
     return () if X.is_degenerate(1, e) else (e,)
 
 
-def cat_of(X: SimplicialSet) -> CatPresentation:
-    """Presentation with one generator per nondegenerate edge and one
-    composition relation per nondegenerate 2-cell."""
-    objects = tuple(X.cells[0])
-    generators = tuple(X.nondegenerate(1)) if X.dim_bound >= 1 else ()
-    src = {e: X.d(1, 1, e) for e in generators}
-    dst = {e: X.d(1, 0, e) for e in generators}
-    relations = []
+def _two_cell_paths(X: SimplicialSet) -> Iterable[tuple[str, Path, Path]]:
+    """Each nondegenerate 2-cell t with its two edge paths: d_2 t then
+    d_0 t, and d_1 t, degenerate edges dropped."""
     if X.dim_bound >= 2:
         for t in X.nondegenerate(2):
             lhs = _edge_path(X, X.d(2, 2, t)) + _edge_path(X, X.d(2, 0, t))
-            rhs = _edge_path(X, X.d(2, 1, t))
-            if lhs != rhs:
-                relations.append((lhs, rhs))
-    return CatPresentation(objects, generators, src, dst, tuple(sorted(set(relations))))
+            yield t, lhs, _edge_path(X, X.d(2, 1, t))
 
 
-def twocat_of(X: SimplicialSet) -> TwoCatPresentation:
-    """Presentation with a 2-generator per nondegenerate 2-cell, oriented
-    from the two-edge path to the direct edge, and one pasting relation per
-    nondegenerate 3-cell (the two ways around a tetrahedron agree)."""
-    objects = tuple(X.cells[0])
+def cat_of(X: SimplicialSet) -> CatPresentation:
+    """Presentation with one generator per nondegenerate edge and one
+    composition relation per nondegenerate 2-cell whose two paths differ."""
     generators = tuple(X.nondegenerate(1)) if X.dim_bound >= 1 else ()
     src = {e: X.d(1, 1, e) for e in generators}
     dst = {e: X.d(1, 0, e) for e in generators}
-    two_gens = tuple(X.nondegenerate(2)) if X.dim_bound >= 2 else ()
+    relations = {(lhs, rhs) for _, lhs, rhs in _two_cell_paths(X) if lhs != rhs}
+    return CatPresentation(tuple(X.cells[0]), generators, src, dst, tuple(sorted(relations)))
+
+
+def twocat_of(X: SimplicialSet) -> TwoCatPresentation:
+    """``cat_of(X)``'s graph with a 2-generator per nondegenerate 2-cell,
+    oriented from the two-edge path to the direct edge, and one pasting
+    relation per nondegenerate 3-cell (the two ways around a tetrahedron
+    agree)."""
+    one = cat_of(X)
     two_src = {}
     two_dst = {}
     two_anchor = {}
-    for t in two_gens:
-        two_src[t] = _edge_path(X, X.d(2, 2, t)) + _edge_path(X, X.d(2, 0, t))
-        two_dst[t] = _edge_path(X, X.d(2, 1, t))
-        v0 = X.d(1, 1, X.d(2, 2, t))
-        v2 = X.d(1, 0, X.d(2, 0, t))
-        two_anchor[t] = (v0, v2)
+    for t, lhs, rhs in _two_cell_paths(X):
+        two_src[t] = lhs
+        two_dst[t] = rhs
+        two_anchor[t] = (X.d(1, 1, X.d(2, 2, t)), X.d(1, 0, X.d(2, 0, t)))
 
     def gen_step(tri: str, left: Path, right: Path) -> tuple[WhiskerStep, ...]:
         # a degenerate triangle is an identity 2-cell: contributes no step
@@ -235,17 +239,8 @@ def twocat_of(X: SimplicialSet) -> TwoCatPresentation:
             side_b = gen_step(d0, e01, ()) + gen_step(d2, (), ())
             if side_a != side_b:
                 relations.append((side_a, side_b))
-    return TwoCatPresentation(
-        objects,
-        generators,
-        src,
-        dst,
-        two_gens,
-        two_src,
-        two_dst,
-        two_anchor,
-        tuple(relations),
-    )
+    return TwoCatPresentation(one.objects, one.generators, one.src, one.dst, tuple(two_src),
+                              two_src, two_dst, two_anchor, tuple(relations))
 
 
 # ---------------------------------------------------------------------------
@@ -357,32 +352,33 @@ def _irreducible_words(
         w = suffix + (g,)
         return not any(w[len(w) - k:] in lhs_set for k in range(1, len(w) + 1))
 
+    # depth-first search for a cycle, on an explicit stack of (state, its
+    # remaining out-edges); ``trail`` holds the generators from the root
     states: dict[tuple[str, Path], int] = {}  # 0 = on stack, 1 = done
-    witness: Optional[list[str]] = None
-
-    def visit(obj: str, suffix: Path, trail: list[str]) -> bool:
-        nonlocal witness
-        key = (obj, suffix)
-        mark = states.get(key)
-        if mark == 0:
-            witness = list(trail)
-            return False
-        if mark == 1:
-            return True
-        states[key] = 0
-        for g in sorted(out_edges[obj]):
-            if appendable(suffix, g):
-                nxt = (suffix + (g,))[-(L - 1):] if L > 1 else ()
-                trail.append(g)
-                if not visit(dst[g], nxt, trail):
-                    return False
-                trail.pop()
-        states[key] = 1
-        return True
-
     for a in objects:
-        if not visit(a, (), []):
-            return "infinite", None, witness
+        if (a, ()) in states:
+            continue
+        states[(a, ())] = 0
+        frames = [((a, ()), iter(sorted(out_edges[a])))]
+        trail: list[str] = []
+        while frames:
+            (_, suffix), edges = frames[-1]
+            g = next((g for g in edges if appendable(suffix, g)), None)
+            if g is None:
+                states[frames.pop()[0]] = 1
+                if trail:
+                    trail.pop()
+                continue
+            key = (dst[g], (suffix + (g,))[-(L - 1):] if L > 1 else ())
+            trail.append(g)
+            mark = states.get(key)
+            if mark == 0:
+                return "infinite", None, trail
+            if mark == 1:
+                trail.pop()
+            else:
+                states[key] = 0
+                frames.append((key, iter(sorted(out_edges[key[0]]))))
 
     words: dict[str, list[Path]] = {a: [] for a in objects}
     total = 0

@@ -186,6 +186,19 @@ def _operators(doc: dict, key: str, where: str) -> dict[tuple[int, int, str], st
     return table
 
 
+def _level(key: str, top: int, bound: str, where: str) -> int:
+    """The level that a ``cells`` or ``levels`` key names, refused unless
+    the key is the plain decimal of a level from 0 to ``top`` (``bound``
+    names that limit): ``"01"`` would name level 1 a second time."""
+    if not (key.isascii() and key.isdecimal()):
+        raise SchemaError(f"{where}: level key {key!r} is not a number")
+    if key != "0" and key.startswith("0"):
+        raise SchemaError(f"{where}: level key {key!r} is not written in plain decimal")
+    if len(key) > len(str(top)) or int(key) > top:
+        raise SchemaError(f"{where}: level {key} above {bound}")
+    return int(key)
+
+
 def _read_sset(doc: dict, where: str) -> SimplicialSet:
     """The simplicial set of an sset.v1 document, checked for shape only:
     :func:`sset_from_doc` then checks its identities, and the CLI's
@@ -195,11 +208,10 @@ def _read_sset(doc: dict, where: str) -> SimplicialSet:
         raise SchemaError(f"{where}.dim_bound: must be >= 0, got {D}")
     cells = {}
     for key, ids in _need(doc, "cells", dict, where).items():
-        if not key.isdecimal():
-            raise SchemaError(f"{where}.cells: level key {key!r} is not a number")
+        n = _level(key, D, f"dim_bound {D}", f"{where}.cells")
         if not isinstance(ids, list):
             raise SchemaError(f"{where}.cells.{key}: expected a list")
-        cells[int(key)] = _distinct(list(_strings(ids, f"{where}.cells.{key}")), f"{where}.cells.{key}")
+        cells[n] = _distinct(list(_strings(ids, f"{where}.cells.{key}")), f"{where}.cells.{key}")
     face, degeneracy = _operators(doc, "face", where), _operators(doc, "degeneracy", where)
     # every level is listed, so the document's own size bounds D
     missing = next((n for n in range(D + 1) if n not in cells), None)
@@ -224,13 +236,11 @@ def smap_to_doc(f: SimplicialMap) -> dict:
 
 def smap_from_doc(doc: dict, where: str = "smap") -> SimplicialMap:
     source, target = _ends(doc, sset_from_doc, where)
+    top = min(source.dim_bound, target.dim_bound)
     levels = {}
     for key in _need(doc, "levels", dict, where):
-        if not key.isdecimal():
-            raise SchemaError(f"{where}.levels: level key {key!r} is not a number")
-        if int(key) > min(source.dim_bound, target.dim_bound):
-            raise SchemaError(f"{where}.levels: level {key} above the bound of the map")
-        levels[int(key)] = _names(doc["levels"], key, where + ".levels")
+        n = _level(key, top, "the bound of the map", f"{where}.levels")
+        levels[n] = _names(doc["levels"], key, where + ".levels")
     f = SimplicialMap(source, target, levels, check=False)
     _refuse(where, validate_map(f))
     return f

@@ -364,6 +364,13 @@ ARGV = {
      ".nodes: ids must be strings, got 7"),
     ("validate", "interval.sset.json", lambda doc: doc["cells"].pop("1"),
      ".cells: level 1 is not listed"),
+    ("validate", "interval.sset.json", lambda doc: doc["cells"].update({"01": []}),
+     ".cells: level key '01' is not written in plain decimal"),
+    ("validate", "interval.sset.json", lambda doc: doc["cells"].update({"7": ["zz"]}),
+     ".cells: level 7 above dim_bound 1"),
+    ("evidence --degree 0", "interval_to_point.smap.json",
+     lambda doc: doc["levels"].update({"01": doc["levels"]["1"]}),
+     ".levels: level key '01' is not written in plain decimal"),
 ], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2",
         "alpha-beta", "cat-of", "twocat-of", "elements", "final", "slice", "slice2",
         "evidence", "rlp", "factorize", "factorize-generators", "lift", "hpushout",
@@ -381,7 +388,8 @@ ARGV = {
         "repeated-tfun-on1", "repeated-tfun-on2",
         "bool-dim-bound", "bool-face-index", "integer-sset-cell", "integer-sset-face-image",
         "integer-fincat-object", "null-fincat-compose", "integer-tfun-object-image",
-        "integer-universe-node", "sset-level-not-listed"])
+        "integer-universe-node", "sset-level-not-listed",
+        "sset-level-key-not-plain", "sset-level-above-bound", "smap-level-key-not-plain"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(
         command, sample_name, break_it, named, tmp_path, capsys):
     doc = json.loads((DATA / sample_name).read_text())
@@ -490,6 +498,19 @@ def test_realize_refuses_two_arrows_of_one_name(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "share the name '[0|a.b]'" in captured.err
+
+
+def test_realize_of_a_long_chain_is_unknown(tmp_path, capsys):
+    # 1500 generators g_i: i -> i+1 and no relations: finitely many paths,
+    # but more than realization enumerates, and deeper than Python's stack
+    n = 1500
+    pres = tmp_path / "chain.pres.json"
+    pres.write_text(json.dumps({
+        "kind": "cat", "objects": [str(i) for i in range(n + 1)], "relations": [],
+        "generators": [{"id": f"g{i}", "src": str(i), "dst": str(i + 1)} for i in range(n)]}))
+    assert main(["realize", str(pres)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"certificate": {"reason": "arrow budget exhausted"}, "status": "unknown"}
 
 
 def test_validate_golden_is_clean():

@@ -3,7 +3,8 @@ identities survive ``sd``, ``product`` and ``pushout``, the comparison maps
 are simplicial, and the sd -| Ex bijection sends beta back to alpha and
 any map sd X -> Y back to itself.  On random finite posets: the two
 transposes of the adjunction between ``component_category`` and
-``as_two_category`` are inverse.
+``as_two_category`` are inverse.  On random connected complexes and
+one-vertex 2-complexes: the edge-path group abelianizes to H_1 (Hurewicz).
 
 The complexes are ``complex_sset`` of facets over range(5), at bound 2 or
 3.  ``beta`` is built at level 2 (``beta(K, 2)``): Ex at level 3 of such
@@ -13,14 +14,19 @@ level of sd(K)."""
 
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_glue_and_chain_nerve import complex_sset
+from test_homology import one_vertex_complex
 
 from nervelab.cat import enumerate_functors, poset_category
-from nervelab.corpus import nonthin_two_categories, two_categories
+from nervelab.corpus import nonthin_two_categories, simplicial_objects, two_categories
+from nervelab.homology import homology, pi1_presentation
+from nervelab.presentations import cat_of, twocat_of
 from nervelab.simplicial import (
+    components,
     enumerate_simplicial_maps,
     product,
     pushout,
@@ -112,3 +118,50 @@ def test_transposes_of_the_component_adjunction_are_inverse(name, D):
         assert inclusion_transpose(component_transpose(F), A) == F
     for G in enumerate_functors(component_category(A), D):
         assert component_transpose(inclusion_transpose(G, A)) == G
+
+
+# -- Hurewicz: pi_1 abelianized is H_1 ------------------------------------------
+
+def check_hurewicz(X):
+    """At every vertex of a connected X, the edge-path group (read from
+    ``cat_of``) abelianizes to H_1 (read from the normalized chains); and
+    ``twocat_of`` has ``cat_of``'s graph."""
+    H = homology(X, 1)
+    for v in X.cells[0]:
+        assert pi1_presentation(X, v).abelian_invariants() == (H.betti(1), H.torsion(1))
+    one, two = cat_of(X), twocat_of(X)
+    assert (two.objects, two.generators, two.src, two.dst) == (one.objects, one.generators, one.src, one.dst)
+
+
+@st.composite
+def connected_facets(draw):
+    """At most four facets over range(5), each meeting an earlier one."""
+    facets = [draw(st.sets(st.integers(0, 4), min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(0, 3))):
+        joint = draw(st.sampled_from(sorted(set().union(*facets))))
+        facets.append(draw(st.sets(st.integers(0, 4), max_size=2)) | {joint})
+    return [sorted(f) for f in facets]
+
+
+@CHECKS
+@given(facets=connected_facets())
+def test_pi1_of_a_connected_complex_abelianizes_to_h1(facets):
+    check_hurewicz(complex_sset(facets, 2))
+
+
+@CHECKS
+@given(loops=st.integers(1, 4), data=st.data())
+def test_pi1_of_a_one_vertex_complex_abelianizes_to_h1(loops, data):
+    # a triangle's faces are loops or the degenerate edge (None), so the
+    # relations are random words and H_1 may have torsion
+    letter = st.sampled_from([None, *range(loops)])
+    triangles = data.draw(st.lists(st.tuples(letter, letter, letter), min_size=1, max_size=6))
+    check_hurewicz(one_vertex_complex(loops, triangles, 2))
+
+
+CONNECTED = {name: X for name, X in simplicial_objects(3).items() if len(set(components(X).values())) == 1}
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTED))
+def test_pi1_of_a_connected_corpus_object_abelianizes_to_h1(name):
+    check_hurewicz(CONNECTED[name])
