@@ -8,6 +8,11 @@ materializes for simplicial sets).
 
 All claims are bounded by the ambient truncation; a factorization report
 records the bound alongside its residual problems.
+
+Factorization sweeps are semi-naive: after the first, a sweep builds only
+the generator squares whose top meets a cell the last stage attached
+(``generator_squares(..., meeting=...)``); the others provably have
+fillers, so reports are those of full sweeps.
 """
 
 from __future__ import annotations
@@ -115,8 +120,14 @@ def find_lift(P: LiftingProblem) -> Optional[Map]:
 # RLP tests
 # ---------------------------------------------------------------------------
 
-def generator_squares(p: Map, i: Map) -> Iterator[LiftingProblem]:
+def generator_squares(
+    p: Map, i: Map, *, meeting: Optional[set] = None
+) -> Iterator[LiftingProblem]:
     """All commuting squares from the generator i to p, in canonical order.
+
+    With ``meeting``, a set of cell keys of ``p.source``, only the squares
+    whose top hits one of those cells; a top that misses them all is
+    skipped before its bottoms are searched.  None means every square.
 
     Each of the three searches is compiled once per call, and the squares
     share the compiled search for their fillers and the table of p.  The
@@ -127,6 +138,8 @@ def generator_squares(p: Map, i: Map) -> Iterator[LiftingProblem]:
     bottoms = compile_search(i.target, p.target)
     fillers = compile_search(i.target, p.source), dict(p.assignments())
     for u in _search(*compile_search(i.source, p.source)):
+        if meeting is not None and meeting.isdisjoint(image for _, image in u.assignments()):
+            continue
         pin = _pins(i, compose(p, u))
         if pin is None:
             continue
@@ -189,6 +202,14 @@ def small_object_factorize(
     right factor and attaches all of them (sequentially, in canonical
     order, which is the deterministic reading of a simultaneous pushout).
     The squares the last sweep leaves unsolved are the residual.
+
+    Only the first sweep builds every square.  A later one builds only the
+    squares whose top meets a cell the last stage attached: when the stage
+    carried the old middle into the new one injectively (pushouts along
+    monos are monos), a top that misses every new cell factors through the
+    old middle, where its square had a filler or got one attached, and the
+    carried filler still fills it.  After a stage whose carry is not
+    injective (a generator that is not a mono), the next sweep is full.
     """
     from .simplicial import identity_map
 
@@ -200,9 +221,10 @@ def small_object_factorize(
     Z = X
     attachments: list[Attachment] = []
     stages = 0
+    fresh: Optional[set] = None  # the cells of Z the last stage attached; None: every square
     while True:
         unsolved = [(gi, square) for gi, i in enumerate(generators)
-                    for square in generator_squares(q, i) if find_lift(square) is None]
+                    for square in generator_squares(q, i, meeting=fresh) if find_lift(square) is None]
         if not unsolved or stages == stage_budget:
             break
         stages += 1
@@ -215,6 +237,9 @@ def small_object_factorize(
             carry = compose_maps(jz, carry)
             left = compose_maps(jz, left)
             Z = P
+        carried = {image for _, image in carry.assignments()}
+        injective = len(carried) == sum(map(len, carry.source.cells.values()))
+        fresh = {(n, c) for n, cells in Z.cells.items() for c in cells} - carried if injective else None
     return FactorizationReport(
         middle=Z,
         left=left,

@@ -180,6 +180,8 @@ class SimplicialSet:
     # -- structural equality ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, SimplicialSet):
             return NotImplemented
         return (

@@ -1,11 +1,12 @@
 """Lift search, RLP tests, bounded factorization, homotopy pushouts."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from nervelab import lifting
+from nervelab import corpus, lifting
 from nervelab.cat import (
     CatFunctor,
     arrow_category,
@@ -17,6 +18,8 @@ from nervelab.cat import (
 from nervelab.errors import ContractError
 from nervelab.homology import homology
 from nervelab.lifting import (
+    Attachment,
+    FactorizationReport,
     LiftingProblem,
     cylinder_inclusions,
     find_lift,
@@ -33,8 +36,10 @@ from nervelab.simplicial import (
     compose_maps,
     constant_map,
     empty_simplicial_set,
+    horn,
     identity_map,
     pushout,
+    pushout_induced,
     standard_simplex,
     validate,
     validate_map,
@@ -212,9 +217,9 @@ def counted_sweeps(monkeypatch):
     calls = []
     real = lifting.generator_squares
 
-    def counted(p, i):
+    def counted(p, i, **kwargs):
         calls.append(i)
-        return real(p, i)
+        return real(p, i, **kwargs)
 
     monkeypatch.setattr(lifting, "generator_squares", counted)
     return calls
@@ -249,6 +254,105 @@ def test_factorize_out_of_budget_is_pinned(budget, report, residual, monkeypatch
     squares = [[s.i.encode(), s.top.encode(), s.bottom.encode()] for s in rep.residual]
     assert hashlib.sha256(canonical_json(factorization_to_doc(rep)).encode()).hexdigest() == report
     assert hashlib.sha256(json.dumps(squares).encode()).hexdigest() == residual
+
+
+@pytest.mark.parametrize("name,report", [
+    ("circle", "ecd0b9d0cf14a8210b2e40b9fad756ce04eea6bc644a8537c0abfc8bd49dbd07"),
+    ("horn21", "27fc76f601fb42308581822330eb8e1ddba67aaa07b8e02ab06de216e279c39a"),
+    ("boundary1", "c28958a0839866766b7f27b8ac388d389baa450a4ac5a654258996a9c9aa15a0"),
+])
+def test_factorize_report_is_pinned(name, report):
+    """The reports of three corpus spaces -> point at D=3 against
+    ``boundaries:3``, pinned by SHA-256 from when every sweep built every
+    square."""
+    rep = small_object_factorize(to_point(corpus.simplicial_objects(3)[name]), boundary_inclusions(3, 3), 6)
+    assert hashlib.sha256(canonical_json(factorization_to_doc(rep)).encode()).hexdigest() == report
+
+
+# -- sweeps that build only the squares meeting the last stage's cells --------------
+
+def full_sweep_reports(f, generators):
+    """The reports of the small object argument at stage budget 0, 1, 2, ...
+    with every sweep building and testing every generator square, up to the
+    first sweep that finds them all solved: its report stands for every
+    larger budget."""
+    Z, left, q = f.source, identity_map(f.source), f
+    attachments = []
+    for stages in itertools.count():
+        unsolved = [(gi, s) for gi, i in enumerate(generators)
+                    for s in generator_squares(q, i) if find_lift(s) is None]
+        yield FactorizationReport(Z, left, q, list(attachments), [s for _, s in unsolved], stages,
+                                  min(f.source.dim_bound, f.target.dim_bound))
+        if not unsolved:
+            return
+        carry = identity_map(Z)
+        for gi, s in unsolved:
+            P, jz, jb = pushout(compose_maps(carry, s.top), s.i)
+            attachments.append(Attachment(stages + 1, gi, s.top.encode(), s.bottom.encode()))
+            q = pushout_induced(P, jz, jb, q, s.bottom)
+            carry, left, Z = compose_maps(jz, carry), compose_maps(jz, left), P
+
+
+# (id, f, n): f is factored against boundaries:n at its bound
+FACTORIZATIONS = (
+    [(f"{name}-to-point-D2", to_point(X), 2) for name, X in corpus.simplicial_objects(2).items()]
+    + [(f"{name}-to-point-D3", to_point(corpus.simplicial_objects(3)[name]), 3)
+       for name in ("boundary1", "circle", "horn21", "boundary2")]
+    + [("horn21-into-simplex2-D2", inclusion(horn(2, 1, 2), standard_simplex(2, 2)), 2),
+       ("boundary2-into-simplex2-D2", inclusion(boundary(2, 2), standard_simplex(2, 2)), 2)]
+)
+
+
+@pytest.mark.parametrize("f,n", [row[1:] for row in FACTORIZATIONS], ids=[row[0] for row in FACTORIZATIONS])
+def test_factorize_matches_full_sweeps(f, n):
+    gens = boundary_inclusions(n, f.bound)
+    reports = list(itertools.islice(full_sweep_reports(f, gens), 7))
+    for budget in (0, 1, 2, 6):
+        expected = reports[min(budget, len(reports) - 1)]
+        rep = small_object_factorize(f, gens, budget)
+        assert canonical_json(factorization_to_doc(rep)) == canonical_json(factorization_to_doc(expected))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 6])
+def test_factorize_with_a_generator_that_is_not_a_mono_matches_full_sweeps(budget):
+    # attaching along the fold ∂Δ¹ -> Δ⁰ identifies two vertices, so the
+    # old middle does not embed in the new one
+    f = to_point(corpus.simplicial_objects(2)["horn21"])
+    gens = [to_point(boundary(1, 2))] + boundary_inclusions(2, 2)
+    reports = list(itertools.islice(full_sweep_reports(f, gens), budget + 1))
+    rep = small_object_factorize(f, gens, budget)
+    assert canonical_json(factorization_to_doc(rep)) == canonical_json(factorization_to_doc(reports[-1]))
+
+
+@pytest.mark.parametrize("name", ["circle", "horn21", "boundary2"])
+def test_squares_a_later_sweep_skips_have_fillers(name, monkeypatch):
+    real = lifting.generator_squares
+    meetings, skipped = [], []
+
+    def checked(p, i, *, meeting=None):
+        meetings.append(meeting)
+        built = list(real(p, i, meeting=meeting))
+        kept = {(s.top.encode(), s.bottom.encode()) for s in built}
+        skipped.extend(s for s in real(p, i) if (s.top.encode(), s.bottom.encode()) not in kept)
+        return iter(built)
+
+    monkeypatch.setattr(lifting, "generator_squares", checked)
+    gens = boundary_inclusions(3, 3)
+    small_object_factorize(to_point(corpus.simplicial_objects(3)[name]), gens, 6)
+    assert meetings[:len(gens)] == [None] * len(gens)
+    assert len(meetings) > len(gens) and None not in meetings[len(gens):]
+    assert skipped and all(find_lift(s) is not None for s in skipped)
+
+
+def test_generator_squares_meeting_keeps_the_tops_that_hit_it():
+    p = to_point(standard_simplex(1, 2))
+    i = inclusion(boundary(1, 2), standard_simplex(1, 2))
+    tops = [s.top.levels[0] for s in generator_squares(p, i)]
+    every = {key for key, _ in identity_map(p.source).assignments()}
+    assert [s.top.levels[0] for s in generator_squares(p, i, meeting=every)] == tops
+    assert list(generator_squares(p, i, meeting=set())) == []
+    hit = [s.top.levels[0] for s in generator_squares(p, i, meeting={(0, "1")})]
+    assert hit == [top for top in tops if "1" in top.values()] and len(hit) == 3
 
 
 # -- homotopy pushout ----------------------------------------------------------------
