@@ -35,6 +35,7 @@ from .twocat import (
     Fin2Cat,
     as_two_category,
     delta_tilde,
+    identity_two_functor,
     terminal_2category,
     two_functor_to_terminal,
 )
@@ -297,8 +298,6 @@ def localizer_universe_2() -> DiagramUniverse:
 
     def add(name, src, dst, functor):
         edges[name] = UniverseEdge(name, src, dst, functor)
-
-    from .twocat import identity_two_functor
 
     for name, C in nodes.items():
         add(f"id_{name}", name, name, identity_two_functor(C))

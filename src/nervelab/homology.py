@@ -25,6 +25,7 @@ import heapq
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import BoundError, DomainError
@@ -594,17 +595,13 @@ def classify_presentation(p: GroupPresentation) -> Optional[str]:
     if not q.relations:
         return f"free({len(q.generators)})"
     if len(q.generators) == 1:
-        from math import gcd
-
         exps = [sum(e for _, e in w) for w in q.relations]
         if all(
             all(g == q.generators[0] for g, _ in w) for w in q.relations
         ):
-            d = 0
-            for e in exps:
-                d = gcd(d, e)
+            d = gcd(*exps)
             if d:
-                return f"cyclic({abs(d)})"
+                return f"cyclic({d})"
     return None
 
 

@@ -9,7 +9,8 @@ materializes for simplicial sets).
 All claims are bounded by the ambient truncation; a factorization report
 records the bound alongside its residual problems.
 
-Factorization sweeps are semi-naive: after the first, a sweep builds only
+A factorization stage is one pushout along the coproduct of its squares'
+generators.  Sweeps are semi-naive: after the first, a sweep builds only
 the generator squares whose top meets a cell the last stage attached
 (``generator_squares(..., meeting=...)``); the others provably have
 fillers, so reports are those of full sweeps.
@@ -26,14 +27,16 @@ from .homology import EvidenceReport, weak_equivalence_evidence
 from .simplicial import (
     SimplicialMap,
     SimplicialSet,
+    _colimit,
     _pair,
     _search,
     _simplicial_problem,
     compose_maps,
     constant_map,
+    identity_map,
     product_projections,
-    pushout,
     pushout_induced,
+    standard_simplex,
 )
 from .twocat import TwoFunctor, _two_functor_problem, compose_two_functors
 
@@ -199,20 +202,20 @@ def small_object_factorize(
     RLP against the generators, within the stage budget.
 
     Each stage collects every unsolved generator square against the current
-    right factor and attaches all of them (sequentially, in canonical
-    order, which is the deterministic reading of a simultaneous pushout).
-    The squares the last sweep leaves unsolved are the residual.
+    right factor and attaches all of them at once: the new middle is one
+    colimit of the old middle and each square's ``B``, glued along the
+    squares' tops and generators.  The squares the last sweep leaves
+    unsolved are the residual.
 
     Only the first sweep builds every square.  A later one builds only the
-    squares whose top meets a cell the last stage attached: when the stage
-    carried the old middle into the new one injectively (pushouts along
-    monos are monos), a top that misses every new cell factors through the
-    old middle, where its square had a filler or got one attached, and the
-    carried filler still fills it.  After a stage whose carry is not
-    injective (a generator that is not a mono), the next sweep is full.
+    squares whose top meets a cell the last stage attached: when the old
+    middle's injection into the new one is injective (pushouts along monos
+    are monos), a top that misses every new cell factors through the old
+    middle, where its square had a filler or got one attached, and that
+    filler followed by the injection still fills it.  After a stage whose
+    injection is not injective (a generator that is not a mono), the next
+    sweep is full.
     """
-    from .simplicial import identity_map
-
     if stage_budget < 0:
         raise BudgetError("stage budget must be >= 0")
     X, Y = f.source, f.target
@@ -228,18 +231,17 @@ def small_object_factorize(
         if not unsolved or stages == stage_budget:
             break
         stages += 1
-        carry = identity_map(Z)  # transports stage-start attaching maps forward
-        for gi, square in unsolved:
-            i, u, v = square.i, square.top, square.bottom
-            P, jz, jb = pushout(compose_maps(carry, u), i)
-            attachments.append(Attachment(stages, gi, u.encode(), v.encode()))
-            q = pushout_induced(P, jz, jb, q, v)
-            carry = compose_maps(jz, carry)
-            left = compose_maps(jz, left)
-            Z = P
-        carried = {image for _, image in carry.assignments()}
-        injective = len(carried) == sum(map(len, carry.source.cells.values()))
-        fresh = {(n, c) for n, cells in Z.cells.items() for c in cells} - carried if injective else None
+        # tagged as one pushout per square in order would tag Z and each B
+        k = len(unsolved)
+        pieces = [("L:" * k, Z)] + [("L:" * (k - j) + "R:", s.i.target) for j, (_, s) in enumerate(unsolved, 1)]
+        P, jz, *jbs = _colimit(pieces, [(0, s.top, j, s.i) for j, (_, s) in enumerate(unsolved, 1)])
+        attachments += [Attachment(stages, gi, s.top.encode(), s.bottom.encode()) for gi, s in unsolved]
+        q = pushout_induced(P, (jz, q), *((jb, s.bottom) for jb, (_, s) in zip(jbs, unsolved)))
+        left = compose_maps(jz, left)
+        kept = {image for _, image in jz.assignments()}
+        injective = len(kept) == sum(map(len, Z.cells.values()))
+        Z = P
+        fresh = {(n, c) for n, cells in Z.cells.items() for c in cells} - kept if injective else None
     return FactorizationReport(
         middle=Z,
         left=left,
@@ -257,8 +259,6 @@ def small_object_factorize(
 
 def cylinder_inclusions(A: SimplicialSet, D: int) -> tuple[SimplicialSet, SimplicialMap, SimplicialMap, SimplicialMap]:
     """``A x Delta_1`` with its two end inclusions and the projection to A."""
-    from .simplicial import standard_simplex
-
     interval = standard_simplex(1, D)
     proj_a, _ = product_projections(A, interval)
     Cyl = proj_a.source
@@ -271,19 +271,20 @@ def cylinder_inclusions(A: SimplicialSet, D: int) -> tuple[SimplicialSet, Simpli
 
 
 def _double_cylinder(f: SimplicialMap, g: SimplicialMap) -> tuple:
-    """Glue the cylinder on ``A`` to X along ``f`` at its 0 end, then Y
-    along ``g`` at its 1 end.
+    """The cylinder on ``A`` glued to X along ``f`` at its 0 end and to Y
+    along ``g`` at its 1 end, in one colimit.
 
-    Returns ``(P1, X -> P1, Cyl -> P1, P, Y -> P, P1 -> P, Cyl -> A)``.
+    Returns ``(P, X -> P, Y -> P, Cyl -> P, Cyl -> A)``.
     """
     if f.source != g.source:
         raise ContractError("f, g: span legs must share their source")
     A = f.source
     D = min(f.target.dim_bound, g.target.dim_bound, A.dim_bound)
     Cyl, i0, i1, proj = cylinder_inclusions(A, D)
-    P1, jx, jcyl = pushout(f, i0)
-    P, jy, jp1 = pushout(g, compose_maps(jcyl, i1))
-    return P1, jx, jcyl, P, jy, jp1, proj
+    # tagged as gluing X to the cylinder first, and then Y, would tag them
+    P, jy, jx, jcyl = _colimit([("L:", g.target), ("R:L:", f.target), ("R:R:", Cyl)],
+                               [(1, f, 2, i0), (0, g, 2, i1)])
+    return P, jx, jy, jcyl, proj
 
 
 def homotopy_pushout(
@@ -291,12 +292,10 @@ def homotopy_pushout(
 ) -> tuple[SimplicialSet, SimplicialMap, SimplicialMap, SimplicialMap]:
     """The double mapping cylinder of ``X <-f- A -g-> Y``.
 
-    Returns ``(P, from_X, from_Y, collapse_cylinder_to_A_then_f)`` where the
-    last component records how the cylinder part projects (used to induce
-    comparison maps).
+    Returns ``(P, X -> P, Y -> P, Cyl -> P)``, where ``Cyl`` is the
+    cylinder ``A x Delta_1`` of :func:`cylinder_inclusions`.
     """
-    P1, jx, jcyl, P, jy, jp1, _ = _double_cylinder(f, g)
-    return P, compose_maps(jp1, jx), jy, compose_maps(jp1, jcyl)
+    return _double_cylinder(f, g)[:4]
 
 
 def is_homotopy_cocartesian(
@@ -308,11 +307,9 @@ def is_homotopy_cocartesian(
 ) -> EvidenceReport:
     """Homology comparison (through degree k) of the canonical map from the
     double mapping cylinder of the span to the square's corner."""
-    if _compose(x, f) != _compose(y, g):
+    h = _compose(x, f)
+    if h != _compose(y, g):
         raise ContractError("the square does not commute")
-    P1, jx, jcyl, P, jy, jp1, proj = _double_cylinder(f, g)
-    h = compose_maps(x, f)  # = y . g
-    q_cyl = compose_maps(h, proj)
-    c1 = pushout_induced(P1, jx, jcyl, x, q_cyl)
-    c = pushout_induced(P, jy, jp1, y, c1)
+    P, jx, jy, jcyl, proj = _double_cylinder(f, g)
+    c = pushout_induced(P, (jx, x), (jy, y), (jcyl, compose_maps(h, proj)))
     return weak_equivalence_evidence(c, k)

@@ -18,11 +18,12 @@ Conventions used throughout:
   given by its arrows, composition and identities; the standard simplex,
   its boundary and its horns are nerves of the poset ``0 <= ... <= n``
   (:func:`_poset_nerve`, the category whose arrow a -> b is named b);
-* pushouts and coproducts are quotients of a disjoint union of named
-  pieces (:func:`_glue`).  At each level a cell of a piece is numbered by
-  the piece's offset plus its position in the piece's sorted level, the
-  union-find runs on those numbers, and only then is each class named by
-  its least ``prefix + cell``.
+* every colimit (pushouts, coproducts, a factorization stage, the double
+  mapping cylinder) is one quotient of a disjoint union of named pieces
+  (:func:`_colimit`, :func:`_glue`).  At each level a cell of a piece is
+  numbered by the piece's offset plus its position in the piece's sorted
+  level, the union-find runs on those numbers, and only then is each class
+  named by its least ``prefix + cell``.
 """
 
 from __future__ import annotations
@@ -721,6 +722,23 @@ def _glue(
     return SimplicialSet(D, cells, face, degeneracy), tables
 
 
+def _colimit(pieces: Sequence[tuple[str, SimplicialSet]],
+             spans: Iterable[tuple[int, SimplicialMap, int, SimplicialMap]]) -> tuple:
+    """The quotient of the tagged ``pieces`` ``(prefix, X)`` by u(a) ~ v(a)
+    for every span ``(j, u, k, v)`` of maps u: A -> piece j and
+    v: A -> piece k, in one :func:`_glue` truncated at the least bound.
+    Returns the space followed by each piece's map into it."""
+    D = min(X.dim_bound for _, X in pieces)
+    pairs = (
+        ((j, n, u.levels[n][a]), (k, n, v.levels[n][a]))
+        for j, u, k, v in spans
+        for n in range(min(D, u.source.dim_bound) + 1)
+        for a in u.source.cells[n]
+    )
+    P, tables = _glue(D, pieces, pairs)
+    return (P, *(SimplicialMap(X, P, table, check=False) for (_, X), table in zip(pieces, tables)))
+
+
 def pushout(
     f: SimplicialMap, g: SimplicialMap
 ) -> tuple[SimplicialSet, SimplicialMap, SimplicialMap]:
@@ -731,34 +749,22 @@ def pushout(
     """
     if f.source != g.source:
         raise ContractError("pushout legs must share their source")
-    X, Y, A = f.target, g.target, f.source
-    D = min(X.dim_bound, Y.dim_bound)
-    pairs = (
-        ((0, n, f.levels[n][a]), (1, n, g.levels[n][a]))
-        for n in range(min(D, A.dim_bound) + 1)
-        for a in A.cells[n]
-    )
-    P, (to_p_x, to_p_y) = _glue(D, [("L:", X), ("R:", Y)], pairs)
-    return P, SimplicialMap(X, P, to_p_x, check=False), SimplicialMap(Y, P, to_p_y, check=False)
+    return _colimit([("L:", f.target), ("R:", g.target)], [(0, f, 1, g)])
 
 
-def pushout_induced(
-    P: SimplicialSet,
-    inj_x: SimplicialMap,
-    inj_y: SimplicialMap,
-    u: SimplicialMap,
-    v: SimplicialMap,
-) -> SimplicialMap:
-    """The unique map P -> W with ``h . inj_x = u`` and ``h . inj_y = v``.
+def pushout_induced(P: SimplicialSet, *cocone: tuple[SimplicialMap, SimplicialMap]) -> SimplicialMap:
+    """The unique map P -> W with ``h . inj = leg`` for every pair
+    ``(inj, leg)`` of the cocone.
 
-    This is the universal property of :func:`pushout` in computable form;
+    This is the universal property of :func:`_colimit` in computable form;
     a :class:`ContractError` is raised when the cocone is inconsistent.
     """
-    if u.target != v.target:
+    W = cocone[0][1].target
+    if any(leg.target != W for _, leg in cocone):
         raise ContractError("cocone legs must share their target")
-    bound = min(P.dim_bound, u.bound, v.bound)
+    bound = min(P.dim_bound, *(leg.bound for _, leg in cocone))
     levels: dict[int, dict[Cell, Cell]] = {n: {} for n in range(bound + 1)}
-    for leg, inj in ((u, inj_x), (v, inj_y)):
+    for inj, leg in cocone:
         for n in range(bound + 1):
             for c, r in inj.levels[n].items():
                 val = leg.levels[n][c]
@@ -771,8 +777,8 @@ def pushout_induced(
     for n in range(bound + 1):
         for r in P.cells[n]:
             if r not in levels[n]:
-                raise ContractError(f"class {r!r} not reached by either injection")
-    return SimplicialMap(P, u.target, levels, check=False)
+                raise ContractError(f"class {r!r} not reached by any injection")
+    return SimplicialMap(P, W, levels, check=False)
 
 
 def verify_pushout(
@@ -802,8 +808,7 @@ def verify_pushout(
 
 def disjoint_union(X: SimplicialSet, Y: SimplicialSet) -> tuple[SimplicialSet, SimplicialMap, SimplicialMap]:
     """Coproduct: X and Y glued along nothing."""
-    U, (to_u_x, to_u_y) = _glue(min(X.dim_bound, Y.dim_bound), [("L:", X), ("R:", Y)], ())
-    return U, SimplicialMap(X, U, to_u_x, check=False), SimplicialMap(Y, U, to_u_y, check=False)
+    return _colimit([("L:", X), ("R:", Y)], ())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The constructions every colimit and standard object is made from: the
-gluing of a disjoint union (``pushout``, ``disjoint_union``), subdivision
+gluing of a disjoint union (``pushout``, ``disjoint_union``, a
+factorization stage, the double mapping cylinder), subdivision
 written from its normal form (``sd``), and the chain nerve of a finite
 category (Delta_n, its boundary and horns and the subdivided simplex as
 nerves of posets, and the nerve N(C) of a category), with the thin
@@ -10,7 +11,8 @@ output before these constructions were shared, so any change to a cell
 name, a level or an operator table shows up here.  The face-poset oracle
 counts chains by brute force, independently of the code under test, and
 the naive quotient (``reference_glue``) merges classes by the definition,
-both for pushouts and for sd X as the quotient of its pieces
+for pushouts, for quotients of many pieces (factorization stages and the
+double mapping cylinder) and for sd X as the quotient of its pieces
 (``reference_sd``).
 """
 
@@ -27,9 +29,10 @@ from nervelab.cat import chain_category, discrete_category, nerve, terminal_cate
 from nervelab.cli import main
 from nervelab.errors import BoundError
 from nervelab.homology import homology
-from nervelab.lifting import homotopy_pushout
+from nervelab.lifting import homotopy_pushout, small_object_factorize
 from nervelab.serialize import (
     canonical_json,
+    factorization_to_doc,
     fin2cat_to_doc,
     fincat_to_doc,
     homology_to_doc,
@@ -133,14 +136,17 @@ def test_standard_shapes_refuse_n_above_9_before_building_a_level(monkeypatch, c
     assert "n <= 9 is required, got 10" in capsys.readouterr().err
 
 
-def test_homotopy_pushout_is_pinned():
+def span_circle_hpushout_doc() -> dict:
     span = json.loads((DATA / "span_circle.json").read_text(encoding="utf-8"))
     P, from_x, from_y, from_cyl = homotopy_pushout(smap_from_doc(span["f"]), smap_from_doc(span["g"]))
-    doc = {
+    return {
         "space": sset_to_doc(P),
         "maps": [{str(n): level for n, level in m.levels.items()} for m in (from_x, from_y, from_cyl)],
     }
-    assert digest(doc) == "dd5d0f5415ac5362be8792f9c1f2f23087f4c8133fa3582ad41d931bc2b8a7ba"
+
+
+def test_homotopy_pushout_is_pinned():
+    assert digest(span_circle_hpushout_doc()) == "dd5d0f5415ac5362be8792f9c1f2f23087f4c8133fa3582ad41d931bc2b8a7ba"
 
 
 # -- oracle: sd K is the nerve of K's face poset -----------------------------
@@ -268,6 +274,28 @@ def test_pushout_is_the_naive_quotient(span, monkeypatch):
     got = pushout_doc(f, g)
     monkeypatch.setattr(simplicial, "_glue", reference_glue)
     assert got == pushout_doc(f, g)
+
+
+def factorize_doc(name: str) -> str:
+    """The report of a corpus space -> point at D=3 against ``boundaries:3``
+    with 6 stages, whose stages each glue many pieces at once."""
+    X = corpus.simplicial_objects(3)[name]
+    rep = small_object_factorize(constant_map(X, standard_simplex(0, 3), "0"),
+                                 [boundary_inclusion(n, 3) for n in range(4)], 6)
+    return canonical_json(factorization_to_doc(rep))
+
+
+@pytest.mark.parametrize("name", ["boundary1", "horn21", "boundary2"])
+def test_factorization_stages_are_the_naive_quotient(name, monkeypatch):
+    got = factorize_doc(name)
+    monkeypatch.setattr(simplicial, "_glue", reference_glue)
+    assert got == factorize_doc(name)
+
+
+def test_double_cylinder_is_the_naive_quotient(monkeypatch):
+    got = canonical_json(span_circle_hpushout_doc())
+    monkeypatch.setattr(simplicial, "_glue", reference_glue)
+    assert got == canonical_json(span_circle_hpushout_doc())
 
 
 def test_quotients_that_collapse_a_nondegenerate_cell_are_covered():

@@ -43,6 +43,25 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+def nested_imports(tree: ast.Module) -> list[str]:
+    """Imports that are not statements of the module body: inside a
+    function, a class or a compound statement."""
+    top = {id(node) for node in tree.body}
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+
+
+def test_scan_sees_a_nested_import():
+    tree = ast.parse("import os\n\ndef f():\n    from math import gcd\n    return gcd\n\n"
+                     "if os:\n    import sys\n")
+    assert nested_imports(tree) == ["line 4", "line 8"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    assert nested_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
 ROOT = SRC.parent.parent
 CODE = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
         *sorted((ROOT / "perfbench").glob("*.py"))]

@@ -289,7 +289,7 @@ def full_sweep_reports(f, generators):
         for gi, s in unsolved:
             P, jz, jb = pushout(compose_maps(carry, s.top), s.i)
             attachments.append(Attachment(stages + 1, gi, s.top.encode(), s.bottom.encode()))
-            q = pushout_induced(P, jz, jb, q, s.bottom)
+            q = pushout_induced(P, (jz, q), (jb, s.bottom))
             carry, left, Z = compose_maps(jz, carry), compose_maps(jz, left), P
 
 
@@ -393,6 +393,39 @@ def test_strict_pushout_along_injective_matches_cylinder():
     P, jx, jy = pushout(f, g)
     r = is_homotopy_cocartesian(f, g, jx, jy, 2)
     assert r.all_pass()
+
+
+def test_collapsing_the_circle_is_not_cocartesian():
+    # the homotopy pushout of pt <- ∂Δ¹ -> pt is the circle, not the
+    # corner pt: the cone of the comparison map has H2 = Z
+    A, pt = boundary(1, 3), standard_simplex(0, 3)
+    f = constant_map(A, pt, "0")
+    r = is_homotopy_cocartesian(f, f, identity_map(pt), identity_map(pt), 1)
+    assert r.checks == {"pi0": "PASS", "H0": "PASS", "H1": "FAIL", "pi1": "FAIL"}
+    assert r.witnesses["H1"] == {"cone_homology": {1: (0, ()), 2: (1, ())}}
+    assert r.witnesses["pi1"]["reason"] == "abelianizations differ"
+    corner = standard_simplex(1, 3)
+    with pytest.raises(ContractError, match="the square does not commute"):
+        is_homotopy_cocartesian(f, f, constant_map(pt, corner, "0"), constant_map(pt, corner, "1"), 1)
+
+
+def test_pushout_induced_refuses_a_bad_three_leg_cocone():
+    f, g = span_circle(3)
+    X, Y = f.target, g.target
+    P, jx, jy, jcyl = homotopy_pushout(f, g)
+    Cyl = jcyl.source
+    interval = standard_simplex(1, 3)
+    # collapsing every piece to the point is a cocone, and h its one map
+    h = pushout_induced(P, (jx, to_point(X)), (jy, to_point(Y)), (jcyl, to_point(Cyl)))
+    assert [compose_maps(h, j) for j in (jx, jy, jcyl)] == [to_point(X), to_point(Y), to_point(Cyl)]
+    with pytest.raises(ContractError, match="cocone legs must share their target"):
+        pushout_induced(P, (jx, to_point(X)), (jy, to_point(Y)), (jcyl, constant_map(Cyl, interval, "0")))
+    # the cylinder's 1 end meets Y at "1", which the legs send to "0" and "1"
+    with pytest.raises(ContractError, match="cocone does not coequalize"):
+        pushout_induced(P, (jx, constant_map(X, interval, "0")), (jy, identity_map(Y)),
+                        (jcyl, constant_map(Cyl, interval, "0")))
+    with pytest.raises(ContractError, match="not reached by any injection"):
+        pushout_induced(P, (jx, to_point(X)), (jy, to_point(Y)), (jx, to_point(X)))
 
 
 def test_homotopy_pushout_flip_invariant():

@@ -308,7 +308,7 @@ def test_pushout_universal_property():
     W = standard_simplex(0, 2)
     u = constant_map(X, W, "0")
     v = constant_map(Y, W, "0")
-    h = pushout_induced(P, jx, jy, u, v)
+    h = pushout_induced(P, (jx, u), (jy, v))
     assert compose_maps(h, jx) == u
     assert compose_maps(h, jy) == v
 
