@@ -537,7 +537,7 @@ class SimplicialMap:
         """Canonical string form, usable as a deterministic identifier: the
         assignments in sorted order, whatever order the levels were given in."""
         pairs = sorted(self.assignments())
-        return _map_name_template(tuple(k for k, _ in pairs)).format(*(v for _, (_, v) in pairs))
+        return _writer(_map_name_template(tuple(k for k, _ in pairs)))([v for _, (_, v) in pairs])
 
     def assignments(self) -> Iterator[tuple[tuple[int, Cell], tuple[int, Cell]]]:
         """Each cell key ``(n, c)`` with the key of its image, in the order
@@ -548,15 +548,23 @@ class SimplicialMap:
 
 
 @lru_cache(maxsize=None)
-def _map_name_template(keys: tuple[tuple[int, Cell], ...]) -> str:
+def _map_name_template(keys: tuple[tuple[int, Cell], ...]) -> tuple[str, ...]:
     """The ``encode()`` of a map whose sorted ``assignments()`` list these
-    source keys, with a ``str.format`` field in place of each image."""
-    return ";".join(f"{n}:{_escaped(c)}>{{}}" for n, c in keys)
+    source keys, as the literal pieces around its images."""
+    return (*(f"{';' if k else ''}{n}:{c}>" for k, (n, c) in enumerate(keys)), "")
 
 
-def _escaped(name: str) -> str:
-    """``name`` as literal text of a ``str.format`` template."""
-    return name.replace("{", "{{").replace("}", "}}")
+def _writer(pieces: Sequence[str]) -> Callable[[Sequence[str]], str]:
+    """The writer of names whose literal text is ``pieces``: one join of
+    ``pieces[0]``, the first image, ``pieces[1]``, ..., ``pieces[-1]``."""
+    blank: list[Optional[str]] = [None] * (2 * len(pieces) - 1)
+    blank[::2] = pieces
+
+    def write(image: Sequence[str]) -> str:
+        out = blank.copy()
+        out[1::2] = image
+        return "".join(out)
+    return write
 
 
 def validate_map(f: SimplicialMap) -> list[str]:
@@ -779,31 +787,6 @@ def pushout_induced(P: SimplicialSet, *cocone: tuple[SimplicialMap, SimplicialMa
             if r not in levels[n]:
                 raise ContractError(f"class {r!r} not reached by any injection")
     return SimplicialMap(P, W, levels, check=False)
-
-
-def verify_pushout(
-    f: SimplicialMap,
-    g: SimplicialMap,
-    P: SimplicialSet,
-    inj_x: SimplicialMap,
-    inj_y: SimplicialMap,
-) -> bool:
-    """Exhaustively check the defining properties of a computed pushout."""
-    lhs = compose_maps(inj_x, f)
-    rhs = compose_maps(inj_y, g)
-    if lhs != rhs:
-        return False
-    reached = {
-        (n, r)
-        for inj in (inj_x, inj_y)
-        for n in inj.levels
-        for r in inj.levels[n].values()
-    }
-    for n in range(P.dim_bound + 1):
-        for c in P.cells[n]:
-            if (n, c) not in reached:
-                return False
-    return True
 
 
 def disjoint_union(X: SimplicialSet, Y: SimplicialSet) -> tuple[SimplicialSet, SimplicialMap, SimplicialMap]:
@@ -1111,12 +1094,14 @@ class Singular(NamedTuple):
     that names its cells: a cell is the tuple of its images at the source
     keys of K(n), which ``keys[n]`` lists in sorted order, each
     with its position, and ``names[n]`` writes a tuple's id, the
-    ``encode()`` of its map.  ``table`` maps each ``(n, id)`` to its tuple."""
+    ``encode()`` of its map.  ``table`` maps each ``(n, id)`` to its tuple,
+    and ``faces[n]`` each id of level n to the ids of its faces."""
 
     space: SimplicialSet
     table: dict[tuple[int, Cell], tuple]
     keys: tuple[dict[Key, int], ...]
-    names: tuple[Callable[..., str], ...]
+    names: tuple[Callable[[Sequence[str]], str], ...]
+    faces: tuple[dict[Cell, tuple], ...]
 
 
 class _LevelPlan(NamedTuple):
@@ -1154,14 +1139,15 @@ def _singular(
     D: int,
     level: Callable[[int, tuple, dict, dict], Iterable[tuple[tuple, Optional[tuple]]]],
     operator: Callable[[Monotone, int], object],
-    template: Callable[[tuple], str],
+    template: Callable[[tuple], Sequence[str]],
 ) -> Singular:
     """The simplicial set whose level n holds the maps K(n) -> X.
 
     This is the common shape of the geometric nerve (K = delta_tilde) and
     of the extension (K = sd of the simplex).  The source keys of level n
     are those of ``operator(identity, n)`` and its writer is
-    ``template(keys).format``; no map object is built.  ``phi`` acts by
+    ``_writer(template(keys))``, which joins the literal pieces of the
+    name with a cell's images; no map object is built.  ``phi`` acts by
     precomposition with ``operator(phi, n)``: K(m) -> K(n), which is
     re-indexing the tuple at the positions of the operator's image keys.
     The keys and re-indexings of each level are compiled once per
@@ -1175,18 +1161,18 @@ def _singular(
     cell yielded with faces None has them computed by re-indexing.
     """
     plans = [_level_plan(operator, n) for n in range(D + 1)]
-    names = tuple(template(plan.keys).format for plan in plans)
+    names = tuple(_writer(template(plan.keys)) for plan in plans)
     table: dict[tuple[int, Cell], tuple] = {}
     face: dict[tuple[int, int, Cell], Cell] = {}
     degeneracy: dict[tuple[int, int, Cell], Cell] = {}
-    cells: dict[int, Iterable[Cell]] = {}
+    cells: dict[int, dict[Cell, tuple]] = {}
     named: dict[tuple, Cell] = {}
     faces: dict[Cell, tuple] = {}
     for n, (plan, name) in enumerate(zip(plans, names)):
         level_named: dict[tuple, Cell] = {}
         level_faces: dict[Cell, tuple] = {}
         for image, fc in level(n, plan.keys, named, faces):
-            cid = name(*image)
+            cid = name(image)
             level_named[image] = cid
             table[(n, cid)] = image
             if fc is None:
@@ -1198,22 +1184,32 @@ def _singular(
             for image, cid in named.items():
                 degeneracy[(n - 1, i, cid)] = level_named[si(image)]
         named, faces = level_named, level_faces
-        cells[n] = faces.keys()
-    return Singular(SimplicialSet(D, cells, face, degeneracy), table, tuple(plan.places for plan in plans), names)
+        cells[n] = faces
+    return Singular(SimplicialSet(D, cells, face, degeneracy), table, tuple(plan.places for plan in plans), names,
+                    tuple(cells.values()))
 
 
-def _postcompose(source: Singular, target: Singular, entry: Callable[[Key], tuple]) -> SimplicialMap:
+def _postcompose(source: Singular, target: Singular, entry: Callable[[Key], tuple],
+                 faced: Optional[int] = None) -> SimplicialMap:
     """The map of singular complexes induced by a map X -> Y: a cell, a map
     K(n) -> X, goes to its composite with X -> Y, named by the target's
     writer.  At a key of K(n), ``entry(key) = (table, at)`` looks the image
     up in ``table`` at the cell's image at the one key in ``at``, or at the
     tuple of its images at several.  The target's keys must be among the
-    source's; their positions are found once per level."""
-    reads = [[(table, itemgetter(*map(source.keys[n].__getitem__, at))) for table, at in map(entry, keys)]
-             for n, keys in enumerate(target.keys)]
-    levels: dict[int, dict[Cell, Cell]] = {n: {} for n in range(len(reads))}
-    for (n, cid), image in source.table.items():
-        levels[n][cid] = target.names[n](*[table[read(image)] for table, read in reads[n]])
+    source's; their positions are found once per level.  From level
+    ``faced`` on, where no two target cells share their faces, a cell goes
+    to the target cell whose faces are the images of its own instead."""
+    levels: dict[int, dict[Cell, Cell]] = {}
+    for n, keys in enumerate(target.keys):
+        if faced is not None and n >= faced:
+            cell = {fc: cid for cid, fc in target.faces[n].items()}
+            lower = levels[n - 1].__getitem__
+            levels[n] = {cid: cell[tuple(map(lower, fc))] for cid, fc in source.faces[n].items()}
+            continue
+        reads = [(table, itemgetter(*map(source.keys[n].__getitem__, at))) for table, at in map(entry, keys)]
+        name = target.names[n]
+        levels[n] = {cid: name([table[read(source.table[(n, cid)])] for table, read in reads])
+                     for cid in source.faces[n]}
     return SimplicialMap(source.space, target.space, levels, check=False)
 
 

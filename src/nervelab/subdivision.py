@@ -21,10 +21,11 @@ functoriality, and ``map_out`` builds every map out of sd(X) (``sd_map``,
 n-simplex into X; operators act by precomposition.  Like the geometric
 nerve it is ``simplicial._singular``, whose record alone names the cells:
 a cell is the tuple of its images, named by the ``encode()`` of the map,
-which is never built.  ``ex_map`` is ``simplicial._postcompose``, and
-``transpose_to_ex`` names its images with the writers of ``ex_cells``;
-both refuse a source truncated below the target.  ``alpha`` is the
-last-vertex map and ``beta`` is its adjoint transpose.
+which is never built; its writer joins the images with the pieces of
+``simplicial._map_name_template``.  ``ex_map`` is ``simplicial._postcompose``
+read key by key, and ``transpose_to_ex`` names its images with the writers
+of ``ex_cells``; both refuse a source truncated below the target.
+``alpha`` is the last-vertex map and ``beta`` is its adjoint transpose.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ def transpose_to_ex(
     X = cert.source
     _no_lower(X, F.target)
     EY = ex_cells(F.target, D)
-    levels = {n: {x: EY.names[n](*(F.levels[m][cert.class_of(n, x, m, u)] for m, u in EY.keys[n]))
+    levels = {n: {x: EY.names[n]([F.levels[m][cert.class_of(n, x, m, u)] for m, u in EY.keys[n]])
                   for x in X.cells[n]}
               for n in range(D + 1)}
     return SimplicialMap(X, EY.space, levels, check=False)

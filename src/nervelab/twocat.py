@@ -39,13 +39,13 @@ from .simplicial import (
     _claim,
     _digits,
     _dimension_tag,
-    _escaped,
     _images,
     _postcompose,
     _search,
     _singular,
     _standard_vertices,
     _UnionFind,
+    _writer,
     coface,
     is_monotone,
 )
@@ -243,7 +243,7 @@ class TwoFunctor:
 
     def encode(self) -> str:
         pairs = list(self.assignments())
-        return _name_template(tuple(s for s, _ in pairs)).format(*(t[-1] for _, t in pairs))
+        return _writer(_name_template(tuple(s for s, _ in pairs)))([t[-1] for _, t in pairs])
 
     def assignments(self) -> Iterator[tuple[Key, Key]]:
         """Each cell key, ``(0, object)``, ``(1, a, b, one_cell)`` or
@@ -744,8 +744,8 @@ def find_2cat_iso(A: Fin2Cat, B: Fin2Cat) -> Optional[TwoFunctor]:
 # ---------------------------------------------------------------------------
 
 def geometric_nerve_cells(C: Fin2Cat, D: int) -> Singular:
-    """Geometric nerve truncated at D, with the keys, writers and id ->
-    image tuple table that name its cells.
+    """Geometric nerve truncated at D, with the keys, writers, id -> image
+    tuple table and id -> face tuple tables that name and read its cells.
 
     Level n holds all strict 2-functors ``delta_tilde(n) -> C``, each kept
     as its image tuple at the cell keys of ``delta_tilde(n)`` and named by
@@ -775,13 +775,15 @@ def geometric_nerve(C: Fin2Cat, D: int) -> SimplicialSet:
 
 
 @lru_cache(maxsize=None)
-def _name_template(keys: tuple[Key, ...]) -> str:
+def _name_template(keys: tuple[Key, ...]) -> tuple[str, ...]:
     """The ``encode()`` of a 2-functor whose ``assignments()`` lists these
-    source keys, with a ``str.format`` field in place of each image."""
-    parts: tuple[list[str], list[str], list[str]] = ([], [], [])
-    for key in keys:
-        parts[key[0]].append(_escaped("!".join(key[1:])) + ">{}")
-    return "/".join(",".join(p) for p in parts)
+    source keys, as the literal pieces around its images: the objects, the
+    1-cells and the 2-cells, comma-separated, with ``/`` between them."""
+    pieces, dim = [], 0
+    for k, key in enumerate(keys):
+        pieces.append(("," if k and key[0] == dim else "/" * (key[0] - dim)) + "!".join(key[1:]) + ">")
+        dim = key[0]
+    return (*pieces, "/" * (2 - dim))
 
 
 @lru_cache(maxsize=None)
@@ -893,12 +895,13 @@ def _matching_problem(n: int, faces: dict[str, tuple[str, ...]]) -> tuple:
 
 def geometric_nerve_functor(u: TwoFunctor, D: int) -> SimplicialMap:
     """The simplicial map of geometric nerves induced by a 2-functor
-    (postcomposition with u on each cell).  A 1- or 2-cell of
-    ``delta_tilde(n)`` between a and b maps through u's hom at the images
-    of a and b."""
+    (postcomposition with u on each cell).  Up to level 2, a 1- or 2-cell
+    of ``delta_tilde(n)`` between a and b maps through u's hom at the
+    images of a and b; from level 3 on, where the nerve is 3-coskeletal, a
+    cell goes to the target cell whose faces are the images of its faces."""
     on = (u.objects, u.on1, u.on2)
     return _postcompose(geometric_nerve_cells(u.source, D), geometric_nerve_cells(u.target, D),
-                        lambda key: (on[key[0]], ((0, key[1]), (0, key[2]), key) if key[0] else (key,)))
+                        lambda key: (on[key[0]], ((0, key[1]), (0, key[2]), key) if key[0] else (key,)), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from test_glue_and_chain_nerve import complex_sset
 from test_homology import one_vertex_complex
+from test_simplicial import verify_pushout
 
 from nervelab.cat import enumerate_functors, poset_category
 from nervelab.corpus import nonthin_two_categories, simplicial_objects, two_categories
@@ -32,7 +33,6 @@ from nervelab.simplicial import (
     pushout,
     validate,
     validate_map,
-    verify_pushout,
 )
 from nervelab.subdivision import alpha, beta, sd, transpose_from_ex, transpose_to_ex
 from nervelab.twocat import (

@@ -25,7 +25,9 @@ from nervelab.simplicial import (
     SimplicialMap,
     SimplicialSet,
     _level_plan,
+    _map_name_template,
     _singular,
+    _writer,
     codegeneracy,
     coface,
     compose_maps,
@@ -62,8 +64,8 @@ TWO = {**two_categories(), **nonthin_two_categories()}
 
 
 def odd(name):
-    """A name holding the characters that the name templates treat
-    specially or that separate the parts of a name."""
+    """A name holding braces and the characters that separate the parts of
+    a name."""
     return f"}}{name}{{>|"
 
 
@@ -84,6 +86,9 @@ def renamed_category(C):
         {odd(a): odd(f) for a, f in C.identity.items()},
     )
 
+
+# the nerves under test: every corpus 2-category and one with odd names
+NERVES = {**TWO, "odd_chain2": as_two_category(renamed_category(categories()["chain2"]))}
 
 OBJECTS = {
     **simplicial_objects(2),
@@ -147,10 +152,10 @@ def assert_operators_are_composites(X, table, operator, compose):
     assert seen == len(X.face) + len(X.degeneracy)
 
 
-@pytest.mark.parametrize("name", sorted(TWO))
+@pytest.mark.parametrize("name", sorted(NERVES))
 def test_geometric_nerve_operators_are_composites(name):
-    N, table, *_ = geometric_nerve_cells(TWO[name], 4)
-    maps = rebuilt(table, lambda n, image: two_functor(TWO[name], n, image))
+    N, table, *_ = geometric_nerve_cells(NERVES[name], 4)
+    maps = rebuilt(table, lambda n, image: two_functor(NERVES[name], n, image))
     assert_operators_are_composites(N, maps, cosimplicial_operator, compose_two_functors)
 
 
@@ -174,13 +179,13 @@ def enumerated_nerve_cells(C, D):
     return _singular(D, level, cosimplicial_operator, _name_template)
 
 
-@pytest.mark.parametrize("name,D", [(name, 5) for name in sorted(TWO) if name != "simplex2_3"] + [
+@pytest.mark.parametrize("name,D", [(name, 5) for name in sorted(NERVES) if name != "simplex2_3"] + [
     ("simplex2_3", 4),
     pytest.param("simplex2_3", 5, marks=pytest.mark.slow),
 ])
 def test_coskeletal_levels_equal_enumerated_ones(name, D):
-    N, table, *_ = geometric_nerve_cells(TWO[name], D)
-    M, oracle, *_ = enumerated_nerve_cells(TWO[name], D)
+    N, table, *_ = geometric_nerve_cells(NERVES[name], D)
+    M, oracle, *_ = enumerated_nerve_cells(NERVES[name], D)
     assert N.cells == M.cells
     assert N.face == M.face
     assert N.degeneracy == M.degeneracy
@@ -193,13 +198,15 @@ N2_MAPS = [
     ("z2_on_unit", "z2_on_unit", None, "145fdd0b74c5409c031fa071f0d7c9feba6aa2733a5d093d24500be8c7e1e4c5"),
     ("parallel_2cells", "single2cell", None, "5e432cf4d9bb101bd3d964741c48ee2cb7b094d89299152fc9eac47fc5383204"),
     ("single2cell", "parallel_2cells", None, "bb34ceba132f283fd13bf1cd976ec33b4e45aa2588b961a988dfa6dd3b56b415"),
+    ("simplex2_3", "terminal2", None, "c680f2d1e45b4bd357cfba82a2afbba03347c79a498cf5ceaada6faae1aa4adc"),
+    ("odd_chain2", "odd_chain2", None, "b00ae230beb8c6242db4bee2e4b6ba2f35195268a09aa25edcbfab5ca75d2fe9"),
 ]
 
 
 @pytest.mark.parametrize("source,target,limit,pin", N2_MAPS, ids=[f"{s}-{t}-{n}" for s, t, n, _ in N2_MAPS])
 def test_geometric_nerve_functor_names_the_composites(source, target, limit, pin):
     docs = []
-    for u in islice(enumerate_two_functors(TWO[source], TWO[target]), limit):
+    for u in islice(enumerate_two_functors(NERVES[source], NERVES[target]), limit):
         f = geometric_nerve_functor(u, 4)
         assert validate_map(f) == []
         table = geometric_nerve_cells(u.source, 4).table
@@ -276,14 +283,14 @@ def test_level_plans_are_compiled_once_per_shape():
 
 def test_encode_fills_the_name_template():
     """``encode()`` against the loops that wrote the two formats by hand,
-    on names that hold template braces and separators."""
+    on names that hold braces and separators."""
     X, Y = OBJECTS["odd_simplex1"], OBJECTS["odd_boundary2"]
     maps = list(enumerate_simplicial_maps(X, Y))
     assert maps
     for f in maps:
         assert f.encode() == ";".join(f"{n}:{c}>{v}" for n in sorted(f.levels)
                                       for c, v in sorted(f.levels[n].items()))
-    A = as_two_category(renamed_category(categories()["chain2"]))
+    A = NERVES["odd_chain2"]
     functors = list(enumerate_two_functors(A, A))
     assert functors
     for F in functors:
@@ -291,6 +298,15 @@ def test_encode_fills_the_name_template():
         c1 = ",".join(f"{a}!{b}!{x}>{v}" for (a, b, x), v in F.on1.items())
         c2 = ",".join(f"{a}!{b}!{x}>{v}" for (a, b, x), v in F.on2.items())
         assert F.encode() == o + "/" + c1 + "/" + c2
+
+
+def test_name_pieces_keep_empty_parts():
+    """A 2-functor's name has its three parts even where one is empty, and
+    a map of empty simplicial sets is named by the empty string."""
+    assert _writer(_name_template(((0, "a"), (2, "a", "a", "x"))))(["b", "y"]) == "a>b//a!a!x>y"
+    assert _writer(_name_template(((1, "a", "b", "f"),)))(["g"]) == "/a!b!f>g/"
+    assert _writer(_name_template(()))([]) == "//"
+    assert _writer(_map_name_template(()))([]) == ""
 
 
 @lru_cache(maxsize=None)
