@@ -340,7 +340,7 @@ def normalized_chains(X: SimplicialSet) -> ChainComplex:
         index = {c: i for i, c in enumerate(basis[n - 1])}
         columns[n] = [
             _column((index[f], -1 if i % 2 else 1)
-                    for i, f in enumerate(X.face[(n, i, c)] for i in range(n + 1))
+                    for i, f in enumerate(X.faces[n][c])
                     if f in index)
             for c in basis[n]
         ]

@@ -163,27 +163,28 @@ def sset_to_doc(X: SimplicialSet) -> dict:
     return {
         "dim_bound": X.dim_bound,
         "cells": {str(n): list(X.cells[n]) for n in range(X.dim_bound + 1)},
-        "face": sorted([n, i, src, dst] for (n, i, src), dst in X.face.items()),
-        "degeneracy": sorted([n, i, src, dst] for (n, i, src), dst in X.degeneracy.items()),
+        "face": _entries(X, X.faces),
+        "degeneracy": _entries(X, X.degeneracies),
     }
 
 
-def _operators(doc: dict, key: str, where: str) -> dict[tuple[int, int, str], str]:
-    """The ``face`` or ``degeneracy`` array of an sset.v1 document, with
-    each row ``(n, i, src)`` listed once."""
+def _entries(X: SimplicialSet, rows: tuple[dict[str, tuple], ...]) -> list[list]:
+    """The operator rows of X as ``[n, i, src, dst]`` entries, written in
+    sorted order: by level, index and then source, as each level is sorted."""
+    return [[n, i, src, at[src][i]] for n, at in enumerate(rows) if at for i in range(n + 1) for src in X.cells[n]]
+
+
+def _operators(doc: dict, key: str, where: str) -> list[list]:
+    """The ``face`` or ``degeneracy`` array of an sset.v1 document, each
+    entry checked to be ``[n, i, src, dst]``."""
     at = f"{where}.{key}"
-    table = {}
-    for entry in _need(doc, key, list, where):
+    entries = _need(doc, key, list, where)
+    for entry in entries:
         # type(...) is int: a bool is an int, and is refused
         if not (isinstance(entry, list) and len(entry) == 4 and type(entry[0]) is int and type(entry[1]) is int):
             raise SchemaError(f"{at}: entries must be [n, i, src, dst] with integer n, i")
-        n, i, src, dst = entry
-        _strings((src, dst), at)
-        row = (n, i, src)
-        if row in table:
-            raise SchemaError(f"{at}: row {row} is listed twice")
-        table[row] = dst
-    return table
+        _strings(entry[2:], at)
+    return entries
 
 
 def _level(key: str, top: int, bound: str, where: str) -> int:
@@ -217,7 +218,29 @@ def _read_sset(doc: dict, where: str) -> SimplicialSet:
     missing = next((n for n in range(D + 1) if n not in cells), None)
     if missing is not None:
         raise SchemaError(f"{where}.cells: level {missing} is not listed (every level 0..{D} must be)")
-    return SimplicialSet(D, cells, face, degeneracy)
+    return SimplicialSet(D, cells, _rows(face, cells, range(1, D + 1), f"{where}.face"),
+                         _rows(degeneracy, cells, range(D), f"{where}.degeneracy"))
+
+
+def _rows(entries: list[list], cells: dict[int, list[str]], levels: range,
+          at: str) -> dict[int, dict[str, tuple]]:
+    """The operator rows of the cells of ``levels`` from the entries read
+    by :func:`_operators`, None where an entry is missing.  An entry
+    outside those rows (at another level, past index n, or from a name that
+    is not a cell of its level) or listed twice is refused."""
+    rows = {n: {c: [None] * (n + 1) for c in cells[n]} for n in levels}
+    for n, i, src, dst in entries:
+        if n not in rows:
+            raise SchemaError(f"{at}: row {(n, i, src)}: no level-{n} rows within dim_bound {len(cells) - 1}")
+        if not 0 <= i <= n:
+            raise SchemaError(f"{at}: row {(n, i, src)} has index {i} outside 0..{n}")
+        row = rows[n].get(src)
+        if row is None:
+            raise SchemaError(f"{at}: row {(n, i, src)} is from {src!r}, not a cell of level {n}")
+        if row[i] is not None:
+            raise SchemaError(f"{at}: row {(n, i, src)} is listed twice")
+        row[i] = dst
+    return {n: {c: tuple(row) for c, row in level.items()} for n, level in rows.items()}
 
 
 def sset_from_doc(doc: dict, where: str = "sset") -> SimplicialSet:

@@ -1,7 +1,8 @@
 """Levelwise-finite, dimension-truncated simplicial sets.
 
 Every simplicial set carries an explicit truncation bound ``dim_bound``;
-cells, face tables and degeneracy tables exist only up to that bound.
+cells and the rows of their faces and degeneracies exist only up to that
+bound.
 Cell identifiers are strings and every stored level is sorted, so equal
 constructions produce byte-identical data.
 
@@ -12,8 +13,9 @@ Conventions used throughout:
   ``"0012"``, ...), the one writer of that spelling, which sd Delta_n and
   the 2-categorical simplices use too; no name is ever parsed back, and
   :func:`_standard_vertices` alone keeps ``n <= 9``;
-* ``face[(n, i, c)]`` is ``d_i c`` and ``degeneracy[(n, i, c)]`` is
-  ``s_i c`` (defined for ``n < dim_bound``);
+* each cell keeps one row per operator: ``faces[n][c]`` is
+  ``(d_0 c, ..., d_n c)`` for ``1 <= n <= dim_bound`` and
+  ``degeneracies[n][c]`` is ``(s_0 c, ..., s_n c)`` for ``n < dim_bound``;
 * every nerve is :func:`_chain_nerve`, the nerve of a finite category
   given by its arrows, composition and identities; the standard simplex,
   its boundary and its horns are nerves of the poset ``0 <= ... <= n``
@@ -29,6 +31,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import itemgetter
@@ -77,19 +80,22 @@ def is_monotone(phi: Sequence[int]) -> bool:
 class SimplicialSet:
     """A dimension-truncated simplicial set with materialized degeneracies.
 
-    ``cells`` maps each level ``0..dim_bound`` to a sorted tuple of ids;
-    ``face`` and ``degeneracy`` are total operator tables, kept as given,
-    not copied.  Values are immutable after construction.
+    ``cells`` maps each level ``0..dim_bound`` to a sorted tuple of ids.
+    ``faces[n]`` maps each n-cell to the row of its faces and
+    ``degeneracies[n]`` to the row of its degeneracies; both are indexed by
+    every level ``0..dim_bound``, with no faces at 0 and no degeneracies at
+    the bound.  The rows of each level are kept as given, not copied.
+    Values are immutable after construction.
     """
 
-    __slots__ = ("dim_bound", "cells", "face", "degeneracy", "_nondeg", "_deg_of", "_over")
+    __slots__ = ("dim_bound", "cells", "faces", "degeneracies", "_nondeg", "_deg_of", "_over")
 
     def __init__(
         self,
         dim_bound: int,
         cells: Mapping[int, Iterable[Cell]],
-        face: dict[tuple[int, int, Cell], Cell],
-        degeneracy: dict[tuple[int, int, Cell], Cell],
+        faces: Mapping[int, dict[Cell, tuple]],
+        degeneracies: Mapping[int, dict[Cell, tuple]],
     ):
         if dim_bound < 0:
             raise BoundError(f"dim_bound must be >= 0, got {dim_bound}")
@@ -97,16 +103,20 @@ class SimplicialSet:
         self.cells: dict[int, tuple[Cell, ...]] = {
             n: tuple(sorted(cells.get(n, ()))) for n in range(dim_bound + 1)
         }
-        self.face = face
-        self.degeneracy = degeneracy
+        self.faces: tuple[dict[Cell, tuple], ...] = (
+            {}, *(faces.get(n, {}) for n in range(1, dim_bound + 1)))
+        self.degeneracies: tuple[dict[Cell, tuple], ...] = (
+            *(degeneracies.get(n, {}) for n in range(dim_bound)), {})
         # Eilenberg-Zilber bookkeeping: for each cell the minimal (i, lower)
         # with s_i(lower) = cell, if any.  Cells with no preimage are the
         # nondegenerate core.
         deg_of: dict[tuple[int, Cell], tuple[int, Cell]] = {}
-        for (n, i, src), dst in self.degeneracy.items():
-            key = (n + 1, dst)
-            if key not in deg_of or (i, src) < deg_of[key]:
-                deg_of[key] = (i, src)
+        for n, rows in enumerate(self.degeneracies):
+            for src, row in rows.items():
+                for i, dst in enumerate(row):
+                    key = (n + 1, dst)
+                    if dst is not None and (key not in deg_of or (i, src) < deg_of[key]):
+                        deg_of[key] = (i, src)
         self._deg_of = deg_of
         nondeg: dict[int, tuple[Cell, ...]] = {0: self.cells[0]}
         for n in range(1, dim_bound + 1):
@@ -130,10 +140,10 @@ class SimplicialSet:
         return (n, c) in self._deg_of
 
     def d(self, n: int, i: int, c: Cell) -> Cell:
-        return self.face[(n, i, c)]
+        return self.faces[n][c][i]
 
     def s(self, n: int, i: int, c: Cell) -> Cell:
-        return self.degeneracy[(n, i, c)]
+        return self.degeneracies[n][c][i]
 
     def has_cell(self, n: int, c: Cell) -> bool:
         if not 0 <= n <= self.dim_bound:
@@ -188,8 +198,8 @@ class SimplicialSet:
         return (
             self.dim_bound == other.dim_bound
             and self.cells == other.cells
-            and self.face == other.face
-            and self.degeneracy == other.degeneracy
+            and self.faces == other.faces
+            and self.degeneracies == other.degeneracies
         )
 
     def __repr__(self) -> str:
@@ -210,11 +220,10 @@ def simplicial_operator(X: SimplicialSet, phi: Monotone, n: int, c: Cell) -> Cel
     m, faces, degeneracies = _operator_word(tuple(phi), n)
     if m > X.dim_bound:
         raise BoundError(f"operator lands at level {m} beyond bound {X.dim_bound}")
-    face, degeneracy = X.face, X.degeneracy
     for level, i in faces:
-        c = face[(level, i, c)]
+        c = X.faces[level][c][i]
     for level, i in degeneracies:
-        c = degeneracy[(level, i, c)]
+        c = X.degeneracies[level][c][i]
     return c
 
 
@@ -294,8 +303,8 @@ def _chain_nerve(
 
     names = {(a,): name((a,)) for a in out if keep((a,))}
     cells: dict[int, Iterable[Cell]] = {0: names.values()}
-    face: dict[tuple[int, int, Cell], Cell] = {}
-    degeneracy: dict[tuple[int, int, Cell], Cell] = {}
+    faces: dict[int, dict[Cell, tuple[Cell, ...]]] = {}
+    degeneracies: dict[int, dict[Cell, tuple[Cell, ...]]] = {}
     for m in range(1, D + 1):
         longer = {}
         for chain in names:
@@ -303,18 +312,17 @@ def _chain_nerve(
                 grown = chain + (f,)
                 if keep(grown):
                     longer[grown] = name(grown)
-        for chain, c in names.items():
-            for i in range(m):
-                unit = identity[vertex(chain, i)]
-                degeneracy[(m - 1, i, c)] = longer[chain[: i + 1] + (unit,) + chain[i + 1:]]
-        for chain, c in longer.items():
-            face[(m, 0, c)] = names[(target[chain[1]],) + chain[2:]]
-            for i in range(1, m):
-                face[(m, i, c)] = names[chain[:i] + (compose[(chain[i + 1], chain[i])],) + chain[i + 2:]]
-            face[(m, m, c)] = names[chain[:-1]]
+        degeneracies[m - 1] = {
+            c: tuple(longer[chain[: i + 1] + (identity[vertex(chain, i)],) + chain[i + 1:]] for i in range(m))
+            for chain, c in names.items()}
+        faces[m] = {
+            c: (names[(target[chain[1]],) + chain[2:]],
+                *(names[chain[:i] + (compose[(chain[i + 1], chain[i])],) + chain[i + 2:]] for i in range(1, m)),
+                names[chain[:-1]])
+            for chain, c in longer.items()}
         names = longer
         cells[m] = names.values()
-    return SimplicialSet(D, cells, face, degeneracy)
+    return SimplicialSet(D, cells, faces, degeneracies)
 
 
 def _poset_nerve(
@@ -371,57 +379,33 @@ def empty_simplicial_set(D: int) -> SimplicialSet:
 # validation
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Violation:
     """One failed simplicial identity, with enough data to replay it."""
 
-    __slots__ = ("identity", "level", "indices", "cell", "detail")
-
-    def __init__(self, identity: str, level: int, indices: tuple[int, ...], cell: Cell, detail: str):
-        self.identity = identity
-        self.level = level
-        self.indices = indices
-        self.cell = cell
-        self.detail = detail
-
-    def __repr__(self) -> str:
-        return (
-            f"Violation({self.identity} at level {self.level}, "
-            f"indices {self.indices}, cell {self.cell!r}: {self.detail})"
-        )
+    identity: str
+    level: int
+    indices: tuple[int, ...]
+    cell: Cell
+    detail: str
 
     def __str__(self) -> str:
         return f"level {self.level}, cell {self.cell!r}: {self.identity} {list(self.indices)}: {self.detail}"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Violation):
-            return NotImplemented
-        return (self.identity, self.level, self.indices, self.cell, self.detail) == (
-            other.identity, other.level, other.indices, other.cell, other.detail)
 
 
 def validate(X: SimplicialSet) -> list[Violation]:
     """Check the five simplicial identities and table totality within the bound."""
     out: list[Violation] = []
     D = X.dim_bound
-    # face[n][c][i] is d_i c and degen[n][c][i] is s_i c, None where the
-    # table has no entry; each table is read once.
-    def rows(table: dict) -> list[dict[Cell, list[Optional[Cell]]]]:
-        by_level: list[dict[Cell, list[Optional[Cell]]]] = [{} for _ in range(D + 1)]
-        for (n, i, c), v in table.items():
-            if 0 <= i <= n <= D:
-                by_level[n].setdefault(c, [None] * (n + 1))[i] = v
-        return by_level
 
-    face, degen = rows(X.face), rows(X.degeneracy)
-
-    # the faces / degeneracies of a looked-up cell; a cell without a row
-    # (or None) gets a row of n + 1 missing entries
-    def d(n: int, c: Optional[Cell]) -> list[Optional[Cell]]:
-        row = face[n].get(c)
+    # the faces / degeneracies of a looked-up cell, None where a row has no
+    # entry; a cell without a row (or None) gets n + 1 missing entries
+    def d(n: int, c: Optional[Cell]) -> Sequence[Optional[Cell]]:
+        row = X.faces[n].get(c)
         return [None] * (n + 1) if row is None else row
 
-    def s(n: int, c: Optional[Cell]) -> list[Optional[Cell]]:
-        row = degen[n].get(c)
+    def s(n: int, c: Optional[Cell]) -> Sequence[Optional[Cell]]:
+        row = X.degeneracies[n].get(c)
         return [None] * (n + 1) if row is None else row
 
     # totality of the tables
@@ -581,24 +565,18 @@ def validate_map(f: SimplicialMap) -> list[str]:
                 out.append(f"level {n}: image {assigned[c]!r} of {c!r} not a target cell")
         out.extend(f"level {n}: {c!r} assigned but not a source cell"
                    for c in assigned if not f.source.has_cell(n, c))
-    for n in range(1, bound + 1):
-        for c in f.source.cells[n]:
-            if c not in f.levels[n]:
-                continue
-            for i in range(n + 1):
-                lhs = f.target.face.get((n, i, f.levels[n][c]))
-                rhs = f.levels[n - 1].get(f.source.d(n, i, c))
-                if lhs != rhs:
-                    out.append(f"d_{i} at level {n} on {c!r}: {lhs!r} != {rhs!r}")
-    for n in range(bound):
-        for c in f.source.cells[n]:
-            if c not in f.levels[n]:
-                continue
-            for i in range(n + 1):
-                lhs = f.target.degeneracy.get((n, i, f.levels[n][c]))
-                rhs = f.levels[n + 1].get(f.source.s(n, i, c))
-                if lhs != rhs:
-                    out.append(f"s_{i} at level {n} on {c!r}: {lhs!r} != {rhs!r}")
+    for op, levels, step, rows, images in (("d", range(1, bound + 1), -1, f.source.faces, f.target.faces),
+                                           ("s", range(bound), 1, f.source.degeneracies, f.target.degeneracies)):
+        for n in levels:
+            at, near = f.levels[n], f.levels[n + step]
+            for c in f.source.cells[n]:
+                if c not in at:
+                    continue
+                image = images[n].get(at[c], (None,) * (n + 1))
+                for i, x in enumerate(rows[n][c]):
+                    lhs, rhs = image[i], near.get(x)
+                    if lhs != rhs:
+                        out.append(f"{op}_{i} at level {n} on {c!r}: {lhs!r} != {rhs!r}")
     return out
 
 
@@ -716,18 +694,12 @@ def _glue(
         for j, rooted in enumerate(roots):
             tables[j][n] = {c: least[root][0] for c, root in rooted}
         owners.append(list(least.values()))
-    face: dict[tuple[int, int, Cell], Cell] = {}
-    degeneracy: dict[tuple[int, int, Cell], Cell] = {}
-    for n, level in enumerate(owners):
-        for name, j, c in level:
-            X = pieces[j][1]
-            for i in range(n + 1):
-                if n >= 1:
-                    face[(n, i, name)] = tables[j][n - 1][X.face[(n, i, c)]]
-                if n < D:
-                    degeneracy[(n, i, name)] = tables[j][n + 1][X.degeneracy[(n, i, c)]]
+    faces = {n: {name: tuple(map(tables[j][n - 1].__getitem__, pieces[j][1].faces[n][c]))
+                 for name, j, c in owners[n]} for n in range(1, D + 1)}
+    degeneracies = {n: {name: tuple(map(tables[j][n + 1].__getitem__, pieces[j][1].degeneracies[n][c]))
+                        for name, j, c in owners[n]} for n in range(D)}
     cells = {n: [name for name, _, _ in level] for n, level in enumerate(owners)}
-    return SimplicialSet(D, cells, face, degeneracy), tables
+    return SimplicialSet(D, cells, faces, degeneracies), tables
 
 
 def _colimit(pieces: Sequence[tuple[str, SimplicialSet]],
@@ -817,19 +789,15 @@ def product(X: SimplicialSet, Y: SimplicialSet) -> SimplicialSet:
     Two pairs whose names coincide raise :class:`DomainError`."""
     D = min(X.dim_bound, Y.dim_bound)
     cells: dict[int, dict[Cell, tuple[Cell, Cell]]] = {n: {} for n in range(D + 1)}
-    face: dict[tuple[int, int, Cell], Cell] = {}
-    degeneracy: dict[tuple[int, int, Cell], Cell] = {}
     for n in range(D + 1):
         for x in X.cells[n]:
             for y in Y.cells[n]:
-                name = _pair(x, y)
-                _claim(cells[n], name, (x, y))
-                for i in range(n + 1):
-                    if n >= 1:
-                        face[(n, i, name)] = _pair(X.d(n, i, x), Y.d(n, i, y))
-                    if n < D:
-                        degeneracy[(n, i, name)] = _pair(X.s(n, i, x), Y.s(n, i, y))
-    return SimplicialSet(D, cells, face, degeneracy)
+                _claim(cells[n], _pair(x, y), (x, y))
+
+    def rows(n: int, xs: dict[Cell, tuple], ys: dict[Cell, tuple]) -> dict[Cell, tuple[Cell, ...]]:
+        return {name: tuple(map(_pair, xs[x], ys[y])) for name, (x, y) in cells[n].items()}
+    return SimplicialSet(D, cells, {n: rows(n, X.faces[n], Y.faces[n]) for n in range(1, D + 1)},
+                         {n: rows(n, X.degeneracies[n], Y.degeneracies[n]) for n in range(D)})
 
 
 def product_projections(X: SimplicialSet, Y: SimplicialSet) -> tuple[SimplicialMap, SimplicialMap]:
@@ -961,7 +929,8 @@ def _vertex_tuples(X: SimplicialSet, top: int) -> list[dict[Cell, tuple]]:
     vt: list[dict[Cell, tuple]] = [{v: (v,) for v in X.cells[0]}]
     for n in range(1, top + 1):
         below = vt[-1]
-        vt.append({c: below[X.face[(n, n, c)]] + below[X.face[(n, 0, c)]][-1:] for c in X.cells[n]})
+        rows = X.faces[n]
+        vt.append({c: below[rows[c][n]] + below[rows[c][0]][-1:] for c in X.cells[n]})
     return vt
 
 
@@ -995,7 +964,8 @@ def _simplicial_problem(X: SimplicialSet, Y: SimplicialSet) -> tuple:
         spanned.setdefault(max(at), {})[(n, at)] = None
 
     def degenerate(n: int, i: int, j: int) -> Callable[[list], Sequence[Cell]]:
-        return lambda val: (Y.degeneracy[(n, i, val[j])],)
+        rows = Y.degeneracies[n]
+        return lambda val: (rows[val[j]][i],)
 
     def level(cells: tuple[Cell, ...]) -> Callable[[list], Sequence[Cell]]:
         return lambda val: cells
@@ -1014,14 +984,9 @@ def _simplicial_problem(X: SimplicialSet, Y: SimplicialSet) -> tuple:
             return True
         return check
 
-    def faces_commute(n: int, k: int, faces: list[tuple[int, int]]) -> Callable[[list], bool]:
-        def check(val: list) -> bool:
-            img = val[k]
-            for i, j in faces:
-                if Y.face[(n, i, img)] != val[j]:
-                    return False
-            return True
-        return check
+    def faces_commute(n: int, k: int, faces: list[int]) -> Callable[[list], bool]:
+        rows, pick = Y.faces[n], _picker(faces)
+        return lambda val: rows[val[k]] == pick(val)
 
     options: list = []
     checks: list = []
@@ -1035,7 +1000,7 @@ def _simplicial_problem(X: SimplicialSet, Y: SimplicialSet) -> tuple:
             checks.append(spans(spanned[k]) if k in spanned else None)
         else:
             options.append(over_vertices(n, positions[(n, c)]))
-            checks.append(faces_commute(n, k, [(i, index[(n - 1, X.d(n, i, c))]) for i in range(n + 1)]))
+            checks.append(faces_commute(n, k, [index[(n - 1, x)] for x in X.faces[n][c]]))
 
     def emit(val: list) -> SimplicialMap:
         levels: dict[int, dict[Cell, Cell]] = {n: {} for n in range(bound + 1)}
@@ -1094,14 +1059,12 @@ class Singular(NamedTuple):
     that names its cells: a cell is the tuple of its images at the source
     keys of K(n), which ``keys[n]`` lists in sorted order, each
     with its position, and ``names[n]`` writes a tuple's id, the
-    ``encode()`` of its map.  ``table`` maps each ``(n, id)`` to its tuple,
-    and ``faces[n]`` each id of level n to the ids of its faces."""
+    ``encode()`` of its map.  ``table`` maps each ``(n, id)`` to its tuple."""
 
     space: SimplicialSet
     table: dict[tuple[int, Cell], tuple]
     keys: tuple[dict[Key, int], ...]
     names: tuple[Callable[[Sequence[str]], str], ...]
-    faces: tuple[dict[Cell, tuple], ...]
 
 
 class _LevelPlan(NamedTuple):
@@ -1163,30 +1126,23 @@ def _singular(
     plans = [_level_plan(operator, n) for n in range(D + 1)]
     names = tuple(_writer(template(plan.keys)) for plan in plans)
     table: dict[tuple[int, Cell], tuple] = {}
-    face: dict[tuple[int, int, Cell], Cell] = {}
-    degeneracy: dict[tuple[int, int, Cell], Cell] = {}
-    cells: dict[int, dict[Cell, tuple]] = {}
+    faces: dict[int, dict[Cell, tuple]] = {}
+    degeneracies: dict[int, dict[Cell, tuple]] = {}
     named: dict[tuple, Cell] = {}
-    faces: dict[Cell, tuple] = {}
     for n, (plan, name) in enumerate(zip(plans, names)):
         level_named: dict[tuple, Cell] = {}
-        level_faces: dict[Cell, tuple] = {}
-        for image, fc in level(n, plan.keys, named, faces):
+        rows: dict[Cell, tuple] = {}
+        for image, fc in level(n, plan.keys, named, faces.get(n - 1)):
             cid = name(image)
             level_named[image] = cid
             table[(n, cid)] = image
-            if fc is None:
-                fc = tuple(named[di(image)] for di in plan.faces)
-            level_faces[cid] = fc
-            for i, x in enumerate(fc):
-                face[(n, i, cid)] = x
-        for i, si in enumerate(plan.degeneracies):
-            for image, cid in named.items():
-                degeneracy[(n - 1, i, cid)] = level_named[si(image)]
-        named, faces = level_named, level_faces
-        cells[n] = faces
-    return Singular(SimplicialSet(D, cells, face, degeneracy), table, tuple(plan.places for plan in plans), names,
-                    tuple(cells.values()))
+            rows[cid] = tuple(named[di(image)] for di in plan.faces) if fc is None else fc
+        if n:
+            degeneracies[n - 1] = {cid: tuple(level_named[si(image)] for si in plan.degeneracies)
+                                   for image, cid in named.items()}
+        named, faces[n] = level_named, rows
+    space = SimplicialSet(D, {n: rows.keys() for n, rows in faces.items()}, faces, degeneracies)
+    return Singular(space, table, tuple(plan.places for plan in plans), names)
 
 
 def _postcompose(source: Singular, target: Singular, entry: Callable[[Key], tuple],
@@ -1202,14 +1158,14 @@ def _postcompose(source: Singular, target: Singular, entry: Callable[[Key], tupl
     levels: dict[int, dict[Cell, Cell]] = {}
     for n, keys in enumerate(target.keys):
         if faced is not None and n >= faced:
-            cell = {fc: cid for cid, fc in target.faces[n].items()}
+            cell = {fc: cid for cid, fc in target.space.faces[n].items()}
             lower = levels[n - 1].__getitem__
-            levels[n] = {cid: cell[tuple(map(lower, fc))] for cid, fc in source.faces[n].items()}
+            levels[n] = {cid: cell[tuple(map(lower, fc))] for cid, fc in source.space.faces[n].items()}
             continue
         reads = [(table, itemgetter(*map(source.keys[n].__getitem__, at))) for table, at in map(entry, keys)]
         name = target.names[n]
         levels[n] = {cid: name([table[read(source.table[(n, cid)])] for table, read in reads])
-                     for cid in source.faces[n]}
+                     for cid in source.space.cells[n]}
     return SimplicialMap(source.space, target.space, levels, check=False)
 
 

@@ -148,8 +148,7 @@ def _sd_plan(k: int, D: int) -> tuple[tuple[Monotone, ...], tuple, tuple]:
     ``(u, t, v)``: an interior chain, whose last subset is [k], has
     ``t = -1``; any other u lies in the face spanned by its last subset
     ``tops[t]`` (a monotone injection [j] -> [k]), and v is u relabelled
-    into sd Delta_j.  ``interior[m]`` gives each interior chain of level m
-    with its rows of faces and degeneracies in sd Delta_k.
+    into sd Delta_j.  ``interior[m]`` lists the interior chains of level m.
     """
     space, chains = _sd_chains(k, D)
     tops: dict[frozenset[int], int] = {}
@@ -161,8 +160,7 @@ def _sd_plan(k: int, D: int) -> tuple[tuple[Monotone, ...], tuple, tuple]:
             top = chain[-1]
             if len(top) == k + 1:
                 row.append((u, -1, u))
-                inner.append((u, tuple(space.face[(m, i, u)] for i in range(m + 1)) if m else (),
-                              tuple(space.degeneracy[(m, i, u)] for i in range(m + 1)) if m < D else ()))
+                inner.append(u)
             else:
                 rank = {v: r for r, v in enumerate(sorted(top))}
                 row.append((u, tops.setdefault(top, len(tops)), _sd_name([[rank[v] for v in s] for s in chain])))
@@ -188,12 +186,13 @@ def sd(X: SimplicialSet) -> tuple[SimplicialSet, SubdivisionCertificate]:
     D = X.dim_bound
     tables: dict[tuple[int, Cell], list[dict[Cell, Cell]]] = {}
     cells: dict[int, list[Cell]] = {m: [] for m in range(D + 1)}
-    face: dict[tuple[int, int, Cell], Cell] = {}
-    degeneracy: dict[tuple[int, int, Cell], Cell] = {}
+    faces: dict[int, dict[Cell, tuple[Cell, ...]]] = {m: {} for m in range(1, D + 1)}
+    degeneracies: dict[int, dict[Cell, tuple[Cell, ...]]] = {m: {} for m in range(D)}
     for k in range(D + 1):
         if not X.nondegenerate(k):
             continue  # no piece needs the plan, whose sd Delta_k is the largest shape
         tops, rows, interior = _sd_plan(k, D)
+        simplex = sd_simplex(k, D)
         for x in X.nondegenerate(k):
             prefix = f"{k}:{x}@"
             lower = []
@@ -206,16 +205,15 @@ def sd(X: SimplicialSet) -> tuple[SimplicialSet, SubdivisionCertificate]:
                 at = [(move[m], into[m]) for move, into in lower]
                 table.append({u: prefix + u if t < 0 else at[t][1][at[t][0][v]] for u, t, v in row})
             for m, inner in enumerate(interior):
-                level, below, above = table[m], table[m - 1] if m else None, table[m + 1] if m < D else None
-                for u, faces, degeneracies in inner:
-                    name = level[u]
+                for u in inner:
+                    name = table[m][u]
                     cells[m].append(name)
-                    for i, c in enumerate(faces):
-                        face[(m, i, name)] = below[c]
-                    for i, c in enumerate(degeneracies):
-                        degeneracy[(m, i, name)] = above[c]
+                    if m:
+                        faces[m][name] = tuple(map(table[m - 1].__getitem__, simplex.faces[m][u]))
+                    if m < D:
+                        degeneracies[m][name] = tuple(map(table[m + 1].__getitem__, simplex.degeneracies[m][u]))
             tables[(k, x)] = table
-    space = SimplicialSet(D, cells, face, degeneracy)
+    space = SimplicialSet(D, cells, faces, degeneracies)
     gluing = {(k, x): SimplicialMap(sd_simplex(k, D), space, dict(enumerate(table)), check=False)
               for (k, x), table in tables.items()}
     return space, SubdivisionCertificate(X, space, gluing)

@@ -16,6 +16,7 @@ tables are keyed by the surrounding objects.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -744,8 +745,8 @@ def find_2cat_iso(A: Fin2Cat, B: Fin2Cat) -> Optional[TwoFunctor]:
 # ---------------------------------------------------------------------------
 
 def geometric_nerve_cells(C: Fin2Cat, D: int) -> Singular:
-    """Geometric nerve truncated at D, with the keys, writers, id -> image
-    tuple table and id -> face tuple tables that name and read its cells.
+    """Geometric nerve truncated at D, with the keys, writers and id -> image
+    tuple table that name and read its cells.
 
     Level n holds all strict 2-functors ``delta_tilde(n) -> C``, each kept
     as its image tuple at the cell keys of ``delta_tilde(n)`` and named by
@@ -854,7 +855,7 @@ def _coskeletal_level(C: Fin2Cat, n: int, named: dict, faces: dict) -> Iterator[
     o0, o1, on, f01, f1n = one
     z0, zn, via, first, via2, second = vertical
     for xs in _search(*_matching_problem(n, faces)):
-        c = sum((image_of[x] for x in xs), ())
+        c = tuple(chain.from_iterable(map(image_of.__getitem__, xs)))
         twos = [hc2[(c[a], c[m], c[b], c[x], c[y])] for a, m, b, x, y in splits]
         compose = hom[(c[z0], c[zn])].compose
         top = compose[(c[via], twos[first])]

@@ -108,6 +108,17 @@ def test_document_that_is_not_an_object_exits_2(command, tmp_path, capsys):
     assert "list.json: expected a JSON object" in capsys.readouterr().err
 
 
+def test_validate_lists_the_identities_a_document_breaks(tmp_path, capsys):
+    doc = json.loads((DATA / "interval.sset.json").read_text())
+    doc["face"][0] = [1, 0, "00", "1"]  # d_0 00 should be "0"
+    bad = tmp_path / "corrupted.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"violations": [
+        {"identity": "ds-id", "level": 0, "indices": [0, 0], "cell": "0", "detail": "d_0 s_0 = '1', expected '0'"},
+    ]}
+
+
 def test_missing_key_is_named(tmp_path, capsys):
     bad = tmp_path / "missing.json"
     bad.write_text(json.dumps({"dim_bound": 1, "cells": {"0": []}}))
@@ -368,6 +379,12 @@ ARGV = {
      ".cells: level key '01' is not written in plain decimal"),
     ("validate", "interval.sset.json", lambda doc: doc["cells"].update({"7": ["zz"]}),
      ".cells: level 7 above dim_bound 1"),
+    ("validate", "interval.sset.json", lambda doc: doc["face"].append([7, 9, "zz", "yy"]),
+     ".face: row (7, 9, 'zz'): no level-7 rows within dim_bound 1"),
+    ("validate", "interval.sset.json", lambda doc: doc["degeneracy"].append([0, 3, "0", "00"]),
+     ".degeneracy: row (0, 3, '0') has index 3 outside 0..0"),
+    ("validate", "interval.sset.json", lambda doc: doc["face"].append([1, 0, "ghost", "0"]),
+     ".face: row (1, 0, 'ghost') is from 'ghost', not a cell of level 1"),
     ("evidence --degree 0", "interval_to_point.smap.json",
      lambda doc: doc["levels"].update({"01": doc["levels"]["1"]}),
      ".levels: level key '01' is not written in plain decimal"),
@@ -389,7 +406,8 @@ ARGV = {
         "bool-dim-bound", "bool-face-index", "integer-sset-cell", "integer-sset-face-image",
         "integer-fincat-object", "null-fincat-compose", "integer-tfun-object-image",
         "integer-universe-node", "sset-level-not-listed",
-        "sset-level-key-not-plain", "sset-level-above-bound", "smap-level-key-not-plain"])
+        "sset-level-key-not-plain", "sset-level-above-bound", "sset-face-above-bound",
+        "sset-degeneracy-index-above-level", "sset-face-from-a-stray-cell", "smap-level-key-not-plain"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(
         command, sample_name, break_it, named, tmp_path, capsys):
     doc = json.loads((DATA / sample_name).read_text())

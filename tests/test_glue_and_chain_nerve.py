@@ -165,9 +165,9 @@ def complex_sset(facets, D: int) -> SimplicialSet:
             if frozenset(c) in faces]
         for m in range(D + 1)
     }
-    face = {(m, i, c): c[:i] + c[i + 1:] for m in range(1, D + 1) for c in cells[m] for i in range(m + 1)}
-    degeneracy = {(m, i, c): c[:i + 1] + c[i:] for m in range(D) for c in cells[m] for i in range(m + 1)}
-    return SimplicialSet(D, cells, face, degeneracy)
+    faces = {m: {c: tuple(c[:i] + c[i + 1:] for i in range(m + 1)) for c in cells[m]} for m in range(1, D + 1)}
+    degeneracies = {m: {c: tuple(c[:i + 1] + c[i:] for i in range(m + 1)) for c in cells[m]} for m in range(D)}
+    return SimplicialSet(D, cells, faces, degeneracies)
 
 
 def strict_chain_counts(faces: set[frozenset], D: int) -> tuple[int, ...]:
@@ -230,20 +230,19 @@ def reference_glue(D, pieces, pairs):
     tables = [{n: {c: min(pieces[k][0] + e for k, e in classes[(n, j, c)]) for c in X.cells[n]}
                for n in range(D + 1)} for j, (_, X) in enumerate(pieces)]
     cells = {n: set() for n in range(D + 1)}
-    face, degeneracy = {}, {}
+    faces, degeneracies = {n: {} for n in range(1, D + 1)}, {n: {} for n in range(D)}
     for j, (_, X) in enumerate(pieces):
         for n in range(D + 1):
             for c in X.cells[n]:
                 name = tables[j][n][c]
                 cells[n].add(name)
-                for i in range(n + 1):
-                    if n >= 1:
-                        d = tables[j][n - 1][X.face[(n, i, c)]]
-                        assert face.setdefault((n, i, name), d) == d
-                    if n < D:
-                        s = tables[j][n + 1][X.degeneracy[(n, i, c)]]
-                        assert degeneracy.setdefault((n, i, name), s) == s
-    return SimplicialSet(D, cells, face, degeneracy), tables
+                if n >= 1:
+                    d = tuple(tables[j][n - 1][x] for x in X.faces[n][c])
+                    assert faces[n].setdefault(name, d) == d
+                if n < D:
+                    s = tuple(tables[j][n + 1][x] for x in X.degeneracies[n][c])
+                    assert degeneracies[n].setdefault(name, s) == s
+    return SimplicialSet(D, cells, faces, degeneracies), tables
 
 
 def pushout_doc(f, g) -> str:

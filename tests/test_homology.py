@@ -12,6 +12,7 @@ from nervelab.corpus import simplicial_objects
 from nervelab.errors import BoundError
 from nervelab.homology import (
     EvidenceReport,
+    GroupPresentation,
     SmithNormalForm,
     classify_presentation,
     homology,
@@ -379,10 +380,9 @@ def from_nondegenerate(D, nondeg, faces):
     return SimplicialSet(
         D,
         {n: [name(*c) for c in level[n]] for n in level},
-        {(n, i, name(*c)): face(*c, i) for n in range(1, D + 1) for c in level[n]
-         for i in range(n + 1)},
-        {(n, i, name(epi, x)): name(tuple(epi[v] for v in codegeneracy(n, i)), x)
-         for n in range(D) for epi, x in level[n] for i in range(n + 1)},
+        {n: {name(*c): tuple(face(*c, i) for i in range(n + 1)) for c in level[n]} for n in range(1, D + 1)},
+        {n: {name(epi, x): tuple(name(tuple(epi[v] for v in codegeneracy(n, i)), x) for i in range(n + 1))
+             for epi, x in level[n]} for n in range(D)},
     )
 
 
@@ -518,6 +518,12 @@ def test_pi1_circle_is_free_on_one_generator():
     p = pi1_presentation(circle(), circle().cells[0][0])
     q = tietze_reduce(p)
     assert len(q.generators) == 1 and q.relations == ()
+    assert classify_presentation(p) == "free(1)"
+
+
+def test_tietze_substitutes_a_generator_that_a_relation_defines():
+    p = GroupPresentation(("a", "b"), ((("a", 1), ("b", 1)),))
+    assert tietze_reduce(p) == GroupPresentation(("b",), ())
     assert classify_presentation(p) == "free(1)"
 
 

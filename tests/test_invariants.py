@@ -96,12 +96,12 @@ def oracle_all_fillers(P):
         for n in range(1, bound + 1):
             for c in B.cells[n]:
                 for i in range(n + 1):
-                    if X.face[(n, i, levels[n][c])] != levels[n - 1][B.face[(n, i, c)]]:
+                    if X.d(n, i, levels[n][c]) != levels[n - 1][B.d(n, i, c)]:
                         ok = False
         for n in range(bound):
             for c in B.cells[n]:
                 for i in range(n + 1):
-                    if X.degeneracy[(n, i, levels[n][c])] != levels[n + 1][B.degeneracy[(n, i, c)]]:
+                    if X.s(n, i, levels[n][c]) != levels[n + 1][B.s(n, i, c)]:
                         ok = False
         if not ok:
             continue

@@ -45,7 +45,7 @@ def unnarrowed_problem(X, Y):
     index = {key: k for k, key in enumerate(keys)}
 
     def degenerate(n, i, j):
-        return lambda val: (Y.degeneracy[(n, i, val[j])],)
+        return lambda val: (Y.s(n, i, val[j]),)
 
     def level(cells):
         return lambda val: cells
@@ -54,7 +54,7 @@ def unnarrowed_problem(X, Y):
         def check(val):
             img = val[k]
             for i, j in faces:
-                if Y.face[(n, i, img)] != val[j]:
+                if Y.d(n, i, img) != val[j]:
                     return False
             return True
         return check

@@ -43,6 +43,7 @@ from nervelab.twocat import (
     geometric_nerve,
     validate_2category,
 )
+from test_glue_and_chain_nerve import complex_sset
 
 
 def z2_group():
@@ -111,6 +112,17 @@ def test_realize_idempotent_monoid():
     assert r.status == "finite"
     assert len(r.category.arrows) == 2
     assert r.certificate["confluent"]
+
+
+def test_realize_completes_critical_pairs_within_the_budget():
+    # <a, b | ab = b, ba = a>: the overlaps aba and bab add aa -> a and bb -> b
+    p = CatPresentation(("x",), ("a", "b"), {"a": "x", "b": "x"}, {"a": "x", "b": "x"},
+                        ((("a", "b"), ("b",)), (("b", "a"), ("a",))))
+    r = realize(p)
+    assert r.status == "finite" and len(r.certificate["rules"]) == 4
+    assert len(r.category.arrows) == 3
+    r = realize(p, budget=1)
+    assert (r.status, r.certificate) == ("unknown", {"reason": "completion budget exhausted"})
 
 
 def test_realize_free_monoid_is_infinite():
@@ -213,6 +225,15 @@ def two_presentation(objects, arrows, cells, relations=()):
         {t: (arrows[s[0]][0], arrows[s[-1]][1]) for t, (s, _) in cells.items()},
         tuple(relations),
     )
+
+
+def test_interchange_makes_disjoint_whiskers_commute():
+    # in hom(0, 4) the two triangles rewrite disjoint segments of 01.12.23.34;
+    # without the interchange squares, applying both in either order would
+    # give two 2-cells, and the hom 10 arrows instead of 9
+    r = realize_twocat(twocat_of(complex_sset([(0, 1, 2), (2, 3, 4)], 2)))
+    hom = r.two_category.hom[("0", "4")]
+    assert (len(hom.objects), len(hom.arrows)) == (4, 9)
 
 
 def test_realize_twocat_of_a_loop_is_infinite():

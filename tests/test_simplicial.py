@@ -72,12 +72,12 @@ def oracle_enumerate_maps(X, Y):
         for n in range(1, bound + 1):
             for c in X.cells[n]:
                 for i in range(n + 1):
-                    if Y.face[(n, i, levels[n][c])] != levels[n - 1][X.face[(n, i, c)]]:
+                    if Y.d(n, i, levels[n][c]) != levels[n - 1][X.d(n, i, c)]:
                         ok = False
         for n in range(bound):
             for c in X.cells[n]:
                 for i in range(n + 1):
-                    if Y.degeneracy[(n, i, levels[n][c])] != levels[n + 1][X.degeneracy[(n, i, c)]]:
+                    if Y.s(n, i, levels[n][c]) != levels[n + 1][X.s(n, i, c)]:
                         ok = False
         if ok:
             found.append(levels)
@@ -145,8 +145,8 @@ def test_generated_objects_validate(builder):
 
 def test_simplicial_set_keeps_the_tables_it_is_given():
     X = standard_simplex(1, 2)
-    Y = SimplicialSet(2, X.cells, X.face, X.degeneracy)
-    assert Y.face is X.face and Y.degeneracy is X.degeneracy
+    Y = SimplicialSet(2, X.cells, dict(enumerate(X.faces)), dict(enumerate(X.degeneracies)))
+    assert all(Y.faces[n] is X.faces[n] and Y.degeneracies[n - 1] is X.degeneracies[n - 1] for n in (1, 2))
     assert Y == X
 
 
@@ -158,9 +158,11 @@ def test_a_cell_named_by_the_empty_string_validates():
     def renamed(c):
         return "" if c == "0" else c
 
+    def rows(table):
+        return {n: {renamed(c): tuple(map(renamed, row)) for c, row in level.items()} for n, level in enumerate(table)}
+
     Y = SimplicialSet(2, {n: [renamed(c) for c in cells] for n, cells in X.cells.items()},
-                      {(n, i, renamed(c)): renamed(v) for (n, i, c), v in X.face.items()},
-                      {(n, i, renamed(c)): renamed(v) for (n, i, c), v in X.degeneracy.items()})
+                      rows(X.faces), rows(X.degeneracies))
     assert Y.cells[0] == ("",)
     assert validate(Y) == []
     assert sset_from_doc(sset_to_doc(Y)) == Y
@@ -168,11 +170,11 @@ def test_a_cell_named_by_the_empty_string_validates():
 
 def test_corrupted_face_is_reported():
     X = standard_simplex(1, 2)
-    bad = dict(X.face)
-    bad[(1, 0, "01")] = "0"  # should be "1"
+    bad = dict(enumerate(X.faces))
+    bad[1] = {**bad[1], "01": ("0", "0")}  # d_0 should be "1"
     from nervelab.simplicial import SimplicialSet
 
-    Y = SimplicialSet(2, X.cells, bad, X.degeneracy)
+    Y = SimplicialSet(2, X.cells, bad, dict(enumerate(X.degeneracies)))
     violations = validate(Y)
     assert violations, "corruption must be detected"
     assert any("01" in v.cell or "01" in v.detail for v in violations)

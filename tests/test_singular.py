@@ -73,8 +73,8 @@ def renamed(X):
     return SimplicialSet(
         X.dim_bound,
         {n: [odd(c) for c in X.cells[n]] for n in X.cells},
-        {(n, i, odd(c)): odd(v) for (n, i, c), v in X.face.items()},
-        {(n, i, odd(c)): odd(v) for (n, i, c), v in X.degeneracy.items()},
+        *({n: {odd(c): tuple(map(odd, row)) for c, row in level.items()} for n, level in enumerate(table)}
+          for table in (X.faces, X.degeneracies)),
     )
 
 
@@ -136,20 +136,20 @@ def rebuilt(table, as_map):
 def assert_operators_are_composites(X, table, operator, compose):
     seen = 0
     for n in range(X.dim_bound + 1):
-        for phi, lower, entries in (
-            (coface, n - 1, X.face if n > 0 else None),
-            (codegeneracy, n + 1, X.degeneracy if n < X.dim_bound else None),
+        for phi, lower, rows in (
+            (coface, n - 1, X.faces[n] if n > 0 else None),
+            (codegeneracy, n + 1, X.degeneracies[n] if n < X.dim_bound else None),
         ):
-            if entries is None:
+            if rows is None:
                 continue
             for i in range(n + 1):
                 op = operator(phi(n, i), n)
                 for cid in X.cells[n]:
                     expected = compose(table[(n, cid)], op).encode()
-                    assert entries[(n, i, cid)] == expected
+                    assert rows[cid][i] == expected
                     assert (lower, expected) in table
                     seen += 1
-    assert seen == len(X.face) + len(X.degeneracy)
+    assert seen == sum(len(row) for rows in X.faces + X.degeneracies for row in rows.values())
 
 
 @pytest.mark.parametrize("name", sorted(NERVES))
@@ -187,8 +187,8 @@ def test_coskeletal_levels_equal_enumerated_ones(name, D):
     N, table, *_ = geometric_nerve_cells(NERVES[name], D)
     M, oracle, *_ = enumerated_nerve_cells(NERVES[name], D)
     assert N.cells == M.cells
-    assert N.face == M.face
-    assert N.degeneracy == M.degeneracy
+    assert N.faces == M.faces
+    assert N.degeneracies == M.degeneracies
     assert table == oracle
 
 
