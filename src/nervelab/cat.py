@@ -2,7 +2,8 @@
 
 Objects and arrows are identified by strings.  ``compose[(g, f)]`` is the
 composite ``g . f`` (f first).  All constructors sort their data, so equal
-inputs give structurally equal categories.
+inputs give structurally equal categories.  Tables are never changed after
+construction; ``hom(a, b)`` reads the one table of arrows by endpoints built then.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ Arr = str
 
 
 class FinCat:
-    """A finite category given by explicit tables."""
+    """A finite category given by explicit tables, never changed after
+    construction.  ``hom(a, b)`` is one lookup in the arrows filed by
+    ``(src, dst)`` once, in arrow order; ``==`` does not compare that table."""
 
-    __slots__ = ("objects", "arrows", "src", "dst", "compose", "identity")
+    __slots__ = ("objects", "arrows", "src", "dst", "compose", "identity", "_hom")
 
     def __init__(
         self,
@@ -48,9 +51,13 @@ class FinCat:
         self.dst = dict(dst)
         self.compose = dict(compose)
         self.identity = dict(identity)
+        hom: dict[tuple[Optional[Obj], Optional[Obj]], list[Arr]] = {}
+        for f in self.arrows:  # an untyped arrow is filed too, for validate_category
+            hom.setdefault((self.src.get(f), self.dst.get(f)), []).append(f)
+        self._hom = {ends: tuple(fs) for ends, fs in hom.items()}
 
     def hom(self, a: Obj, b: Obj) -> tuple[Arr, ...]:
-        return tuple(f for f in self.arrows if self.src[f] == a and self.dst[f] == b)
+        return self._hom.get((a, b), ())
 
     def is_identity(self, f: Arr) -> bool:
         return self.identity.get(self.src[f]) == f
@@ -74,19 +81,20 @@ class FinCat:
 def validate_category(C: FinCat) -> list[str]:
     """Exhaustive axioms check: totality, typing, units, associativity."""
     out = []
-    objset = set(C.objects)
+    objset, arrset = set(C.objects), set(C.arrows)
+    src, dst = C.src.get, C.dst.get  # an arrow may lack an endpoint here
     for f in C.arrows:
-        if C.src.get(f) not in objset or C.dst.get(f) not in objset:
+        if src(f) not in objset or dst(f) not in objset:
             out.append(f"arrow {f!r} has missing or foreign endpoints")
     for a in C.objects:
         i = C.identity.get(a)
-        if i is None or i not in set(C.arrows):
+        if i is None or i not in arrset:
             out.append(f"object {a!r} has no identity arrow")
-        elif not (C.src[i] == a and C.dst[i] == a):
+        elif not (src(i) == a and dst(i) == a):
             out.append(f"identity of {a!r} is not an endomorphism")
     for f in C.arrows:
         for g in C.arrows:
-            if C.dst[f] != C.src[g]:
+            if dst(f) != src(g):
                 if (g, f) in C.compose:
                     out.append(f"compose defined on non-composable pair ({g!r}, {f!r})")
                 continue
@@ -94,21 +102,21 @@ def validate_category(C: FinCat) -> list[str]:
             if gf is None:
                 out.append(f"compose missing on ({g!r}, {f!r})")
                 continue
-            if C.src.get(gf) != C.src[f] or C.dst.get(gf) != C.dst[g]:
+            if src(gf) != src(f) or dst(gf) != dst(g):
                 out.append(f"composite of ({g!r}, {f!r}) has wrong endpoints")
     for f in C.arrows:
-        ia = C.identity.get(C.src[f])
-        ib = C.identity.get(C.dst[f])
+        ia = C.identity.get(src(f))
+        ib = C.identity.get(dst(f))
         if ia and C.compose.get((f, ia)) != f:
             out.append(f"right unit law fails on {f!r}")
         if ib and C.compose.get((ib, f)) != f:
             out.append(f"left unit law fails on {f!r}")
     for f in C.arrows:
         for g in C.arrows:
-            if C.dst[f] != C.src[g]:
+            if dst(f) != src(g):
                 continue
             for h in C.arrows:
-                if C.dst[g] != C.src[h]:
+                if dst(g) != src(h):
                     continue
                 lhs = C.compose.get((h, C.compose.get((g, f), "")))
                 rhs = C.compose.get((C.compose.get((h, g), ""), f))
@@ -169,14 +177,15 @@ def validate_functor(F: CatFunctor) -> list[str]:
     out = []
     A, B = F.source, F.target
     objects, arrows = set(A.objects), set(A.arrows)
+    targets, images = set(B.objects), set(B.arrows)
     out.extend(f"object {a!r} assigned but not a source object" for a in F.objects if a not in objects)
     out.extend(f"arrow {f!r} assigned but not a source arrow" for f in F.arrows if f not in arrows)
     for a in A.objects:
-        if F.objects.get(a) not in set(B.objects):
+        if F.objects.get(a) not in targets:
             out.append(f"object {a!r} unassigned or foreign image")
     for f in A.arrows:
         g = F.arrows.get(f)
-        if g is None or g not in set(B.arrows):
+        if g is None or g not in images:
             out.append(f"arrow {f!r} unassigned or foreign image")
             continue
         if B.src[g] != F.objects.get(A.src[f]) or B.dst[g] != F.objects.get(A.dst[f]):
@@ -431,17 +440,13 @@ def _functor_problem(A: FinCat, B: FinCat) -> tuple:
     """Compile the search for functors A -> B for the shared kernel.
 
     Objects are branched on first, then identities are forced, then the
-    other arrows range over the arrows of B between the images of their
-    endpoints; each composition triangle is checked once its last arrow is
-    set.
+    other arrows range over ``B.hom`` of the images of their endpoints;
+    each composition triangle is checked once its last arrow is set.
     """
     keys = [(0, a) for a in A.objects]
     keys += [(1, A.identity[a]) for a in A.objects]
     keys += [(1, f) for f in A.arrows if not A.is_identity(f)]
     index = {key: k for k, key in enumerate(keys)}
-    between: dict[tuple[Obj, Obj], list[Arr]] = {}
-    for g in B.arrows:
-        between.setdefault((B.src[g], B.dst[g]), []).append(g)
     triangles: dict[int, list[tuple[int, int, int]]] = {}
     for (g, f), gf in A.compose.items():
         inst = (index[(1, g)], index[(1, f)], index[(1, gf)])
@@ -453,8 +458,8 @@ def _functor_problem(A: FinCat, B: FinCat) -> tuple:
     def identity(j: int) -> Callable[[list], tuple[Arr, ...]]:
         return lambda val: (B.identity[val[j]],)
 
-    def arrows(s: int, d: int) -> Callable[[list], list[Arr]]:
-        return lambda val: between.get((val[s], val[d]), [])
+    def arrows(s: int, d: int) -> Callable[[list], tuple[Arr, ...]]:
+        return lambda val: B.hom(val[s], val[d])
 
     def preserved(insts: list[tuple[int, int, int]]) -> Callable[[list], bool]:
         def check(val: list) -> bool:

@@ -74,8 +74,8 @@ def _read(from_doc: Callable[[dict, str], T], path: str) -> T:
 
 
 def _fitted(path: str, build: Callable[..., T], *maps: object) -> T:
-    """``build(*maps)`` for maps read from the file ``path``, each valid on
-    its own; a ContractError about how they fit together names the file."""
+    """``build(*maps)`` for values read from the file ``path``, each valid on
+    its own; a ContractError that ``build`` raises names the file."""
     try:
         return build(*maps)
     except ContractError as exc:
@@ -127,7 +127,12 @@ def _with_generators(args) -> tuple[SimplicialMap, list[SimplicialMap]]:
 
 
 def _localizer(args) -> tuple:
-    return _read(ser.universe_from_doc, args.universe), _read(ser.marked_from_doc, args.marked)
+    """The universe and the marked class, whose ids must be edges of it."""
+    U, W = _read(ser.universe_from_doc, args.universe), _read(ser.marked_from_doc, args.marked)
+    stray = sorted(W.edges - U.edges.keys())
+    if stray:
+        raise SchemaError(f"{args.marked}.marked: id {stray[0]!r} is not an edge of the universe")
+    return U, W
 
 
 # -- the reports that are not one library document --------------------------------
@@ -188,7 +193,7 @@ COMMANDS: tuple[tuple[str, str, tuple, Callable[[argparse.Namespace], dict]], ..
     ("validate", "check the simplicial identities of an sset.v1 document", (INPUT,),
      lambda a: ser.violations_to_doc(validate(_read(ser._read_sset, a.input)))),
     ("nerve", "nerve of a fincat.v1 document", (INPUT, MAX_DIM),
-     lambda a: ser.sset_to_doc(nerve(_read(ser.fincat_from_doc, a.input), a.max_dim))),
+     lambda a: ser.sset_to_doc(_fitted(a.input, nerve, _read(ser.fincat_from_doc, a.input), a.max_dim))),
     ("nerve2", "geometric nerve of a fin2cat.v1 document", (INPUT, MAX_DIM),
      lambda a: ser.sset_to_doc(geometric_nerve(_read(ser.fin2cat_from_doc, a.input), a.max_dim))),
     ("delta-tilde", "the 2-categorical n-simplex", (("n", {"type": int}),),

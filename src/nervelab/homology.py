@@ -22,6 +22,7 @@ Certificates come only from a direct call of :func:`smith_normal_form`.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -665,15 +666,13 @@ def _pi0_check(f: SimplicialMap) -> tuple[str, object]:
     cy = components(f.target)
     reps_x = sorted(set(cx.values()))
     reps_y = sorted(set(cy.values()))
-    image = {}
-    for r in reps_x:
-        image[r] = cy[f.levels[0][r]]
-    hit = sorted(set(image.values()))
+    image = {r: cy[f.levels[0][r]] for r in reps_x}
+    hit = Counter(image.values())
     if len(hit) < len(reps_x):
-        merged = [r for r in reps_x if list(image.values()).count(image[r]) > 1]
+        merged = [r for r in reps_x if hit[image[r]] > 1]
         return FAIL, {"reason": "components merged", "witness": merged}
     if len(hit) < len(reps_y):
-        missed = [r for r in reps_y if r not in set(hit)]
+        missed = [r for r in reps_y if r not in hit]
         return FAIL, {"reason": "components missed", "witness": missed}
     return PASS, {"components": len(reps_x)}
 

@@ -521,7 +521,7 @@ def marked_to_doc(W: MarkedClass) -> dict:
 
 
 def marked_from_doc(doc: dict, where: str = "marked") -> MarkedClass:
-    return MarkedClass(frozenset(_strings(_need(doc, "marked", list, where), f"{where}.marked")))
+    return MarkedClass(frozenset(_ids(doc, "marked", where)))
 
 
 # -- reports -----------------------------------------------------------------------

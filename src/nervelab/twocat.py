@@ -107,17 +107,19 @@ def validate_2category(C: Fin2Cat) -> list[str]:
     """Exhaustive check of the strict 2-category axioms."""
     out = []
     objs = C.objects
+    objset = set(objs)
     for (a, b), H in C.hom.items():
-        if a not in set(objs) or b not in set(objs):
+        if a not in objset or b not in objset:
             out.append(f"hom({a!r}, {b!r}) indexed by foreign objects")
             continue
         for msg in validate_category(H):
             out.append(f"hom({a!r}, {b!r}): {msg}")
     if out:
         return out  # the checks below assume every hom is a category
+    cells = {ab: (set(H.objects), set(H.arrows)) for ab, H in C.hom.items()}
     for a in objs:
         u = C.unit.get(a)
-        if u is None or u not in set(C.hom[(a, a)].objects):
+        if u is None or u not in cells[(a, a)][0]:
             out.append(f"unit of {a!r} missing from hom({a!r}, {a!r})")
 
     def hc1(a, b, c, f, g):
@@ -128,15 +130,16 @@ def validate_2category(C: Fin2Cat) -> list[str]:
         for b in objs:
             for c in objs:
                 H_ab, H_bc, H_ac = C.hom[(a, b)], C.hom[(b, c)], C.hom[(a, c)]
+                ones_ac, twos_ac = cells[(a, c)]
                 for f in H_ab.objects:
                     for g in H_bc.objects:
                         h = hc1(a, b, c, f, g)
-                        if h is None or h not in set(H_ac.objects):
+                        if h is None or h not in ones_ac:
                             out.append(f"hcompose1 missing/foreign on ({a},{b},{c},{f},{g})")
                 for al in H_ab.arrows:
                     for be in H_bc.arrows:
                         ga = C.hcompose2.get((a, b, c, al, be))
-                        if ga is None or ga not in set(H_ac.arrows):
+                        if ga is None or ga not in twos_ac:
                             out.append(f"hcompose2 missing/foreign on ({a},{b},{c},{al},{be})")
                             continue
                         want_src = hc1(a, b, c, H_ab.src[al], H_bc.src[be])
@@ -273,7 +276,7 @@ class TwoFunctor:
 def validate_two_functor(F: TwoFunctor) -> list[str]:
     out = []
     A, B = F.source, F.target
-    objects = set(A.objects)
+    objects, targets = set(A.objects), set(B.objects)
     out.extend(f"object {a!r} assigned but not a source object" for a in F.objects if a not in objects)
     for key in F.on1:
         if key[:2] not in A.hom or key[2] not in A.hom[key[:2]].objects:
@@ -282,7 +285,7 @@ def validate_two_functor(F: TwoFunctor) -> list[str]:
         if key[:2] not in A.hom or key[2] not in A.hom[key[:2]].arrows:
             out.append(f"2-cell {key!r} assigned but not a source 2-cell")
     for a in A.objects:
-        if F.objects.get(a) not in set(B.objects):
+        if F.objects.get(a) not in targets:
             out.append(f"object {a!r} unassigned or foreign")
     for (a, b), H in A.hom.items():
         K = B.hom.get((F.objects.get(a), F.objects.get(b)))
@@ -656,13 +659,6 @@ def _two_functor_problem(A: Fin2Cat, B: Fin2Cat) -> tuple:
             i1, i2, iz = index[(d, a, b, x)], index[(d, b, c, y)], index[(d, a, c, z)]
             horizontal.setdefault(max(i1, i2, iz), []).append((hc, i1, i2, iz, obj[a], obj[b], obj[c]))
 
-    b_inhabited = {xy for xy, K in B.hom.items() if K.objects}
-    parallel: dict[tuple[Obj, Obj], dict[tuple[One, One], list[Two]]] = {}
-    for xy, K in B.hom.items():
-        par = parallel.setdefault(xy, {})
-        for t in K.arrows:
-            par.setdefault((K.src[t], K.dst[t]), []).append(t)
-
     def option(key: Key) -> Callable[[list], Sequence[str]]:
         if key[0] == 0:
             return lambda val: B.objects
@@ -675,7 +671,7 @@ def _two_functor_problem(A: Fin2Cat, B: Fin2Cat) -> tuple:
         s, d = index[(1, a, b, H.src[cell])], index[(1, a, b, H.dst[cell])]
         if H.is_identity(cell):
             return lambda val: (B.hom[(val[x], val[y])].identity[val[s]],)
-        return lambda val: parallel[(val[x], val[y])].get((val[s], val[d]), ())
+        return lambda val: B.hom[(val[x], val[y])].hom(val[s], val[d])
 
     def check(k: int) -> Optional[Callable[[list], bool]]:
         inhabited, h, rel, v2 = (c.get(k, ()) for c in (homs_inhabited, horizontal, one_rel, two_v))
@@ -684,13 +680,13 @@ def _two_functor_problem(A: Fin2Cat, B: Fin2Cat) -> tuple:
 
         def holds(val: list) -> bool:
             for p, q in inhabited:
-                if (val[p], val[q]) not in b_inhabited:
+                if not B.hom[(val[p], val[q])].objects:
                     return False
             for hc, i1, i2, iz, p, q, r in h:
                 if hc.get((val[p], val[q], val[r], val[i1], val[i2])) != val[iz]:
                     return False
             for i1, i2, p, q in rel:
-                if (val[i1], val[i2]) not in parallel[(val[p], val[q])]:
+                if not B.hom[(val[p], val[q])].hom(val[i1], val[i2]):
                     return False
             for i1, i2, ig, p, q in v2:
                 if B.hom[(val[p], val[q])].compose.get((val[i2], val[i1])) != val[ig]:
@@ -959,18 +955,15 @@ def _slice_2category(v: TwoFunctor, c: Obj) -> tuple[
             cells = ones[(o1, o2)] = {}
             for g in H_a.objects:
                 composite = C.hc1(vo[a1], vo[a2], c, v.on1[(a1, a2, g)], f2)
-                for al in H_c.arrows:
-                    if H_c.src[al] == composite and H_c.dst[al] == f1:
-                        _claim(cells, _slice_name(g, al), (g, al))
+                for al in H_c.hom(composite, f1):
+                    _claim(cells, _slice_name(g, al), (g, al))
             idf2 = C.hom[(vo[a2], c)].identity[f2]
             arrows = twos[(o1, o2)] = {}
             src = {}
             dst = {}
             for x, (g, al) in cells.items():
                 for y, (g2, al2) in cells.items():
-                    for be in H_a.arrows:
-                        if H_a.src[be] != g or H_a.dst[be] != g2:
-                            continue
+                    for be in H_a.hom(g, g2):
                         whisker = C.hc2(vo[a1], vo[a2], c, v.on2[(a1, a2, be)], idf2)
                         if H_c.compose[(al2, whisker)] == al:
                             name = _slice_two_name(be, al, al2)

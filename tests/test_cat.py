@@ -4,6 +4,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from nervelab import corpus
 from nervelab.cat import (
     CatFunctor,
     FinCat,
@@ -28,6 +29,7 @@ from nervelab.cat import (
     validate_functor,
 )
 from nervelab.errors import ContractError, DomainError
+from nervelab.presentations import cat_of, realize_cat
 from nervelab.simplicial import boundary, find_simplicial_iso, standard_simplex, validate
 
 
@@ -83,6 +85,45 @@ def oracle_enumerate_functors(A, B):
 ])
 def test_corpus_categories_validate(builder):
     assert validate_category(builder()) == []
+
+
+# -- the hom table ----------------------------------------------------------------
+
+def scanned_hom(C, a, b):
+    """The reference for ``C.hom(a, b)``: a scan of every arrow, in arrow order."""
+    return tuple(f for f in C.arrows if C.src[f] == a and C.dst[f] == b)
+
+
+def categories_with_homs():
+    """Every corpus category, every hom of the corpus 2-categories, the
+    realized category of each corpus simplicial set whose category is
+    finite (all but the circle), and a slice."""
+    out = dict(corpus.categories())
+    for family in (corpus.two_categories(), corpus.nonthin_two_categories()):
+        for name, C in family.items():
+            out.update({f"{name}:hom({a},{b})": H for (a, b), H in C.hom.items()})
+    for name, X in corpus.simplicial_objects(2).items():
+        if name != "circle":
+            out[f"realize_cat({name})"] = realize_cat(cat_of(X)).category
+    out["chain2/1"] = slice_category(identity_functor(chain_category(2)), "1")[0]
+    return out
+
+
+@pytest.mark.parametrize("name,C", categories_with_homs().items())
+def test_hom_reads_the_arrows_a_scan_finds_in_their_order(name, C):
+    assert isinstance(C, FinCat)
+    ends = C.objects + ("ghost",)
+    for a in ends:
+        for b in ends:
+            assert C.hom(a, b) == scanned_hom(C, a, b), (a, b)
+
+
+def test_a_category_with_an_untyped_arrow_constructs_and_is_reported():
+    C = arrow_category()
+    src = {f: a for f, a in C.src.items() if f != "0<=1"}
+    broken = FinCat(C.objects, C.arrows, src, C.dst, C.compose, C.identity)
+    assert broken.hom("0", "1") == ()
+    assert "arrow '0<=1' has missing or foreign endpoints" in validate_category(broken)
 
 
 def test_nerve_of_terminal_is_point():

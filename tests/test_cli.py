@@ -216,6 +216,7 @@ ARGV = {
     "factorize --generators": lambda bad: [
         "factorize", sample("boundary2_to_point.smap.json"), "--generators", bad],
     "localizer-check": lambda bad: ["localizer-check", bad, sample("marked_empty.json")],
+    "localizer-closure": lambda bad: ["localizer-closure", sample("universe.json"), bad],
     "evidence --degree 0": lambda bad: ["evidence", bad, "--degree", "0"],
 }
 
@@ -388,6 +389,15 @@ ARGV = {
     ("evidence --degree 0", "interval_to_point.smap.json",
      lambda doc: doc["levels"].update({"01": doc["levels"]["1"]}),
      ".levels: level key '01' is not written in plain decimal"),
+    ("localizer-closure", "marked_empty.json", lambda doc: doc.update(marked=["q", "ghost"]),
+     ".marked: id 'ghost' is not an edge of the universe"),
+    ("localizer-closure", "marked_empty.json", lambda doc: doc.update(marked=["q", "q"]),
+     ".marked: id 'q' is listed twice"),
+    ("nerve", "arrow.fincat.json",
+     lambda doc: doc.update(json.loads(json.dumps(doc).replace("0<=1", "0|1"))),
+     ": arrow id '0|1' may not contain '|'"),
+    ("final", "arrow.fincat.json", lambda doc: doc["arrows"][0].update(src="9"),
+     ": arrow '0<=1' has missing or foreign endpoints (the first of"),
 ], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2",
         "alpha-beta", "cat-of", "twocat-of", "elements", "final", "slice", "slice2",
         "evidence", "rlp", "factorize", "factorize-generators", "lift", "hpushout",
@@ -407,7 +417,9 @@ ARGV = {
         "integer-fincat-object", "null-fincat-compose", "integer-tfun-object-image",
         "integer-universe-node", "sset-level-not-listed",
         "sset-level-key-not-plain", "sset-level-above-bound", "sset-face-above-bound",
-        "sset-degeneracy-index-above-level", "sset-face-from-a-stray-cell", "smap-level-key-not-plain"])
+        "sset-degeneracy-index-above-level", "sset-face-from-a-stray-cell", "smap-level-key-not-plain",
+        "marked-edge-not-in-universe", "repeated-marked-edge", "nerve-arrow-id-with-bar",
+        "fincat-foreign-endpoint"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(
         command, sample_name, break_it, named, tmp_path, capsys):
     doc = json.loads((DATA / sample_name).read_text())
