@@ -8,8 +8,8 @@ construction; ``hom(a, b)`` reads the one table of arrows by endpoints built the
 
 from __future__ import annotations
 
-from operator import eq
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from operator import eq, itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .errors import ContractError, DomainError
 from .simplicial import (
@@ -27,6 +27,16 @@ from .simplicial import (
 
 Obj = str
 Arr = str
+T = TypeVar("T")
+
+
+def _by_source(arrows: Iterable[T], src: Callable[[T], Hashable]) -> dict[Hashable, list[T]]:
+    """Each arrow filed under its source, in the given order: the arrows
+    that compose after f are the ones filed under the target of f."""
+    out: dict[Hashable, list[T]] = {}
+    for f in arrows:
+        out.setdefault(src(f), []).append(f)
+    return out
 
 
 class FinCat:
@@ -79,7 +89,12 @@ class FinCat:
 
 
 def validate_category(C: FinCat) -> list[str]:
-    """Exhaustive axioms check: totality, typing, units, associativity."""
+    """Exhaustive axioms check: totality, typing, units, associativity.
+
+    Composable pairs and triples are walked from the arrows filed by source,
+    so the cost is that of the composable triples, not arrows cubed.  A
+    compose or identity row that names an arrow or object C does not have
+    is refused."""
     out = []
     objset, arrset = set(C.objects), set(C.arrows)
     src, dst = C.src.get, C.dst.get  # an arrow may lack an endpoint here
@@ -92,11 +107,17 @@ def validate_category(C: FinCat) -> list[str]:
             out.append(f"object {a!r} has no identity arrow")
         elif not (src(i) == a and dst(i) == a):
             out.append(f"identity of {a!r} is not an endomorphism")
+    out.extend(f"identity row {a!r} names an absent object" for a in C.identity if a not in objset)
+    leaving = _by_source(C.arrows, src)
+    rows = _by_source(C.compose, itemgetter(1))  # each row (g, f) filed under f
     for f in C.arrows:
-        for g in C.arrows:
+        # the arrows leaving dst(f), and those that a row composes after f
+        for g in sorted({*leaving.get(dst(f), ()), *(g for g, _ in rows.pop(f, ()))}):
+            if g not in arrset:
+                out.append(f"compose row ({g!r}, {f!r}) names an absent arrow")
+                continue
             if dst(f) != src(g):
-                if (g, f) in C.compose:
-                    out.append(f"compose defined on non-composable pair ({g!r}, {f!r})")
+                out.append(f"compose defined on non-composable pair ({g!r}, {f!r})")
                 continue
             gf = C.compose.get((g, f))
             if gf is None:
@@ -104,6 +125,7 @@ def validate_category(C: FinCat) -> list[str]:
                 continue
             if src(gf) != src(f) or dst(gf) != dst(g):
                 out.append(f"composite of ({g!r}, {f!r}) has wrong endpoints")
+    out.extend(f"compose row ({g!r}, {f!r}) names an absent arrow" for left in rows.values() for g, f in left)
     for f in C.arrows:
         ia = C.identity.get(src(f))
         ib = C.identity.get(dst(f))
@@ -112,15 +134,11 @@ def validate_category(C: FinCat) -> list[str]:
         if ib and C.compose.get((ib, f)) != f:
             out.append(f"left unit law fails on {f!r}")
     for f in C.arrows:
-        for g in C.arrows:
-            if dst(f) != src(g):
-                continue
-            for h in C.arrows:
-                if dst(g) != src(h):
-                    continue
-                lhs = C.compose.get((h, C.compose.get((g, f), "")))
-                rhs = C.compose.get((C.compose.get((h, g), ""), f))
-                if lhs is None or lhs != rhs:
+        for g in leaving.get(dst(f), ()):
+            gf = C.compose.get((g, f), "")
+            for h in leaving.get(dst(g), ()):
+                lhs = C.compose.get((h, gf))
+                if lhs is None or lhs != C.compose.get((C.compose.get((h, g), ""), f)):
                     out.append(f"associativity fails on ({h!r}, {g!r}, {f!r})")
     return out
 
@@ -193,10 +211,9 @@ def validate_functor(F: CatFunctor) -> list[str]:
     for a in A.objects:
         if F.arrows.get(A.identity[a]) != B.identity.get(F.objects.get(a, "")):
             out.append(f"identity of {a!r} not preserved")
+    leaving = _by_source(A.arrows, A.src.get)
     for f in A.arrows:
-        for g in A.arrows:
-            if A.dst[f] != A.src[g]:
-                continue
+        for g in leaving.get(A.dst[f], ()):
             lhs = F.arrows.get(A.compose[(g, f)])
             rhs = B.compose.get((F.arrows.get(g, ""), F.arrows.get(f, "")))
             if lhs is None or lhs != rhs:
@@ -233,8 +250,8 @@ def _thin_category(
     arrows = {(a, b): arrow(a, b) for a in elements for b in elements if leq(a, b)}
     src = {f: a for (a, _), f in arrows.items()}
     dst = {f: b for (_, b), f in arrows.items()}
-    compose = {(g, f): arrows[(a, c)]
-               for (a, b), f in arrows.items() for (b2, c), g in arrows.items() if b2 == b}
+    leaving = _by_source(arrows, itemgetter(0))
+    compose = {(arrows[(b, c)], f): arrows[(a, c)] for (a, b), f in arrows.items() for _, c in leaving[b]}
     return FinCat(elements, arrows.values(), src, dst, compose, {a: arrows[(a, a)] for a in elements})
 
 
@@ -309,11 +326,10 @@ def nerve(C: FinCat, D: int) -> SimplicialSet:
     0-chain at a is named ``<a>``.  Identities are allowed, and chains
     containing them are exactly the degenerate cells.
     """
-    out: dict[Obj, list[Arr]] = {a: [] for a in C.objects}
     for f in C.arrows:
         if "|" in f:
             raise ContractError(f"arrow id {f!r} may not contain '|'")
-        out[C.src[f]].append(f)
+    out = {a: [] for a in C.objects} | _by_source(C.arrows, C.src.__getitem__)
     return _chain_nerve(out, C.dst, C.compose, C.identity, _chain_name, lambda chain: True, D)
 
 
@@ -351,11 +367,9 @@ def _slice_category(
                     _claim(arrows, name, (g, f1, f2))
                     src[name] = o1
                     dst[name] = o2
-    compose = {}
-    for n1, (g1, f_lo, _) in arrows.items():
-        for n2, (g2, _, f_hi) in arrows.items():
-            if dst[n1] == src[n2]:
-                compose[(n2, n1)] = _slice_name(A.compose[(g2, g1)], f_lo, f_hi)
+    leaving = _by_source(arrows.items(), lambda item: src[item[0]])
+    compose = {(n2, n1): _slice_name(A.compose[(g2, g1)], f_lo, f_hi)
+               for n1, (g1, f_lo, _) in arrows.items() for n2, (g2, _, f_hi) in leaving.get(dst[n1], ())}
     identity = {o: _slice_name(A.identity[a], f, f) for o, (a, f) in objects.items()}
     return FinCat(objects, arrows, src, dst, compose, identity), objects, arrows
 
@@ -425,8 +439,9 @@ def category_of_elements(X: SimplicialSet, D: int) -> FinCat:
             for phi in monotone_maps(m, n):
                 source = (m, simplicial_operator(X, phi, n, x))
                 ends[arrow(phi, source, (n, x))] = (phi, source, (n, x))
+    leaving = _by_source(ends.items(), lambda item: item[1][1])
     compose = {(g, f): arrow(compose_monotone(psi, phi), a, c)
-               for f, (phi, a, b) in ends.items() for g, (psi, b2, c) in ends.items() if b == b2}
+               for f, (phi, a, b) in ends.items() for g, (psi, _, c) in leaving[b]}
     return FinCat(elements.values(), ends, {f: elements[a] for f, (_, a, _) in ends.items()},
                   {f: elements[b] for f, (_, _, b) in ends.items()}, compose,
                   {name: arrow(range(e[0] + 1), e, e) for e, name in elements.items()})

@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional, TypeVar
 
 from . import serialize as ser
 from .cat import category_of_elements, has_final_object, identity_functor, nerve, slice_category
-from .errors import ContractError, NerveLabError, SchemaError
+from .errors import ContractError, DomainError, NerveLabError, SchemaError
 from .homology import (
     homology,
     pi1_presentation,
@@ -29,7 +29,7 @@ from .homology import (
     weak_equivalence_evidence2,
 )
 from .lifting import LiftingProblem, find_lift, has_rlp, homotopy_pushout, small_object_factorize
-from .localizer import closure, violations
+from .localizer import _marked_within, closure, violations
 from .presentations import cat_of, realize, twocat_of
 from .simplicial import SimplicialMap, SimplicialSet, boundary_inclusion, validate
 from .subdivision import alpha, beta, ex, sd
@@ -129,10 +129,10 @@ def _with_generators(args) -> tuple[SimplicialMap, list[SimplicialMap]]:
 def _localizer(args) -> tuple:
     """The universe and the marked class, whose ids must be edges of it."""
     U, W = _read(ser.universe_from_doc, args.universe), _read(ser.marked_from_doc, args.marked)
-    stray = sorted(W.edges - U.edges.keys())
-    if stray:
-        raise SchemaError(f"{args.marked}.marked: id {stray[0]!r} is not an edge of the universe")
-    return U, W
+    try:
+        return U, _marked_within(U, W)
+    except DomainError as exc:
+        raise SchemaError(f"{args.marked}.marked: {exc}") from exc
 
 
 # -- the reports that are not one library document --------------------------------

@@ -4,7 +4,8 @@ a seed class of marked edges.
 A :class:`DiagramUniverse` is a finite diagram of categories (level 1) or
 2-categories (level 2): named nodes, named edges carrying functors, plus a
 composite table recording which edge realizes each composable pair.  A
-:class:`MarkedClass` is a set of edge names tagged as weak equivalences.
+:class:`MarkedClass` is a set of edge names tagged as weak equivalences;
+every name must be an edge of the universe it is checked in.
 
 The three checkers are the only statement of the axioms: weak saturation
 (identities, two-out-of-three, sections), final-object collapses, and the
@@ -26,6 +27,7 @@ from typing import Mapping, Optional, Union
 from .cat import (
     CatFunctor,
     FinCat,
+    _by_source,
     _slice_name,
     compose_functors,
     has_final_object,
@@ -96,13 +98,12 @@ class DiagramUniverse:
                 self.identity_edges.setdefault(e.src, name)
         # composite table: (first, then) -> composite edge name, where present
         self.composites: dict[tuple[str, str], str] = {}
+        leaving = _by_source(self.edges.items(), lambda item: item[1].src)
         for n1, e1 in self.edges.items():
-            for n2, e2 in self.edges.items():
-                if e1.dst != e2.src:
-                    continue
+            for n2, e2 in leaving.get(e1.dst, ()):
                 comp = self._compose(e2.functor, e1.functor)
-                for n3, e3 in self.edges.items():
-                    if e3.src == e1.src and e3.dst == e2.dst and e3.functor == comp:
+                for n3, e3 in leaving[e1.src]:
+                    if e3.dst == e2.dst and e3.functor == comp:
                         self.composites[(n1, n2)] = n3
                         break
 
@@ -180,6 +181,15 @@ class DiagramUniverse:
 # checkers
 # ---------------------------------------------------------------------------
 
+def _marked_within(U: DiagramUniverse, W: MarkedClass) -> MarkedClass:
+    """W, whose ids must all be edges of U: each checker, and so
+    :func:`violations`, and :func:`closure` check it with this first."""
+    stray = sorted(W.edges - U.edges.keys())
+    if stray:
+        raise DomainError(f"id {stray[0]!r} is not an edge of the universe")
+    return W
+
+
 def check_weak_saturation(U: DiagramUniverse, W: MarkedClass) -> list[LocalizerViolation]:
     """Identities marked; two-out-of-three over recorded composites; the
     section condition: a section whose idempotent composite is marked must
@@ -189,6 +199,7 @@ def check_weak_saturation(U: DiagramUniverse, W: MarkedClass) -> list[LocalizerV
     idempotent); reading it on ``r . i``, which is an identity, would make
     the axiom vacuous.  See the README for the convention note.
     """
+    _marked_within(U, W)
     out = []
     for node, edge in sorted(U.identity_edges.items()):
         if edge not in W:
@@ -222,6 +233,7 @@ def check_final_collapse(U: DiagramUniverse, W: MarkedClass) -> list[LocalizerVi
     """Every node satisfying the final-object criterion must have its
     (unique) edge to the terminal node present and marked.  Without a
     terminal node every such edge is missing."""
+    _marked_within(U, W)
     out = []
     for name, collapse in U._collapses:
         if collapse is None:
@@ -237,6 +249,7 @@ def check_slice_triangle(
     U: DiagramUniverse, u: str, p: str, q: str, W: MarkedClass
 ) -> list[LocalizerViolation]:
     """If every slice of u over the base is marked, u must be marked."""
+    _marked_within(U, W)
     if U.composites.get((u, q)) != p:
         raise DomainError(f"({u}, {p}, {q}) is not a recorded triangle")
     slice_edges = U._slices[(u, p, q)]
@@ -287,7 +300,7 @@ def closure(U: DiagramUniverse, seed: MarkedClass, budget: int = 50) -> MarkedCl
     every edge that :func:`violations` names."""
     if budget < 0:
         raise BudgetError(f"budget {budget} must be >= 0")
-    marked = MarkedClass(frozenset(seed.edges))
+    marked = MarkedClass(frozenset(_marked_within(U, seed).edges))
     for _ in range(budget):
         new = {v.witness[_MUST_MARK[v.axiom]] for v in violations(U, marked) if v.axiom in _MUST_MARK}
         if not new:

@@ -34,9 +34,10 @@ than Python's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .cat import FinCat
+from .cat import FinCat, _by_source
 from .errors import BudgetError, ContractError
 from .simplicial import (
     SimplicialMap,
@@ -578,18 +579,19 @@ def realize_twocat(p: TwoCatPresentation) -> RealizeResult:
         names = class_name[(a, b)] = {r: f"<{i}>" for i, r in enumerate(reps)}
         src = {names[r]: _word_id(a, r[0]) for r in reps}
         dst = {names[r]: _word_id(a, ends[r]) for r in reps}
+        starting = _by_source(reps, itemgetter(0))  # each class under its start path
         compose = {(names[r2], names[r1]): names[find((r1[0], r1[1] + r2[1]))]
-                   for r1 in reps for r2 in reps if ends[r1] == r2[0]}
+                   for r1 in reps for r2 in starting.get(ends[r1], ())}
         identity = {_word_id(a, w): names[find((w, ()))] for w in paths[(a, b)]}
         hom[(a, b)] = FinCat([_word_id(a, w) for w in paths[(a, b)]], names.values(),
                              src, dst, compose, identity)
 
     hcompose1 = {}
     hcompose2 = {}
+    homs_from = _by_source(paths, itemgetter(0))
     for (a, b), ps1 in paths.items():
-        for (b2, c), ps2 in paths.items():
-            if b2 != b:
-                continue
+        for _, c in homs_from.get(b, ()):
+            ps2 = paths[(b, c)]
             for w1 in ps1:
                 for w2 in ps2:
                     hcompose1[(a, b, c, _word_id(a, w1), _word_id(b, w2))] = _word_id(a, w1 + w2)

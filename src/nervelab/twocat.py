@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cat import (
     CatFunctor,
     FinCat,
+    _by_source,
     _slice_name,
     _thin_category,
     discrete_category,
@@ -104,7 +105,12 @@ class Fin2Cat:
 
 
 def validate_2category(C: Fin2Cat) -> list[str]:
-    """Exhaustive check of the strict 2-category axioms."""
+    """Exhaustive check of the strict 2-category axioms.
+
+    The pairs of vertically composable 2-cells that interchange reads are
+    walked from each hom's 2-cells filed by source.  An hcompose or unit row
+    that names a cell or object C does not have is refused, as
+    :func:`~nervelab.cat.validate_category` refuses such rows of a hom."""
     out = []
     objs = C.objects
     objset = set(objs)
@@ -121,6 +127,11 @@ def validate_2category(C: Fin2Cat) -> list[str]:
         u = C.unit.get(a)
         if u is None or u not in cells[(a, a)][0]:
             out.append(f"unit of {a!r} missing from hom({a!r}, {a!r})")
+    out.extend(f"unit row {a!r} names an absent object" for a in C.unit if a not in objset)
+    for dim, table in ((1, C.hcompose1), (2, C.hcompose2)):
+        for a, b, c, x, y in table:
+            if x not in cells.get((a, b), ((), ()))[dim - 1] or y not in cells.get((b, c), ((), ()))[dim - 1]:
+                out.append(f"hcompose{dim} row ({a},{b},{c},{x},{y}) names an absent cell")
 
     def hc1(a, b, c, f, g):
         return C.hcompose1.get((a, b, c, f, g))
@@ -148,6 +159,7 @@ def validate_2category(C: Fin2Cat) -> list[str]:
                             out.append(f"hcompose2 endpoints wrong on ({a},{b},{c},{al},{be})")
 
     # functoriality of horizontal composition (identities and interchange)
+    leaving = {ab: _by_source(H.arrows, H.src.__getitem__) for ab, H in C.hom.items()}
     for a in objs:
         for b in objs:
             for c in objs:
@@ -159,13 +171,9 @@ def validate_2category(C: Fin2Cat) -> list[str]:
                         if got != want:
                             out.append(f"hcompose2 of identities wrong at ({a},{b},{c},{f},{g})")
                 for al in H_ab.arrows:
-                    for al2 in H_ab.arrows:
-                        if H_ab.dst[al] != H_ab.src[al2]:
-                            continue
+                    for al2 in leaving[(a, b)][H_ab.dst[al]]:
                         for be in H_bc.arrows:
-                            for be2 in H_bc.arrows:
-                                if H_bc.dst[be] != H_bc.src[be2]:
-                                    continue
+                            for be2 in leaving[(b, c)][H_bc.dst[be]]:
                                 lhs = C.hcompose2.get(
                                     (a, b, c, H_ab.compose[(al2, al)], H_bc.compose[(be2, be)])
                                 )
@@ -177,47 +185,33 @@ def validate_2category(C: Fin2Cat) -> list[str]:
                                         f"interchange fails at ({a},{b},{c}) on ({al},{al2},{be},{be2})"
                                     )
 
-    # associativity of horizontal composition
+    # associativity and the unit laws of horizontal composition, on the
+    # 1-cells and then on the 2-cells of each triple or pair
+    units = {a: C.hom[(a, a)].identity.get(u) for a, u in C.unit.items() if a in objset}
+    laws = ((1, attrgetter("objects"), C.hcompose1, C.unit), (2, attrgetter("arrows"), C.hcompose2, units))
     for a in objs:
         for b in objs:
             for c in objs:
                 for d in objs:
-                    for f in C.hom[(a, b)].objects:
-                        for g in C.hom[(b, c)].objects:
-                            for h in C.hom[(c, d)].objects:
-                                lhs = hc1(a, c, d, hc1(a, b, c, f, g) or "", h)
-                                rhs = hc1(a, b, d, f, hc1(b, c, d, g, h) or "")
-                                if lhs is None or lhs != rhs:
-                                    out.append(f"hcompose1 not associative on ({f},{g},{h})")
-                    for al in C.hom[(a, b)].arrows:
-                        for be in C.hom[(b, c)].arrows:
-                            for ga in C.hom[(c, d)].arrows:
-                                x = C.hcompose2.get((a, b, c, al, be))
-                                lhs = C.hcompose2.get((a, c, d, x or "", ga))
-                                y = C.hcompose2.get((b, c, d, be, ga))
-                                rhs = C.hcompose2.get((a, b, d, al, y or ""))
-                                if lhs is None or lhs != rhs:
-                                    out.append(f"hcompose2 not associative on ({al},{be},{ga})")
-
-    # unit laws
+                    for dim, cells_of, hc, _ in laws:
+                        for x in cells_of(C.hom[(a, b)]):
+                            for y in cells_of(C.hom[(b, c)]):
+                                for z in cells_of(C.hom[(c, d)]):
+                                    lhs = hc.get((a, c, d, hc.get((a, b, c, x, y)) or "", z))
+                                    rhs = hc.get((a, b, d, x, hc.get((b, c, d, y, z)) or ""))
+                                    if lhs is None or lhs != rhs:
+                                        out.append(f"hcompose{dim} not associative on ({x},{y},{z})")
     for a in objs:
         for b in objs:
-            H = C.hom[(a, b)]
-            ua, ub = C.unit.get(a), C.unit.get(b)
-            if ua is None or ub is None:
+            if C.unit.get(a) is None or C.unit.get(b) is None:
                 continue
-            for f in H.objects:
-                if hc1(a, a, b, ua, f) != f:
-                    out.append(f"left unit law fails on 1-cell {f!r} in hom({a},{b})")
-                if hc1(a, b, b, f, ub) != f:
-                    out.append(f"right unit law fails on 1-cell {f!r} in hom({a},{b})")
-            iua = C.hom[(a, a)].identity.get(ua)
-            iub = C.hom[(b, b)].identity.get(ub)
-            for al in H.arrows:
-                if C.hcompose2.get((a, a, b, iua or "", al)) != al:
-                    out.append(f"left unit law fails on 2-cell {al!r} in hom({a},{b})")
-                if C.hcompose2.get((a, b, b, al, iub or "")) != al:
-                    out.append(f"right unit law fails on 2-cell {al!r} in hom({a},{b})")
+            for dim, cells_of, hc, unit in laws:
+                ua, ub = unit.get(a) or "", unit.get(b) or ""
+                for x in cells_of(C.hom[(a, b)]):
+                    if hc.get((a, a, b, ua, x)) != x:
+                        out.append(f"left unit law fails on {dim}-cell {x!r} in hom({a},{b})")
+                    if hc.get((a, b, b, x, ub)) != x:
+                        out.append(f"right unit law fails on {dim}-cell {x!r} in hom({a},{b})")
     return out
 
 
@@ -300,26 +294,20 @@ def validate_two_functor(F: TwoFunctor) -> list[str]:
     for a in A.objects:
         if F.on1.get((a, a, A.unit[a])) != B.unit.get(F.objects.get(a, "")):
             out.append(f"unit 1-cell of {a!r} not preserved")
+    # preservation of horizontal composition, on 1-cells and then on 2-cells
+    laws = ((1, attrgetter("objects"), F.on1, A.hcompose1, B.hcompose1),
+            (2, attrgetter("arrows"), F.on2, A.hcompose2, B.hcompose2))
     for a in A.objects:
         for b in A.objects:
             for c in A.objects:
                 fa, fb, fc = (F.objects.get(x) for x in (a, b, c))
-                for f in A.hom[(a, b)].objects:
-                    for g in A.hom[(b, c)].objects:
-                        lhs = F.on1.get((a, c, A.hc1(a, b, c, f, g)))
-                        rhs = B.hcompose1.get(
-                            (fa, fb, fc, F.on1.get((a, b, f), ""), F.on1.get((b, c, g), ""))
-                        )
-                        if lhs is None or lhs != rhs:
-                            out.append(f"hcompose1 not preserved on ({a},{b},{c},{f},{g})")
-                for al in A.hom[(a, b)].arrows:
-                    for be in A.hom[(b, c)].arrows:
-                        lhs = F.on2.get((a, c, A.hc2(a, b, c, al, be)))
-                        rhs = B.hcompose2.get(
-                            (fa, fb, fc, F.on2.get((a, b, al), ""), F.on2.get((b, c, be), ""))
-                        )
-                        if lhs is None or lhs != rhs:
-                            out.append(f"hcompose2 not preserved on ({a},{b},{c},{al},{be})")
+                for dim, cells_of, on, hc_a, hc_b in laws:
+                    for x in cells_of(A.hom[(a, b)]):
+                        for y in cells_of(A.hom[(b, c)]):
+                            lhs = on.get((a, c, hc_a[(a, b, c, x, y)]))
+                            rhs = hc_b.get((fa, fb, fc, on.get((a, b, x), ""), on.get((b, c, y), "")))
+                            if lhs is None or lhs != rhs:
+                                out.append(f"hcompose{dim} not preserved on ({a},{b},{c},{x},{y})")
     return out
 
 
@@ -506,11 +494,9 @@ def _component_category(C: Fin2Cat) -> tuple[
     }
     src = {name: a for name, (a, _, _) in arrows.items()}
     dst = {name: b for name, (_, b, _) in arrows.items()}
-    compose = {}
-    for n1, (a, b, r1) in arrows.items():
-        for n2, (b2, c, r2) in arrows.items():
-            if b == b2:
-                compose[(n2, n1)] = _component_name(a, c, comp[(a, c)][C.hc1(a, b, c, r1, r2)])
+    leaving = _by_source(arrows.items(), lambda item: item[1][0])
+    compose = {(n2, n1): _component_name(a, c, comp[(a, c)][C.hc1(a, b, c, r1, r2)])
+               for n1, (a, b, r1) in arrows.items() for n2, (_, c, r2) in leaving.get(b, ())}
     identity = {a: _component_name(a, a, comp[(a, a)][C.unit[a]]) for a in C.objects}
     return FinCat(C.objects, arrows, src, dst, compose, identity), arrows, comp
 
@@ -970,11 +956,10 @@ def _slice_2category(v: TwoFunctor, c: Obj) -> tuple[
                             _claim(arrows, name, (be, al, al2))
                             src[name] = x
                             dst[name] = y
-            compose = {}
-            for n1, (be1, al, _) in arrows.items():
-                for n2, (be2, _, al2) in arrows.items():
-                    if dst[n1] == src[n2]:
-                        compose[(n2, n1)] = _slice_two_name(H_a.compose[(be2, be1)], al, al2)
+            leaving = _by_source(arrows.items(), lambda item: src[item[0]])
+            compose = {(n2, n1): _slice_two_name(H_a.compose[(be2, be1)], al, al2)
+                       for n1, (be1, al, _) in arrows.items()
+                       for n2, (be2, _, al2) in leaving.get(dst[n1], ())}
             identity = {x: _slice_two_name(H_a.identity[g], al, al) for x, (g, al) in cells.items()}
             hom[(o1, o2)] = FinCat(cells, arrows, src, dst, compose, identity)
 

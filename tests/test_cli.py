@@ -398,6 +398,20 @@ ARGV = {
      ": arrow id '0|1' may not contain '|'"),
     ("final", "arrow.fincat.json", lambda doc: doc["arrows"][0].update(src="9"),
      ": arrow '0<=1' has missing or foreign endpoints (the first of"),
+    ("final", "arrow.fincat.json", lambda doc: doc["compose"].append(["ghost", "id_0", "id_0"]),
+     ": compose row ('ghost', 'id_0') names an absent arrow (the first of"),
+    ("slice", "arrow.fincat.json", lambda doc: doc["identity"].update(phantom="id_0"),
+     ": identity row 'phantom' names an absent object (the first of"),
+    ("nerve2", "iota_arrow.fin2cat.json",
+     lambda doc: doc["hcompose1"].append(["0", "0", "1", "ghost", "0<=1", "0<=1"]),
+     ": hcompose1 row (0,0,1,ghost,0<=1) names an absent cell (the first of"),
+    ("nerve2", "iota_arrow.fin2cat.json",
+     lambda doc: doc["hcompose2"].append(["0", "0", "1", "ghost", "id_0<=1", "id_0<=1"]),
+     ": hcompose2 row (0,0,1,ghost,id_0<=1) names an absent cell (the first of"),
+    ("nerve2", "iota_arrow.fin2cat.json", lambda doc: doc["unit"].update(phantom="id_0"),
+     ": unit row 'phantom' names an absent object (the first of"),
+    ("nerve2", "iota_arrow.fin2cat.json", lambda doc: doc["hom"][1][2]["compose"].append(["ghost"] * 3),
+     ": hom('0', '1'): compose row ('ghost', 'ghost') names an absent arrow (the first of"),
 ], ids=["nerve", "nerve2", "nerve2-hom", "sd", "ex", "evidence2",
         "alpha-beta", "cat-of", "twocat-of", "elements", "final", "slice", "slice2",
         "evidence", "rlp", "factorize", "factorize-generators", "lift", "hpushout",
@@ -419,7 +433,9 @@ ARGV = {
         "sset-level-key-not-plain", "sset-level-above-bound", "sset-face-above-bound",
         "sset-degeneracy-index-above-level", "sset-face-from-a-stray-cell", "smap-level-key-not-plain",
         "marked-edge-not-in-universe", "repeated-marked-edge", "nerve-arrow-id-with-bar",
-        "fincat-foreign-endpoint"])
+        "fincat-foreign-endpoint", "fincat-compose-on-foreign-arrow", "fincat-identity-of-foreign-object",
+        "fin2cat-hcompose1-on-foreign-cell", "fin2cat-hcompose2-on-foreign-cell", "fin2cat-unit-of-foreign-object",
+        "fin2cat-hom-compose-on-foreign-arrow"])
 def test_input_breaking_its_axioms_exits_2_naming_the_violation(
         command, sample_name, break_it, named, tmp_path, capsys):
     doc = json.loads((DATA / sample_name).read_text())

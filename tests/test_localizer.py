@@ -1,6 +1,8 @@
 """Weak-saturation and localizer axiom checking; bounded closure."""
 
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,7 @@ from nervelab.localizer import (
     closure,
     violations,
 )
-from nervelab.serialize import violations_to_doc
+from nervelab.serialize import universe_from_doc, violations_to_doc
 from nervelab.twocat import (
     compose_two_functors,
     cosimplicial_operator,
@@ -106,6 +108,16 @@ def test_violation_witness_is_written_as_a_json_object(U):
 def test_slice_triangle_requires_recorded_triangle(U):
     with pytest.raises(DomainError):
         check_slice_triangle(U, "u", "q", "u", MarkedClass(frozenset()))
+
+
+@pytest.mark.parametrize("check", [
+    closure, violations, check_weak_saturation, check_final_collapse,
+    lambda U, W: check_slice_triangle(U, *available_slice_triangles(U)[0], W),
+], ids=["closure", "violations", "weak-saturation", "final-collapse", "slice-triangle"])
+def test_a_marked_id_that_is_not_an_edge_is_refused(check):
+    U = universe_from_doc(json.loads((Path(__file__).parent / "data" / "universe.json").read_text()))
+    with pytest.raises(DomainError, match="id 'ghost' is not an edge of the universe"):
+        check(U, MarkedClass(frozenset({"u", "ghost"})))
 
 
 def test_closure_from_empty(U):

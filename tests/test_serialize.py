@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from cli_cases import DATA
 
 from nervelab import serialize as ser
+from nervelab.cat import category_of_elements
 from nervelab.corpus import nonthin_two_categories, two_categories
 from nervelab.errors import SchemaError
+from nervelab.simplicial import standard_simplex
 from nervelab.twocat import geometric_nerve
 
 
@@ -35,6 +37,14 @@ def test_tfun_whose_source_misses_a_composite_names_the_source():
     doc["source"]["hcompose2"] = doc["source"]["hcompose2"][1:]
     with pytest.raises(SchemaError, match=r"^tfun\.source: hcompose2 missing/foreign on "):
         ser.tfun_from_doc(doc)
+
+
+@pytest.mark.slow
+def test_a_category_of_3_million_composable_triples_round_trips():
+    """The elements of Delta^2 up to level 3: 1471 arrows, 67,024 composable
+    pairs and 3,065,191 composable triples, each read once by the check."""
+    C = category_of_elements(standard_simplex(2, 3), 3)
+    assert ser.fincat_from_doc(ser.fincat_to_doc(C)) == C
 
 
 def test_checking_a_large_bound_allocates_little_beyond_the_listed_levels():
