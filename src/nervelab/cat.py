@@ -192,6 +192,13 @@ class CatFunctor:
 
 
 def validate_functor(F: CatFunctor) -> list[str]:
+    """The problems of F's ends, marked ``source:`` or ``target:``, or else of its assignments."""
+    ends = (("source", F.source), ("target", F.target))
+    return [f"{end}: {msg}" for end, C in ends for msg in validate_category(C)] or _functor_problems(F)
+
+
+def _functor_problems(F: CatFunctor) -> list[str]:
+    """The problems of F's assignments, read on ends that are categories."""
     out = []
     A, B = F.source, F.target
     objects, arrows = set(A.objects), set(A.arrows)
@@ -345,12 +352,13 @@ def _slice_name(*parts: str) -> str:
 
 
 def _slice_category(
-    v: CatFunctor, c: Obj
+    v: CatFunctor, c: Obj, name: Callable[[Arr, Arr, Arr], Arr] = _slice_name
 ) -> tuple[FinCat, dict[Obj, tuple[Obj, Arr]], dict[Arr, tuple[Arr, Arr, Arr]]]:
     """The comma category A/c with each cell's data: ``(a, f)`` per object
-    and ``(g, f1, f2)`` per arrow."""
+    and ``(g, f1, f2)`` per arrow.  ``name(g, f1, f2)`` names each arrow,
+    its composites and identities; objects are named ``_slice_name(a, f)``."""
     A, C = v.source, v.target
-    if c not in set(C.objects):
+    if c not in C.objects:
         raise DomainError(f"object {c!r} not in the target category")
     objects: dict[Obj, tuple[Obj, Arr]] = {}
     for a in A.objects:
@@ -363,14 +371,14 @@ def _slice_category(
         for o2, (a2, f2) in objects.items():
             for g in A.hom(a1, a2):
                 if C.compose[(f2, v.arrows[g])] == f1:
-                    name = _slice_name(g, f1, f2)
-                    _claim(arrows, name, (g, f1, f2))
-                    src[name] = o1
-                    dst[name] = o2
+                    n = name(g, f1, f2)
+                    _claim(arrows, n, (g, f1, f2))
+                    src[n] = o1
+                    dst[n] = o2
     leaving = _by_source(arrows.items(), lambda item: src[item[0]])
-    compose = {(n2, n1): _slice_name(A.compose[(g2, g1)], f_lo, f_hi)
+    compose = {(n2, n1): name(A.compose[(g2, g1)], f_lo, f_hi)
                for n1, (g1, f_lo, _) in arrows.items() for n2, (g2, _, f_hi) in leaving.get(dst[n1], ())}
-    identity = {o: _slice_name(A.identity[a], f, f) for o, (a, f) in objects.items()}
+    identity = {o: name(A.identity[a], f, f) for o, (a, f) in objects.items()}
     return FinCat(objects, arrows, src, dst, compose, identity), objects, arrows
 
 

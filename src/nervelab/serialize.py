@@ -34,7 +34,7 @@ from functools import lru_cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterable
 
-from .cat import CatFunctor, FinCat, validate_category, validate_functor
+from .cat import CatFunctor, FinCat, _functor_problems, validate_category
 from .errors import SchemaError
 from .homology import EvidenceReport, HomologyReport
 from .lifting import FactorizationReport
@@ -46,7 +46,7 @@ from .presentations import (
     WhiskerStep,
 )
 from .simplicial import SimplicialMap, SimplicialSet, Violation, validate, validate_map
-from .twocat import Fin2Cat, TwoFunctor, validate_2category, validate_two_functor
+from .twocat import Fin2Cat, TwoFunctor, _two_functor_problems, validate_2category
 
 
 def _unserializable(value: Any) -> None:
@@ -317,7 +317,7 @@ def _cat_functor(source: FinCat, target: FinCat, doc: dict, where: str) -> CatFu
     ``objects`` and ``arrows`` of ``doc``."""
     F = CatFunctor(source, target, _names(doc, "objects", where),
                    _names(doc, "arrows", where), check=False)
-    _refuse(where, validate_functor(F))
+    _refuse(where, _functor_problems(F))
     return F
 
 
@@ -368,7 +368,7 @@ def _two_functor(source: Fin2Cat, target: Fin2Cat, doc: dict, where: str) -> Two
     F = TwoFunctor(source, target, _names(doc, "objects", where),
                    _table(doc, "on1", shape, where), _table(doc, "on2", shape, where),
                    check=False)
-    _refuse(where, validate_two_functor(F))
+    _refuse(where, _two_functor_problems(F))
     return F
 
 

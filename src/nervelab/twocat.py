@@ -24,12 +24,13 @@ from .cat import (
     CatFunctor,
     FinCat,
     _by_source,
+    _functor_problems,
+    _slice_category,
     _slice_name,
     _thin_category,
     discrete_category,
     has_final_object,
     validate_category,
-    validate_functor,
 )
 from .errors import ContractError, DomainError
 from .simplicial import (
@@ -268,6 +269,13 @@ class TwoFunctor:
 
 
 def validate_two_functor(F: TwoFunctor) -> list[str]:
+    """The problems of F's ends, marked ``source:`` or ``target:``, or else of its assignments."""
+    ends = (("source", F.source), ("target", F.target))
+    return [f"{end}: {msg}" for end, C in ends for msg in validate_2category(C)] or _two_functor_problems(F)
+
+
+def _two_functor_problems(F: TwoFunctor) -> list[str]:
+    """The problems of F's assignments, read on ends that are 2-categories."""
     out = []
     A, B = F.source, F.target
     objects, targets = set(A.objects), set(B.objects)
@@ -290,7 +298,7 @@ def validate_two_functor(F: TwoFunctor) -> list[str]:
         on_hom = CatFunctor(H, K, {f: F.on1[(a, b, f)] for f in H.objects if (a, b, f) in F.on1},
                             {al: F.on2[(a, b, al)] for al in H.arrows if (a, b, al) in F.on2},
                             check=False)
-        out.extend(f"hom({a!r}, {b!r}): {msg}" for msg in validate_functor(on_hom))
+        out.extend(f"hom({a!r}, {b!r}): {msg}" for msg in _functor_problems(on_hom))
     for a in A.objects:
         if F.on1.get((a, a, A.unit[a])) != B.unit.get(F.objects.get(a, "")):
             out.append(f"unit 1-cell of {a!r} not preserved")
@@ -920,9 +928,9 @@ def _slice_2category(v: TwoFunctor, c: Obj) -> tuple[
     dict[tuple[Obj, Obj], dict[One, tuple[One, Two]]],
     dict[tuple[Obj, Obj], dict[Two, tuple[Two, Two, Two]]],
 ]:
-    """:func:`slice_2category` with each cell's data: ``(a, f)`` per
-    object, and per hom ``(g, alpha)`` per 1-cell and
-    ``(beta, alpha, alpha')`` per 2-cell."""
+    """:func:`slice_2category` with each cell's data: ``(a, f)`` per object,
+    and per hom, built by :func:`~nervelab.cat._slice_category` of its
+    whiskering, ``(g, alpha)`` per 1-cell and ``(beta, alpha, alpha')`` per 2-cell."""
     A, C = v.source, v.target
     if c not in set(C.objects):
         raise DomainError(f"object {c!r} not in the target 2-category")
@@ -935,33 +943,14 @@ def _slice_2category(v: TwoFunctor, c: Obj) -> tuple[
     twos: dict[tuple[Obj, Obj], dict[Two, tuple[Two, Two, Two]]] = {}
     hom = {}
     for o1, (a1, f1) in objects.items():
-        H_c = C.hom[(vo[a1], c)]
         for o2, (a2, f2) in objects.items():
-            H_a = A.hom[(a1, a2)]
-            cells = ones[(o1, o2)] = {}
-            for g in H_a.objects:
-                composite = C.hc1(vo[a1], vo[a2], c, v.on1[(a1, a2, g)], f2)
-                for al in H_c.hom(composite, f1):
-                    _claim(cells, _slice_name(g, al), (g, al))
-            idf2 = C.hom[(vo[a2], c)].identity[f2]
-            arrows = twos[(o1, o2)] = {}
-            src = {}
-            dst = {}
-            for x, (g, al) in cells.items():
-                for y, (g2, al2) in cells.items():
-                    for be in H_a.hom(g, g2):
-                        whisker = C.hc2(vo[a1], vo[a2], c, v.on2[(a1, a2, be)], idf2)
-                        if H_c.compose[(al2, whisker)] == al:
-                            name = _slice_two_name(be, al, al2)
-                            _claim(arrows, name, (be, al, al2))
-                            src[name] = x
-                            dst[name] = y
-            leaving = _by_source(arrows.items(), lambda item: src[item[0]])
-            compose = {(n2, n1): _slice_two_name(H_a.compose[(be2, be1)], al, al2)
-                       for n1, (be1, al, _) in arrows.items()
-                       for n2, (be2, _, al2) in leaving.get(dst[n1], ())}
-            identity = {x: _slice_two_name(H_a.identity[g], al, al) for x, (g, al) in cells.items()}
-            hom[(o1, o2)] = FinCat(cells, arrows, src, dst, compose, identity)
+            H_a, va1, va2 = A.hom[(a1, a2)], vo[a1], vo[a2]
+            idf2 = C.hom[(va2, c)].identity[f2]
+            whisker = CatFunctor(H_a, C.hom[(va1, c)],
+                                 {g: C.hc1(va1, va2, c, v.on1[(a1, a2, g)], f2) for g in H_a.objects},
+                                 {be: C.hc2(va1, va2, c, v.on2[(a1, a2, be)], idf2) for be in H_a.arrows},
+                                 check=False)
+            hom[(o1, o2)], ones[(o1, o2)], twos[(o1, o2)] = _slice_category(whisker, f1, _slice_two_name)
 
     hcompose1 = {}
     hcompose2 = {}
@@ -991,20 +980,19 @@ def _slice_2category(v: TwoFunctor, c: Obj) -> tuple[
 def slice_2category(v: TwoFunctor, c: Obj) -> Fin2Cat:
     """The 2-categorical slice of ``v: A -> C`` over the object ``c``.
 
-    Objects: pairs ``(a, f: v(a) -> c)``.
-    1-cells ``(a, f) -> (a', f')``: pairs ``(g: a -> a', alpha)`` with
-    ``alpha: f' . v(g) -> f`` a 2-cell of C (here ``f' . v(g)`` means
-    ``hc1(v(g), f')``).
-    2-cells ``(g, alpha) -> (g', alpha')``: 2-cells ``beta: g -> g'`` of A
-    with ``alpha' . (f' * v(beta)) = alpha``.
+    Objects: pairs ``(a, f: v(a) -> c)``.  The hom from ``(a, f)`` to
+    ``(a', f')`` is the comma category of the whiskering ``W = f' * v(-):
+    hom(a, a') -> hom(v(a), c)`` over ``f``, as :func:`~nervelab.cat.slice_category`
+    builds it: 1-cells ``(g: a -> a', alpha: W(g) -> f)``, where ``W(g)``
+    is ``hc1(v(g), f')``, and 2-cells ``beta: g -> g'`` of A with
+    ``alpha' . W(beta) = alpha``, composed vertically as in A.
 
-    Compositions (the fixed pasting conventions):
+    Horizontal composition (the fixed pasting conventions):
 
     * composite of ``(g, alpha): (a,f) -> (a',f')`` and
       ``(h, gamma): (a',f') -> (a'',f'')`` is
       ``(h . g, alpha o (gamma * id_{v(g)}))``, i.e. whisker gamma by v(g)
       on the left, then paste with alpha;
-    * vertical composition of 2-cells is vertical composition in A;
     * horizontal composition of 2-cells is horizontal composition in A.
     """
     return _slice_2category(v, c)[0]

@@ -9,7 +9,8 @@ target of f.  Two oracles check that walk:
   others' references), must list the same messages in the same order on
   deterministic broken variants of the corpus; on a variant that also holds
   a row naming an absent cell, the validator reports that row, and its
-  other messages are the reference's;
+  other messages are the reference's; a functor or 2-functor with a broken
+  end lists that end's problems instead, where the reference may raise;
 * each compose or hcompose table must equal a table built by brute force
   over every pair of arrows (or 1-cells, or 2-cells).
 """
@@ -22,6 +23,7 @@ from nervelab.cat import (
     FinCat,
     _slice_category,
     _slice_name,
+    arrow_category,
     category_of_elements,
     discrete_category,
     identity_functor,
@@ -29,6 +31,7 @@ from nervelab.cat import (
     validate_category,
     validate_functor,
 )
+from nervelab.errors import ContractError
 from nervelab.presentations import cat_of, realize, twocat_of
 from nervelab.simplicial import _digits, compose_monotone, monotone_maps, simplicial_operator, standard_simplex
 from nervelab.subdivision import sd
@@ -39,6 +42,7 @@ from nervelab.twocat import (
     _component_name,
     _slice_2category,
     _slice_two_name,
+    as_two_category,
     delta_tilde,
     identity_two_functor,
     slice_2category,
@@ -433,10 +437,28 @@ def functor_variants(C: FinCat) -> list[tuple[str, CatFunctor, bool]]:
     return out
 
 
+def assert_lists_the_ends_or_what_the_reference_lists(validate, validate_end, reference, variants):
+    """A functor with a broken end lists that end's problems, marked by
+    the end, and raises nothing; one between valid ends lists what the
+    reference lists."""
+    for label, F, _ in variants:
+        ends = [f"{end}: {message}" for end, C in (("source", F.source), ("target", F.target))
+                for message in validate_end(C)]
+        assert validate(F) == (ends or outcome(reference, F)), label
+
+
 @pytest.mark.parametrize("name", corpus.categories())
 def test_validate_functor_lists_what_the_scan_lists(name):
     variants = functor_variants(corpus.categories()[name])
-    assert_lists_what_the_reference_lists(validate_functor, reference_validate_functor, variants)
+    assert_lists_the_ends_or_what_the_reference_lists(
+        validate_functor, validate_category, reference_validate_functor, variants)
+
+
+def test_a_functor_out_of_a_category_missing_a_composite_is_refused():
+    A = arrow_category()
+    broken = with_parts(A, compose={k: v for k, v in A.compose.items() if k != ("id_0", "id_0")})
+    with pytest.raises(ContractError, match=r"source: compose missing on \('id_0', 'id_0'\)"):
+        CatFunctor(broken, A, {a: a for a in A.objects}, {f: f for f in A.arrows})
 
 
 @pytest.mark.parametrize("name", TWO_CATEGORIES)
@@ -467,7 +489,17 @@ def two_functor_variants(C: Fin2Cat) -> list[tuple[str, TwoFunctor, bool]]:
 @pytest.mark.parametrize("name", TWO_CATEGORIES)
 def test_validate_two_functor_lists_what_the_scan_lists(name):
     variants = two_functor_variants(TWO_CATEGORIES[name])
-    assert_lists_what_the_reference_lists(validate_two_functor, reference_validate_two_functor, variants)
+    assert_lists_the_ends_or_what_the_reference_lists(
+        validate_two_functor, validate_2category, reference_validate_two_functor, variants)
+
+
+def test_a_2_functor_out_of_a_2_category_missing_a_composite_is_refused():
+    C = as_two_category(arrow_category())
+    row = ("0", "0", "0", "id_0", "id_0")
+    broken = with_2parts(C, hcompose1={k: v for k, v in C.hcompose1.items() if k != row})
+    F = identity_two_functor(C)
+    with pytest.raises(ContractError, match=r"source: hcompose1 missing/foreign on \(0,0,0,id_0,id_0\)"):
+        TwoFunctor(broken, C, F.objects, F.on1, F.on2)
 
 
 # -- compose tables against brute force -----------------------------------------------

@@ -21,10 +21,11 @@ from nervelab.cat import (
     nerve,
     parallel_pair_category,
     poset_category,
+    slice_category,
     terminal_category,
     validate_functor,
 )
-from nervelab.corpus import nonthin_two_categories, two_categories
+from nervelab.corpus import categories, nonthin_two_categories, to_terminal_functor, two_categories
 from nervelab.errors import DomainError
 from nervelab.serialize import canonical_json, tfun_to_doc
 from nervelab.simplicial import find_simplicial_iso, validate
@@ -380,11 +381,25 @@ def digest(F):
     ("iota_parallel", ["57ab114d6b417b2b", "6ddf73312856d8f4"]),
     ("iota_z2", ["9d7ddfff47162c7e"]),
     ("single2cell", ["874499d7dab6e1cc", "af600936591839e6"]),
+    ("z2_on_unit", ["7870355684a4f676"]),
+    ("parallel_2cells", ["874499d7dab6e1cc", "3e23a0b9679888af"]),
 ])
 def test_slice_2functor_of_identity_triangle_is_pinned(name, expected):
-    C = two_categories()[name]
+    # the non-thin entries are the only ones whose slice homs have parallel
+    # 2-cells, so the only ones where alpha' . W(beta) = alpha filters any
+    C = {**two_categories(), **nonthin_two_categories()}[name]
     u = identity_two_functor(C)
     assert [digest(slice_2functor(u, u, u, c)) for c in C.objects] == expected
+
+
+@pytest.mark.parametrize("name", categories())
+def test_the_2_slice_of_a_functor_is_its_slice(name):
+    C = categories()[name]
+    for v in (identity_functor(C), to_terminal_functor(C)):
+        for c in v.target.objects:
+            S2, S = slice_2category(as_two_functor(v), c), as_two_category(slice_category(v, c)[0])
+            assert S2.objects == S.objects, c
+            assert find_2cat_iso(S2, S) is not None, c
 
 
 def test_slice_2functor_of_simplex_triangle_is_pinned():
