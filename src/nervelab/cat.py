@@ -351,19 +351,27 @@ def _slice_name(*parts: str) -> str:
     return "(" + "|".join(parts) + ")"
 
 
+def _slice_objects(v, over: Callable[[Obj], Iterable[Arr]]) -> dict[Obj, tuple[Obj, Arr]]:
+    """The objects ``(a, f: v(a) -> c)`` of a slice of the (2-)functor v,
+    each under its name: ``over(x)`` lists the arrows or 1-cells ``x -> c``.
+    Two objects that would share a name raise :class:`DomainError`."""
+    objects: dict[Obj, tuple[Obj, Arr]] = {}
+    for a in v.source.objects:
+        for f in over(v.objects[a]):
+            _claim(objects, _slice_name(a, f), (a, f))
+    return objects
+
+
 def _slice_category(
     v: CatFunctor, c: Obj, name: Callable[[Arr, Arr, Arr], Arr] = _slice_name
 ) -> tuple[FinCat, dict[Obj, tuple[Obj, Arr]], dict[Arr, tuple[Arr, Arr, Arr]]]:
     """The comma category A/c with each cell's data: ``(a, f)`` per object
     and ``(g, f1, f2)`` per arrow.  ``name(g, f1, f2)`` names each arrow,
-    its composites and identities; objects are named ``_slice_name(a, f)``."""
+    its composites and identities; objects are named by :func:`_slice_objects`."""
     A, C = v.source, v.target
     if c not in C.objects:
         raise DomainError(f"object {c!r} not in the target category")
-    objects: dict[Obj, tuple[Obj, Arr]] = {}
-    for a in A.objects:
-        for f in C.hom(v.objects[a], c):
-            _claim(objects, _slice_name(a, f), (a, f))
+    objects = _slice_objects(v, lambda x: C.hom(x, c))
     arrows: dict[Arr, tuple[Arr, Arr, Arr]] = {}
     src = {}
     dst = {}
@@ -406,10 +414,11 @@ def slice_functor(
     if compose_functors(q, u) != p:
         raise ContractError("triangle does not commute: q . u != p")
     Ac, objects, arrows = _slice_category(p, c)
-    Bc, _, _ = _slice_category(q, c)
+    Bc, images, _ = _slice_category(q, c)
+    named = {data: o for o, data in images.items()}
     return CatFunctor(
         Ac, Bc,
-        {o: _slice_name(u.objects[a], f) for o, (a, f) in objects.items()},
+        {o: named[(u.objects[a], f)] for o, (a, f) in objects.items()},
         {n: _slice_name(u.arrows[g], f1, f2) for n, (g, f1, f2) in arrows.items()},
         check=False,
     )

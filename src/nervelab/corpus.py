@@ -11,6 +11,7 @@ from __future__ import annotations
 from .cat import (
     CatFunctor,
     FinCat,
+    _thin_category,
     arrow_category,
     chain_category,
     compose_functors,
@@ -24,9 +25,10 @@ from .cat import (
 )
 from .localizer import DiagramUniverse, UniverseEdge
 from .simplicial import (
-    SimplicialMap,
     SimplicialSet,
     boundary,
+    boundary_inclusion,
+    constant_map,
     horn,
     pushout,
     standard_simplex,
@@ -53,36 +55,21 @@ def idempotent_monoid() -> FinCat:
     return monoid_category(["1", "p"], "1", lambda g, f: "1" if g == f == "1" else "p")
 
 
+def _legs(elements: list[str], legs: dict[tuple[str, str], str]) -> FinCat:
+    """The thin category on ``elements`` whose only non-identity arrows are
+    the named ``legs``, keyed by their ends; no two legs compose."""
+    return _thin_category(elements, lambda a, b: a == b or (a, b) in legs,
+                          lambda a, b: legs.get((a, b), f"id_{a}"))
+
+
 def span_category() -> FinCat:
     """s -> a, s -> b."""
-    return FinCat(
-        ["a", "b", "s"],
-        ["id_a", "id_b", "id_s", "l", "r"],
-        {"id_a": "a", "id_b": "b", "id_s": "s", "l": "s", "r": "s"},
-        {"id_a": "a", "id_b": "b", "id_s": "s", "l": "a", "r": "b"},
-        {
-            ("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b", ("id_s", "id_s"): "id_s",
-            ("l", "id_s"): "l", ("id_a", "l"): "l",
-            ("r", "id_s"): "r", ("id_b", "r"): "r",
-        },
-        {"a": "id_a", "b": "id_b", "s": "id_s"},
-    )
+    return _legs(["a", "b", "s"], {("s", "a"): "l", ("s", "b"): "r"})
 
 
 def cospan_category() -> FinCat:
     """a -> t <- b."""
-    return FinCat(
-        ["a", "b", "t"],
-        ["id_a", "id_b", "id_t", "l", "r"],
-        {"id_a": "a", "id_b": "b", "id_t": "t", "l": "a", "r": "b"},
-        {"id_a": "a", "id_b": "b", "id_t": "t", "l": "t", "r": "t"},
-        {
-            ("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b", ("id_t", "id_t"): "id_t",
-            ("id_t", "l"): "l", ("l", "id_a"): "l",
-            ("id_t", "r"): "r", ("r", "id_b"): "r",
-        },
-        {"a": "id_a", "b": "id_b", "t": "id_t"},
-    )
+    return _legs(["a", "b", "t"], {("a", "t"): "l", ("b", "t"): "r"})
 
 
 def retract_category() -> FinCat:
@@ -146,17 +133,7 @@ def _two_object_2cat(H: FinCat) -> Fin2Cat:
 
 def single_two_cell_2cat() -> Fin2Cat:
     """Objects a, b; hom(a, b) the walking arrow (one nonidentity 2-cell)."""
-    return _two_object_2cat(FinCat(
-        ["u", "v"],
-        ["id_u", "id_v", "m"],
-        {"id_u": "u", "id_v": "v", "m": "u"},
-        {"id_u": "u", "id_v": "v", "m": "v"},
-        {
-            ("id_u", "id_u"): "id_u", ("id_v", "id_v"): "id_v",
-            ("m", "id_u"): "m", ("id_v", "m"): "m",
-        },
-        {"u": "id_u", "v": "id_v"},
-    ))
+    return _two_object_2cat(_legs(["u", "v"], {("u", "v"): "m"}))
 
 
 def two_categories() -> dict[str, Fin2Cat]:
@@ -194,13 +171,9 @@ def nonthin_two_categories() -> dict[str, Fin2Cat]:
 # ---------------------------------------------------------------------------
 
 def circle(D: int = 2) -> SimplicialSet:
-    """One vertex, one nondegenerate edge."""
-    A = boundary(1, D)
-    X = standard_simplex(0, D)
-    Y = standard_simplex(1, D)
-    f = SimplicialMap(A, X, {n: {c: X.cells[n][0] for c in A.cells[n]} for n in range(D + 1)})
-    g = SimplicialMap(A, Y, {n: {c: c for c in A.cells[n]} for n in range(D + 1)})
-    return pushout(f, g)[0]
+    """One vertex, one nondegenerate edge: the boundary of Delta_1 collapsed
+    to a point, glued into Delta_1."""
+    return pushout(constant_map(boundary(1, D), standard_simplex(0, D), "0"), boundary_inclusion(1, D))[0]
 
 
 def simplicial_objects(D: int = 2) -> dict[str, SimplicialSet]:

@@ -12,10 +12,11 @@ The three checkers are the only statement of the axioms: weak saturation
 slice criterion on every triangle whose slices are all present.
 :func:`violations` runs them all, with replayable witnesses, and
 :func:`closure` is their least fixed point: it marks every edge a violation
-names until none is left to mark.  A universe without a terminal node
-reports each node meeting the final criterion as a missing collapse edge,
-which marks nothing.  The closure under-approximates the trace on the
-universe of the generated class: no new objects are ever synthesized.
+names until none is left to mark.  Every edge from a node meeting the
+final criterion into any terminal node is a collapse edge; a node with
+none is reported as a missing collapse edge, which marks nothing.  The
+closure under-approximates the trace on the universe of the generated
+class: no new objects are ever synthesized.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .cat import (
     CatFunctor,
     FinCat,
     _by_source,
-    _slice_name,
+    _slice_objects,
     compose_functors,
     has_final_object,
     identity_functor,
@@ -107,19 +108,19 @@ class DiagramUniverse:
                         self.composites[(n1, n2)] = n3
                         break
 
-    # -- terminal node and finality --------------------------------------
+    # -- terminal nodes and finality --------------------------------------
 
-    def terminal_node(self) -> Optional[str]:
+    def terminal_nodes(self) -> tuple[str, ...]:
+        """The nodes shaped like the terminal category (one object, one
+        arrow) or 2-category (one object, and one 1-cell and one 2-cell on
+        it), in name order.  They are all isomorphic."""
+        out = []
         for name, C in sorted(self.nodes.items()):
-            if self.level == 1:
-                if len(C.objects) == 1 and len(C.arrows) == 1:
-                    return name
-            else:
-                if len(C.objects) == 1:
-                    H = C.hom[(C.objects[0], C.objects[0])]
-                    if len(H.objects) == 1 and len(H.arrows) == 1:
-                        return name
-        return None
+            if len(C.objects) == 1:
+                H = C if self.level == 1 else C.hom[(C.objects[0], C.objects[0])]
+                if len(H.objects) == 1 and len(H.arrows) == 1:
+                    out.append(name)
+        return tuple(out)
 
     def node_satisfies_final_criterion(self, name: str) -> bool:
         C = self.nodes[name]
@@ -134,15 +135,13 @@ class DiagramUniverse:
         return frozenset(self.identity_edges.values())
 
     @cached_property
-    def _collapses(self) -> list[tuple[str, Optional[str]]]:
+    def _collapses(self) -> list[tuple[str, list[str]]]:
         """Each node meeting the final criterion, in name order, with its
-        first edge to the terminal node (None when there is none)."""
-        e = self.terminal_node()
-        return [
-            (name, next((n for n, edge in sorted(self.edges.items())
-                         if edge.src == name and edge.dst == e), None))
-            for name in sorted(self.nodes) if self.node_satisfies_final_criterion(name)
-        ]
+        collapse edges: every edge from it into a terminal node, in name
+        order (none when the universe has no such edge)."""
+        terminal = set(self.terminal_nodes())
+        into = _by_source((n for n, e in sorted(self.edges.items()) if e.dst in terminal), lambda n: self.edges[n].src)
+        return [(name, into.get(name, [])) for name in sorted(self.nodes) if self.node_satisfies_final_criterion(name)]
 
     @cached_property
     def _slices(self) -> dict[tuple[str, str, str], list[tuple[str, Optional[str]]]]:
@@ -162,7 +161,7 @@ class DiagramUniverse:
             eu, ep, eq = self.edges[u], self.edges[p], self.edges[q]
             pairs = table[(u, p, q)] = []
             for c in self.nodes[eq.dst].objects:
-                candidates = ends.get((self._slice_objects(ep.functor, c), self._slice_objects(eq.functor, c)), ())
+                candidates = ends.get((self._slice_names(ep.functor, c), self._slice_names(eq.functor, c)), ())
                 uc = make(eu.functor, ep.functor, eq.functor, c) if candidates else None
                 name = next((n for n in candidates if self.edges[n].functor == uc), None)
                 pairs.append((c, name))
@@ -170,11 +169,11 @@ class DiagramUniverse:
                     break
         return table
 
-    def _slice_objects(self, v: EdgeFun, c: str) -> tuple[str, ...]:
+    def _slice_names(self, v: EdgeFun, c: str) -> tuple[str, ...]:
         """The objects of the slice of ``v`` over ``c``, in order."""
         C = v.target
-        hom = (lambda x: C.hom[(x, c)].objects) if self.level == 2 else (lambda x: C.hom(x, c))
-        return tuple(sorted(_slice_name(a, f) for a in v.source.objects for f in hom(v.objects[a])))
+        over = (lambda x: C.hom[(x, c)].objects) if self.level == 2 else (lambda x: C.hom(x, c))
+        return tuple(sorted(_slice_objects(v, over)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +229,15 @@ def check_weak_saturation(U: DiagramUniverse, W: MarkedClass) -> list[LocalizerV
 
 
 def check_final_collapse(U: DiagramUniverse, W: MarkedClass) -> list[LocalizerViolation]:
-    """Every node satisfying the final-object criterion must have its
-    (unique) edge to the terminal node present and marked.  Without a
-    terminal node every such edge is missing."""
+    """Every edge from a node satisfying the final-object criterion into
+    a terminal node (any of them, since all are isomorphic) must be
+    marked.  A node with no such edge is a missing collapse edge."""
     _marked_within(U, W)
     out = []
-    for name, collapse in U._collapses:
-        if collapse is None:
+    for name, collapses in U._collapses:
+        if not collapses:
             out.append(LocalizerViolation("missing-collapse-edge", {"node": name}))
-        elif collapse not in W:
-            out.append(
-                LocalizerViolation("final-collapse", {"node": name, "edge": collapse})
-            )
+        out.extend(LocalizerViolation("final-collapse", {"node": name, "edge": e}) for e in collapses if e not in W)
     return out
 
 

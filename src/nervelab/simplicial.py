@@ -787,6 +787,12 @@ def product(X: SimplicialSet, Y: SimplicialSet) -> SimplicialSet:
     """Levelwise pairs with componentwise operators, truncated at the min bound.
 
     Two pairs whose names coincide raise :class:`DomainError`."""
+    return product_projections(X, Y)[0].source
+
+
+def product_projections(X: SimplicialSet, Y: SimplicialSet) -> tuple[SimplicialMap, SimplicialMap]:
+    """The projections of :func:`product`, read from the pair ``(x, y)`` of
+    each cell: the one walk that names each pair builds both."""
     D = min(X.dim_bound, Y.dim_bound)
     cells: dict[int, dict[Cell, tuple[Cell, Cell]]] = {n: {} for n in range(D + 1)}
     for n in range(D + 1):
@@ -796,24 +802,10 @@ def product(X: SimplicialSet, Y: SimplicialSet) -> SimplicialSet:
 
     def rows(n: int, xs: dict[Cell, tuple], ys: dict[Cell, tuple]) -> dict[Cell, tuple[Cell, ...]]:
         return {name: tuple(map(_pair, xs[x], ys[y])) for name, (x, y) in cells[n].items()}
-    return SimplicialSet(D, cells, {n: rows(n, X.faces[n], Y.faces[n]) for n in range(1, D + 1)},
-                         {n: rows(n, X.degeneracies[n], Y.degeneracies[n]) for n in range(D)})
-
-
-def product_projections(X: SimplicialSet, Y: SimplicialSet) -> tuple[SimplicialMap, SimplicialMap]:
-    P = product(X, Y)
-    D = P.dim_bound
-    px = {n: {} for n in range(D + 1)}
-    py = {n: {} for n in range(D + 1)}
-    for n in range(D + 1):
-        for x in X.cells[n]:
-            for y in Y.cells[n]:
-                px[n][_pair(x, y)] = x
-                py[n][_pair(x, y)] = y
-    return (
-        SimplicialMap(P, X, px, check=False),
-        SimplicialMap(P, Y, py, check=False),
-    )
+    P = SimplicialSet(D, cells, {n: rows(n, X.faces[n], Y.faces[n]) for n in range(1, D + 1)},
+                      {n: rows(n, X.degeneracies[n], Y.degeneracies[n]) for n in range(D)})
+    px, py = ({n: {c: pair[k] for c, pair in level.items()} for n, level in cells.items()} for k in (0, 1))
+    return SimplicialMap(P, X, px, check=False), SimplicialMap(P, Y, py, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .cat import (
     _functor_problems,
     _slice_category,
     _slice_name,
+    _slice_objects,
     _thin_category,
     discrete_category,
     has_final_object,
@@ -39,7 +40,6 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     Singular,
-    _claim,
     _digits,
     _dimension_tag,
     _images,
@@ -446,24 +446,20 @@ def terminal_2category() -> Fin2Cat:
 # ---------------------------------------------------------------------------
 
 def as_two_category(C: FinCat) -> Fin2Cat:
-    """View a category as a 2-category with discrete hom-categories."""
-    hom = {}
-    for a in C.objects:
-        for b in C.objects:
-            hom[(a, b)] = discrete_category(C.hom(a, b))
+    """View a category as a 2-category with discrete hom-categories: only a
+    pair of objects with arrows gets a hom of its own (the others share the
+    empty one), and hcompose is read off one walk over composable arrows."""
+    hom = {(a, b): discrete_category(C.hom(a, b)) for a in C.objects for b in C.objects if C.hom(a, b)}
     hcompose1 = {}
     hcompose2 = {}
-    for a in C.objects:
-        for b in C.objects:
-            for c in C.objects:
-                H_ab, H_bc, H_ac = hom[(a, b)], hom[(b, c)], hom[(a, c)]
-                for f in H_ab.objects:
-                    for g in H_bc.objects:
-                        gf = C.compose[(g, f)]
-                        hcompose1[(a, b, c, f, g)] = gf
-                        hcompose2[(a, b, c, H_ab.identity[f], H_bc.identity[g])] = H_ac.identity[gf]
-    unit = {a: C.identity[a] for a in C.objects}
-    return Fin2Cat(C.objects, hom, hcompose1, hcompose2, unit)
+    leaving = _by_source(C.arrows, C.src.__getitem__)
+    for f in C.arrows:
+        a, b = C.src[f], C.dst[f]
+        for g in leaving[b]:
+            c, gf = C.dst[g], C.compose[(g, f)]
+            hcompose1[(a, b, c, f, g)] = gf
+            hcompose2[(a, b, c, hom[(a, b)].identity[f], hom[(b, c)].identity[g])] = hom[(a, c)].identity[gf]
+    return Fin2Cat(C.objects, hom, hcompose1, hcompose2, C.identity)
 
 
 def as_two_functor(F: CatFunctor) -> TwoFunctor:
@@ -935,10 +931,7 @@ def _slice_2category(v: TwoFunctor, c: Obj) -> tuple[
     if c not in set(C.objects):
         raise DomainError(f"object {c!r} not in the target 2-category")
     vo = v.objects
-    objects: dict[Obj, tuple[Obj, One]] = {}
-    for a in A.objects:
-        for f in C.hom[(vo[a], c)].objects:
-            _claim(objects, _slice_name(a, f), (a, f))
+    objects = _slice_objects(v, lambda x: C.hom[(x, c)].objects)
     ones: dict[tuple[Obj, Obj], dict[One, tuple[One, Two]]] = {}
     twos: dict[tuple[Obj, Obj], dict[Two, tuple[Two, Two, Two]]] = {}
     hom = {}
@@ -1009,7 +1002,8 @@ def slice_2functor(
     if compose_two_functors(q, u) != p:
         raise ContractError("triangle does not commute: q . u != p")
     S_a, objects, ones, twos = _slice_2category(p, c)
-    S_b = slice_2category(q, c)
+    S_b, images, _, _ = _slice_2category(q, c)
+    named = {data: o for o, data in images.items()}
     on1 = {}
     on2 = {}
     for (o1, o2), cells in ones.items():
@@ -1018,8 +1012,8 @@ def slice_2functor(
             on1[(o1, o2, x)] = _slice_name(u.on1[(a1, a2, g)], al)
         for n, (be, al, al2) in twos[(o1, o2)].items():
             on2[(o1, o2, n)] = _slice_two_name(u.on2[(a1, a2, be)], al, al2)
-    images = {o: _slice_name(u.objects[a], f) for o, (a, f) in objects.items()}
-    return TwoFunctor(S_a, S_b, images, on1, on2, check=False)
+    return TwoFunctor(S_a, S_b, {o: named[(u.objects[a], f)] for o, (a, f) in objects.items()}, on1, on2,
+                      check=False)
 
 
 def two_functor_to_terminal(C: Fin2Cat) -> TwoFunctor:

@@ -518,6 +518,19 @@ def test_localizer_check_without_terminal_node_lists_missing_collapse_edges(tmp_
     assert missing == [{"node": node} for node in ("arrow", "chain2", "retract")]
 
 
+def test_localizer_closure_with_two_terminal_nodes_marks_every_collapse(tmp_path, capsys):
+    doc = json.loads((DATA / "universe.json").read_text())
+    point = next(node for name, node in doc["nodes"] if name == "e")
+    doc["nodes"].append(["A_point", point])
+    doc["edges"].append({"name": "id_A_point", "src": "A_point", "dst": "A_point",
+                         "functor": {"objects": {"*": "*"}, "arrows": {"id_*": "id_*"}}})
+    universe = tmp_path / "universe_two_terminal.json"
+    universe.write_text(json.dumps(doc))
+    assert main(["localizer-closure", str(universe), sample("marked_empty.json")]) == 0
+    golden = json.loads((GOLDEN / "localizer_closure.json").read_text())
+    assert json.loads(capsys.readouterr().out)["marked"] == sorted(golden["marked"] + ["id_A_point"])
+
+
 @pytest.mark.parametrize("argv,named", [
     (["delta-tilde", "-1"], "delta_tilde(-1): n must be >= 0"),
     (["homology", sample("boundary2.sset.json"), "--degree", "-3"], "degree -3 must be >= 0"),

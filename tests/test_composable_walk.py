@@ -40,6 +40,7 @@ from nervelab.twocat import (
     TwoFunctor,
     _component_category,
     _component_name,
+    _NO_ARROWS,
     _slice_2category,
     _slice_two_name,
     as_two_category,
@@ -510,7 +511,9 @@ def composable_pairs(C: FinCat) -> set[tuple[str, str]]:
 
 
 THIN = {
-    **{name: corpus.categories()[name] for name in ("terminal", "arrow", "chain2", "discrete2", "discrete3")},
+    **{name: corpus.categories()[name]
+       for name in ("terminal", "arrow", "chain2", "discrete2", "discrete3", "span", "cospan")},
+    "single2cell_hom_ab": corpus.single_two_cell_2cat().hom[("a", "b")],
     "discrete4": discrete_category(["d", "c", "b", "a"]),
     "divisors12": poset_category(["12", "6", "4", "3", "2", "1"], lambda a, b: int(b) % int(a) == 0),
     **{f"simplex2_{n}_hom_{a}{b}": H for n in range(4) for (a, b), H in delta_tilde(n).hom.items() if H.objects},
@@ -527,6 +530,29 @@ def test_a_thin_category_composes_each_pair_to_the_one_arrow_between_its_ends(na
                 (h,) = [h for h in C.arrows if C.src[h] == C.src[f] and C.dst[h] == C.dst[g]]
                 table[(g, f)] = h
     assert C.compose == table
+
+
+AS_TWO = {
+    **corpus.categories(),
+    "chain4": poset_category(["0", "1", "2", "3", "4"], lambda a, b: a <= b),
+    "divisors12": THIN["divisors12"],
+    "diamond": poset_category(["b", "l", "r", "t"], lambda a, b: a == b or a == "b" or b == "t"),
+}
+
+
+@pytest.mark.parametrize("name", AS_TWO)
+def test_as_two_category_is_the_category_with_discrete_homs(name):
+    C = AS_TWO[name]
+    A = as_two_category(C)
+    for a in C.objects:
+        for b in C.objects:
+            assert A.hom[(a, b)] == discrete_category(C.hom(a, b))
+            assert C.hom(a, b) or A.hom[(a, b)] is _NO_ARROWS
+    pairs = [(g, f) for f in C.arrows for g in C.arrows if C.dst[f] == C.src[g]]
+    assert A.hcompose1 == {(C.src[f], C.dst[f], C.dst[g], f, g): C.compose[(g, f)] for g, f in pairs}
+    assert A.hcompose2 == {(C.src[f], C.dst[f], C.dst[g], f"id_{f}", f"id_{g}"): f"id_{C.compose[(g, f)]}"
+                           for g, f in pairs}
+    assert A.unit == C.identity
 
 
 def test_the_category_of_elements_composes_each_pair_of_monotone_maps():

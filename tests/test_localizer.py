@@ -30,6 +30,8 @@ from nervelab.localizer import (
 )
 from nervelab.serialize import universe_from_doc, violations_to_doc
 from nervelab.twocat import (
+    as_two_category,
+    as_two_functor,
     compose_two_functors,
     cosimplicial_operator,
     delta_tilde,
@@ -51,7 +53,7 @@ def all_edges(U):
 
 
 def test_universe_has_terminal_and_identities(U):
-    assert U.terminal_node() == "e"
+    assert U.terminal_nodes() == ("e", "sliceA0")
     assert set(U.identity_edges) == set(U.nodes)
 
 
@@ -135,6 +137,24 @@ def test_closure_from_empty(U):
     assert violations(U, W) == []
 
 
+def with_a_second_terminal_node(U):
+    """U plus an isolated terminal node ``A_point`` and its identity edge."""
+    point = terminal_category()
+    return DiagramUniverse(1, {**U.nodes, "A_point": point}, {
+        **U.edges, "id_A_point": UniverseEdge("id_A_point", "A_point", "A_point", identity_functor(point))})
+
+
+def test_a_second_terminal_node_takes_no_collapse_edge_away(U):
+    V = with_a_second_terminal_node(U)
+    assert V.terminal_nodes() == ("A_point", "e", "sliceA0")
+    assert closure(V, MarkedClass(frozenset())).edges == closure(U, MarkedClass(frozenset())).edges | {"id_A_point"}
+    # every edge into any terminal node is a collapse edge, the identity of sliceA0 too
+    W = MarkedClass(frozenset(V.edges) - {"col_arrow", "id_sliceA0"})
+    assert check_final_collapse(V, W) == [
+        LocalizerViolation("final-collapse", {"node": "arrow", "edge": "col_arrow"}),
+        LocalizerViolation("final-collapse", {"node": "sliceA0", "edge": "id_sliceA0"})]
+
+
 def test_closure_monotone_and_idempotent(U):
     W0 = closure(U, MarkedClass(frozenset()))
     W1 = closure(U, MarkedClass(frozenset({"fold_discrete2"})))
@@ -149,7 +169,7 @@ def test_closure_of_everything(U):
 
 def test_level_two_universe():
     U2 = localizer_universe_2()
-    assert U2.terminal_node() == "e2"
+    assert U2.terminal_nodes() == ("e2",)
     W = closure(U2, MarkedClass(frozenset()))
     for name in ("col_simplex2_1", "col_simplex2_2", "col_iota_arrow"):
         assert name in W
@@ -178,6 +198,38 @@ def simplex_triangle_universe():
     for name, C in nodes.items():
         add(f"id_{name}", name, name, identity_two_functor(C))
     return DiagramUniverse(2, nodes, edges)
+
+
+def included_universe(U):
+    """i U for i = as_two_category, under the same names, plus one round of
+    2-slices: for each recorded triangle (u, p, q) and object c of its base,
+    the slices of i p and i q over c (once per edge and c, with identity
+    edges) and the slice of i u between them.  Their names start with
+    ``S:``, so they sort before every node of U."""
+    nodes = {name: as_two_category(C) for name, C in U.nodes.items()}
+    edges = {name: UniverseEdge(name, e.src, e.dst, as_two_functor(e.functor)) for name, e in U.edges.items()}
+    for (u, q), p in sorted(U.composites.items()):
+        iu, ip, iq = (edges[name].functor for name in (u, p, q))
+        for c in U.nodes[U.edges[q].dst].objects:
+            for name, v in ((p, ip), (q, iq)):
+                node = f"S:{name}/{c}"
+                if node not in nodes:
+                    nodes[node] = slice_2category(v, c)
+                    edges[f"id_{node}"] = UniverseEdge(f"id_{node}", node, node, identity_two_functor(nodes[node]))
+            edges[f"S:{u}/{p}/{q}/{c}"] = UniverseEdge(
+                f"S:{u}/{p}/{q}/{c}", f"S:{p}/{c}", f"S:{q}/{c}", slice_2functor(iu, ip, iq, c))
+    return DiagramUniverse(2, nodes, edges)
+
+
+def test_cat_and_2cat_closures_agree_through_the_inclusion(U):
+    U2 = included_universe(U)
+    assert (len(U2.nodes), len(U2.edges)) == (56, 155)
+    moving = sorted(set(U.edges) - set(U.identity_edges.values()))
+    assert len(moving) == 15
+    for r in range(3):
+        for seed in combinations(moving, r):
+            S = MarkedClass(frozenset(seed))
+            assert closure(U2, S).edges & U.edges.keys() == closure(U, S).edges, seed
 
 
 def test_level_two_slice_criterion():
@@ -269,7 +321,7 @@ def test_closure_marks_sections():
 
 def test_missing_terminal_node_reports_missing_collapse_edges():
     U = no_terminal_universe()
-    assert U.terminal_node() is None
+    assert U.terminal_nodes() == ()
     assert check_final_collapse(U, MarkedClass(frozenset())) == [
         LocalizerViolation("missing-collapse-edge", {"node": "arrow"})]
     W = closure(U, MarkedClass(frozenset()))

@@ -9,6 +9,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from nervelab import corpus
 from nervelab.errors import BoundError, ContractError, DomainError
 from nervelab.simplicial import (
     SimplicialMap,
@@ -23,6 +24,7 @@ from nervelab.simplicial import (
     horn,
     identity_map,
     product,
+    product_projections,
     pushout,
     pushout_induced,
     simplex_map,
@@ -340,6 +342,19 @@ def test_square_nondegenerate_two_cells():
     P = product(standard_simplex(1, 2), standard_simplex(1, 2))
     # frozen: the two (1,1)-shuffles
     assert len(P.nondegenerate(2)) == 2
+
+
+@pytest.mark.parametrize("x", corpus.simplicial_objects(2))
+def test_product_projections_are_maps_that_pair_each_cell_once(x):
+    objects = corpus.simplicial_objects(2)
+    X = objects[x]
+    for Y in objects.values():
+        px, py = product_projections(X, Y)
+        assert px.source == py.source == product(X, Y)
+        assert validate_map(px) == [] and validate_map(py) == []
+        for n in range(px.source.dim_bound + 1):
+            pairs = [(px.levels[n][c], py.levels[n][c]) for c in px.source.cells[n]]
+            assert sorted(pairs) == sorted(iproduct(X.cells[n], Y.cells[n]))
 
 
 def test_product_names_that_collide_are_an_error():
