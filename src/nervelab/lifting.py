@@ -28,7 +28,6 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     _colimit,
-    _pair,
     _search,
     _simplicial_problem,
     compose_maps,
@@ -260,14 +259,13 @@ def small_object_factorize(
 def cylinder_inclusions(A: SimplicialSet, D: int) -> tuple[SimplicialSet, SimplicialMap, SimplicialMap, SimplicialMap]:
     """``A x Delta_1`` with its two end inclusions and the projection to A."""
     interval = standard_simplex(1, D)
-    proj_a, _ = product_projections(A, interval)
+    proj_a, proj_i = product_projections(A, interval)
     Cyl = proj_a.source
-    ends = []
-    for vertex in ("0", "1"):
-        levels = constant_map(A, interval, vertex).levels
-        ends.append(SimplicialMap(A, Cyl, {n: {a: _pair(a, v) for a, v in level.items()}
-                                           for n, level in levels.items()}, check=False))
-    return Cyl, ends[0], ends[1], proj_a
+    named = {(n, a, proj_i(n, c)): c for n, level in proj_a.levels.items() for c, a in level.items()}
+    i0, i1 = (SimplicialMap(A, Cyl, {n: {a: named[(n, a, v)] for a, v in level.items()}
+                                     for n, level in constant_map(A, interval, vertex).levels.items()},
+                            check=False) for vertex in "01")
+    return Cyl, i0, i1, proj_a
 
 
 def _double_cylinder(f: SimplicialMap, g: SimplicialMap) -> tuple:

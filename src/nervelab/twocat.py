@@ -64,7 +64,7 @@ _NO_ARROWS = FinCat([], [], {}, {}, {}, {})
 
 
 class Fin2Cat:
-    __slots__ = ("objects", "hom", "hcompose1", "hcompose2", "unit")
+    __slots__ = ("objects", "hom", "hcompose1", "hcompose2", "unit", "_reach")
 
     def __init__(
         self,
@@ -76,9 +76,8 @@ class Fin2Cat:
     ):
         self.objects = tuple(sorted(objects))
         self.hom = dict(hom)
-        for a in self.objects:
-            for b in self.objects:
-                self.hom.setdefault((a, b), _NO_ARROWS)
+        self._reach = {a: tuple(b for b in self.objects if self.hom.setdefault((a, b), _NO_ARROWS).objects)
+                       for a in self.objects}
         self.hcompose1 = dict(hcompose1)
         self.hcompose2 = dict(hcompose2)
         self.unit = dict(unit)
@@ -108,10 +107,10 @@ class Fin2Cat:
 def validate_2category(C: Fin2Cat) -> list[str]:
     """Exhaustive check of the strict 2-category axioms.
 
-    The pairs of vertically composable 2-cells that interchange reads are
-    walked from each hom's 2-cells filed by source.  An hcompose or unit row
-    that names a cell or object C does not have is refused, as
-    :func:`~nervelab.cat.validate_category` refuses such rows of a hom."""
+    Composites are walked over the homs with a 1-cell that C files per
+    object and, for interchange, over each hom's 2-cells filed by source.  An
+    hcompose or unit row that names a cell or object C does not have is
+    refused, as :func:`~nervelab.cat.validate_category` refuses such rows."""
     out = []
     objs = C.objects
     objset = set(objs)
@@ -139,8 +138,8 @@ def validate_2category(C: Fin2Cat) -> list[str]:
 
     # totality and typing of horizontal composition
     for a in objs:
-        for b in objs:
-            for c in objs:
+        for b in C._reach[a]:
+            for c in C._reach[b]:
                 H_ab, H_bc, H_ac = C.hom[(a, b)], C.hom[(b, c)], C.hom[(a, c)]
                 ones_ac, twos_ac = cells[(a, c)]
                 for f in H_ab.objects:
@@ -162,8 +161,8 @@ def validate_2category(C: Fin2Cat) -> list[str]:
     # functoriality of horizontal composition (identities and interchange)
     leaving = {ab: _by_source(H.arrows, H.src.__getitem__) for ab, H in C.hom.items()}
     for a in objs:
-        for b in objs:
-            for c in objs:
+        for b in C._reach[a]:
+            for c in C._reach[b]:
                 H_ab, H_bc, H_ac = C.hom[(a, b)], C.hom[(b, c)], C.hom[(a, c)]
                 for f in H_ab.objects:
                     for g in H_bc.objects:
@@ -191,9 +190,9 @@ def validate_2category(C: Fin2Cat) -> list[str]:
     units = {a: C.hom[(a, a)].identity.get(u) for a, u in C.unit.items() if a in objset}
     laws = ((1, attrgetter("objects"), C.hcompose1, C.unit), (2, attrgetter("arrows"), C.hcompose2, units))
     for a in objs:
-        for b in objs:
-            for c in objs:
-                for d in objs:
+        for b in C._reach[a]:
+            for c in C._reach[b]:
+                for d in C._reach[c]:
                     for dim, cells_of, hc, _ in laws:
                         for x in cells_of(C.hom[(a, b)]):
                             for y in cells_of(C.hom[(b, c)]):
@@ -203,7 +202,7 @@ def validate_2category(C: Fin2Cat) -> list[str]:
                                     if lhs is None or lhs != rhs:
                                         out.append(f"hcompose{dim} not associative on ({x},{y},{z})")
     for a in objs:
-        for b in objs:
+        for b in C._reach[a]:
             if C.unit.get(a) is None or C.unit.get(b) is None:
                 continue
             for dim, cells_of, hc, unit in laws:
@@ -306,8 +305,8 @@ def _two_functor_problems(F: TwoFunctor) -> list[str]:
     laws = ((1, attrgetter("objects"), F.on1, A.hcompose1, B.hcompose1),
             (2, attrgetter("arrows"), F.on2, A.hcompose2, B.hcompose2))
     for a in A.objects:
-        for b in A.objects:
-            for c in A.objects:
+        for b in A._reach[a]:
+            for c in A._reach[b]:
                 fa, fb, fc = (F.objects.get(x) for x in (a, b, c))
                 for dim, cells_of, on, hc_a, hc_b in laws:
                     for x in cells_of(A.hom[(a, b)]):
@@ -925,8 +924,9 @@ def _slice_2category(v: TwoFunctor, c: Obj) -> tuple[
     dict[tuple[Obj, Obj], dict[Two, tuple[Two, Two, Two]]],
 ]:
     """:func:`slice_2category` with each cell's data: ``(a, f)`` per object,
-    and per hom, built by :func:`~nervelab.cat._slice_category` of its
-    whiskering, ``(g, alpha)`` per 1-cell and ``(beta, alpha, alpha')`` per 2-cell."""
+    and per hom over a hom of A with a 1-cell (the others are the empty hom),
+    built by :func:`~nervelab.cat._slice_category` of its whiskering,
+    ``(g, alpha)`` per 1-cell and ``(beta, alpha, alpha')`` per 2-cell."""
     A, C = v.source, v.target
     if c not in set(C.objects):
         raise DomainError(f"object {c!r} not in the target 2-category")
@@ -935,37 +935,39 @@ def _slice_2category(v: TwoFunctor, c: Obj) -> tuple[
     ones: dict[tuple[Obj, Obj], dict[One, tuple[One, Two]]] = {}
     twos: dict[tuple[Obj, Obj], dict[Two, tuple[Two, Two, Two]]] = {}
     hom = {}
+    over = _by_source(objects.items(), lambda item: item[1][0])
     for o1, (a1, f1) in objects.items():
-        for o2, (a2, f2) in objects.items():
-            H_a, va1, va2 = A.hom[(a1, a2)], vo[a1], vo[a2]
-            idf2 = C.hom[(va2, c)].identity[f2]
-            whisker = CatFunctor(H_a, C.hom[(va1, c)],
-                                 {g: C.hc1(va1, va2, c, v.on1[(a1, a2, g)], f2) for g in H_a.objects},
-                                 {be: C.hc2(va1, va2, c, v.on2[(a1, a2, be)], idf2) for be in H_a.arrows},
-                                 check=False)
-            hom[(o1, o2)], ones[(o1, o2)], twos[(o1, o2)] = _slice_category(whisker, f1, _slice_two_name)
+        for a2 in A._reach[a1]:
+            for o2, (_, f2) in over.get(a2, ()):
+                H_a, va1, va2 = A.hom[(a1, a2)], vo[a1], vo[a2]
+                idf2 = C.hom[(va2, c)].identity[f2]
+                whisker = CatFunctor(H_a, C.hom[(va1, c)],
+                                     {g: C.hc1(va1, va2, c, v.on1[(a1, a2, g)], f2) for g in H_a.objects},
+                                     {be: C.hc2(va1, va2, c, v.on2[(a1, a2, be)], idf2) for be in H_a.arrows},
+                                     check=False)
+                hom[(o1, o2)], ones[(o1, o2)], twos[(o1, o2)] = _slice_category(whisker, f1, _slice_two_name)
 
     hcompose1 = {}
     hcompose2 = {}
-    for o1, (a1, _) in objects.items():
-        H_c = C.hom[(vo[a1], c)]
-        for o2, (a2, _) in objects.items():
-            H_12 = hom[(o1, o2)]
-            for o3, (a3, _) in objects.items():
-                H_23 = hom[(o2, o3)]
-                for x, (g, al) in ones[(o1, o2)].items():
-                    idvg = C.hom[(vo[a1], vo[a2])].identity[v.on1[(a1, a2, g)]]
-                    for y, (h, ga) in ones[(o2, o3)].items():
-                        paste = H_c.compose[(al, C.hc2(vo[a1], vo[a2], c, idvg, ga))]
-                        hcompose1[(o1, o2, o3, x, y)] = _slice_name(A.hc1(a1, a2, a3, g, h), paste)
-                pasted = ones[(o1, o3)]
-                for n1, (be1, _, _) in twos[(o1, o2)].items():
-                    for n2, (be2, _, _) in twos[(o2, o3)].items():
-                        s = hcompose1[(o1, o2, o3, H_12.src[n1], H_23.src[n2])]
-                        d = hcompose1[(o1, o2, o3, H_12.dst[n1], H_23.dst[n2])]
-                        hcompose2[(o1, o2, o3, n1, n2)] = _slice_two_name(
-                            A.hc2(a1, a2, a3, be1, be2), pasted[s][1], pasted[d][1]
-                        )
+    leaving = _by_source(ones, itemgetter(0))
+    for o1, o2 in ones:
+        (a1, _), (a2, _) = objects[o1], objects[o2]
+        H_c, H_12 = C.hom[(vo[a1], c)], hom[(o1, o2)]
+        for _, o3 in leaving.get(o2, ()):
+            a3, H_23 = objects[o3][0], hom[(o2, o3)]
+            for x, (g, al) in ones[(o1, o2)].items():
+                idvg = C.hom[(vo[a1], vo[a2])].identity[v.on1[(a1, a2, g)]]
+                for y, (h, ga) in ones[(o2, o3)].items():
+                    paste = H_c.compose[(al, C.hc2(vo[a1], vo[a2], c, idvg, ga))]
+                    hcompose1[(o1, o2, o3, x, y)] = _slice_name(A.hc1(a1, a2, a3, g, h), paste)
+            pasted = ones[(o1, o3)]
+            for n1, (be1, _, _) in twos[(o1, o2)].items():
+                for n2, (be2, _, _) in twos[(o2, o3)].items():
+                    s = hcompose1[(o1, o2, o3, H_12.src[n1], H_23.src[n2])]
+                    d = hcompose1[(o1, o2, o3, H_12.dst[n1], H_23.dst[n2])]
+                    hcompose2[(o1, o2, o3, n1, n2)] = _slice_two_name(
+                        A.hc2(a1, a2, a3, be1, be2), pasted[s][1], pasted[d][1]
+                    )
     unit = {o: _slice_name(A.unit[a], C.hom[(vo[a], c)].identity[f]) for o, (a, f) in objects.items()}
     return Fin2Cat(objects, hom, hcompose1, hcompose2, unit), objects, ones, twos
 

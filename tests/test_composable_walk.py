@@ -2,7 +2,8 @@
 
 The four validators and every constructor that writes a composition table
 find the arrows that compose after f among the arrows filed under the
-target of f.  Two oracles check that walk:
+target of f, and a 2-category's composites among the homs with a 1-cell
+that it files per object.  Two oracles check that walk:
 
 * the validators written as scans of arrows x arrows, with an endpoint
   filter on each pair (the ``reference_`` functions below, each calling the
@@ -359,8 +360,9 @@ def with_2parts(C: Fin2Cat, **parts) -> Fin2Cat:
 def two_category_variants(C: Fin2Cat) -> list[tuple[str, Fin2Cat, bool]]:
     """Broken copies of C, flagged as :func:`category_variants` flags them:
     an hcompose row dropped or changed, a composite of 1-cells dropped with
-    that of their identities, a unit dropped or moved, a hom replaced by a
-    broken variant of it, and rows on absent cells."""
+    that of their identities, a unit dropped or moved, a hom between two
+    objects dropped with every row through it, a hom replaced by a broken
+    variant of it, and rows on absent cells."""
     out = []
     for dim, name, cells_of in ((1, "hcompose1", lambda H: H.objects), (2, "hcompose2", lambda H: H.arrows)):
         table = getattr(C, name)
@@ -386,6 +388,11 @@ def two_category_variants(C: Fin2Cat) -> list[tuple[str, Fin2Cat, bool]]:
         if len(ones) > 1:
             out.append((f"move unit of {a}", with_2parts(C, unit={**C.unit, a: after(ones, C.unit[a])}), False))
     out.append(("stray unit", with_2parts(C, unit={**C.unit, "phantom": C.unit[C.objects[0]]}), True))
+    for ab in spread(ab for ab, H in C.hom.items() if H.objects and ab[0] != ab[1]):
+        rows = {name: {row: x for row, x in getattr(C, name).items()
+                       if ab not in (row[:2], row[1:3], (row[0], row[2]))} for name in ("hcompose1", "hcompose2")}
+        out.append((f"drop hom {ab} and its rows",
+                    with_2parts(C, hom={k: H for k, H in C.hom.items() if k != ab}, **rows), False))
     for ab, H in C.hom.items():
         if H.arrows:
             for label, V, stray in spread(category_variants(H), 4) + category_variants(H)[-5:]:
@@ -490,6 +497,25 @@ def two_functor_variants(C: Fin2Cat) -> list[tuple[str, TwoFunctor, bool]]:
 @pytest.mark.parametrize("name", TWO_CATEGORIES)
 def test_validate_two_functor_lists_what_the_scan_lists(name):
     variants = two_functor_variants(TWO_CATEGORIES[name])
+    assert_lists_the_ends_or_what_the_reference_lists(
+        validate_two_functor, validate_2category, reference_validate_two_functor, variants)
+
+
+# c₂Sd²Δ¹ and c₂Sd²Δ²: 9 of 25 and 85 of 625 homs have a 1-cell, where every
+# corpus 2-category has most of its homs inhabited
+MOSTLY_EMPTY = {f"c2_sd2_simplex{n}": realize(twocat_of(sd(sd(standard_simplex(n, 2))[0])[0])).two_category
+                for n in (1, 2)}
+
+
+@pytest.mark.parametrize("name", MOSTLY_EMPTY)
+def test_validate_2category_lists_what_the_scan_lists_where_most_homs_are_empty(name):
+    variants = spread(two_category_variants(MOSTLY_EMPTY[name]), 12)
+    assert_lists_what_the_reference_lists(validate_2category, reference_validate_2category, variants)
+
+
+@pytest.mark.parametrize("name", MOSTLY_EMPTY)
+def test_validate_two_functor_lists_what_the_scan_lists_where_most_homs_are_empty(name):
+    variants = spread(two_functor_variants(MOSTLY_EMPTY[name]), 12)
     assert_lists_the_ends_or_what_the_reference_lists(
         validate_two_functor, validate_2category, reference_validate_two_functor, variants)
 
@@ -602,6 +628,21 @@ def test_a_2_slice_composes_each_pair_of_its_2_cells(name):
                          for n1, (be1, al, _) in arrows.items() for n2, (be2, _, al2) in arrows.items()
                          if H.dst[n1] == H.src[n2]}
                 assert H.compose == table, (c, o1, o2)
+
+
+@pytest.mark.parametrize("name", [*TWO_CATEGORIES, *MOSTLY_EMPTY])
+def test_a_2_slice_shares_the_empty_hom_where_the_source_hom_is_empty(name):
+    """A pair of slice objects over a hom of the source with no 1-cell gets
+    no comma hom of its own: its hom is the one empty hom."""
+    C = {**TWO_CATEGORIES, **MOSTLY_EMPTY}[name]
+    for v in (identity_two_functor(C), two_functor_to_terminal(C)):
+        for c in v.target.objects:
+            S, objects, ones, _ = _slice_2category(v, c)
+            for o1, (a1, _) in objects.items():
+                for o2, (a2, _) in objects.items():
+                    inhabited = bool(v.source.hom[(a1, a2)].objects)
+                    assert ((o1, o2) in ones) == inhabited, (c, o1, o2)
+                    assert inhabited or S.hom[(o1, o2)] is _NO_ARROWS, (c, o1, o2)
 
 
 @pytest.mark.parametrize("name", TWO_CATEGORIES)

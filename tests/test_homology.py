@@ -1,6 +1,7 @@
 """Smith normal form, integer homology, fundamental group, evidence reports."""
 
 import hashlib
+import importlib
 import json
 import random
 
@@ -8,6 +9,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+import nervelab
 from nervelab.corpus import simplicial_objects
 from nervelab.errors import BoundError
 from nervelab.homology import (
@@ -608,3 +610,16 @@ def test_w2_point_into_discrete_pair_fails_pi0():
                       {("a", "a", "id_id_a"): "id_id_a"}, check=False)
     r = weak_equivalence_evidence2(incl, 2, 0)
     assert r.verdict("pi0") == "FAIL"
+
+
+def test_the_attribute_is_the_function_and_the_module_is_imported_by_name():
+    """The package re-exports the function ``homology`` under its module's
+    name, so the attribute ``nervelab.homology`` (and what ``import
+    nervelab.homology as H`` binds) is the function; the module's names are
+    reached with ``from nervelab.homology import ...`` and the module itself
+    with ``importlib.import_module``."""
+    import nervelab.homology as H
+
+    module = importlib.import_module("nervelab.homology")
+    assert H is nervelab.homology is homology is module.homology
+    assert module.__name__ == "nervelab.homology" and module.smith_normal_form is smith_normal_form

@@ -38,6 +38,7 @@ from nervelab.simplicial import (
     empty_simplicial_set,
     horn,
     identity_map,
+    product_projections,
     pushout,
     pushout_induced,
     standard_simplex,
@@ -366,11 +367,20 @@ def span_circle(D=3):
     return f, g
 
 
-def test_cylinder_is_the_source_of_its_projection():
-    Cyl, i0, i1, proj = cylinder_inclusions(boundary(1, 2), 2)
+@pytest.mark.parametrize("name", corpus.simplicial_objects(2))
+def test_cylinder_is_the_source_of_its_projection(name):
+    """Each end i_v: A -> A x Delta_1 is a section of the projection to A
+    whose projection to Delta_1 is constant at v."""
+    A = corpus.simplicial_objects(2)[name]
+    Cyl, i0, i1, proj = cylinder_inclusions(A, 2)
     assert Cyl is proj.source
     assert i0.target is Cyl and i1.target is Cyl
     assert validate_map(i0) == [] and validate_map(i1) == [] and validate_map(proj) == []
+    interval = standard_simplex(1, 2)
+    _, proj_i = product_projections(A, interval)
+    for vertex, end in (("0", i0), ("1", i1)):
+        assert compose_maps(proj, end) == identity_map(A), vertex
+        assert compose_maps(proj_i, end) == constant_map(A, interval, vertex), vertex
 
 
 def test_homotopy_pushout_of_circle_span_has_h1():
