@@ -8,6 +8,7 @@ construction; ``hom(a, b)`` reads the one table of arrows by endpoints built the
 
 from __future__ import annotations
 
+from dataclasses import InitVar, dataclass, field
 from operator import eq, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, TypeVar
 
@@ -39,28 +40,28 @@ def _by_source(arrows: Iterable[T], src: Callable[[T], Hashable]) -> dict[Hashab
     return out
 
 
+@dataclass(slots=True)
 class FinCat:
     """A finite category given by explicit tables, never changed after
-    construction.  ``hom(a, b)`` is one lookup in the arrows filed by
-    ``(src, dst)`` once, in arrow order; ``==`` does not compare that table."""
+    construction.  ``==`` compares the tables it was built from, never
+    ``_hom``, the arrows filed by ``(src, dst)`` once in arrow order, which
+    ``hom(a, b)`` reads in one lookup."""
 
-    __slots__ = ("objects", "arrows", "src", "dst", "compose", "identity", "_hom")
+    objects: Iterable[Obj]
+    arrows: Iterable[Arr]
+    src: Mapping[Arr, Obj]
+    dst: Mapping[Arr, Obj]
+    compose: Mapping[tuple[Arr, Arr], Arr]
+    identity: Mapping[Obj, Arr]
+    _hom: dict[tuple[Optional[Obj], Optional[Obj]], tuple[Arr, ...]] = field(init=False, compare=False, repr=False)
 
-    def __init__(
-        self,
-        objects: Iterable[Obj],
-        arrows: Iterable[Arr],
-        src: Mapping[Arr, Obj],
-        dst: Mapping[Arr, Obj],
-        compose: Mapping[tuple[Arr, Arr], Arr],
-        identity: Mapping[Obj, Arr],
-    ):
-        self.objects = tuple(sorted(objects))
-        self.arrows = tuple(sorted(arrows))
-        self.src = dict(src)
-        self.dst = dict(dst)
-        self.compose = dict(compose)
-        self.identity = dict(identity)
+    def __post_init__(self) -> None:
+        self.objects = tuple(sorted(self.objects))
+        self.arrows = tuple(sorted(self.arrows))
+        self.src = dict(self.src)
+        self.dst = dict(self.dst)
+        self.compose = dict(self.compose)
+        self.identity = dict(self.identity)
         hom: dict[tuple[Optional[Obj], Optional[Obj]], list[Arr]] = {}
         for f in self.arrows:  # an untyped arrow is filed too, for validate_category
             hom.setdefault((self.src.get(f), self.dst.get(f)), []).append(f)
@@ -71,18 +72,6 @@ class FinCat:
 
     def is_identity(self, f: Arr) -> bool:
         return self.identity.get(self.src[f]) == f
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FinCat):
-            return NotImplemented
-        return (
-            self.objects == other.objects
-            and self.arrows == other.arrows
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.compose == other.compose
-            and self.identity == other.identity
-        )
 
     def __repr__(self) -> str:
         return f"FinCat({len(self.objects)} objects, {len(self.arrows)} arrows)"
@@ -143,37 +132,24 @@ def validate_category(C: FinCat) -> list[str]:
     return out
 
 
+@dataclass(slots=True)
 class CatFunctor:
-    """Object and arrow assignments preserving the category structure."""
+    """Object and arrow assignments preserving the category structure;
+    ``==`` compares the ends and the assignments."""
 
-    __slots__ = ("source", "target", "objects", "arrows")
+    source: FinCat
+    target: FinCat
+    objects: Mapping[Obj, Obj]
+    arrows: Mapping[Arr, Arr]
+    check: InitVar[bool] = True
 
-    def __init__(
-        self,
-        source: FinCat,
-        target: FinCat,
-        objects: Mapping[Obj, Obj],
-        arrows: Mapping[Arr, Arr],
-        check: bool = True,
-    ):
-        self.source = source
-        self.target = target
-        self.objects = dict(sorted(objects.items()))
-        self.arrows = dict(sorted(arrows.items()))
+    def __post_init__(self, check: bool) -> None:
+        self.objects = dict(sorted(self.objects.items()))
+        self.arrows = dict(sorted(self.arrows.items()))
         if check:
             problems = validate_functor(self)
             if problems:
                 raise ContractError("not a functor: " + "; ".join(problems[:3]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CatFunctor):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.objects == other.objects
-            and self.arrows == other.arrows
-        )
 
     def encode(self) -> str:
         obj = ",".join(f"{a}>{b}" for a, b in self.objects.items())

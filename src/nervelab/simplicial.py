@@ -31,7 +31,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import itemgetter
@@ -77,6 +77,7 @@ def is_monotone(phi: Sequence[int]) -> bool:
 # the simplicial set container
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
 class SimplicialSet:
     """A dimension-truncated simplicial set with materialized degeneracies.
 
@@ -85,28 +86,26 @@ class SimplicialSet:
     ``degeneracies[n]`` to the row of its degeneracies; both are indexed by
     every level ``0..dim_bound``, with no faces at 0 and no degeneracies at
     the bound.  The rows of each level are kept as given, not copied.
-    Values are immutable after construction.
+    Values are immutable after construction.  ``==`` compares the bound and
+    these three tables, never the indexes derived from them: the
+    nondegenerate cells, the Eilenberg-Zilber table and the cells over each
+    vertex tuple.
     """
 
-    __slots__ = ("dim_bound", "cells", "faces", "degeneracies", "_nondeg", "_deg_of", "_over")
+    dim_bound: int
+    cells: Mapping[int, Iterable[Cell]]
+    faces: Mapping[int, dict[Cell, tuple]]
+    degeneracies: Mapping[int, dict[Cell, tuple]]
+    _nondeg: dict[int, tuple[Cell, ...]] = field(init=False, compare=False, repr=False)
+    _deg_of: dict[tuple[int, Cell], tuple[int, Cell]] = field(init=False, compare=False, repr=False)
+    _over: Optional[list[dict[tuple, tuple[Cell, ...]]]] = field(default=None, init=False, compare=False, repr=False)
 
-    def __init__(
-        self,
-        dim_bound: int,
-        cells: Mapping[int, Iterable[Cell]],
-        faces: Mapping[int, dict[Cell, tuple]],
-        degeneracies: Mapping[int, dict[Cell, tuple]],
-    ):
-        if dim_bound < 0:
-            raise BoundError(f"dim_bound must be >= 0, got {dim_bound}")
-        self.dim_bound = dim_bound
-        self.cells: dict[int, tuple[Cell, ...]] = {
-            n: tuple(sorted(cells.get(n, ()))) for n in range(dim_bound + 1)
-        }
-        self.faces: tuple[dict[Cell, tuple], ...] = (
-            {}, *(faces.get(n, {}) for n in range(1, dim_bound + 1)))
-        self.degeneracies: tuple[dict[Cell, tuple], ...] = (
-            *(degeneracies.get(n, {}) for n in range(dim_bound)), {})
+    def __post_init__(self) -> None:
+        if self.dim_bound < 0:
+            raise BoundError(f"dim_bound must be >= 0, got {self.dim_bound}")
+        self.cells = {n: tuple(sorted(self.cells.get(n, ()))) for n in range(self.dim_bound + 1)}
+        self.faces = ({}, *(self.faces.get(n, {}) for n in range(1, self.dim_bound + 1)))
+        self.degeneracies = (*(self.degeneracies.get(n, {}) for n in range(self.dim_bound)), {})
         # Eilenberg-Zilber bookkeeping: for each cell the minimal (i, lower)
         # with s_i(lower) = cell, if any.  Cells with no preimage are the
         # nondegenerate core.
@@ -119,10 +118,9 @@ class SimplicialSet:
                         deg_of[key] = (i, src)
         self._deg_of = deg_of
         nondeg: dict[int, tuple[Cell, ...]] = {0: self.cells[0]}
-        for n in range(1, dim_bound + 1):
+        for n in range(1, self.dim_bound + 1):
             nondeg[n] = tuple(c for c in self.cells[n] if (n, c) not in deg_of)
         self._nondeg = nondeg
-        self._over: Optional[list[dict[tuple, tuple[Cell, ...]]]] = None
 
     # -- queries ----------------------------------------------------------
 
@@ -187,20 +185,6 @@ class SimplicialSet:
 
     def nondegenerate_counts(self) -> tuple[int, ...]:
         return tuple(len(self._nondeg[n]) for n in range(self.dim_bound + 1))
-
-    # -- structural equality ----------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, SimplicialSet):
-            return NotImplemented
-        return (
-            self.dim_bound == other.dim_bound
-            and self.cells == other.cells
-            and self.faces == other.faces
-            and self.degeneracies == other.degeneracies
-        )
 
     def __repr__(self) -> str:
         return f"SimplicialSet(bound={self.dim_bound}, cells={self.counts()})"
@@ -474,25 +458,21 @@ def validate(X: SimplicialSet) -> list[Violation]:
 # simplicial maps
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
 class SimplicialMap:
     """A levelwise assignment commuting with faces and degeneracies.
 
-    Defined on levels ``0..min(source.dim_bound, target.dim_bound)``.
+    Defined on levels ``0..min(source.dim_bound, target.dim_bound)``;
+    ``==`` compares the ends and the assignments.
     """
 
-    __slots__ = ("source", "target", "levels")
+    source: SimplicialSet
+    target: SimplicialSet
+    levels: Mapping[int, Mapping[Cell, Cell]]
+    check: InitVar[bool] = True
 
-    def __init__(
-        self,
-        source: SimplicialSet,
-        target: SimplicialSet,
-        levels: Mapping[int, Mapping[Cell, Cell]],
-        check: bool = True,
-    ):
-        self.source = source
-        self.target = target
-        bound = min(source.dim_bound, target.dim_bound)
-        self.levels: dict[int, dict[Cell, Cell]] = {n: dict(levels.get(n, {})) for n in range(bound + 1)}
+    def __post_init__(self, check: bool) -> None:
+        self.levels = {n: dict(self.levels.get(n, {})) for n in range(self.bound + 1)}
         if check:
             problems = validate_map(self)
             if problems:
@@ -504,15 +484,6 @@ class SimplicialMap:
 
     def __call__(self, n: int, c: Cell) -> Cell:
         return self.levels[n][c]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimplicialMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.levels == other.levels
-        )
 
     def __repr__(self) -> str:
         return f"SimplicialMap({self.source!r} -> {self.target!r})"

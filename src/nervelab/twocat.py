@@ -15,6 +15,7 @@ tables are keyed by the surrounding objects.
 
 from __future__ import annotations
 
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -63,41 +64,34 @@ Two = str  # a 2-cell (an arrow of a hom-category)
 _NO_ARROWS = FinCat([], [], {}, {}, {}, {})
 
 
+@dataclass(slots=True)
 class Fin2Cat:
-    __slots__ = ("objects", "hom", "hcompose1", "hcompose2", "unit", "_reach")
+    """A finite strict 2-category given by explicit tables, never changed
+    after construction.  ``==`` compares the tables it was built from, never
+    ``_reach``: the objects b, in object order, whose hom(a, b) has a
+    1-cell, filed per object a once."""
 
-    def __init__(
-        self,
-        objects: Iterable[Obj],
-        hom: Mapping[tuple[Obj, Obj], FinCat],
-        hcompose1: Mapping[tuple[Obj, Obj, Obj, One, One], One],
-        hcompose2: Mapping[tuple[Obj, Obj, Obj, Two, Two], Two],
-        unit: Mapping[Obj, One],
-    ):
-        self.objects = tuple(sorted(objects))
-        self.hom = dict(hom)
+    objects: Iterable[Obj]
+    hom: Mapping[tuple[Obj, Obj], FinCat]
+    hcompose1: Mapping[tuple[Obj, Obj, Obj, One, One], One]
+    hcompose2: Mapping[tuple[Obj, Obj, Obj, Two, Two], Two]
+    unit: Mapping[Obj, One]
+    _reach: dict[Obj, tuple[Obj, ...]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.objects = tuple(sorted(self.objects))
+        self.hom = dict(self.hom)
         self._reach = {a: tuple(b for b in self.objects if self.hom.setdefault((a, b), _NO_ARROWS).objects)
                        for a in self.objects}
-        self.hcompose1 = dict(hcompose1)
-        self.hcompose2 = dict(hcompose2)
-        self.unit = dict(unit)
+        self.hcompose1 = dict(self.hcompose1)
+        self.hcompose2 = dict(self.hcompose2)
+        self.unit = dict(self.unit)
 
     def hc1(self, a: Obj, b: Obj, c: Obj, f: One, g: One) -> One:
         return self.hcompose1[(a, b, c, f, g)]
 
     def hc2(self, a: Obj, b: Obj, c: Obj, al: Two, be: Two) -> Two:
         return self.hcompose2[(a, b, c, al, be)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Fin2Cat):
-            return NotImplemented
-        return (
-            self.objects == other.objects
-            and self.hom == other.hom
-            and self.hcompose1 == other.hcompose1
-            and self.hcompose2 == other.hcompose2
-            and self.unit == other.unit
-        )
 
     def __repr__(self) -> str:
         cells = sum(len(H.objects) for H in self.hom.values())
@@ -108,8 +102,9 @@ def validate_2category(C: Fin2Cat) -> list[str]:
     """Exhaustive check of the strict 2-category axioms.
 
     Composites are walked over the homs with a 1-cell that C files per
-    object and, for interchange, over each hom's 2-cells filed by source.  An
-    hcompose or unit row that names a cell or object C does not have is
+    object and, for interchange, over each hom's 2-cells filed by source;
+    an empty hom is checked only for foreign objects, and no other hom is
+    indexed.  An hcompose or unit row that names a cell or object C does not have is
     refused, as :func:`~nervelab.cat.validate_category` refuses such rows."""
     out = []
     objs = C.objects
@@ -118,14 +113,17 @@ def validate_2category(C: Fin2Cat) -> list[str]:
         if a not in objset or b not in objset:
             out.append(f"hom({a!r}, {b!r}) indexed by foreign objects")
             continue
+        if H == _NO_ARROWS:
+            continue  # an empty hom is a category
         for msg in validate_category(H):
             out.append(f"hom({a!r}, {b!r}): {msg}")
     if out:
         return out  # the checks below assume every hom is a category
-    cells = {ab: (set(H.objects), set(H.arrows)) for ab, H in C.hom.items()}
+    # the 1-cells and 2-cells of each hom with a 1-cell; every other hom has none
+    cells = {ab: (set(H.objects), set(H.arrows)) for ab, H in C.hom.items() if H.objects}
     for a in objs:
         u = C.unit.get(a)
-        if u is None or u not in cells[(a, a)][0]:
+        if u is None or u not in cells.get((a, a), ((), ()))[0]:
             out.append(f"unit of {a!r} missing from hom({a!r}, {a!r})")
     out.extend(f"unit row {a!r} names an absent object" for a in C.unit if a not in objset)
     for dim, table in ((1, C.hcompose1), (2, C.hcompose2)):
@@ -141,7 +139,7 @@ def validate_2category(C: Fin2Cat) -> list[str]:
         for b in C._reach[a]:
             for c in C._reach[b]:
                 H_ab, H_bc, H_ac = C.hom[(a, b)], C.hom[(b, c)], C.hom[(a, c)]
-                ones_ac, twos_ac = cells[(a, c)]
+                ones_ac, twos_ac = cells.get((a, c), ((), ()))
                 for f in H_ab.objects:
                     for g in H_bc.objects:
                         h = hc1(a, b, c, f, g)
@@ -159,7 +157,7 @@ def validate_2category(C: Fin2Cat) -> list[str]:
                             out.append(f"hcompose2 endpoints wrong on ({a},{b},{c},{al},{be})")
 
     # functoriality of horizontal composition (identities and interchange)
-    leaving = {ab: _by_source(H.arrows, H.src.__getitem__) for ab, H in C.hom.items()}
+    leaving = {ab: _by_source(H.arrows, H.src.__getitem__) for ab, H in C.hom.items() if H.objects}
     for a in objs:
         for b in C._reach[a]:
             for c in C._reach[b]:
@@ -215,25 +213,22 @@ def validate_2category(C: Fin2Cat) -> list[str]:
     return out
 
 
+@dataclass(slots=True)
 class TwoFunctor:
-    """A strict 2-functor: object map plus a functor on every hom-category."""
+    """A strict 2-functor: object map plus a functor on every hom-category;
+    ``==`` compares the ends and the assignments."""
 
-    __slots__ = ("source", "target", "objects", "on1", "on2")
+    source: Fin2Cat
+    target: Fin2Cat
+    objects: Mapping[Obj, Obj]
+    on1: Mapping[tuple[Obj, Obj, One], One]
+    on2: Mapping[tuple[Obj, Obj, Two], Two]
+    check: InitVar[bool] = True
 
-    def __init__(
-        self,
-        source: Fin2Cat,
-        target: Fin2Cat,
-        objects: Mapping[Obj, Obj],
-        on1: Mapping[tuple[Obj, Obj, One], One],
-        on2: Mapping[tuple[Obj, Obj, Two], Two],
-        check: bool = True,
-    ):
-        self.source = source
-        self.target = target
-        self.objects = dict(sorted(objects.items()))
-        self.on1 = dict(sorted(on1.items()))
-        self.on2 = dict(sorted(on2.items()))
+    def __post_init__(self, check: bool) -> None:
+        self.objects = dict(sorted(self.objects.items()))
+        self.on1 = dict(sorted(self.on1.items()))
+        self.on2 = dict(sorted(self.on2.items()))
         if check:
             problems = validate_two_functor(self)
             if problems:
@@ -251,17 +246,6 @@ class TwoFunctor:
         for dim, cells in ((1, self.on1), (2, self.on2)):
             for (a, b, x), v in cells.items():
                 yield (dim, a, b, x), (dim, self.objects[a], self.objects[b], v)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TwoFunctor):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.objects == other.objects
-            and self.on1 == other.on1
-            and self.on2 == other.on2
-        )
 
     def __repr__(self) -> str:
         return f"TwoFunctor({self.source!r} -> {self.target!r})"
@@ -289,10 +273,11 @@ def _two_functor_problems(F: TwoFunctor) -> list[str]:
         if F.objects.get(a) not in targets:
             out.append(f"object {a!r} unassigned or foreign")
     for (a, b), H in A.hom.items():
+        if not H.objects:
+            continue  # in a 2-category, a hom with no 1-cell has no 2-cell and adds no problem
         K = B.hom.get((F.objects.get(a), F.objects.get(b)))
         if K is None:
-            if H.objects:
-                out.append(f"hom({a},{b}) has no image hom")
+            out.append(f"hom({a},{b}) has no image hom")
             continue
         on_hom = CatFunctor(H, K, {f: F.on1[(a, b, f)] for f in H.objects if (a, b, f) in F.on1},
                             {al: F.on2[(a, b, al)] for al in H.arrows if (a, b, al) in F.on2},

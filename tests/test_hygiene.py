@@ -62,6 +62,39 @@ def test_every_import_is_at_module_level(path):
     assert nested_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+def handwritten_value_dunders(tree: ast.Module) -> list[str]:
+    """Each ``__eq__`` method and ``__slots__`` assignment written in a
+    class body.  A value type is a dataclass, which writes both from the
+    fields it declares once."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            out.extend(f"line {node.lineno}: {cls.name}.{name}" for name in names if name in ("__eq__", "__slots__"))
+    return out
+
+
+def test_scan_sees_a_handwritten_eq_and_slots():
+    tree = ast.parse("class A:\n    __slots__ = ('x',)\n\n    def __eq__(self, other):\n        return True\n\n"
+                     "class B:\n    __slots__: tuple = ()\n    x: int = 0\n\n"
+                     "def __eq__(a, b):\n    return a is b\n")
+    assert handwritten_value_dunders(tree) == ["line 2: A.__slots__", "line 4: A.__eq__", "line 8: B.__slots__"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_class_writes_eq_or_slots_by_hand(path):
+    assert handwritten_value_dunders(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
 ROOT = SRC.parent.parent
 CODE = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
         *sorted((ROOT / "perfbench").glob("*.py"))]

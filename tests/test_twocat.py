@@ -23,6 +23,7 @@ from nervelab.cat import (
     poset_category,
     slice_category,
     terminal_category,
+    validate_category,
     validate_functor,
 )
 from nervelab.corpus import categories, nonthin_two_categories, to_terminal_functor, two_categories
@@ -30,6 +31,7 @@ from nervelab.errors import DomainError
 from nervelab.serialize import canonical_json, tfun_to_doc
 from nervelab.simplicial import find_simplicial_iso, validate
 from nervelab.twocat import (
+    Fin2Cat,
     as_two_category,
     as_two_functor,
     component_category,
@@ -200,6 +202,21 @@ def test_component_of_single_two_cell_is_arrow_category():
 
 def test_single_two_cell_validates():
     assert validate_2category(single_two_cell_2cat()) == []
+
+
+@pytest.mark.parametrize("hom", [
+    FinCat([], [], {}, {}, {}, {}),
+    FinCat([], [], {}, {}, {}, {"ghost": "id_ghost"}),
+    FinCat([], ["x"], {}, {}, {}, {}),
+])
+def test_a_hom_without_1_cells_is_checked_unless_it_is_empty(hom):
+    """An empty hom, shared or built anew, is a category; a hom with no
+    1-cell that still has a 2-cell or a row is checked as any hom is."""
+    C = as_two_category(arrow_category())
+    broken = Fin2Cat(C.objects, {**C.hom, ("1", "0"): hom}, C.hcompose1, C.hcompose2, C.unit)
+    problems = validate_category(hom)
+    assert bool(problems) == bool(hom.arrows or hom.identity)
+    assert validate_2category(broken) == [f"hom('1', '0'): {problem}" for problem in problems]
 
 
 def test_adjunction_counts_and_transposes():
