@@ -80,8 +80,10 @@ class CatPresentation:
                 for a, b in zip(p, p[1:]):
                     if self.dst[a] != self.src[b]:
                         out.append(f"path {p} not composable")
-            if lhs and rhs:
-                if self.path_endpoints(lhs) != self.path_endpoints(rhs):
+            if lhs or rhs:
+                # an empty side is the identity at the other side's source
+                lhs_ends, rhs_ends = (self.path_endpoints(p) if p else None for p in (lhs, rhs))
+                if (lhs_ends or rhs_ends[:1] * 2) != (rhs_ends or lhs_ends[:1] * 2):
                     out.append(f"relation {lhs} = {rhs} not parallel")
         return out
 
@@ -116,6 +118,9 @@ class TwoCatPresentation:
         typed = {g for g in self.generators if g in self.src and g in self.dst}
         for t in self.two_generators:
             a, b = self.two_anchor[t]
+            if a not in objset or b not in objset:
+                out.append(f"2-generator {t!r} is anchored at {a} -> {b}, not at two objects")
+                continue
             for p in (self.two_src[t], self.two_dst[t]):
                 if not set(p) <= typed:
                     out.append(f"2-generator {t!r} has a path through an unknown 1-generator")
@@ -175,10 +180,17 @@ class PresentedMap:
 
     def validate(self) -> list[str]:
         out = []
+        S, T = self.source, self.target
+        targets = set(T.objects)
+        out.extend(f"object {a!r} unmapped or mapped outside the target" for a in S.objects
+                   if self.object_map.get(a) not in targets)
         for g, h in self.generator_map.items():
-            if self.target.src[h] != self.object_map[self.source.src[g]]:
+            if g not in S.src or h not in T.src:
+                out.append(f"generator {g!r} -> {h!r} is not from a source generator to a target generator")
+                continue
+            if T.src[h] != self.object_map.get(S.src[g]):
                 out.append(f"generator {g!r} image has wrong source")
-            if self.target.dst[h] != self.object_map[self.source.dst[g]]:
+            if T.dst[h] != self.object_map.get(S.dst[g]):
                 out.append(f"generator {g!r} image has wrong target")
         return out
 
@@ -290,6 +302,8 @@ def _complete(relations: Iterable[tuple[Path, Path]], budget: int) -> Optional[l
         if rule not in seen:
             seen.add(rule)
             rules.append(rule)
+    if not rules:
+        return rules
     for _ in range(budget):
         if len(rules) > budget:
             return None

@@ -46,7 +46,7 @@ from .presentations import (
     WhiskerStep,
 )
 from .simplicial import SimplicialMap, SimplicialSet, Violation, validate, validate_map
-from .twocat import Fin2Cat, TwoFunctor, _two_functor_problems, validate_2category
+from .twocat import _NO_ARROWS, Fin2Cat, TwoFunctor, _two_functor_problems, validate_2category
 
 
 def _unserializable(value: Any) -> None:
@@ -339,6 +339,9 @@ def fin2cat_to_doc(C: Fin2Cat) -> dict:
     }
 
 
+_EMPTY_HOM = fincat_to_doc(_NO_ARROWS)
+
+
 def fin2cat_from_doc(doc: dict, where: str = "fin2cat") -> Fin2Cat:
     objects = _ids(doc, "objects", where)
     hom = {}
@@ -348,8 +351,10 @@ def fin2cat_from_doc(doc: dict, where: str = "fin2cat") -> Fin2Cat:
         row = tuple(_strings(entry[:2], f"{where}.hom"))
         if row in hom:
             raise SchemaError(f"{where}.hom: row {row} is listed twice")
-        # each hom is checked as part of the 2-category, which names it
-        hom[row] = _read_fincat(entry[2], f"{where}.hom[{row[0]},{row[1]}]")
+        # each hom is checked as part of the 2-category, which names it; an
+        # empty one is read as the hom that every empty pair shares
+        hom[row] = (_NO_ARROWS if entry[2] == _EMPTY_HOM
+                    else _read_fincat(entry[2], f"{where}.hom[{row[0]},{row[1]}]"))
     shape = "[a, b, c, f, g, gf]"
     C = Fin2Cat(objects, hom, _table(doc, "hcompose1", shape, where),
                 _table(doc, "hcompose2", shape, where), _names(doc, "unit", where))

@@ -499,56 +499,39 @@ def component_category(C: Fin2Cat) -> FinCat:
     return _component_category(C)[0]
 
 
+def _unit(A: Fin2Cat) -> TwoFunctor:
+    """The unit ``A -> as_two_category(component_category(A))`` of the
+    adjunction: each 1-cell goes to its component arrow, each 2-cell to
+    that arrow's identity."""
+    K, _, comp = _component_category(A)
+    K2 = as_two_category(K)
+    on1 = {(a, b, f): _component_name(a, b, rep) for (a, b), m in comp.items() for f, rep in m.items()}
+    on2 = {(a, b, al): K2.hom[(a, b)].identity[on1[(a, b, H.src[al])]]
+           for (a, b), H in A.hom.items() for al in H.arrows}
+    return TwoFunctor(A, K2, {a: a for a in A.objects}, on1, on2, check=False)
+
+
 def component_functor(u: TwoFunctor) -> CatFunctor:
     """The functor between component categories induced by a 2-functor."""
-    A, arrows_a, _ = _component_category(u.source)
-    B, _, comp_b = _component_category(u.target)
-    arrows = {}
-    for name, (a, b, rep) in arrows_a.items():
-        ua, ub = u.objects[a], u.objects[b]
-        arrows[name] = _component_name(ua, ub, comp_b[(ua, ub)][u.on1[(a, b, rep)]])
-    return CatFunctor(A, B, dict(u.objects), arrows, check=False)
+    return component_transpose(compose_two_functors(_unit(u.target), u))
 
 
 def component_transpose(F: TwoFunctor) -> CatFunctor:
-    """Transpose ``A -> as_two_category(D)`` to ``component_category(A) -> D``."""
+    """Transpose ``A -> as_two_category(D)`` to ``component_category(A) -> D``:
+    each component arrow goes to the image of its least 1-cell."""
     A, arrows_a, _ = _component_category(F.source)
-    # the target of F must have discrete homs; its 1-cells are D's arrows
-    D_objects = F.target.objects
-    D_arrows = sorted({f for (_, _), H in F.target.hom.items() for f in H.objects})
-    objects = dict(F.objects)
+    # F's target has discrete homs: its 1-cells are D's arrows, hcompose1 D's composition
+    T = F.target
+    ends = {f: (a, b) for (a, b), H in T.hom.items() for f in H.objects}
+    D = FinCat(T.objects, ends, {f: a for f, (a, _) in ends.items()}, {f: b for f, (_, b) in ends.items()},
+               {(g, f): h for (_, _, _, f, g), h in T.hcompose1.items()}, T.unit)
     arrows = {name: F.on1[(a, b, rep)] for name, (a, b, rep) in arrows_a.items()}
-    # reconstruct D from the discrete-hom 2-category
-    src = {}
-    dst = {}
-    compose = {}
-    identity = {}
-    for (a, b), H in F.target.hom.items():
-        for f in H.objects:
-            src[f] = a
-            dst[f] = b
-    for (a, b, c, f, g), h in F.target.hcompose1.items():
-        compose[(g, f)] = h
-    for a in D_objects:
-        identity[a] = F.target.unit[a]
-    D = FinCat(D_objects, D_arrows, src, dst, compose, identity)
-    return CatFunctor(A, D, objects, arrows, check=False)
+    return CatFunctor(A, D, dict(F.objects), arrows, check=False)
 
 
 def inclusion_transpose(G: CatFunctor, A: Fin2Cat) -> TwoFunctor:
     """Transpose ``component_category(A) -> D`` to ``A -> as_two_category(D)``."""
-    comp = {(a, b): _hom_components(H) for (a, b), H in A.hom.items()}
-    D2 = as_two_category(G.target)
-    objects = dict(G.objects)
-    on1 = {}
-    on2 = {}
-    for (a, b), H in A.hom.items():
-        for f in H.objects:
-            on1[(a, b, f)] = G.arrows[_component_name(a, b, comp[(a, b)][f])]
-        identity = D2.hom[(G.objects[a], G.objects[b])].identity
-        for al in H.arrows:
-            on2[(a, b, al)] = identity[on1[(a, b, H.src[al])]]
-    return TwoFunctor(A, D2, objects, on1, on2, check=False)
+    return compose_two_functors(as_two_functor(G), _unit(A))
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,12 @@ ARGV = {
     ("realize", "pres_boundary2.json",
      lambda doc: (twocat_presentation_of_simplex3(doc), doc["relations2"][0][0].pop()),
      ": relation 0: its sides are not parallel (the first of"),
+    ("realize", "pres_boundary2.json",
+     lambda doc: doc.update(kind="twocat", objects=["0"], generators=[], relations2=[], two_generators=[
+         {"id": "t", "src": [], "dst": [], "anchor": ["ghost", "ghost"]}]),
+     ": 2-generator 't' is anchored at ghost -> ghost, not at two objects (the first of"),
+    ("realize", "pres_boundary2.json", lambda doc: doc["relations"].append([[], ["01"]]),
+     ": relation () = ('01',) not parallel (the first of"),
     ("localizer-check", "universe.json",
      lambda doc: doc["nodes"][0][1].update(identity={}),
      ".nodes[arrow]: object '0' has no identity arrow (the first of"),
@@ -417,7 +423,8 @@ ARGV = {
         "evidence", "rlp", "factorize", "factorize-generators", "lift", "hpushout",
         "lift-top-bottom-swapped", "hpushout-legs-apart",
         "slice-cfun", "slice2-tfun", "validate-face-level", "realize-cat-relation",
-        "realize-step-left", "realize-sides-not-parallel",
+        "realize-step-left", "realize-sides-not-parallel", "realize-anchor-not-objects",
+        "realize-empty-side-not-a-loop",
         "localizer-check-node", "rlp-levels",
         "evidence-stray-cell", "evidence-stray-level", "evidence2-stray-object", "evidence2-stray-1-cell",
         "evidence2-stray-2-cell", "slice-cfun-stray-arrow",

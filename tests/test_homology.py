@@ -11,7 +11,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import nervelab
 from nervelab.corpus import simplicial_objects
-from nervelab.errors import BoundError
+from nervelab.errors import BoundError, DomainError
 from nervelab.homology import (
     EvidenceReport,
     GroupPresentation,
@@ -527,6 +527,30 @@ def test_tietze_substitutes_a_generator_that_a_relation_defines():
     p = GroupPresentation(("a", "b"), ((("a", 1), ("b", 1)),))
     assert tietze_reduce(p) == GroupPresentation(("b",), ())
     assert classify_presentation(p) == "free(1)"
+
+
+def test_tietze_substitutes_a_defined_generator_into_the_other_relations():
+    # a b^-2 = 1 defines a = b^2, which turns a^3 into b^6 and a^-1 b^5 into b^3
+    p = GroupPresentation(("a", "b"), ((("a", 1), ("b", -2)), (("a", 3),), (("a", -1), ("b", 5))))
+    q = tietze_reduce(p)
+    assert q == GroupPresentation(("b",), ((("b", 3),), (("b", 6),)))
+    # the abelianization is read off the relation matrix, with no Tietze move
+    assert p.abelian_invariants() == q.abelian_invariants() == (0, (3,))
+    assert classify_presentation(p) == "cyclic(3)"
+
+
+def test_pi1_of_an_empty_end_compares_only_emptiness():
+    empty, point = empty_simplicial_set(2), standard_simplex(0, 2)
+    both = weak_equivalence_evidence(identity_map(empty), 0)
+    assert (both.checks["pi1"], both.witnesses["pi1"]) == ("PASS", {"reason": "both empty"})
+    one = weak_equivalence_evidence(SimplicialMap(empty, point, {n: {} for n in range(3)}), 0)
+    assert (one.checks["pi1"], one.witnesses["pi1"]) == ("FAIL", {"reason": "one side empty"})
+    # the other checks agree: the point's one component is missed, and the
+    # cone of the inclusion of the empty set has the point's H_0
+    assert one.checks["pi0"] == "FAIL" and homology(point, 0).degrees[0] == (1, ())
+    assert one.checks["H0"] == "FAIL" and both.checks["H0"] == "PASS"
+    with pytest.raises(DomainError, match="basepoint 'ghost' is not a vertex"):
+        pi1_presentation(point, "ghost")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

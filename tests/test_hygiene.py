@@ -188,9 +188,8 @@ TEST_ONLY = [
     "simplicial.py: count_maps", "simplicial.py: disjoint_union", "simplicial.py: empty_simplicial_set",
     "simplicial.py: find_simplicial_iso", "simplicial.py: simplex_map",
     "subdivision.py: ex_map", "subdivision.py: transpose_from_ex",
-    "twocat.py: as_two_functor", "twocat.py: component_category", "twocat.py: component_functor",
-    "twocat.py: component_transpose", "twocat.py: count_two_functors", "twocat.py: find_2cat_iso",
-    "twocat.py: inclusion_transpose",
+    "twocat.py: component_category", "twocat.py: component_functor", "twocat.py: count_two_functors",
+    "twocat.py: find_2cat_iso", "twocat.py: inclusion_transpose",
 ]
 
 

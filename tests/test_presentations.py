@@ -1,6 +1,7 @@
 """Categorification presentations, bounded rewriting, realization."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -19,9 +20,11 @@ from nervelab.cat import (
 from nervelab.errors import ContractError, DomainError
 from nervelab.presentations import (
     CatPresentation,
+    PresentedMap,
     TwoCatPresentation,
     WhiskerStep,
     cat_of,
+    presented_inclusion,
     realize,
     realize_cat,
     realize_twocat,
@@ -31,6 +34,7 @@ from nervelab.presentations import (
 from nervelab.serialize import canonical_json, realize_result_to_doc
 from nervelab.simplicial import (
     boundary,
+    constant_map,
     count_maps,
     standard_simplex,
 )
@@ -123,6 +127,32 @@ def test_realize_completes_critical_pairs_within_the_budget():
     assert len(r.category.arrows) == 3
     r = realize(p, budget=1)
     assert (r.status, r.certificate) == ("unknown", {"reason": "completion budget exhausted"})
+
+
+def test_completion_resolves_containment_overlaps():
+    # <a, b, c | ab = c, b = a, aa = 1>: b inside ab gives c -> 1, and the
+    # overlap aab of aa and ab gives ac -> a; the monoid is Z/2
+    one = {g: "x" for g in "abc"}
+    p = CatPresentation(("x",), ("a", "b", "c"), one, one,
+                        ((("a", "b"), ("c",)), (("b",), ("a",)), (("a", "a"), ())))
+    r = realize(p)
+    assert r.status == "finite"
+    assert r.certificate["rules"] == [[["a", "b"], ["c"]], [["b"], ["a"]], [["a", "a"], []],
+                                      [["c"], []], [["a", "c"], ["a"]]]
+    assert find_cat_iso(r.category, z2_group()) is not None
+    # in Z/2 = {e, t}, a = b = t and c = e satisfy the relations, so the
+    # realized arrows are the empty word and a
+    assert r.category.arrows == ("[x|]", "[x|a]")
+
+
+def test_a_presentation_without_relations_needs_no_completion_budget():
+    pres = cat_of(standard_simplex(1, 1))
+    assert pres.relations == ()
+    tight = realize(pres, budget=0)
+    assert (tight.status, tight.certificate) == ("finite", {"rules": [], "confluent": True})
+    assert find_cat_iso(tight.category, arrow_category()) is not None
+    assert canonical_json(realize_result_to_doc(tight)) == \
+        canonical_json(realize_result_to_doc(realize(pres, budget=200)))
 
 
 def test_realize_free_monoid_is_infinite():
@@ -277,6 +307,68 @@ def test_relation_sides_must_be_parallel():
         "relation 0: a side is not a composable whisker sequence"]
 
 
+def test_a_two_generator_is_anchored_at_two_objects():
+    ghost = TwoCatPresentation(("0",), (), {}, {}, ("t",), {"t": ()}, {"t": ()}, {"t": ("ghost", "ghost")}, ())
+    assert ghost.validate() == ["2-generator 't' is anchored at ghost -> ghost, not at two objects"]
+    with pytest.raises(ContractError, match="2-generator 't' is anchored at ghost -> ghost, not at two objects"):
+        realize(ghost)
+    # anchored at the object, it is a 2-cell from the identity to itself
+    loop = TwoCatPresentation(("0",), (), {}, {}, ("t",), {"t": ()}, {"t": ()}, {"t": ("0", "0")}, ())
+    assert loop.validate() == []
+
+
+def test_an_empty_relation_side_is_the_identity_at_the_other_sides_source():
+    graph = (("x", "y"), ("e", "l"), {"e": "x", "l": "x"}, {"e": "y", "l": "x"})
+    for rel, named in [(((), ("e",)), "relation () = ('e',) not parallel"),
+                       ((("e",), ()), "relation ('e',) = () not parallel")]:
+        p = CatPresentation(*graph, (rel,))
+        assert p.validate() == [named]
+        with pytest.raises(ContractError, match=re.escape(named)):
+            realize(p)
+    # the loop l may equal the identity at x: the arrows are id_x, id_y and e
+    for rel in ((("l",), ()), ((), ("l",))):
+        r = realize(CatPresentation(*graph, (rel,)))
+        assert (r.status, r.category.arrows) == ("finite", ("[x|]", "[x|e]", "[y|]"))
+    # two empty sides say nothing, and l stays free
+    trivial = CatPresentation(*graph, (((), ()),))
+    assert trivial.validate() == []
+    r = realize(trivial)
+    assert (r.status, r.witness) == ("infinite", ["l"])
+
+
+@pytest.mark.parametrize("pres,named", [
+    (CatPresentation(("x",), ("e",), {"e": "x"}, {}, ()), ["generator 'e' has missing endpoints"]),
+    (CatPresentation(("x",), ("e",), {"e": "x"}, {"e": "z"}, ()), ["generator 'e' has missing endpoints"]),
+    (CatPresentation(("x", "y"), ("e",), {"e": "x"}, {"e": "y"}, ((("e",), ("z",)),)),
+     ["relation ('e',) = ('z',) names an unknown generator"]),
+    (CatPresentation(("x", "y"), ("e", "f"), {"e": "x", "f": "x"}, {"e": "y", "f": "y"}, ((("e", "f"), ("e",)),)),
+     ["path ('e', 'f') not composable"]),
+    (CatPresentation(("x", "y"), ("e", "l"), {"e": "x", "l": "x"}, {"e": "y", "l": "x"}, ((("e",), ("l",)),)),
+     ["relation ('e',) = ('l',) not parallel"]),
+    (two_presentation(["0"], {"f": ("0", "9")}, {}), ["1-generator 'f' has missing endpoints"]),
+    (TwoCatPresentation(("0", "1"), ("f",), {"f": "0"}, {"f": "1"}, ("t",), {"t": ("f",)}, {"t": ("z",)},
+                        {"t": ("0", "1")}, ()),
+     ["2-generator 't' has a path through an unknown 1-generator"]),
+    (TwoCatPresentation(("0", "1"), ("f", "g"), {"f": "0", "g": "1"}, {"f": "1", "g": "0"}, ("t",),
+                        {"t": ("f",)}, {"t": ("g",)}, {"t": ("0", "1")}, ()),
+     ["2-generator 't' has a path ('g',) that does not run 0 -> 1"]),
+    (two_presentation(["0", "1"], {"f": ("0", "1"), "g": ("0", "1")}, {"a": (("f",), ("g",))},
+                      [((WhiskerStep((), "z", ()),), (WhiskerStep(("q",), "a", ()),))]),
+     ["relation step WhiskerStep(left=(), gen='z', right=()) names an unknown generator",
+      "relation step WhiskerStep(left=('q',), gen='a', right=()) names an unknown generator"]),
+    # a left context that does not end where the 2-generator starts
+    (two_presentation(["0", "1"], {"f": ("0", "1"), "g": ("0", "1")}, {"a": (("f",), ("g",))},
+                      [((WhiskerStep(("f",), "a", ()),), ())]),
+     ["relation 0: a side is not a composable whisker sequence"]),
+], ids=["cat-source-only", "cat-foreign-target", "cat-unknown-generator", "cat-path-not-composable",
+        "cat-not-parallel", "twocat-foreign-endpoint", "twocat-unknown-1-generator", "twocat-path-elsewhere",
+        "twocat-unknown-steps", "twocat-left-context-elsewhere"])
+def test_each_typing_fault_of_a_presentation_is_named(pres, named):
+    assert pres.validate() == named
+    with pytest.raises(ContractError, match=re.escape(named[0])):
+        realize_cat(pres) if isinstance(pres, CatPresentation) else realize_twocat(pres)
+
+
 @pytest.mark.parametrize("X,digest", [
     (standard_simplex(2, 2), "86a0744ec8ceeec7"),
     (boundary(3, 3), "2bbe23fc2eaa5725"),
@@ -325,9 +417,47 @@ def test_thomason_generator_two_level_one():
     assert g.validate() == []
 
 
+def test_the_level_two_inclusion_sends_each_2_generator_over_the_images_of_its_paths():
+    g = thomason_generators(3, 2)[3]
+    S, T = g.source, g.target
+    assert len(g.two_generator_map) == len(S.two_generators) == 144
+    assert set(g.two_generator_map.values()) <= set(T.two_generators)
+    assert len(set(g.two_generator_map.values())) == 144  # the inclusion is injective
+    for t, u in g.two_generator_map.items():
+        assert T.two_src[u] == tuple(g.generator_map[e] for e in S.two_src[t])
+        assert T.two_dst[u] == tuple(g.generator_map[e] for e in S.two_dst[t])
+        assert T.two_anchor[u] == tuple(g.object_map[a] for a in S.two_anchor[t])
+    assert g.validate() == []
+
+
+def test_a_presented_map_names_what_it_cannot_map():
+    loop = CatPresentation(("0",), ("a",), {"a": "0"}, {"a": "0"}, ())
+    target = CatPresentation(("1",), ("b",), {"b": "1"}, {"b": "1"}, ())
+    assert PresentedMap(loop, target, {"0": "1"}, {"a": "b"}).validate() == []
+    assert PresentedMap(loop, target, {}, {"a": "b"}).validate() == [
+        "object '0' unmapped or mapped outside the target",
+        "generator 'a' image has wrong source", "generator 'a' image has wrong target"]
+    assert PresentedMap(loop, target, {"0": "ghost"}, {"a": "b"}).validate()[0] == \
+        "object '0' unmapped or mapped outside the target"
+    assert PresentedMap(loop, target, {"0": "1"}, {"a": "ghost"}).validate() == [
+        "generator 'a' -> 'ghost' is not from a source generator to a target generator"]
+    assert PresentedMap(loop, target, {"0": "1"}, {"z": "b"}).validate() == [
+        "generator 'z' -> 'b' is not from a source generator to a target generator"]
+
+
+def test_presented_inclusion_refuses_a_collapsed_edge_and_an_unknown_level():
+    collapse = constant_map(standard_simplex(1, 1), standard_simplex(0, 1), "0")
+    with pytest.raises(ContractError, match="generator '01' maps to a degenerate edge"):
+        presented_inclusion(collapse, 1)
+    with pytest.raises(ContractError, match="level must be 1 or 2"):
+        thomason_generators(1, 3)
+
+
 def test_realize_dispatch():
     assert realize(cat_of(standard_simplex(1, 1))).status == "finite"
     assert realize(twocat_of(standard_simplex(1, 2))).status == "finite"
+    with pytest.raises(ContractError, match="not a presentation: SimplicialSet"):
+        realize(standard_simplex(1, 2))
 
 
 def test_budget_does_not_bound_a_two_presentation():

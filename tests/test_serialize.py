@@ -15,7 +15,7 @@ from nervelab.cat import category_of_elements
 from nervelab.corpus import nonthin_two_categories, two_categories
 from nervelab.errors import SchemaError
 from nervelab.simplicial import standard_simplex
-from nervelab.twocat import geometric_nerve
+from nervelab.twocat import _NO_ARROWS, delta_tilde, geometric_nerve
 
 
 TWO = {**two_categories(), **nonthin_two_categories()}
@@ -59,6 +59,20 @@ def test_checking_a_large_bound_allocates_little_beyond_the_listed_levels():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_a_fin2cat_document_reads_each_empty_hom_as_the_shared_one():
+    doc = json.loads(ser.canonical_json(ser.fin2cat_to_doc(delta_tilde(2))))
+    C = ser.fin2cat_from_doc(doc)
+    assert C == delta_tilde(2)
+    empty = [(a, b) for a, b, H in doc["hom"] if not H["objects"]]
+    assert empty == [("1", "0"), ("2", "0"), ("2", "1")]
+    assert all(C.hom[pair] is _NO_ARROWS for pair in empty)
+    assert not any(C.hom[(a, b)] is _NO_ARROWS for a, b, H in doc["hom"] if H["objects"])
+    # a row that is not exactly the empty category is read, and checked, as before
+    doc["hom"][3][2]["identity"] = {"ghost": "id_ghost"}
+    with pytest.raises(SchemaError, match=r"hom\('1', '0'\): identity row 'ghost' names an absent object"):
+        ser.fin2cat_from_doc(doc)
 
 
 def _each(*keys):

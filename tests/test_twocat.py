@@ -55,6 +55,7 @@ from nervelab.twocat import (
     validate_2category,
     validate_two_functor,
 )
+from nervelab.twocat import _unit
 
 
 def z2_group():
@@ -237,6 +238,46 @@ def test_adjunction_counts_and_transposes():
         # and back
         back = {inclusion_transpose(G, A).encode() for G in rhs}
         assert back == {F.encode() for F in lhs}
+
+
+UNIT_CASES = {**two_categories(), **nonthin_two_categories()}
+
+
+def zigzag_classes(H):
+    """The 1-cells of a hom joined by a zig-zag of 2-cells, as a set of
+    frozensets, found by a breadth-first walk over the 2-cells."""
+    classes, seen = set(), set()
+    for f in H.objects:
+        if f in seen:
+            continue
+        part, frontier = {f}, [f]
+        while frontier:
+            x = frontier.pop()
+            for al in H.arrows:
+                for u, v in ((H.src[al], H.dst[al]), (H.dst[al], H.src[al])):
+                    if u == x and v not in part:
+                        part.add(v)
+                        frontier.append(v)
+        seen |= part
+        classes.add(frozenset(part))
+    return classes
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_CASES))
+def test_the_unit_sends_each_zigzag_class_to_one_arrow_and_transposes_to_the_identity(name):
+    A = UNIT_CASES[name]
+    eta = _unit(A)
+    assert validate_two_functor(eta) == []
+    K = component_category(A)
+    assert eta.target == as_two_category(K)
+    for (a, b), H in A.hom.items():
+        images = {frozenset(f for f in H.objects if eta.on1[(a, b, f)] == arrow)
+                  for arrow in {eta.on1[(a, b, f)] for f in H.objects}}
+        assert images == zigzag_classes(H)
+    # the triangle identities, read through the two transposes
+    assert component_transpose(eta) == identity_functor(K)
+    assert inclusion_transpose(identity_functor(K), A) == eta
+    assert component_functor(identity_two_functor(A)) == identity_functor(K)
 
 
 def test_two_functor_count_examples():
