@@ -13,7 +13,8 @@ All arithmetic uses Python integers, so there is no overflow.  A chain
 complex stores each boundary as sparse columns, one ``{row: coefficient}``
 dict per basis cell, and homology reads ranks and torsion off them by
 eliminating unit pivots; only a remainder with no unit entry, usually
-empty, goes to :func:`smith_normal_form` as a dense matrix.  Dense matrices
+empty, goes to :func:`smith_normal_form` as a dense matrix, where one
+reduction step serves unit and non-unit pivots alike.  Dense matrices
 are lists of rows: ``ChainComplex.boundary[n]`` (built on first read) maps
 degree-n chains to degree n-1, rows indexed by the lower basis.
 Certificates come only from a direct call of :func:`smith_normal_form`.
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from math import gcd
 from typing import Optional, Sequence
 
@@ -49,7 +51,13 @@ def identity_matrix(n: int) -> Matrix:
     return out
 
 
-def _add_multiple(dst: list[int], q: int, src: list[int], support: Sequence[int]) -> None:
+def _support(line: Sequence[int]) -> list[int]:
+    """The positions where the line is nonzero."""
+    return list(compress(range(len(line)), line))
+
+
+def _add_multiple(dst: list[int], q: int, src: Sequence[int] | Mapping[int, int],
+                  support: Iterable[int]) -> None:
     """``dst += q * src`` in place; ``support`` lists the positions where src is nonzero."""
     for j in support:
         dst[j] += q * src[j]
@@ -58,7 +66,7 @@ def _add_multiple(dst: list[int], q: int, src: list[int], support: Sequence[int]
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     if not A or not B:
         return [[0] * (len(B[0]) if B else 0) for _ in A]
-    supports = [[j for j, b in enumerate(row) if b] for row in B]
+    supports = [_support(row) for row in B]
     out = [[0] * len(B[0]) for _ in A]
     for Ai, row in zip(A, out):
         for a, Bt, support in zip(Ai, B, supports):
@@ -151,31 +159,10 @@ def _pivot(A: Matrix, t: int) -> Optional[tuple[int, int]]:
     return None if best is None else best[1:]
 
 
-def _clear_by_unit(A: Matrix, U: Matrix, W: Matrix, t: int) -> None:
-    """Clear column t below, then row t right of, a unit corner ``A[t][t]``.
-
-    Every quotient ``entry // unit`` is ``entry * unit`` with no remainder,
-    so one pass of row operations clears the column and leaves the pivot
-    row as it was; column t is then zero off the corner, so a column
-    operation changes only the pivot row of A (and a row of W, which is V
-    transposed).  Only the nonzero entries of the pivot rows are visited.
-    """
-    unit, pivot_row, pivot_u, pivot_w = A[t][t], A[t], U[t], W[t]
-    support = [j for j in range(t, len(pivot_row)) if pivot_row[j]]
-    u_support = [j for j, x in enumerate(pivot_u) if x]
-    for i in range(t + 1, len(A)):
-        q = -A[i][t] * unit
-        if q:
-            _add_multiple(A[i], q, pivot_row, support)
-            _add_multiple(U[i], q, pivot_u, u_support)
-    w_support = [j for j, x in enumerate(pivot_w) if x]
-    for j in support[1:]:
-        _add_multiple(W[j], -pivot_row[j] * unit, pivot_w, w_support)
-        pivot_row[j] = 0
-
-
 def _nearest_quotient(a: int, p: int) -> int:
-    """The quotient q with ``|a - q * p| <= |p| / 2``."""
+    """The quotient q with ``|a - q * p| <= |p| / 2``; exact for a unit p."""
+    if p in (1, -1):
+        return a * p
     q, r = divmod(a, p)
     return q + 1 if 2 * abs(r) > abs(p) else q
 
@@ -183,36 +170,26 @@ def _nearest_quotient(a: int, p: int) -> int:
 def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    Classical pivoting: bring the least nonzero entry to the corner, reduce
-    its row and column by nearest-integer division, so every remainder is
-    at most half the pivot, then bring the least remainder left in them to
-    the corner and repeat; once they are clear, fix divisibility of the
-    remaining block and recurse on the submatrix.  The pivot shrinks at
-    every step, which keeps the certificate entries small.  The accumulated
-    operations give the certificates, verified by
-    :meth:`SmithNormalForm.verify`.
+    Classical pivoting: bring the least nonzero entry to the corner t, then
+    repeat one reduction step: reduce column t by row operations, then row t
+    by column operations, each by nearest-integer division, so every
+    remainder is at most half the pivot, and bring the least remainder to
+    the corner.  Once row and column t are clear, fix divisibility of the
+    remaining block and recurse on the submatrix.  A unit corner divides
+    exactly: its step leaves no remainder and needs no divisibility sweep.
+    The pivot shrinks at every step, which keeps the certificate entries
+    small; :meth:`SmithNormalForm.verify` checks them.
 
-    A unit corner divides everything: :func:`_clear_by_unit` does its
-    reduction in one pass, with no remainder swaps and no divisibility
-    sweep, and yields the same matrices.  Rows above the corner t are zero
-    from column t on, so column operations only visit rows t and below.  V
-    is built transposed, as W, so its column operations are row operations.
+    Each operation is one :func:`_add_multiple` over the nonzero entries of
+    the line it adds.  V is built transposed, as W, so its column operations
+    are row operations; on A, a step's column operations add the row of
+    quotients, times the entry in column t, to each row nonzero there.
     """
     A = [list(map(int, row)) for row in M]
     rows = len(A)
     cols = len(A[0]) if rows else 0
     U = identity_matrix(rows)
     W = identity_matrix(cols)
-
-    def row_op(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i: int, j: int, q: int) -> None:  # col_i -= q * col_j, t the corner
-        for row in A[t:]:
-            if row[j]:
-                row[i] -= q * row[j]
-        W[i] = [a - q * b for a, b in zip(W[i], W[j])]
 
     def swap_rows(i: int, j: int) -> None:
         A[i], A[j] = A[j], A[i]
@@ -223,50 +200,49 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
             row[i], row[j] = row[j], row[i]
         W[i], W[j] = W[j], W[i]
 
-    def negate_row(i: int) -> None:
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(rows, cols):
+    for t in range(min(rows, cols)):
         corner = _pivot(A, t)
         if corner is None:
             break
         swap_rows(t, corner[0])
         swap_cols(t, corner[1])
         while True:
-            if A[t][t] in (1, -1):
-                _clear_by_unit(A, U, W, t)
+            pivot_row, p = A[t], A[t][t]
+            # row_i -= q * row_t, leaving a remainder in column t
+            support = _support(pivot_row)
+            u_support = _support(U[t])
+            column = [i for i in range(t + 1, rows) if A[i][t]]
+            for i in column:
+                q = -_nearest_quotient(A[i][t], p)
+                _add_multiple(A[i], q, pivot_row, support)
+                _add_multiple(U[i], q, U[t], u_support)
+            column = [t] + [i for i in column if A[i][t]]
+            # col_j -= q_j * col_t for every j at once: each row where
+            # column t is nonzero takes its entry there times the quotients
+            quotients = {j: -_nearest_quotient(pivot_row[j], p) for j in support[1:]}
+            for i in column:
+                _add_multiple(A[i], A[i][t], quotients, quotients)
+            w_support = _support(W[t])
+            for j, q in quotients.items():
+                _add_multiple(W[j], q, W[t], w_support)
+            if p in (1, -1):
                 break
-            # reduce the pivot column, then the pivot row
-            for i in range(t + 1, rows):
-                if A[i][t]:
-                    row_op(i, t, _nearest_quotient(A[i][t], A[t][t]))
-            for j in range(t + 1, cols):
-                if A[t][j]:
-                    col_op(j, t, _nearest_quotient(A[t][j], A[t][t]))
             # the least remainder becomes the new, smaller pivot
-            rest = [(abs(A[i][t]), 0, i) for i in range(t + 1, rows) if A[i][t]]
-            rest += [(abs(A[t][j]), 1, j) for j in range(t + 1, cols) if A[t][j]]
+            rest = [(abs(A[i][t]), 0, i) for i in column[1:]]
+            rest += [(abs(pivot_row[j]), 1, j) for j in quotients if pivot_row[j]]
             if rest:
                 _, is_col, k = min(rest)
                 (swap_cols if is_col else swap_rows)(t, k)
                 continue
             # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if A[i][j] % A[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, rows) if any(a % p for a in A[i])), None)
             if offender is None:
                 break
-            row_op(t, offender, -1)  # add the offending row to the pivot row
+            _add_multiple(pivot_row, 1, A[offender], _support(A[offender]))
+            _add_multiple(U[t], 1, U[offender], _support(U[offender]))
         if A[t][t] < 0:
-            negate_row(t)
-        t += 1
+            A[t] = [-a for a in A[t]]
+            U[t] = [-a for a in U[t]]
     return SmithNormalForm([list(map(int, row)) for row in M], A, U, [list(c) for c in zip(*W)])
 
 

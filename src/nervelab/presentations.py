@@ -116,7 +116,11 @@ class TwoCatPresentation:
             if self.src.get(g) not in objset or self.dst.get(g) not in objset:
                 out.append(f"1-generator {g!r} has missing endpoints")
         typed = {g for g in self.generators if g in self.src and g in self.dst}
+        typed2 = {t for t in self.two_generators if t in self.two_src and t in self.two_dst and t in self.two_anchor}
         for t in self.two_generators:
+            if t not in typed2:
+                out.append(f"2-generator {t!r} has missing paths or anchor")
+                continue
             a, b = self.two_anchor[t]
             if a not in objset or b not in objset:
                 out.append(f"2-generator {t!r} is anchored at {a} -> {b}, not at two objects")
@@ -127,7 +131,7 @@ class TwoCatPresentation:
                 elif not self._runs(p, a, b):
                     out.append(f"2-generator {t!r} has a path {p} that does not run {a} -> {b}")
         for i, (lhs, rhs) in enumerate(self.relations):
-            unknown = [s for s in lhs + rhs if s.gen not in self.two_src or not set(s.left + s.right) <= typed]
+            unknown = [s for s in lhs + rhs if s.gen not in typed2 or not set(s.left + s.right) <= typed]
             if unknown:
                 out.extend(f"relation step {step} names an unknown generator" for step in unknown)
                 continue
@@ -192,6 +196,22 @@ class PresentedMap:
                 out.append(f"generator {g!r} image has wrong source")
             if T.dst[h] != self.object_map.get(S.dst[g]):
                 out.append(f"generator {g!r} image has wrong target")
+        out.extend(f"generator {g!r} unmapped" for g in S.generators if g not in self.generator_map)
+        # a 1-presentation has no 2-generators; a missing row compares as ()
+        source2, target2 = (set(getattr(P, "two_generators", ())) for P in (S, T))
+        on1, on0 = self.generator_map.get, self.object_map.get
+        for t, u in self.two_generator_map.items():
+            if t not in source2 or u not in target2:
+                out.append(f"2-generator {t!r} -> {u!r} is not from a source 2-generator to a target 2-generator")
+                continue
+            if T.two_src.get(u, ()) != tuple(map(on1, S.two_src.get(t, ()))):
+                out.append(f"2-generator {t!r} image has wrong source path")
+            if T.two_dst.get(u, ()) != tuple(map(on1, S.two_dst.get(t, ()))):
+                out.append(f"2-generator {t!r} image has wrong target path")
+            if T.two_anchor.get(u, ()) != tuple(map(on0, S.two_anchor.get(t, ()))):
+                out.append(f"2-generator {t!r} image has wrong anchor")
+        out.extend(f"2-generator {t!r} unmapped" for t in getattr(S, "two_generators", ())
+                   if t not in self.two_generator_map)
         return out
 
 

@@ -94,6 +94,24 @@ def test_snf_rectangular_and_empty():
     assert s2.diagonal == []
 
 
+def certificate_pin(s: SmithNormalForm) -> str:
+    """SHA-256 prefix of canonical_json([diagonal, U, V]).  The pivot rule
+    fixes the certificates, so an elimination shortcut that alters them
+    changes the pin."""
+    return hashlib.sha256(canonical_json([s.diagonal, s.U, s.V]).encode()).hexdigest()[:16]
+
+
+# Certificate pins of the seeded matrices below, by seed: dense, with non-unit
+# corners and units reached after a remainder swap.
+RANDOM_SNF_PINS = [
+    "db8c432b848a21af", "a5f0d959f9c9f244", "b162d3995302e69e", "c5edffcd398b69d5",  # 4x4 2x5 1x1 2x5
+    "647548e61f838e4b", "c0f7a6fecf6fb359", "278064935922abae", "eb99dee4b70d1867",  # 2x3 5x3 5x1 3x2
+    "23c3e0f66d82380c", "7ae3335fcf3ebed5", "fa69eeffba2f84ff", "d69149d0c58f36b6",  # 2x3 4x5 5x1 4x5
+    "e230d930f6ec7a63", "5fca877689cc388f", "2895378576887845", "b4fda688652f203e",  # 4x3 3x3 1x5 2x1
+    "3329e1bce17eb530", "4ed9d7de66065e38", "e1b4b2e3f2fb1367", "4c0d7fcd7a7e83cf",  # 3x4 5x4 2x1 1x5
+]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_snf_matches_sympy_on_random_matrices(seed):
     rng = random.Random(seed)
@@ -105,6 +123,7 @@ def test_snf_matches_sympy_on_random_matrices(seed):
     theirs = sympy_snf(sympy.Matrix(M))
     their_inv = sorted(abs(theirs[i, i]) for i in range(min(rows, cols)) if theirs[i, i] != 0)
     assert sorted(map(abs, ours.invariants)) == their_inv
+    assert certificate_pin(ours) == RANDOM_SNF_PINS[seed]
 
 
 def test_integer_det():
@@ -175,8 +194,8 @@ def _boundary_spaces():
     return spaces
 
 
-# SHA-256 prefixes of canonical_json([diagonal, U, V]).  The pivot rule fixes
-# the certificates, so an elimination shortcut that alters them fails here.
+# Certificate pins (see certificate_pin) of boundary matrices, where almost
+# every corner is a unit.
 SNF_PINS = {
     ("sd_boundary3", 1): "2181647da8994ddf",  # 14x36
     ("sd_boundary3", 2): "bfb3fe7c81188952",  # 36x24
@@ -202,29 +221,30 @@ def test_snf_of_boundary_matrices_matches_sympy_and_pins():
             theirs = sympy_snf(sympy.Matrix(M))
             their_inv = sorted(abs(theirs[i, i]) for i in range(min(theirs.shape)) if theirs[i, i] != 0)
             assert list(s.invariants) == their_inv, (name, n)
-            doc = canonical_json([s.diagonal, s.U, s.V])
-            seen[(name, n)] = hashlib.sha256(doc.encode()).hexdigest()[:16]
+            seen[(name, n)] = certificate_pin(s)
     assert seen == SNF_PINS
 
 
 # Dense matrices with non-unit entries whose certificates used to blow up
-# (29,934-bit entries for the first; the second did not finish in 10 s).
+# (29,934-bit entries for the first; the second did not finish in 10 s),
+# with their invariants and certificate pins.
 NON_UNIT_MATRICES = {
     "6x6": ([[1, -5, 2, 6, -6, -6], [6, -4, -3, 3, -6, 4], [5, -2, -4, 4, -2, 2],
              [4, 0, 5, 6, -5, -5], [-5, -2, 2, 3, -3, 0], [-2, -3, 6, 3, -6, -6]],
-            (1, 1, 1, 1, 1, 1173)),
+            (1, 1, 1, 1, 1, 1173), "5c032285fe2c03d6"),
     "7x7": ([[-4, -2, -1, -3, 2, 4, 4], [-3, -4, 5, -3, 0, -2, -6], [-1, 0, -4, -4, -2, -5, -1],
              [-2, 3, 3, -6, 3, 4, 5], [-1, -5, -2, -1, -2, 1, 5], [-1, -4, 1, 1, 5, -4, -6],
              [-2, -6, 5, -1, 0, -6, 2]],
-            (1, 1, 1, 1, 1, 1, 548712)),
+            (1, 1, 1, 1, 1, 1, 548712), "950528e05629a55c"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NON_UNIT_MATRICES))
 def test_snf_certificates_stay_small_on_non_unit_matrices(name):
-    M, want = NON_UNIT_MATRICES[name]
+    M, want, pin = NON_UNIT_MATRICES[name]
     s = smith_normal_form(M)
     assert s.verify()
+    assert certificate_pin(s) == pin
     theirs = sympy_snf(sympy.Matrix(M))
     assert s.invariants == want == tuple(abs(int(theirs[i, i])) for i in range(len(M)))
     assert max(abs(x).bit_length() for C in (s.U, s.V) for row in C for x in row) <= 64

@@ -317,6 +317,36 @@ def test_a_two_generator_is_anchored_at_two_objects():
     assert loop.validate() == []
 
 
+def test_a_listed_2_generator_needs_its_paths_and_anchor():
+    arrows = {"f": ("0", "1"), "g": ("0", "1")}
+    full = two_presentation(["0", "1"], arrows, {"a": (("f",), ("g",)), "t": (("f",), ("g",))})
+    for row in ("two_src", "two_dst", "two_anchor"):
+        rows = {name: dict(getattr(full, name)) for name in ("two_src", "two_dst", "two_anchor")}
+        del rows[row]["t"]
+        p = TwoCatPresentation(full.objects, full.generators, full.src, full.dst, full.two_generators,
+                               rows["two_src"], rows["two_dst"], rows["two_anchor"], ())
+        assert p.validate() == ["2-generator 't' has missing paths or anchor"], row
+        with pytest.raises(ContractError, match="2-generator 't' has missing paths or anchor"):
+            realize(p)
+
+
+def test_a_relation_step_names_a_listed_2_generator():
+    # t has rows but is not listed: the relation a = t must not be dropped
+    arrows = {"f": ("0", "1"), "g": ("0", "1")}
+    full = two_presentation(["0", "1"], arrows, {"a": (("f",), ("g",)), "t": (("f",), ("g",))},
+                            [((WhiskerStep((), "a", ()),), (WhiskerStep((), "t", ()),))])
+    unlisted = TwoCatPresentation(full.objects, full.generators, full.src, full.dst, ("a",), full.two_src,
+                                  full.two_dst, full.two_anchor, full.relations)
+    named = "relation step WhiskerStep(left=(), gen='t', right=()) names an unknown generator"
+    assert unlisted.validate() == [named]
+    with pytest.raises(ContractError, match=re.escape(named)):
+        realize(unlisted)
+    # listed, a = t leaves hom(0, 1) with the identities of f and g and one 2-cell f => g
+    assert full.validate() == []
+    r = realize(full)
+    assert r.status == "finite" and len(r.two_category.hom[("0", "1")].arrows) == 3
+
+
 def test_an_empty_relation_side_is_the_identity_at_the_other_sides_source():
     graph = (("x", "y"), ("e", "l"), {"e": "x", "l": "x"}, {"e": "y", "l": "x"})
     for rel, named in [(((), ("e",)), "relation () = ('e',) not parallel"),
@@ -442,7 +472,45 @@ def test_a_presented_map_names_what_it_cannot_map():
     assert PresentedMap(loop, target, {"0": "1"}, {"a": "ghost"}).validate() == [
         "generator 'a' -> 'ghost' is not from a source generator to a target generator"]
     assert PresentedMap(loop, target, {"0": "1"}, {"z": "b"}).validate() == [
-        "generator 'z' -> 'b' is not from a source generator to a target generator"]
+        "generator 'z' -> 'b' is not from a source generator to a target generator",
+        "generator 'a' unmapped"]
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_every_thomason_generator_validates(level):
+    assert [g.validate() for g in thomason_generators(3, level)] == [[]] * 4
+
+
+def test_a_presented_map_names_each_unmapped_generator():
+    g = thomason_generators(2, 1)[2]
+    dropped = g.source.generators[5]
+    generator_map = {e: h for e, h in g.generator_map.items() if e != dropped}
+    broken = PresentedMap(g.source, g.target, g.object_map, generator_map)
+    assert broken.validate() == [f"generator {dropped!r} unmapped"]
+    g = thomason_generators(3, 2)[3]
+    t = g.source.two_generators[7]
+    two_map = {s: u for s, u in g.two_generator_map.items() if s != t}
+    assert PresentedMap(g.source, g.target, g.object_map, g.generator_map, two_map).validate() == [
+        f"2-generator {t!r} unmapped"]
+
+
+def test_a_presented_map_types_each_2_generator_image():
+    g = thomason_generators(3, 2)[3]
+    S, T = g.source, g.target
+    ghost = PresentedMap(S, T, g.object_map, g.generator_map, {t: "ghost" for t in g.two_generator_map})
+    assert ghost.validate() == [
+        f"2-generator {t!r} -> 'ghost' is not from a source 2-generator to a target 2-generator"
+        for t in g.two_generator_map]
+    assert len(ghost.validate()) == 144
+    # a target 2-generator over other paths, or at another anchor, is no image
+    t, u = next(iter(g.two_generator_map.items()))
+    other_source = next(v for v in T.two_generators if T.two_anchor[v] == T.two_anchor[u]
+                        and T.two_src[v] != T.two_src[u] and T.two_dst[v] == T.two_dst[u])
+    elsewhere = next(v for v in T.two_generators if T.two_anchor[v] != T.two_anchor[u])
+    for v, named in [(other_source, ["wrong source path"]),
+                     (elsewhere, ["wrong source path", "wrong target path", "wrong anchor"])]:
+        broken = PresentedMap(S, T, g.object_map, g.generator_map, {**g.two_generator_map, t: v})
+        assert broken.validate() == [f"2-generator {t!r} image has {what}" for what in named]
 
 
 def test_presented_inclusion_refuses_a_collapsed_edge_and_an_unknown_level():
